@@ -13,8 +13,7 @@ the deterministic cost counters each benchmark stores in ``extra_info`` —
 ``restarts`` (SAT search effort and incremental-solver reuse),
 ``cache_hits`` / ``cache_misses`` (result-cache effectiveness) and
 ``faults_injected`` / ``faults_detected`` / ``cex_certified`` / ``retries``
-(fuzz-oracle coverage and runner resilience) and ``race_losers`` /
-``race_winner_counts`` / ``shards`` (portfolio-racing and intra-cell
+(fuzz-oracle coverage and runner resilience) and ``shards`` (intra-cell
 sharding accounting).  All are
 machine-independent, unlike wall-clock times,
 so the comparison is stable across CI runners.  The script exits non-zero
@@ -48,8 +47,7 @@ TRACKED_COUNTERS = ("kernel_steps", "peak_nodes", "ite_calls",
                     "gate_cells", "decisions", "solver_calls", "restarts",
                     "cache_hits", "cache_misses",
                     "faults_injected", "faults_detected", "cex_certified",
-                    "retries",
-                    "race_losers", "race_winner_counts", "shards")
+                    "retries", "shards")
 
 
 def load_counters(path: str) -> Dict[str, Dict[str, int]]:

@@ -36,7 +36,13 @@ def table2_scale() -> float:
 
 @pytest.fixture(scope="session")
 def results_dir(tmp_path_factory) -> str:
-    """Directory where rendered tables are written for inspection."""
-    target = os.path.join(os.path.dirname(__file__), "results")
+    """Directory where rendered tables are written for inspection.
+
+    Under the gitignored ``.benchmarks/``: every run re-times the tables,
+    so writing them over the committed reference snapshot in
+    ``benchmarks/results/`` would dirty the tree with timing noise.
+    """
+    target = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          ".benchmarks", "results")
     os.makedirs(target, exist_ok=True)
     return target

@@ -2,7 +2,7 @@
 
 Each benchmark measures one cell of the table (one method at one bit width);
 the final test regenerates a quick version of the whole table, writes it to
-``benchmarks/results/table1.txt`` and asserts the paper's qualitative shape:
+``.benchmarks/results/table1.txt`` and asserts the paper's qualitative shape:
 
 * the BDD-based verifiers' run time grows super-linearly with the bit width
   and exceeds the budget at the largest width (the paper's dash), while
@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.eval import table1
-from repro.eval.runner import run_hash, run_verifier
+from repro.eval.runner import run_cell
 from repro.eval.workloads import table1_workload
 
 #: widths benchmarked cell-by-cell (kept small so the suite stays fast)
@@ -40,7 +40,7 @@ def test_table1_verifier_cell(benchmark, workloads, method, width, verifier_budg
     workload = workloads[width]
 
     def cell():
-        return run_verifier(workload, method, time_budget=verifier_budget)
+        return run_cell(workload, method, time_budget=verifier_budget)
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
     assert measurement.status in ("ok", "timeout")
@@ -51,7 +51,7 @@ def test_table1_hash_cell(benchmark, workloads, width):
     workload = workloads.get(width) or table1_workload(width)
 
     def cell():
-        return run_hash(workload)
+        return run_cell(workload, "hash")
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
     assert measurement.status == "ok"

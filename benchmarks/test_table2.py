@@ -3,7 +3,7 @@
 The suite is scaled down (``REPRO_BENCH_SCALE``, default 0.12) so the whole
 harness runs in minutes; ``python -m repro.eval.table2`` produces the
 full-size table.  Cells are benchmarked for a representative subset, the
-full (scaled) table is written to ``benchmarks/results/table2.txt`` and the
+full (scaled) table is written to ``.benchmarks/results/table2.txt`` and the
 paper's qualitative claims are asserted:
 
 * HASH completes on every benchmark, including the multiplier family,
@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.eval import table2
-from repro.eval.runner import run_hash, run_verifier
+from repro.eval.runner import run_cell
 from repro.eval.workloads import make_workload
 from repro.circuits.generators import fractional_multiplier
 from repro.circuits.generators.multiplier import multiplier_retiming_cut
@@ -37,8 +37,8 @@ def test_table2_cell(benchmark, name, method, table2_scale, verifier_budget):
 
     def cell():
         if method == "hash":
-            return run_hash(workload)
-        return run_verifier(workload, method, time_budget=verifier_budget)
+            return run_cell(workload, "hash")
+        return run_cell(workload, method, time_budget=verifier_budget)
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
     if method == "hash":
@@ -53,7 +53,7 @@ def test_table2_multiplier_hash(benchmark, width):
                              cut=multiplier_retiming_cut())
 
     def cell():
-        return run_hash(workload)
+        return run_cell(workload, "hash")
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
     assert measurement.status == "ok"
@@ -68,8 +68,8 @@ def test_table2_multiplier_growth(benchmark, verifier_budget):
             workload = make_workload(fractional_multiplier(width),
                                      cut=multiplier_retiming_cut())
             rows[width] = {
-                "hash": run_hash(workload),
-                "smv": run_verifier(workload, "smv", time_budget=verifier_budget),
+                "hash": run_cell(workload, "hash"),
+                "smv": run_cell(workload, "smv", time_budget=verifier_budget),
             }
         return rows
 

@@ -21,7 +21,6 @@ from .semantics import (
     TermEvaluator,
     check_retiming_law,
     prove_retiming_law_by_induction,
-    random_input_stream,
     run_automaton,
 )
 

@@ -27,7 +27,6 @@ is exercised heavily by the test suite.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -358,23 +357,3 @@ def prove_retiming_law_by_induction(
             if f_app(x) != f_app(s_prime):
                 return False
     return True
-
-
-def random_input_stream(
-    shapes: Sequence[int], cycles: int, seed: int = 0
-) -> List[Any]:
-    """Random ground input tuples for a circuit with the given input widths."""
-    rng = random.Random(seed)
-
-    def one() -> Any:
-        values = []
-        for width in shapes:
-            if width == 1:
-                values.append(bool(rng.getrandbits(1)))
-            else:
-                values.append(rng.randrange(1 << width))
-        if len(values) == 1:
-            return values[0]
-        return tuple(values)
-
-    return [one() for _ in range(cycles)]

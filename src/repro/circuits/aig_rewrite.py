@@ -71,9 +71,6 @@ LIBRARY_PATH = os.path.join(os.path.dirname(__file__), "npn4_library.json")
 TT_MASK = 0xFFFF
 ELEM_TT = (0xAAAA, 0xCCCC, 0xF0F0, 0xFF00)
 
-#: node kinds mirrored from :mod:`repro.circuits.aig` (private there)
-_AND_KIND = 3
-
 
 # ---------------------------------------------------------------------------
 # NPN canonicalisation

@@ -198,10 +198,6 @@ def cell_type(name: str) -> CellType:
         raise CellError(f"unknown cell type: {name}") from None
 
 
-def has_cell_type(name: str) -> bool:
-    return name in _LIBRARY
-
-
 def all_cell_types() -> Tuple[str, ...]:
     """Names of all registered cell types."""
     return tuple(sorted(_LIBRARY))

@@ -84,13 +84,3 @@ def random_sequential_circuit(
 
     nl.validate()
     return nl
-
-
-def retimable_register_stages(netlist: Netlist) -> List[str]:
-    """Cells whose inputs are all register outputs (candidates for forward retiming)."""
-    reg_outs = {reg.output for reg in netlist.registers.values()}
-    out = []
-    for cell in netlist.cells.values():
-        if cell.inputs and all(i in reg_outs for i in cell.inputs):
-            out.append(cell.name)
-    return sorted(out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from .netlist import Cell, Netlist, Register
+from .netlist import Cell, Netlist
 
 
 def transitive_fanin_nets(netlist: Netlist, net: str) -> Set[str]:
@@ -48,18 +48,6 @@ def support_of(netlist: Netlist, net: str) -> Tuple[Set[str], Set[str]]:
         {n for n in nets if n in netlist.inputs},
         {n for n in nets if n in reg_outputs},
     )
-
-
-def cells_in_fanin(netlist: Netlist, net: str) -> Set[str]:
-    """Names of the combinational cells in the transitive fanin of a net."""
-    drivers = netlist.drivers()
-    nets = transitive_fanin_nets(netlist, net)
-    out = set()
-    for n in nets:
-        d = drivers.get(n)
-        if isinstance(d, Cell):
-            out.add(d.name)
-    return out
 
 
 def state_only_cells(netlist: Netlist) -> List[str]:
@@ -108,16 +96,6 @@ def structural_signature(netlist: Netlist) -> Dict[str, Tuple]:
         return out
 
     return {net: sig(net) for net in netlist.nets}
-
-
-def register_boundaries(netlist: Netlist) -> Dict[str, Register]:
-    """Map from register output net to the register driving it."""
-    return {reg.output: reg for reg in netlist.registers.values()}
-
-
-def cone_signature(netlist: Netlist, net: str) -> Tuple:
-    """The structural signature of a single net's cone."""
-    return structural_signature(netlist)[net]
 
 
 def same_interface(a: Netlist, b: Netlist) -> bool:

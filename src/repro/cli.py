@@ -84,21 +84,12 @@ def table_argv(table: int, budget: float, jobs: int, **params: Any) -> List[str]
 
 
 def _parse_methods(raw: Optional[str]) -> Optional[List[str]]:
-    """Split ``--methods``; a ``race:`` roster owns the rest of the string.
-
-    Racing rosters reuse the list separator (``--methods race:bdd,sat``),
-    so everything from the first ``race:`` onward is one portfolio method;
-    plain methods before it split on commas as usual.  A bare ``race``
-    token races the default rival set.
-    """
+    """Split ``--methods`` on commas; an unknown backend raises KeyError."""
     if raw is None:
         return None
-    head, sep, roster = raw.partition("race:")
-    methods = [m for m in head.split(",") if m]
-    if sep:
-        methods.append(sep + roster)
+    methods = [m for m in raw.split(",") if m]
     for method in methods:
-        runner.validate_method(method)  # raises with the known-method list
+        registry.get_checker(method)  # raises with the known-method list
     return methods
 
 
@@ -220,7 +211,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"error: {exc}", flush=True)
             return 2
         found = fuzz.violation_of(
-            runner.method_checker(method), cell.expected, measurement
+            registry.get_checker(method), cell.expected, measurement
         )
         print(f"replay {cell.workload.name} / {method}: "
               f"verdict {measurement.verdict} "
@@ -438,14 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a registered scenario (see list-scenarios)")
     run_p.add_argument("--methods", default=None,
                        help="comma-separated backends (see list-backends); "
-                            "defaults to the table's/scenario's own methods; "
-                            "race / race:a,b,... races rivals per cell and "
-                            "keeps the first definite verdict")
+                            "defaults to the table's/scenario's own methods")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="max concurrent worker subprocesses (default 1)")
     run_p.add_argument("--shards", type=int, default=1,
                        help="split each shardable cell (fraig, taut, "
-                            "taut-rw) into up to N sibling pool jobs; the "
+                            "taut-rw) into up to N sibling jobs; the "
                             "merged measurement is shard-count independent "
                             "(default 1)")
     run_p.add_argument("--budget", type=float, default=runner.DEFAULT_TIME_BUDGET,

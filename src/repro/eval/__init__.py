@@ -17,10 +17,8 @@ from .runner import (
     render_table,
     run_cell,
     run_cells,
-    run_hash,
     run_row,
     run_rows,
-    run_verifier,
 )
 from .scenarios import (
     Scenario,

@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
 from ..circuits.aig_rewrite import LIBRARY_VERSION
-from .runner import CellSpec, Measurement, canonical_method
+from .runner import CellSpec, Measurement
 
 #: bump when Measurement semantics / stats meanings change incompatibly
 CACHE_SCHEMA = "cache-v1"
@@ -54,18 +54,6 @@ CACHEABLE_STATUSES = frozenset({"ok", "timeout"})
 
 def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-
-
-def _stat_value(value: Any) -> Any:
-    """Round-trip a stats value: numeric where possible, verbatim otherwise.
-
-    Almost every stat is a float counter, but race cells carry the string
-    ``race_winner`` — coercing it would corrupt warm-cache replays.
-    """
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return value
 
 
 def _canonical(value: Any) -> str:
@@ -106,13 +94,9 @@ def cell_key(
     cell measured with DAG-aware rewriting off (or against a different NPN
     structure library) must never be served for a rewriting-on request.
 
-    Race methods digest as their canonical form — the *sorted* rival set
-    (``race:a,b`` == ``race:b,a`` == ``race`` spelled with aliases) —
-    because the cached object is the merged portfolio measurement of the
-    logical cell, which depends only on which rivals competed, not on the
-    order they were written or which one happened to win.  Shard counts
-    are deliberately *absent*: sharding is an execution strategy, and the
-    merged measurement is defined to be shard-count independent.
+    Shard counts are deliberately *absent*: sharding is an execution
+    strategy, and the merged measurement is defined to be shard-count
+    independent.
     """
     provenance = getattr(workload, "provenance", None) or {}
     payload = {
@@ -122,7 +106,7 @@ def cell_key(
         "original": netlist_fingerprint(workload.original),
         "retimed": netlist_fingerprint(workload.retimed),
         "cut": list(workload.cut),
-        "method": canonical_method(method),
+        "method": method,
         "time_budget": float(time_budget),
         "node_budget": int(node_budget),
         "aig_opt": bool(aig_opt),
@@ -159,7 +143,7 @@ def measurement_from_dict(payload: Dict[str, Any]) -> Measurement:
         status=payload["status"],
         seconds=float(payload["seconds"]),
         detail=payload.get("detail", ""),
-        stats={k: _stat_value(v) for k, v in payload.get("stats", {}).items()},
+        stats={k: float(v) for k, v in payload.get("stats", {}).items()},
         verdict=payload.get("verdict", ""),
         counterexample=None if cex is None else
         {str(k): bool(v) for k, v in cex.items()},
@@ -212,7 +196,7 @@ class ResultCache:
                     payload = json.load(fh)
                 measurement = measurement_from_dict(payload["measurement"])
             except (OSError, ValueError, KeyError, TypeError):
-                measurement = None  # absent or corrupt entry == miss
+                measurement = None  # absent, corrupt or non-numeric entry == miss
             if measurement is not None:
                 self._remember(key, measurement)
                 self.hits += 1

@@ -55,15 +55,7 @@ from ..retiming.apply import apply_forward_retiming, forward_retimable_cells
 from ..retiming.cuts import sized_forward_cut
 from ..verification.registry import Checker, get_checker
 from .cache import measurement_to_dict
-from .runner import (
-    CellSpec,
-    Measurement,
-    method_checker,
-    parse_race,
-    run_cell,
-    run_cells,
-    validate_method,
-)
+from .runner import DEFINITE_VERDICTS, CellSpec, Measurement, run_cell, run_cells
 from .scenarios import register_scenario
 from .workloads import Workload
 
@@ -244,15 +236,8 @@ def method_applies(checker: Checker, flavour: str) -> bool:
     Cut-point checkers need identical register sets, which retiming breaks
     (registers move and are renamed), so they only see ``fault`` cells.
     Synthesis-style backends and the structural matcher only make sense on
-    pure retimings.  A race ensemble is one backend to the oracle: it
-    applies to a flavour only when **every** rival does — any rival's
-    verdict can become the ensemble's, so one inapplicable rival would
-    make the whole portfolio unjudgeable.
+    pure retimings.
     """
-    rivals = parse_race(checker.name)
-    if rivals is not None:
-        return all(method_applies(get_checker(rival), flavour)
-                   for rival in rivals)
     if checker.kind == "synthesis" or checker.needs_cut:
         return flavour == "retime"
     if checker.name == "match":  # structural matching: pure retiming only
@@ -339,10 +324,10 @@ def _oracle(
             measurement = row.get(method)
             if measurement is None:
                 continue
-            checker = method_checker(method)
+            checker = get_checker(method)
             counters["cex_certified"] += measurement.stats.get("cex_certified", 0.0)
             counters["retries"] += measurement.stats.get("retries", 0.0)
-            if measurement.verdict in ("equivalent", "not_equivalent"):
+            if measurement.verdict in DEFINITE_VERDICTS:
                 definite.append(measurement.verdict)
                 refuted = refuted or measurement.verdict == "not_equivalent"
             found = violation_of(checker, cell.expected, measurement)
@@ -386,14 +371,14 @@ def run_fuzz(
     runs when the oracle found violations.
     """
     for method in methods:
-        validate_method(method)
+        get_checker(method)  # unknown methods raise before any cell is built
     cells = [build_cell(spec) for spec in specs]
 
     flat_specs: List[CellSpec] = []
     owners: List[Tuple[int, str]] = []
     for index, cell in enumerate(cells):
         for method in methods:
-            if method_applies(method_checker(method), cell.spec.flavour):
+            if method_applies(get_checker(method), cell.spec.flavour):
                 flat_specs.append(CellSpec(
                     cell.workload, method, time_budget, node_budget,
                 ))
@@ -448,7 +433,7 @@ def _measure(spec: FuzzSpec, method: str,
         cell = build_cell(spec)
     except FuzzError:
         return None
-    if not method_applies(method_checker(method), spec.flavour):
+    if not method_applies(get_checker(method), spec.flavour):
         return None
     return run_cell(cell.workload, method, time_budget, node_budget)
 
@@ -459,7 +444,7 @@ def _still_violates(spec: FuzzSpec, method: str, kind: str,
     if measurement is None:
         return False
     expected = "equivalent" if spec.flavour == "retime" else "not_equivalent"
-    found = violation_of(method_checker(method), expected, measurement)
+    found = violation_of(get_checker(method), expected, measurement)
     return found is not None and found[0] == kind
 
 

@@ -34,13 +34,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..verification.common import VerificationError
-from ..verification.registry import (
-    Checker,
-    get_checker,
-    get_shardable,
-    run_checker,
-)
+from ..verification.registry import get_checker, get_shardable, run_checker
 from .workloads import Workload
 
 
@@ -90,96 +84,12 @@ DEFAULT_NODE_BUDGET = 2_000_000
 #: result hand-over — *not* extra compute time for the checker itself
 KILL_GRACE = 0.5
 
-#: verdicts that settle a race — a timeout or error leaves the question open,
-#: so an indefinite rival never beats a definite one
+#: verdicts that decide a cell — a timeout or error leaves the question open
 DEFINITE_VERDICTS = frozenset({"equivalent", "not_equivalent"})
 
-#: rivals of the bare ``race`` method: the two product-FSM engines plus the
-#: formal synthesis step — heterogeneous cost profiles, all three able to
-#: settle a retiming cell, which is what makes the portfolio answer-fast
-DEFAULT_RACE_RIVALS = ("sis", "smv", "hash")
-
-#: paper-facing aliases accepted in rival lists (``race:bdd,sat,fraig``)
-_RACE_ALIASES = {"bdd": "taut"}
-
-
-def parse_race(method: str) -> Optional[Tuple[str, ...]]:
-    """The rival tuple of a ``race`` / ``race:a,b,...`` method, else None.
-
-    Rival order is preserved (it is the serial fallback's run order);
-    aliases are resolved (``bdd`` → ``taut``).  Unknown rivals and
-    degenerate rosters raise so a typo fails fast at submission, not on a
-    worker.
-    """
-    if method == "race":
-        return DEFAULT_RACE_RIVALS
-    if not method.startswith("race:"):
-        return None
-    rivals = tuple(
-        _RACE_ALIASES.get(name.strip(), name.strip())
-        for name in method[len("race:"):].split(",") if name.strip()
-    )
-    if len(rivals) < 2:
-        raise ValueError(
-            f"a race needs at least two rivals, got {method!r}"
-        )
-    if len(set(rivals)) != len(rivals):
-        raise ValueError(f"duplicate rivals in {method!r}")
-    for rival in rivals:
-        get_checker(rival)  # raises KeyError with the known list
-    return rivals
-
-
-def canonical_method(method: str) -> str:
-    """Order-independent canonical spelling (used by the result cache).
-
-    ``race:smv,sis`` and ``race:sis,smv`` race the same rival *set* and
-    must share one cache entry; a ``race:bdd,sat`` cell must never collide
-    with a plain ``sat`` entry, so the race prefix stays in the canonical
-    form.  Non-race methods are returned unchanged.
-    """
-    rivals = parse_race(method)
-    if rivals is None:
-        return method
-    return "race:" + ",".join(sorted(rivals))
-
-
-def validate_method(method: str) -> None:
-    """Raise (KeyError/ValueError) unless ``method`` can be dispatched."""
-    if parse_race(method) is None:
-        get_checker(method)
-
-
-def _race_fn(*_args, **_kwargs):
-    raise VerificationError(
-        "race ensembles run through the cell runner, not run_checker"
-    )
-
-
-def method_checker(method: str) -> Checker:
-    """The registry descriptor for a method, racing ensembles included.
-
-    A race method yields a *synthetic* descriptor for oracle-style
-    consumers (the fuzz harness): the ensemble is ``complete`` iff every
-    rival is (the race returns the first definite verdict, so one complete
-    rival suffices for termination but **all** must be complete before an
-    ``error`` outcome can be called a bug), and it is a cut-point method
-    iff every rival is.
-    """
-    rivals = parse_race(method)
-    if rivals is None:
-        return get_checker(method)
-    members = [get_checker(rival) for rival in rivals]
-    return Checker(
-        name=method,
-        fn=_race_fn,
-        description="portfolio race of " + ", ".join(rivals),
-        accepts=frozenset().union(*(m.accepts for m in members)),
-        needs_cut=False,
-        kind="verifier",
-        cut_points=all(m.cut_points for m in members),
-        complete=all(m.complete for m in members),
-    )
+#: the registry descriptor of a method, under the name harnesses outside
+#: the package look up on the runner
+method_checker = get_checker
 
 
 @dataclass(frozen=True)
@@ -193,9 +103,9 @@ class CellSpec:
     #: DAG-aware AIG rewriting during bit-blasting (part of the cache key)
     aig_opt: bool = True
     #: requested intra-cell shard count (>1 splits shardable backends into
-    #: range shards run as sibling pool entries; NOT part of the cache key —
-    #: shard cells key on the logical cell, and the merged measurement is
-    #: what gets cached)
+    #: range shards run as sibling jobs; NOT part of the cache key — the
+    #: logical cell is keyed, and the merged measurement is what gets
+    #: cached)
     shards: int = 1
     #: the ``(k, n)`` range assignment of one expanded shard (internal:
     #: set by :func:`expand_cell`, passed to the backend as ``shard=``)
@@ -215,12 +125,7 @@ def run_cell(
     Backend exceptions (``VerificationError`` or anything unexpected) never
     escape: they become a ``status="failed"`` cell so a single bad pairing
     cannot abort an entire table run.  Unknown method names *do* raise.
-    A ``race``/``race:a,b,...`` method runs its rivals serially in rival
-    order until the first definite verdict (see :func:`run_spec`).
     """
-    if parse_race(method) is not None:
-        return run_spec(CellSpec(workload, method, time_budget, node_budget,
-                                 aig_opt))
     get_checker(method)  # unknown methods are a caller error, raised eagerly
     start = time.perf_counter()
     try:
@@ -260,21 +165,6 @@ def run_cell(
     )
 
 
-def run_hash(workload: Workload) -> Measurement:
-    """Time the HASH formal retiming step on the workload's cut."""
-    return run_cell(workload, "hash")
-
-
-def run_verifier(
-    workload: Workload,
-    method: str,
-    time_budget: float = DEFAULT_TIME_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Measurement:
-    """Time one post-synthesis verification method on (original, retimed)."""
-    return run_cell(workload, method, time_budget=time_budget, node_budget=node_budget)
-
-
 # ---------------------------------------------------------------------------
 # Process-isolated execution
 # ---------------------------------------------------------------------------
@@ -297,109 +187,26 @@ def _killed_measurement(spec: CellSpec) -> Measurement:
 
 
 # ---------------------------------------------------------------------------
-# Sub-cell parallelism: portfolio races and intra-cell shards
+# Intra-cell shards
 # ---------------------------------------------------------------------------
 
-def expand_cell(spec: CellSpec) -> Optional[Tuple[str, List[CellSpec]]]:
-    """Expand one logical cell into its sub-cell parts, if it has any.
+def expand_cell(spec: CellSpec) -> List[CellSpec]:
+    """The jobs that compute one logical cell: its range shards, or itself.
 
-    Returns ``("race", [rival specs...])`` for a race method, ``("shard",
-    [shard specs...])`` for a shardable method with ``shards > 1`` (after
-    the backend's :class:`~repro.verification.registry.ShardableCheck.plan`
-    settles the effective count), and ``None`` for a plain cell.  Parts
-    are full :class:`CellSpec`\\ s dispatchable on the worker pool.
+    A shardable method with ``shards > 1`` splits into the effective count
+    its :class:`~repro.verification.registry.ShardableCheck` ``plan``
+    settles on; every other cell is a single job.
     """
-    rivals = parse_race(spec.method)
-    if rivals is not None:
-        return "race", [
-            replace(spec, method=rival, shards=1, shard=None)
-            for rival in rivals
-        ]
-    if spec.shards > 1 and spec.shard is None:
+    if spec.shards > 1:
         shardable = get_shardable(spec.method)
         if shardable is not None:
             effective = shardable.plan(
                 spec.workload.original, spec.workload.retimed, spec.shards
             )
             if effective > 1:
-                return "shard", [
-                    replace(spec, shards=1, shard=(k, effective))
-                    for k in range(effective)
-                ]
-    return None
-
-
-def merge_race(
-    spec: CellSpec,
-    finished: Sequence[Tuple[str, Measurement]],
-    cancelled: Sequence[Tuple[str, float]] = (),
-    not_run: Sequence[str] = (),
-) -> Measurement:
-    """Deterministic merge of one race group into the logical cell.
-
-    ``finished`` lists ``(rival, measurement)`` in completion order — the
-    first *definite* verdict is the winner; ``cancelled`` lists rivals
-    killed mid-flight with the seconds they had consumed; ``not_run``
-    rivals never left the queue.  The merged measurement is the winner's,
-    relabelled to the race method, with the portfolio's own counters:
-    ``race_winner`` (the winning backend's name), ``race_losers``
-    (dispatched rivals that did not win) and ``race_cancelled_seconds``
-    (work thrown away by the kills).  When several rivals finished with
-    definite verdicts before reaping, they are differentially
-    cross-checked: a disagreement yields a ``failed`` cell (never cached)
-    naming both verdicts instead of silently trusting the faster rival.
-    """
-    definite = [(rival, m) for rival, m in finished
-                if m.verdict in DEFINITE_VERDICTS]
-    dispatched = len(finished) + len(cancelled)
-    race_stats: Dict[str, float] = {
-        "race_rivals": float(dispatched + len(not_run)),
-        "race_losers": float(dispatched - (1 if definite else 0)),
-        "race_cancelled_seconds": round(
-            sum(seconds for _, seconds in cancelled), 6
-        ),
-    }
-    retries = sum(m.stats.get("retries", 0.0) for _, m in finished)
-    if retries:
-        race_stats["retries"] = retries
-
-    if len({m.verdict for _, m in definite}) > 1:
-        detail = "race cross-check failed: " + "; ".join(
-            f"{rival}={m.verdict}" for rival, m in definite
-        )
-        return Measurement(
-            workload=spec.workload.name, method=spec.method,
-            status="failed",
-            seconds=max(m.seconds for _, m in definite),
-            detail=detail, stats=race_stats, verdict="error",
-        )
-    if definite:
-        rival, winner = definite[0]
-        stats = dict(winner.stats)
-        stats.update(race_stats)
-        stats["race_winner"] = rival
-        return Measurement(
-            workload=winner.workload, method=spec.method,
-            status=winner.status, seconds=winner.seconds,
-            detail=winner.detail, stats=stats, verdict=winner.verdict,
-            counterexample=winner.counterexample,
-        )
-    # every rival was indefinite: a portfolio-wide dash if anyone timed
-    # out (the budget is the verdict), otherwise a failed cell
-    statuses = [m.status for _, m in finished]
-    status = "timeout" if "timeout" in statuses else "failed"
-    outcomes = [f"{rival}: {m.verdict or m.status}" for rival, m in finished]
-    outcomes += [f"{rival}: cancelled" for rival, _ in cancelled]
-    outcomes += [f"{rival}: not run" for rival in not_run]
-    return Measurement(
-        workload=spec.workload.name, method=spec.method,
-        status=status,
-        seconds=max([m.seconds for _, m in finished]
-                    + [seconds for _, seconds in cancelled] + [0.0]),
-        detail="race: no definite verdict (" + "; ".join(outcomes) + ")",
-        stats=race_stats,
-        verdict="timeout" if status == "timeout" else "error",
-    )
+                return [replace(spec, shards=1, shard=(k, effective))
+                        for k in range(effective)]
+    return [spec]
 
 
 def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
@@ -423,9 +230,7 @@ def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
     stats: Dict[str, float] = {}
     for part in parts:
         for key, value in part.stats.items():
-            if not isinstance(value, (int, float)):
-                stats.setdefault(key, value)
-            elif key in sum_keys:
+            if key in sum_keys:
                 stats[key] = stats.get(key, 0.0) + float(value)
             else:
                 stats[key] = max(stats.get(key, float("-inf")), float(value))
@@ -453,31 +258,8 @@ def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
 
 
 def run_spec(spec: CellSpec) -> Measurement:
-    """Run one logical cell in-process, races and shards included.
-
-    The serial counterpart of the pool's group execution: shard parts run
-    back to back and merge; race rivals run in rival order until the first
-    definite verdict, the rest are recorded as never run (serial racing
-    cannot overlap rivals, but it keeps every execution mode able to
-    answer every method).
-    """
-    expanded = expand_cell(spec)
-    if expanded is None:
-        return run_cell(spec.workload, spec.method, spec.time_budget,
-                        spec.node_budget, spec.aig_opt, shard=spec.shard)
-    kind, parts = expanded
-    if kind == "shard":
-        return merge_shards(spec, [run_spec(part) for part in parts])
-    finished: List[Tuple[str, Measurement]] = []
-    for part in parts:
-        measurement = run_spec(part)
-        finished.append((part.method, measurement))
-        if measurement.verdict in DEFINITE_VERDICTS:
-            break
-    return merge_race(
-        spec, finished,
-        not_run=[part.method for part in parts[len(finished):]],
-    )
+    """Run one logical cell in-process, its shards back to back and merged."""
+    return run_cells([spec])[0]
 
 
 def run_cells(
@@ -488,6 +270,7 @@ def run_cells(
     on_result: Optional[Callable[[int, Measurement], None]] = None,
     cache=None,
     client=None,
+    pool=None,
 ) -> List[Measurement]:
     """Run many cells, optionally isolated, in parallel, cached or remote.
 
@@ -496,7 +279,13 @@ def run_cells(
     :class:`~repro.eval.service.WorkerPool` of at most ``jobs`` worker
     subprocesses; a worker still alive ``grace`` seconds past its cell's
     time budget is killed (and the pool recycles it), recording the cell
-    as a timeout.  The returned list always matches ``specs`` order.
+    as a timeout.  ``pool`` is an already running pool to dispatch on
+    instead of starting one — the daemon passes its resident pool.  The
+    returned list always matches ``specs`` order.
+
+    A cell with ``shards > 1`` on a shardable method runs as one job per
+    shard (:func:`expand_cell`) in every mode, and completes when its last
+    shard does, merged by :func:`merge_shards`.
 
     ``cache`` is an optional :class:`~repro.eval.cache.ResultCache`: cells
     whose content-addressed digest is already cached short-circuit before
@@ -521,7 +310,7 @@ def run_cells(
     if not isolate and jobs != 1 and client is None:
         raise ValueError("parallel execution requires isolate=True")
     for spec in specs:
-        validate_method(spec.method)  # fail fast on unknown methods/rivals
+        get_checker(spec.method)  # fail fast on unknown methods
     if client is not None:
         return client.run_cells(specs, on_result=on_result)
 
@@ -542,31 +331,44 @@ def run_cells(
             if measurement is not None:
                 on_result(index, measurement)
 
-    def _complete(index: int, measurement: Measurement) -> None:
+    # one job per pending cell, or per shard of a sharded one
+    work: List[CellSpec] = []
+    owners: List[Tuple[int, int]] = []  # job -> (cell index, shard ordinal)
+    parts: Dict[int, List[Optional[Measurement]]] = {}
+    for index in pending:
+        expanded = expand_cell(specs[index])
+        parts[index] = [None] * len(expanded)
+        owners += [(index, k) for k in range(len(expanded))]
+        work += expanded
+
+    def _finish(job: int, measurement: Measurement) -> None:
+        index, k = owners[job]
+        cell = parts[index]
+        cell[k] = measurement
+        if any(m is None for m in cell):
+            return  # sibling shards still running
+        if len(cell) > 1:
+            measurement = merge_shards(specs[index], cell)
         results[index] = measurement
         if cache is not None:
             cache.store(keys[index], measurement)
         if on_result is not None:
             on_result(index, measurement)
 
-    if not pending:
+    if not work:
         return results  # type: ignore[return-value]
-    if not isolate:
-        for index in pending:
-            _complete(index, run_spec(specs[index]))
-        return results  # type: ignore[return-value]
+    if pool is not None:
+        pool.run(list(enumerate(work)), on_result=_finish)
+    elif not isolate:
+        for job, part in enumerate(work):
+            _finish(job, run_cell(part.workload, part.method, part.time_budget,
+                                  part.node_budget, part.aig_opt,
+                                  shard=part.shard))
+    else:
+        from .service import WorkerPool  # deferred: service builds on this module
 
-    from .service import WorkerPool  # deferred: service builds on this module
-
-    # size the pool by *expanded* jobs, not logical cells: a single race
-    # cell still needs one worker per rival to actually overlap them
-    expanded = 0
-    for index in pending:
-        parts = expand_cell(specs[index])
-        expanded += 1 if parts is None else len(parts[1])
-    with WorkerPool(min(jobs, expanded), grace=grace) as pool:
-        pool.run([(index, specs[index]) for index in pending],
-                 on_result=_complete)
+        with WorkerPool(min(jobs, len(work)), grace=grace) as own:
+            own.run(list(enumerate(work)), on_result=_finish)
 
     assert all(m is not None for m in results)
     return results  # type: ignore[return-value]

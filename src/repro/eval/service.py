@@ -14,8 +14,10 @@ Three layers, bottom to top:
 
 * :func:`serve` — a long-running daemon (``python -m repro serve``) that
   owns one pool plus a shared :class:`~repro.eval.cache.ResultCache` and
-  accepts job batches over a Unix-domain socket.  Cache hits short-circuit
-  before worker dispatch; each batch's reply stream ends with a
+  accepts job batches over a Unix-domain socket.  Each batch goes through
+  :func:`~repro.eval.runner.run_cells` on the resident pool, so cache hits
+  short-circuit before worker dispatch and sharded cells expand and merge
+  exactly as in a local run; each batch's reply stream ends with a
   ``cache_hits``/``cache_misses`` summary.
 
 * :class:`DaemonClient` — the submit/stream client API.  ``run_cells``
@@ -41,17 +43,13 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .runner import (
-    DEFINITE_VERDICTS,
     KILL_GRACE,
     CellSpec,
     Measurement,
     _killed_measurement,
     _mp_context,
-    expand_cell,
-    merge_race,
-    merge_shards,
     run_cell,
-    validate_method,
+    run_cells,
 )
 
 #: default daemon socket (relative to the working directory)
@@ -68,30 +66,8 @@ def default_socket_path() -> str:
 # The persistent worker pool
 # ---------------------------------------------------------------------------
 
-#: exit code of a worker killed by the explicit ``cancel`` op
-CANCELLED_EXIT = 113
-
-
-def _pool_worker(conn, ctrl) -> None:
-    """Worker subprocess entry point: serve cell jobs until told to stop.
-
-    ``ctrl`` is the *cancel* side channel: a job pipe carries whole cells
-    (a worker only ``recv``\\ s between cells, so an in-band message could
-    not interrupt a running checker), while any message on the control
-    pipe makes a watcher thread exit the process immediately — that is the
-    explicit ``cancel`` op a race uses to kill losing rivals mid-compute.
-    The parent treats the resulting EOF as the cancel acknowledgement, not
-    as a crash.
-    """
-
-    def _cancel_watcher():
-        try:
-            ctrl.recv()
-        except (EOFError, OSError):
-            return  # parent closed the control pipe: orderly shutdown
-        os._exit(CANCELLED_EXIT)
-
-    threading.Thread(target=_cancel_watcher, daemon=True).start()
+def _pool_worker(conn) -> None:
+    """Worker subprocess entry point: serve cell jobs until told to stop."""
     while True:
         try:
             spec = conn.recv()
@@ -124,61 +100,6 @@ def _pool_worker(conn, ctrl) -> None:
 class _Worker:
     process: object
     conn: object
-    ctrl: object
-
-
-class _Job:
-    """One dispatchable unit: a plain cell, a race rival or one shard."""
-
-    __slots__ = ("id", "index", "spec", "group", "ordinal",
-                 "ready_at", "cancelled", "dispatched_at")
-
-    def __init__(self, job_id: int, index: int, spec: CellSpec,
-                 group: Optional["_Group"] = None, ordinal: int = 0):
-        self.id = job_id
-        self.index = index          # the caller's submission index
-        self.spec = spec
-        self.group = group
-        self.ordinal = ordinal      # position inside the group's parts
-        self.ready_at = 0.0         # earliest dispatch instant (retry backoff)
-        self.cancelled = False
-        self.dispatched_at = 0.0
-
-
-class _Group:
-    """One expanded logical cell: its parts and their resolution record."""
-
-    def __init__(self, kind: str, index: int, spec: CellSpec,
-                 parts: List[CellSpec]):
-        self.kind = kind            # "race" | "shard"
-        self.index = index
-        self.spec = spec
-        self.parts = parts
-        self.finished: Dict[int, Measurement] = {}   # ordinal -> measurement
-        self.finish_order: List[int] = []
-        self.cancelled: Dict[int, float] = {}        # ordinal -> seconds spent
-        self.not_run: List[int] = []
-        self.winner: Optional[int] = None
-
-    def outstanding(self) -> int:
-        return len(self.parts) - (
-            len(self.finished) + len(self.cancelled) + len(self.not_run)
-        )
-
-    def merge(self) -> Measurement:
-        if self.kind == "shard":
-            return merge_shards(
-                self.spec,
-                [self.finished[ordinal] for ordinal in range(len(self.parts))],
-            )
-        return merge_race(
-            self.spec,
-            finished=[(self.parts[o].method, self.finished[o])
-                      for o in self.finish_order],
-            cancelled=[(self.parts[o].method, self.cancelled[o])
-                       for o in sorted(self.cancelled)],
-            not_run=[self.parts[o].method for o in sorted(self.not_run)],
-        )
 
 
 class WorkerPool:
@@ -194,27 +115,23 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         #: kill + respawn events (budget overruns and worker deaths)
         self.recycled = 0
-        #: cells completed over the pool's lifetime (logical cells: a race
-        #: or shard group counts once, when its merge resolves)
+        #: jobs completed over the pool's lifetime (one per shard of a
+        #: sharded cell)
         self.cells_run = 0
         #: crashed cells re-dispatched onto a fresh worker (one retry each)
         self.retries = 0
-        #: explicit cancel ops sent to losing race rivals
-        self.cancelled = 0
         self._ctx = _mp_context()
         self._workers: List[_Worker] = [self._spawn() for _ in range(size)]
 
     # -- lifecycle ------------------------------------------------------------
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        parent_ctrl, child_ctrl = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_pool_worker, args=(child_conn, child_ctrl), daemon=True
+            target=_pool_worker, args=(child_conn,), daemon=True
         )
         process.start()
         child_conn.close()
-        child_ctrl.close()
-        return _Worker(process=process, conn=parent_conn, ctrl=parent_ctrl)
+        return _Worker(process=process, conn=parent_conn)
 
     def _recycle(self, worker: _Worker) -> _Worker:
         """Kill (if needed) and replace one worker; returns the fresh one."""
@@ -225,20 +142,10 @@ class WorkerPool:
                 worker.process.kill()
         worker.process.join()
         worker.conn.close()
-        worker.ctrl.close()
         fresh = self._spawn()
         self._workers[self._workers.index(worker)] = fresh
         self.recycled += 1
         return fresh
-
-    def _cancel(self, worker: _Worker) -> None:
-        """Send the explicit cancel op; the worker exits as soon as its
-        watcher thread wakes (a result already in flight still arrives)."""
-        self.cancelled += 1
-        try:
-            worker.ctrl.send("cancel")
-        except (BrokenPipeError, OSError):
-            pass  # already dead: the pending EOF resolves the job
 
     def worker_pids(self) -> List[int]:
         return [w.process.pid for w in self._workers]
@@ -259,7 +166,6 @@ class WorkerPool:
                     worker.process.kill()
                     worker.process.join()
             worker.conn.close()
-            worker.ctrl.close()
         self._workers = []
 
     def __enter__(self) -> "WorkerPool":
@@ -276,184 +182,96 @@ class WorkerPool:
     ) -> Dict[int, Measurement]:
         """Run ``(index, spec)`` jobs on the pool; returns ``{index: result}``.
 
-        ``on_result`` fires per *logical* cell in completion order.  A job
-        whose worker blows the wall-clock budget is recorded as the timeout
-        dash and the worker is recycled; a job whose worker dies is retried
+        ``on_result`` fires per job in completion order.  A job whose
+        worker blows the wall-clock budget is recorded as the timeout dash
+        and the worker is recycled; a job whose worker dies is retried
         exactly once on a fresh worker after ``retry_backoff`` seconds — a
         second crash is recorded as ``failed`` (with ``stats["retries"]=1``),
         so a deterministic crasher still fails fast and never wedges the
         pool.  Budget kills are *not* retried: the dash is a deterministic
-        verdict.
-
-        Race and shard cells are expanded here into sibling jobs
-        (:func:`~repro.eval.runner.expand_cell`).  Shard groups resolve
-        when every shard has finished and merge submission-indexed.  Race
-        groups resolve answer-fast: the first rival returning a *definite*
-        verdict wins, queued rivals are dropped, and busy rivals receive
-        the explicit cancel op — the select timeout is tightened to the
-        nearest (deadline, cancel) event, so both budget reaping and loser
-        kills have bounded latency instead of waiting for the next
-        unrelated wake-up.  A losing rival whose result was already in
-        flight still lands and is differentially cross-checked against the
-        winner.
+        verdict.  Between events the pool sleeps until a result arrives,
+        the nearest kill deadline passes or a backed-off retry is due.
         """
-        jobs: List[_Job] = []
-        groups: List[_Group] = []
-        for index, spec in items:
-            expanded = expand_cell(spec)
-            if expanded is None:
-                jobs.append(_Job(len(jobs), index, spec))
-                continue
-            kind, parts = expanded
-            group = _Group(kind, index, spec, parts)
-            groups.append(group)
-            for ordinal, part in enumerate(parts):
-                jobs.append(_Job(len(jobs), index, part, group, ordinal))
-
-        queue = deque(jobs)
-        busy: Dict[int, Tuple[_Worker, _Job, float]] = {}
+        # (index, spec, earliest dispatch instant — the retry backoff)
+        queue = deque((index, spec, 0.0) for index, spec in items)
+        busy: Dict[int, Tuple[_Worker, CellSpec, float]] = {}
         results: Dict[int, Measurement] = {}
-        retried: set = set()  # job ids given their one crash retry
+        retried: set = set()  # indices given their one crash retry
 
         def finish(index: int, measurement: Measurement) -> None:
+            if index in retried:
+                measurement.stats["retries"] = 1.0
             results[index] = measurement
             self.cells_run += 1
             if on_result is not None:
                 on_result(index, measurement)
 
-        def resolve_group(group: _Group) -> None:
-            if group.outstanding() == 0:
-                finish(group.index, group.merge())
-
-        def cancel_siblings(group: _Group, winner_ordinal: int) -> None:
-            """First definite verdict: drop queued rivals, kill busy ones."""
-            for job in queue:
-                if job.group is group and not job.cancelled:
-                    job.cancelled = True
-                    group.not_run.append(job.ordinal)
-            now = time.monotonic()
-            for job_id, (worker, job, deadline) in list(busy.items()):
-                if (job.group is group and job.ordinal != winner_ordinal
-                        and not job.cancelled):
-                    job.cancelled = True
-                    self._cancel(worker)
-                    # the cancel EOF should arrive in milliseconds; the
-                    # tightened deadline bounds the reap if it does not
-                    busy[job_id] = (worker, job, min(deadline, now + self.grace))
-
-        def record_result(job: _Job, measurement: Measurement) -> None:
-            if job.id in retried:
-                measurement.stats["retries"] = 1.0
-            group = job.group
-            if group is None:
-                finish(job.index, measurement)
-                return
-            group.finished[job.ordinal] = measurement
-            group.finish_order.append(job.ordinal)
-            if (group.kind == "race" and group.winner is None
-                    and measurement.verdict in DEFINITE_VERDICTS):
-                group.winner = job.ordinal
-                cancel_siblings(group, job.ordinal)
-            resolve_group(group)
-
-        def record_cancelled(job: _Job, seconds: float,
-                             late: Optional[Measurement]) -> None:
-            group = job.group
-            assert group is not None
-            if late is not None:
-                # the loser finished before reaping: keep its verdict so
-                # the merge cross-checks it against the winner's
-                group.finished[job.ordinal] = late
-                group.finish_order.append(job.ordinal)
-            else:
-                group.cancelled[job.ordinal] = seconds
-            resolve_group(group)
-
         while queue or busy:
             now = time.monotonic()
-            while queue and queue[0].cancelled:
-                queue.popleft()  # already recorded as not_run by the cancel
             busy_ids = {id(w) for (w, _, _) in busy.values()}
             idle = [w for w in self._workers if id(w) not in busy_ids]
-            # ready_at is nondecreasing along the queue (fresh jobs first,
-            # retries appended in crash order), so stop at the first job
-            # whose backoff has not elapsed yet
-            while queue and idle and queue[0].ready_at <= now:
-                job = queue.popleft()
-                if job.cancelled:
-                    continue
+            # dispatch instants are nondecreasing along the queue (fresh
+            # jobs first, retries appended in crash order), so stop at the
+            # first job whose backoff has not elapsed yet
+            while queue and idle and queue[0][2] <= now:
+                index, spec, _ = queue.popleft()
                 worker = idle.pop()
                 try:
-                    worker.conn.send(job.spec)
+                    worker.conn.send(spec)
                 except (BrokenPipeError, OSError):
                     # the worker died idle; replace it and try once more
                     worker = self._recycle(worker)
-                    worker.conn.send(job.spec)
-                job.dispatched_at = time.monotonic()
-                deadline = job.dispatched_at + job.spec.time_budget + self.grace
-                busy[job.id] = (worker, job, deadline)
+                    worker.conn.send(spec)
+                deadline = time.monotonic() + spec.time_budget + self.grace
+                busy[index] = (worker, spec, deadline)
 
             if not busy:
-                if not queue:
-                    break  # the last jobs resolved by cancellation
                 # only backed-off retries remain; sleep the head's delay out
-                time.sleep(max(0.0, queue[0].ready_at - time.monotonic()))
+                time.sleep(max(0.0, queue[0][2] - time.monotonic()))
                 continue
 
             # sleep until a worker's pipe becomes readable (wait returns
-            # early), the nearest kill/cancel deadline arrives, or a
-            # backed-off retry becomes dispatchable on an idle worker
+            # early), the nearest kill deadline arrives, or a backed-off
+            # retry becomes dispatchable on an idle worker
             wait_for = min(dl for (_, _, dl) in busy.values()) - time.monotonic()
             if queue and idle:
-                wait_for = min(wait_for, queue[0].ready_at - time.monotonic())
+                wait_for = min(wait_for, queue[0][2] - time.monotonic())
             ready = set(mp_connection.wait(
                 [w.conn for (w, _, _) in busy.values()],
                 timeout=max(0.0, wait_for),
             ))
             now = time.monotonic()
-            for job_id in sorted(busy):
-                worker, job, deadline = busy[job_id]
+            for index in sorted(busy):
+                worker, spec, deadline = busy[index]
                 if worker.conn in ready:
                     try:
                         measurement = worker.conn.recv()
                     except (EOFError, OSError):
                         measurement = None
-                    del busy[job_id]
-                    if job.cancelled:
-                        # EOF here is the cancel acknowledgement, not a
-                        # crash; a measurement is a photo-finish loser
-                        self._recycle(worker)
-                        record_cancelled(
-                            job, now - job.dispatched_at, late=measurement
-                        )
-                        continue
+                    del busy[index]
                     if measurement is None:  # the worker died mid-cell
                         worker.process.join()
                         exitcode = worker.process.exitcode
                         self._recycle(worker)
-                        if job.id not in retried:
-                            retried.add(job.id)
+                        if index not in retried:
+                            retried.add(index)
                             self.retries += 1
-                            job.ready_at = time.monotonic() + self.retry_backoff
-                            queue.append(job)
+                            queue.append((index, spec,
+                                          time.monotonic() + self.retry_backoff))
                             continue
                         measurement = Measurement(
-                            workload=job.spec.workload.name,
-                            method=job.spec.method,
+                            workload=spec.workload.name,
+                            method=spec.method,
                             status="failed",
                             seconds=0.0,
                             detail="worker exited without a result "
                                    f"(exit code {exitcode}; retried once)",
                         )
-                    record_result(job, measurement)
+                    finish(index, measurement)
                 elif now >= deadline:
                     self._recycle(worker)
-                    del busy[job_id]
-                    if job.cancelled:
-                        record_cancelled(job, now - job.dispatched_at,
-                                         late=None)
-                    else:
-                        record_result(job, _killed_measurement(job.spec))
+                    del busy[index]
+                    finish(index, _killed_measurement(spec))
         return results
 
 
@@ -472,42 +290,23 @@ def _handle_connection(conn, pool: WorkerPool, cache, log) -> bool:
             "recycled": pool.recycled,
             "cells_run": pool.cells_run,
             "retries": pool.retries,
-            "cancelled": pool.cancelled,
             "cache": cache.counters() if cache is not None else None,
         }))
     elif op == "run":
         specs: List[CellSpec] = list(message[1])
+        hits_before = cache.hits if cache is not None else 0
         try:
-            for spec in specs:
-                validate_method(spec.method)
-        except (KeyError, ValueError) as exc:
+            run_cells(specs, isolate=True, cache=cache, pool=pool,
+                      on_result=lambda i, m: conn.send(("result", i, m)))
+        except (KeyError, ValueError) as exc:  # raised before any cell runs
             conn.send(("error", str(exc)))
             return True
-        keys: List[Optional[str]] = [None] * len(specs)
-        pending: List[int] = []
-        hits = 0
-        for index, spec in enumerate(specs):
-            cached = None
-            if cache is not None:
-                keys[index] = cache.key_for(spec)
-                cached = cache.lookup(keys[index])
-            if cached is not None:
-                hits += 1
-                conn.send(("result", index, cached))
-            else:
-                pending.append(index)
-
-        def finished(index: int, measurement: Measurement) -> None:
-            if cache is not None:
-                cache.store(keys[index], measurement)
-            conn.send(("result", index, measurement))
-
-        if pending:
-            pool.run([(i, specs[i]) for i in pending], on_result=finished)
-        conn.send(("done", {"cache_hits": hits, "cache_misses": len(pending)}))
+        hits = cache.hits - hits_before if cache is not None else 0
+        conn.send(("done", {"cache_hits": hits,
+                            "cache_misses": len(specs) - hits}))
         if log is not None:
             log(f"served {len(specs)} cell(s): {hits} cached, "
-                f"{len(pending)} computed")
+                f"{len(specs) - hits} computed")
     elif op == "cache-stats":
         conn.send(("cache-stats",
                    cache.counters() if cache is not None else None))

@@ -240,17 +240,3 @@ def input_values_to_ground(embedded: EmbeddedCircuit, vector: Dict[str, int]):
     if len(values) == 1:
         return values[0]
     return tuple(values)
-
-
-def output_value_to_dict(embedded: EmbeddedCircuit, value) -> Dict[str, int]:
-    """Convert the evaluator's output value back into a per-output dict."""
-    names = embedded.output_layout.names
-    if len(names) == 1:
-        flat = [value]
-    else:
-        flat = list(value) if isinstance(value, tuple) else [value]
-        # right-nested tuples evaluate to flat Python tuples already
-    out = {}
-    for name, v in zip(names, flat):
-        out[name] = int(v) if not isinstance(v, bool) else int(v)
-    return out

@@ -50,10 +50,6 @@ class ConvError(Exception):
     """Raised when a conversion is not applicable to a term."""
 
 
-class UnchangedError(ConvError):
-    """Raised by conversions that want to signal "no change" cheaply."""
-
-
 # ---------------------------------------------------------------------------
 # Basic conversions and combinators
 # ---------------------------------------------------------------------------
@@ -131,14 +127,6 @@ def REPEATC(c: Conv, limit: int = 10_000) -> Conv:
     return conv
 
 
-def FIRST_CONV(convs: Sequence[Conv]) -> Conv:
-    return ORELSEC(*convs)
-
-
-def EVERY_CONV(convs: Sequence[Conv]) -> Conv:
-    return THENC(*convs) if convs else ALL_CONV
-
-
 # ---------------------------------------------------------------------------
 # Structural traversal
 # ---------------------------------------------------------------------------
@@ -163,11 +151,6 @@ def RATOR_CONV(c: Conv) -> Conv:
         return MK_COMB(c(t.rator), REFL(t.rand))
 
     return conv
-
-
-def LAND_CONV(c: Conv) -> Conv:
-    """Apply ``c`` to the left argument of a binary operator."""
-    return RATOR_CONV(RAND_CONV(c))
 
 
 def ABS_CONV(c: Conv) -> Conv:
@@ -416,10 +399,6 @@ def REWRITE_CONV(thms: Sequence[Theorem]) -> Conv:
     return GEN_REWRITE_CONV(TOP_DEPTH_CONV, thms)
 
 
-def ONCE_REWRITE_CONV(thms: Sequence[Theorem]) -> Conv:
-    return GEN_REWRITE_CONV(ONCE_DEPTH_CONV, thms)
-
-
 def NET_REWRITE_CONV(rules, limit: int = 1_000_000) -> Conv:
     """``REWRITE_CONV``-compatible normalisation on the worklist engine.
 
@@ -554,11 +533,6 @@ def _std_net_conv(name: str) -> Conv:
     return conv
 
 
-def PAIR_REDUCE_CONV(t: Term) -> Theorem:
-    """Reduce ``FST``/``SND`` applied to pair literals anywhere in ``t``."""
-    return _std_net_conv("pair")(t)
-
-
 def BETA_NORM_CONV(t: Term) -> Theorem:
     """Full beta/LET/pair normalisation of ``t`` (worklist engine)."""
     return _std_net_conv("beta_norm")(t)
@@ -587,14 +561,6 @@ def EVAL_CONV(t: Term) -> Theorem:
 # ---------------------------------------------------------------------------
 # Conversion/rule glue
 # ---------------------------------------------------------------------------
-
-def CONV_RULE(c: Conv, th: Theorem) -> Theorem:
-    """Apply a conversion to the conclusion of a theorem."""
-    from .kernel import EQ_MP
-
-    eq = c(th.concl)
-    return EQ_MP(eq, th)
-
 
 def RHS_CONV_RULE(c: Conv, th: Theorem) -> Theorem:
     """Apply a conversion to the right-hand side of an equational theorem."""

@@ -18,7 +18,7 @@ large bit-blasted state tuples) never hit the Python recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 from weakref import WeakValueDictionary
 
 from .lazyfmt import lazy
@@ -377,16 +377,6 @@ def _type_match(pattern: HolType, target: HolType, env: Dict[TyVar, HolType]) ->
         if not isinstance(t, TyApp) or t.op != p.op or len(t.args) != len(p.args):
             raise TypeMatchError(lazy("cannot match {} against {}", p, t))
         stack.extend(reversed(list(zip(p.args, t.args))))
-
-
-def iter_subtypes(ty: HolType) -> Iterator[HolType]:
-    """Iterate over all subtypes of ``ty`` (including ``ty`` itself)."""
-    stack = [ty]
-    while stack:
-        t = stack.pop()
-        yield t
-        if isinstance(t, TyApp):
-            stack.extend(reversed(t.args))
 
 
 def occurs_in(tv: TyVar, ty: HolType) -> bool:

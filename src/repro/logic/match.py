@@ -151,23 +151,3 @@ def matches(pattern: Term, target: Term) -> bool:
         return True
     except MatchError:
         return False
-
-
-def first_order_match_check(pattern: Term, target: Term) -> Substitution:
-    """Match and verify that instantiation reproduces the target.
-
-    This is a belt-and-braces helper used by ``REWR_CONV``: even though the
-    result is later validated by the kernel (the rewrite is built from
-    ``INST``/``INST_TYPE`` and checked by ``TRANS``), verifying here gives a
-    much better error message.
-    """
-    subst = term_match(pattern, target)
-    restored = apply_substitution(subst, pattern)
-    if not aconv(restored, target):
-        raise MatchError(
-            lazy(
-                "match succeeded but instantiation does not reproduce the "
-                "target (pattern {}, target {})", pattern, target,
-            )
-        )
-    return subst

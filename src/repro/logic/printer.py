@@ -143,11 +143,6 @@ def theorem_to_string(hyps, concl) -> str:
     return f"|- {term_to_string(concl)}"
 
 
-def type_to_string(ty) -> str:
-    """Render a type (delegates to the type's ``__str__``)."""
-    return str(ty)
-
-
 def pp(obj, width: Optional[int] = None) -> str:
     """Best-effort pretty print of a term, type or theorem."""
     _ = width

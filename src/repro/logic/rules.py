@@ -10,24 +10,18 @@ theorem ``|- c0 = cn`` — the "compound synthesis step" of Section III.A.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from .lazyfmt import lazy
 from .kernel import (
     ALPHA,
-    AP_TERM,
-    AP_THM,
     DEDUCT_ANTISYM,
     EQ_MP,
-    INST,
-    KernelError,
-    MK_COMB,
-    REFL,
     SYM,
     TRANS,
     Theorem,
 )
-from .terms import Term, Var, aconv, dest_eq
+from .terms import Term, aconv, dest_eq
 
 
 class RuleError(Exception):
@@ -56,32 +50,6 @@ def prove_hyp(lemma: Theorem, th: Theorem) -> Theorem:
     return EQ_MP(eq, lemma)
 
 
-def eqt_elim_like(th_eq: Theorem, th_lhs: Theorem) -> Theorem:
-    """From ``|- a = b`` and ``|- a`` infer ``|- b`` (alias for EQ_MP)."""
-    return EQ_MP(th_eq, th_lhs)
-
-
-def undisch_all(th: Theorem) -> Theorem:
-    """Identity placeholder kept for API parity with HOL (no implications used)."""
-    return th
-
-
-def ap_term_list(f: Term, thms: Sequence[Theorem]) -> Theorem:
-    """From ``|- a1 = b1`` ... infer ``|- f a1 ... an = f b1 ... bn``."""
-    out = REFL(f)
-    for th in thms:
-        out = MK_COMB(out, th)
-    return out
-
-
-def inst_rule(env: Dict[Var, Term], th: Theorem) -> Theorem:
-    """Alias of the kernel's INST with a friendlier error message."""
-    try:
-        return INST(env, th)
-    except KernelError as exc:
-        raise RuleError(f"instantiation failed: {exc}") from exc
-
-
 def alpha_link(th: Theorem, target_lhs: Term) -> Theorem:
     """Re-anchor an equation on an alpha-equivalent left-hand side.
 
@@ -99,16 +67,6 @@ def alpha_link(th: Theorem, target_lhs: Term) -> Theorem:
 def sym(th: Theorem) -> Theorem:
     """``|- a = b``  ⟹  ``|- b = a``."""
     return SYM(th)
-
-
-def both_sides(f: Term, th: Theorem) -> Theorem:
-    """``|- a = b``  ⟹  ``|- f a = f b``."""
-    return AP_TERM(f, th)
-
-
-def apply_to(th: Theorem, x: Term) -> Theorem:
-    """``|- f = g``  ⟹  ``|- f x = g x``."""
-    return AP_THM(th, x)
 
 
 def equal_by_normalisation(norm_lhs: Theorem, norm_rhs: Theorem) -> Theorem:

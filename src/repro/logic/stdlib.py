@@ -194,16 +194,6 @@ def snd_pair_theorem() -> Theorem:
     return ensure_stdlib().snd_pair
 
 
-def true_term() -> Const:
-    ensure_stdlib()
-    return Const("T", bool_ty)
-
-
-def false_term() -> Const:
-    ensure_stdlib()
-    return Const("F", bool_ty)
-
-
 def mk_let(var: Var, value: Term, body: Term) -> Term:
     """Build ``let var = value in body`` as ``LET (\\var. body) value``."""
     ensure_stdlib()

@@ -813,11 +813,6 @@ def rhs(t: Term) -> Term:
     return dest_eq(t)[1]
 
 
-def mk_binop(op: Term, a: Term, b: Term) -> Term:
-    """Apply a curried binary operator: ``op a b``."""
-    return Comb(Comb(op, a), b)
-
-
 def dest_binop(t: Term) -> Tuple[Term, Term, Term]:
     """Destruct ``op a b`` into ``(op, a, b)``."""
     if not (isinstance(t, Comb) and isinstance(t.rator, Comb)):

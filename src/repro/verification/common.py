@@ -163,9 +163,6 @@ def ensure_gate_level(netlist: Netlist, opt: bool = True,
     return bitblast(netlist, opt=opt, stats=stats).netlist
 
 
-_ensure_gate_level = ensure_gate_level
-
-
 def compile_fsm(
     netlist: Netlist,
     manager: Optional[BddManager] = None,
@@ -180,7 +177,7 @@ def compile_fsm(
     coexist in one manager.  Primary-input variables are *not* prefixed:
     a product machine must drive both circuits with the same inputs.
     """
-    gate = _ensure_gate_level(netlist, opt=aig_opt, stats=opt_stats)
+    gate = ensure_gate_level(netlist, opt=aig_opt, stats=opt_stats)
     manager = manager or BddManager()
 
     input_names = list(gate.inputs)
@@ -295,8 +292,8 @@ def product_fsm(
     equivalence checking).  State variables of the two machines are
     interleaved in the BDD order.
     """
-    gate_a = _ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
-    gate_b = _ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
+    gate_a = ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
+    gate_b = ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
     if sorted(gate_a.inputs) != sorted(gate_b.inputs):
         raise VerificationError(
             f"input mismatch: {sorted(gate_a.inputs)} vs {sorted(gate_b.inputs)}"
@@ -398,8 +395,8 @@ def replay_counterexample(
     """
     from ..circuits.simulate import Simulator
 
-    gate_a = _ensure_gate_level(original, opt=aig_opt)
-    gate_b = _ensure_gate_level(retimed, opt=aig_opt)
+    gate_a = ensure_gate_level(original, opt=aig_opt)
+    gate_b = ensure_gate_level(retimed, opt=aig_opt)
     cex = {str(k): bool(v) for k, v in counterexample.items()}
     style = _cex_style(cex, gate_a, gate_b)
 

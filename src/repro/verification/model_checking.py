@@ -305,28 +305,3 @@ def check_equivalence(
             detail=str(exc),
             stats={**(m.op_stats() if m is not None else {}), **opt_stats},
         )
-
-
-def reachable_state_count(netlist: Netlist, time_budget: Optional[float] = None) -> int:
-    """Number of reachable states of a single circuit (diagnostic helper)."""
-    product = product_fsm(netlist, netlist)
-    m = product.manager
-    primed = declare_next_state_vars(product)
-    # Use only the left copy: quantify the right copy away.
-    budget = Budget(seconds=time_budget)
-    state_vars = product.left.state_vars
-    conjuncts = [
-        m.apply_xnor(m.var(primed[var]), fn)
-        for var, fn in product.left.next_fns.items()
-    ]
-    quantify = list(product.left.inputs) + state_vars
-    relation = partition_relation(m, conjuncts, quantify)
-    unprime = {primed[v]: v for v in state_vars}
-    reached = product.left.initial_state_bdd()
-    frontier = reached
-    while frontier != FALSE:
-        budget.check()
-        new_states = m.rename(image(m, frontier, relation, budget=budget), unprime)
-        frontier = m.apply_and(new_states, m.apply_not(reached))
-        reached = m.apply_or(reached, new_states)
-    return m.count_sat(reached, over=state_vars)

@@ -969,12 +969,6 @@ def check_equivalence_sat(
         )
 
 
-def _model_lit(model: Dict[int, bool], literal: int) -> bool:
-    """Evaluate an AIG literal under an eager-encoder model (sparse vars)."""
-    value = model.get(lit_node(literal) + 1, False)
-    return value ^ lit_negated(literal)
-
-
 def is_tautology_sat(netlist: Netlist, output: Optional[str] = None,
                      aig_opt: bool = True) -> bool:
     """AIG/SAT path for tautology checking: is the output constantly true?

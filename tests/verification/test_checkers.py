@@ -78,11 +78,6 @@ class TestModelChecking:
         result = model_checking.check_equivalence(original, retimed, time_budget=0.2)
         assert result.status == "timeout"
 
-    def test_reachable_state_count_counter(self):
-        # free-running 3-bit counter visits all 8 states
-        c = counter(3, enable=False)
-        assert model_checking.reachable_state_count(c) == 8
-
 
 class TestFsmCompare:
     def test_equivalent_pair(self, fig_pair):

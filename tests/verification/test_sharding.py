@@ -5,13 +5,27 @@ three initial implementations: FRAIG candidate-class ranges, tautology
 (BDD) input-prefix cofactoring, and taut-rw vector-range enumeration.
 The governing invariant everywhere: the shard-merged verdict and the
 declared additive counters equal the unsharded run's, for every shard
-count.
+count, and in every execution mode (in-process, pooled, daemon).
 """
+
+import threading
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
-from repro.eval.runner import CellSpec, merge_shards, run_spec
+from repro.eval.cache import ResultCache
+from repro.eval.runner import (
+    CellSpec,
+    Measurement,
+    expand_cell,
+    merge_shards,
+    run_cells,
+    run_spec,
+)
 from repro.eval.scenarios import build_scenario
+from repro.eval.service import DaemonClient, WorkerPool, serve
+from repro.eval.workloads import table1_workload
 from repro.verification.registry import (
     get_shardable,
     register_shardable,
@@ -21,6 +35,7 @@ from repro.verification.registry import (
 )
 
 SHARDED = ("fraig", "taut", "taut-rw")
+UNSHARDED = ("eijk", "hash", "match", "sat", "sis", "smv")
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +46,44 @@ def strash():
 @pytest.fixture(scope="module")
 def counter():
     return build_scenario("strash", widths=[3])[1]
+
+
+@pytest.fixture(scope="module")
+def tiny_workload():
+    return table1_workload(1)
+
+
+def _measurement(method, status, seconds=1.0, verdict="", stats=None, **kw):
+    return Measurement(workload="w", method=method, status=status,
+                       seconds=seconds, verdict=verdict,
+                       stats=dict(stats or {}), **kw)
+
+
+def _outcome(m):
+    """What every execution mode must agree on: all but the wall clock."""
+    stats = {k: v for k, v in m.stats.items() if k != "wall_seconds"}
+    return m.verdict, m.counterexample, stats
+
+
+@contextmanager
+def _daemon(socket_path, cache=None):
+    """An in-thread daemon with a 2-worker pool; yields its client."""
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=serve,
+        kwargs=dict(socket_path=socket_path, jobs=2, cache=cache,
+                    ready=ready),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(10.0), "daemon failed to start"
+    client = DaemonClient(socket_path)
+    try:
+        yield client
+    finally:
+        client.shutdown()
+        thread.join(10.0)
+    assert not thread.is_alive(), "daemon failed to shut down"
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +178,145 @@ class TestBackendShards:
 
 
 # ---------------------------------------------------------------------------
+# The merge_shards reducer (backend-independent invariants)
+# ---------------------------------------------------------------------------
+
+class TestMergeShards:
+    def _spec(self, tiny_workload):
+        # taut-rw declares "vectors" additive; peaks take the max
+        return CellSpec(tiny_workload, "taut-rw", shards=2)
+
+    def test_sum_and_max_split_by_declared_stats(self, tiny_workload):
+        parts = [
+            _measurement("taut-rw", "ok", seconds=1.0, verdict="equivalent",
+                         stats={"vectors": 8.0, "graph_nodes": 10.0}),
+            _measurement("taut-rw", "ok", seconds=3.0, verdict="equivalent",
+                         stats={"vectors": 8.0, "graph_nodes": 12.0}),
+        ]
+        merged = merge_shards(self._spec(tiny_workload), parts)
+        assert merged.status == "ok"
+        assert merged.verdict == "equivalent"
+        assert merged.stats["vectors"] == 16.0     # declared additive
+        assert merged.stats["graph_nodes"] == 12.0  # peak: max
+        assert merged.stats["shards"] == 2.0
+        assert merged.seconds == 3.0  # the slowest shard is the critical path
+        assert merged.detail.startswith("merged 2 shards; ")
+
+    def test_any_refuting_shard_refutes_the_cell(self, tiny_workload):
+        cex = {"pi0": False}
+        parts = [
+            _measurement("taut-rw", "ok", verdict="equivalent"),
+            _measurement("taut-rw", "failed", verdict="not_equivalent",
+                         detail="refuted in shard", counterexample=cex),
+        ]
+        merged = merge_shards(self._spec(tiny_workload), parts)
+        assert merged.status == "failed"
+        assert merged.verdict == "not_equivalent"
+        assert merged.counterexample == cex
+        assert merged.detail == "refuted in shard"
+
+    def test_timeout_shard_dashes_the_cell(self, tiny_workload):
+        parts = [
+            _measurement("taut-rw", "ok", verdict="equivalent"),
+            _measurement("taut-rw", "timeout", verdict="timeout"),
+        ]
+        merged = merge_shards(self._spec(tiny_workload), parts)
+        assert merged.status == "timeout"
+        assert merged.verdict == "timeout"
+
+    def test_empty_group_is_rejected(self, tiny_workload):
+        with pytest.raises(ValueError):
+            merge_shards(self._spec(tiny_workload), [])
+
+    def test_refutation_outranks_failure_and_timeout(self, tiny_workload):
+        cex = {"pi0": True}
+        parts = [
+            _measurement("taut-rw", "timeout", seconds=5.0, verdict="timeout"),
+            _measurement("taut-rw", "failed", verdict="error",
+                         detail="crashed"),
+            _measurement("taut-rw", "failed", seconds=2.0,
+                         verdict="not_equivalent", detail="refuted",
+                         counterexample=cex),
+        ]
+        merged = merge_shards(self._spec(tiny_workload), parts)
+        assert merged.verdict == "not_equivalent"
+        assert merged.counterexample == cex
+        assert merged.detail == "refuted"
+        assert merged.seconds == 5.0  # still the group's critical path
+
+    def test_failure_outranks_timeout(self, tiny_workload):
+        parts = [
+            _measurement("taut-rw", "timeout", verdict="timeout"),
+            _measurement("taut-rw", "failed", verdict="error",
+                         detail="crashed"),
+            _measurement("taut-rw", "ok", verdict="equivalent"),
+        ]
+        merged = merge_shards(self._spec(tiny_workload), parts)
+        assert merged.status == "failed"
+        assert merged.verdict == "error"
+        assert merged.detail == "crashed"
+
+    def test_first_refuting_shard_by_index_supplies_the_counterexample(
+            self, tiny_workload):
+        first, second = {"pi0": False}, {"pi0": True}
+        refuting = [
+            _measurement("taut-rw", "failed", verdict="not_equivalent",
+                         detail="shard 1", counterexample=first),
+            _measurement("taut-rw", "failed", verdict="not_equivalent",
+                         detail="shard 2", counterexample=second),
+        ]
+        ok = _measurement("taut-rw", "ok", verdict="equivalent")
+        spec = self._spec(tiny_workload)
+        merged = merge_shards(spec, [ok] + refuting)
+        assert (merged.detail, merged.counterexample) == ("shard 1", first)
+        merged = merge_shards(spec, [ok] + refuting[::-1])
+        assert (merged.detail, merged.counterexample) == ("shard 2", second)
+
+    def test_unshardable_method_takes_the_max_of_every_stat(self,
+                                                            tiny_workload):
+        parts = [
+            _measurement("smv", "ok", verdict="equivalent",
+                         stats={"iterations": 3.0, "peak_nodes": 9.0}),
+            _measurement("smv", "ok", verdict="equivalent",
+                         stats={"iterations": 5.0, "peak_nodes": 4.0}),
+        ]
+        merged = merge_shards(CellSpec(tiny_workload, "smv", shards=2), parts)
+        assert merged.stats == {"iterations": 5.0, "peak_nodes": 9.0,
+                                "shards": 2.0}
+
+
+# ---------------------------------------------------------------------------
+# Expansion: one job per shard, or the cell itself
+# ---------------------------------------------------------------------------
+
+class TestExpandCell:
+    @pytest.mark.parametrize("requested", (2, 3, 4))
+    @pytest.mark.parametrize("method", SHARDED)
+    def test_shardable_cell_expands_into_ordered_range_jobs(
+            self, strash, method, requested):
+        spec = CellSpec(strash, method, time_budget=7.0, shards=requested)
+        effective = get_shardable(method).plan(strash.original,
+                                               strash.retimed, requested)
+        assert effective > 1
+        jobs = expand_cell(spec)
+        assert [job.shard for job in jobs] == [(k, effective)
+                                              for k in range(effective)]
+        # every job is the cell itself, narrowed to one unsplit range
+        assert all(replace(job, shards=requested, shard=None) == spec
+                   for job in jobs)
+
+    @pytest.mark.parametrize("method", UNSHARDED)
+    def test_unshardable_cell_is_a_single_job(self, strash, method):
+        spec = CellSpec(strash, method, shards=4)
+        assert expand_cell(spec) == [spec]
+
+    @pytest.mark.parametrize("method", SHARDED)
+    def test_unsplit_request_is_a_single_job(self, strash, method):
+        spec = CellSpec(strash, method)
+        assert expand_cell(spec) == [spec]
+
+
+# ---------------------------------------------------------------------------
 # The merged cell equals the unsharded cell
 # ---------------------------------------------------------------------------
 
@@ -161,3 +353,126 @@ class TestShardedCells:
         same = run_spec(CellSpec(strash, "smv", time_budget=60.0, shards=4))
         assert same.verdict == base.verdict
         assert "shards" not in same.stats
+
+
+# ---------------------------------------------------------------------------
+# Every execution mode expands and merges shards the same way
+# ---------------------------------------------------------------------------
+
+class TestShardModeParity:
+    def test_in_process_pool_and_daemon_merge_identically(self, counter,
+                                                          tmp_path):
+        from repro.eval.fuzz import build_cell, make_specs
+
+        fault = build_cell(next(s for s in make_specs(6, seed=3)
+                                if s.flavour == "fault")).workload
+        specs = [CellSpec(workload, method, time_budget=60.0, shards=4)
+                 for workload in (counter, fault)
+                 for method in ("fraig", "taut-rw")]
+        with _daemon(str(tmp_path / "shard.sock")) as client:
+            modes = {
+                "in-process": run_cells(specs),
+                "pool": run_cells(specs, jobs=2, isolate=True),
+                "daemon": run_cells(specs, client=client),
+            }
+
+        reference = [_outcome(m) for m in modes["in-process"]]
+        assert [verdict for verdict, _, _ in reference] == (
+            ["equivalent"] * 2 + ["not_equivalent"] * 2)
+        assert all(stats["shards"] == 4.0 for _, _, stats in reference)
+        assert all(cex is not None for _, cex, _ in reference[2:])
+        for mode, measurements in modes.items():
+            assert [_outcome(m) for m in measurements] == reference, mode
+
+    @pytest.mark.parametrize("method", SHARDED)
+    def test_pooled_merge_equals_in_process(self, counter, method):
+        spec = CellSpec(counter, method, time_budget=60.0, shards=4)
+        serial = run_cells([spec])
+        pooled = run_cells([spec], jobs=2, isolate=True)
+        assert serial[0].verdict == "equivalent"
+        assert serial[0].stats["shards"] == 4.0
+        assert [_outcome(m) for m in pooled] == [_outcome(m) for m in serial]
+
+
+# ---------------------------------------------------------------------------
+# run_cells owns expansion, merging, streaming and caching of shard groups
+# ---------------------------------------------------------------------------
+
+class TestShardedRunCells:
+    @pytest.mark.parametrize("isolate", (False, True), ids=("serial", "pool"))
+    def test_on_result_fires_once_per_logical_cell(self, counter, isolate):
+        specs = [CellSpec(counter, "taut-rw", time_budget=60.0, shards=4),
+                 CellSpec(counter, "smv", time_budget=60.0, shards=4)]
+        events = []
+        results = run_cells(specs, jobs=2 if isolate else 1, isolate=isolate,
+                            on_result=lambda i, m: events.append((i, m)))
+        # shard jobs never reach the hook: each cell streams once, merged
+        assert sorted(index for index, _ in events) == [0, 1]
+        assert dict(events) == dict(enumerate(results))
+        assert results[0].stats["shards"] == 4.0
+        assert "shards" not in results[1].stats
+
+    @pytest.mark.parametrize("isolate", (False, True), ids=("serial", "pool"))
+    def test_merged_cell_is_cached_under_the_logical_key(self, counter,
+                                                         isolate):
+        spec = CellSpec(counter, "fraig", time_budget=60.0, shards=4)
+        cache = ResultCache()
+        cold = run_cells([spec], jobs=2 if isolate else 1, isolate=isolate,
+                         cache=cache)
+        assert (cache.misses, cache.stores) == (1, 1)  # one cell, not 4 jobs
+        # the shard count is not part of the key: an unsplit request hits
+        warm = run_cells([replace(spec, shards=1)], cache=cache)
+        assert cache.hits == 1
+        assert warm == cold
+        assert warm[0].stats["shards"] == 4.0
+
+    def test_resident_pool_runs_every_shard_and_stays_open(self, counter):
+        spec = CellSpec(counter, "taut-rw", time_budget=60.0, shards=4)
+        with WorkerPool(2) as pool:
+            first = run_cells([spec], isolate=True, pool=pool)
+            assert pool.cells_run == 4  # one job per shard
+            second = run_cells([spec], isolate=True, pool=pool)
+            assert pool.cells_run == 8  # the caller's pool is reused, not closed
+            assert pool.recycled == 0
+        assert _outcome(first[0]) == _outcome(second[0])
+        assert first[0].stats["shards"] == 4.0
+
+    def test_worker_pool_runs_a_sharded_spec_as_given(self, counter):
+        # the pool runs plain jobs: expansion and merging are run_cells' work
+        spec = CellSpec(counter, "taut-rw", time_budget=60.0, shards=4)
+        with WorkerPool(1) as pool:
+            results = pool.run([(0, spec)])
+        assert list(results) == [0]
+        assert pool.cells_run == 1
+        assert "shards" not in results[0].stats
+        unsplit = run_spec(replace(spec, shards=1))
+        assert results[0].stats["vectors"] == unsplit.stats["vectors"]
+
+
+class TestDaemonShards:
+    def test_cold_daemon_run_then_warm_serial_replay(self, counter,
+                                                     tmp_path):
+        specs = [CellSpec(counter, method, time_budget=60.0, shards=4)
+                 for method in ("fraig", "taut-rw")]
+        directory = str(tmp_path / "cache")
+        with _daemon(str(tmp_path / "d.sock"),
+                     ResultCache(directory=directory)) as client:
+            cold = run_cells(specs, client=client)
+            # the daemon counts logical cells; its pool ran one job per shard
+            assert client.stats == {"cache_hits": 0, "cache_misses": 2}
+            assert client.ping()["cells_run"] == 8
+        warm_cache = ResultCache(directory=directory)
+        warm = run_cells(specs, cache=warm_cache)
+        assert (warm_cache.hits, warm_cache.misses) == (2, 0)
+        assert warm == cold
+
+    def test_warm_daemon_run_never_reaches_the_pool(self, counter, tmp_path):
+        specs = [CellSpec(counter, "taut", time_budget=60.0, shards=4)]
+        with _daemon(str(tmp_path / "d.sock"), ResultCache()) as client:
+            cold = run_cells(specs, client=client)
+            jobs = client.ping()["cells_run"]
+            warm = run_cells(specs, client=client)
+            assert client.stats == {"cache_hits": 1, "cache_misses": 1}
+            assert client.ping()["cells_run"] == jobs == 4
+        assert warm == cold
+        assert cold[0].verdict == "equivalent"
