@@ -43,7 +43,7 @@ def test_table1_verifier_cell(benchmark, workloads, method, width, verifier_budg
         return run_cell(workload, method, time_budget=verifier_budget)
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
-    assert measurement.status in ("ok", "timeout")
+    assert measurement.verdict in ("equivalent", "timeout")
 
 
 @pytest.mark.parametrize("width", CELL_WIDTHS + [16, 32])
@@ -54,7 +54,7 @@ def test_table1_hash_cell(benchmark, workloads, width):
         return run_cell(workload, "hash")
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
-    assert measurement.status == "ok"
+    assert measurement.verdict == "equivalent"
 
 
 def test_table1_full_shape(benchmark, results_dir, verifier_budget):
@@ -67,22 +67,22 @@ def test_table1_full_shape(benchmark, results_dir, verifier_budget):
         fh.write(text + "\n")
 
     # HASH completes everywhere.
-    assert all(row.cells["hash"].status == "ok" for row in rows)
+    assert all(row.cells["hash"].verdict == "equivalent" for row in rows)
     # The drivers record per-method kernel steps from the structured stats;
     # the rendered table carries them in the `inferences` column.
     assert all(row.cells["hash"].stats["kernel_steps"] > 0 for row in rows)
     assert "inferences" in text
     # The verifiers hit the budget at the largest width (the paper's dash).
     last = rows[-1]
-    assert last.cells["sis"].status == "timeout"
-    assert last.cells["smv"].status == "timeout"
+    assert last.cells["sis"].verdict == "timeout"
+    assert last.cells["smv"].verdict == "timeout"
     # At the smallest width HASH is not the fastest method (higher base cost).
     first = rows[0]
     assert first.cells["hash"].seconds >= min(
         first.cells["sis"].seconds, first.cells["smv"].seconds
     )
     # Verifier run time grows super-linearly between the widths they solve.
-    solved = [row for row in rows if row.cells["smv"].status == "ok"]
+    solved = [row for row in rows if row.cells["smv"].verdict == "equivalent"]
     if len(solved) >= 3:
         first_ok, last_ok = solved[0], solved[-1]
         n0 = first_ok.workload.original.width(first_ok.workload.original.outputs[0])

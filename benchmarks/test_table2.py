@@ -42,9 +42,9 @@ def test_table2_cell(benchmark, name, method, table2_scale, verifier_budget):
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
     if method == "hash":
-        assert measurement.status == "ok"
+        assert measurement.verdict == "equivalent"
     else:
-        assert measurement.status in ("ok", "timeout")
+        assert measurement.verdict in ("equivalent", "timeout")
 
 
 @pytest.mark.parametrize("width", MULT_WIDTHS)
@@ -56,7 +56,7 @@ def test_table2_multiplier_hash(benchmark, width):
         return run_cell(workload, "hash")
 
     measurement = benchmark.pedantic(cell, rounds=1, iterations=1)
-    assert measurement.status == "ok"
+    assert measurement.verdict == "equivalent"
 
 
 def test_table2_multiplier_growth(benchmark, verifier_budget):
@@ -75,17 +75,17 @@ def test_table2_multiplier_growth(benchmark, verifier_budget):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     small, large = MULT_WIDTHS[0], MULT_WIDTHS[-1]
-    assert rows[small]["hash"].status == "ok"
-    assert rows[large]["hash"].status == "ok"
+    assert rows[small]["hash"].verdict == "equivalent"
+    assert rows[large]["hash"].verdict == "equivalent"
     hash_growth = rows[large]["hash"].seconds / max(rows[small]["hash"].seconds, 1e-6)
     smv_large = rows[large]["smv"]
     # either the verifier already needs the dash, or its growth factor clearly
     # exceeds HASH's growth factor (the paper reports ~40-50x vs ~4x)
-    if smv_large.status == "ok" and rows[small]["smv"].status == "ok":
+    if smv_large.verdict == "equivalent" and rows[small]["smv"].verdict == "equivalent":
         smv_growth = smv_large.seconds / max(rows[small]["smv"].seconds, 1e-6)
         assert smv_growth > hash_growth
     else:
-        assert smv_large.status == "timeout"
+        assert smv_large.verdict == "timeout"
 
 
 def test_table2_full_shape(benchmark, results_dir, table2_scale, verifier_budget):
@@ -100,11 +100,11 @@ def test_table2_full_shape(benchmark, results_dir, table2_scale, verifier_budget
     with open(os.path.join(results_dir, "table2.txt"), "w") as fh:
         fh.write(text + "\n")
 
-    assert all(row.cells["hash"].status == "ok" for row in rows)
+    assert all(row.cells["hash"].verdict == "equivalent" for row in rows)
     # per-method kernel steps recorded in the `inferences` column
     assert all(row.cells["hash"].stats["kernel_steps"] > 0 for row in rows)
     assert "inferences" in text
-    statuses = {row.workload.name: {m: row.cells[m].status for m in table2.TABLE2_METHODS}
+    statuses = {row.workload.name: {m: row.cells[m].verdict for m in table2.TABLE2_METHODS}
                 for row in rows}
     # every benchmark is solved by at least one method (HASH), and the table
     # records a result for every cell

@@ -10,8 +10,10 @@ demonstrates both sides:
 * the false cut of Figure 4 (``f`` = comparator + multiplexer, which depends
   on the primary inputs) makes the formal procedure raise
   ``FormalSynthesisError`` — and the conventional engine rejects it too;
-* a deliberately *corrupted* "retimed" circuit (wrong initial value) is shown
-  to be caught by every post-synthesis verifier, illustrating what the formal
+* a deliberately *corrupted* "retimed" circuit (wrong initial value) is
+  shown to be caught by post-synthesis verifiers — ``match`` and ``smv``
+  refute it, while ``eijk``'s induction cannot close and reports ``error``
+  (inconclusive, with no witness to give) — illustrating what the formal
   approach renders unnecessary.
 
 Run:  python examples/faulty_heuristic.py

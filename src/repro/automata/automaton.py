@@ -144,9 +144,6 @@ class TupleLayout:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def type_of(self, name: str) -> HolType:
-        return self.types[self.index(name)]
-
     def mk_value(self, terms: Sequence[Term]) -> Term:
         """The tuple term for the given component terms (in layout order)."""
         terms = list(terms)
@@ -176,6 +173,3 @@ class TupleLayout:
         if i < n - 1:
             current = mk_fst(current)
         return current
-
-    def project_all(self, base: Term) -> Dict[str, Term]:
-        return {name: self.project(base, name) for name in self.names}

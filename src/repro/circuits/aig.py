@@ -118,12 +118,6 @@ class Aig:
     def name_of(self, node: int) -> Optional[str]:
         return self._names.get(node)
 
-    def node_of(self, name: str) -> int:
-        try:
-            return self._node_of_name[name]
-        except KeyError:
-            raise AigError(f"unknown input/latch name: {name}") from None
-
     def next_of(self, latch: int) -> int:
         try:
             return self._next[latch]
@@ -445,9 +439,6 @@ class NetlistAig:
     lit_map: Dict[str, List[int]] = field(default_factory=dict)
     #: register name -> list of latch node indices (LSB first)
     latch_map: Dict[str, List[int]] = field(default_factory=dict)
-
-    def lits_of(self, net: str) -> List[int]:
-        return self.lit_map[net]
 
 
 def netlist_to_aig(netlist) -> NetlistAig:

@@ -51,9 +51,6 @@ class BitblastResult:
     #: rewriting counters when the DAG-aware optimiser ran (``opt=True``)
     stats: Dict[str, int] = field(default_factory=dict)
 
-    def bits_of(self, net: str) -> List[str]:
-        return self.bit_map[net]
-
 
 def bitblast(netlist: Netlist, name_suffix: str = "_bits",
              opt: bool = True,

@@ -224,9 +224,6 @@ class Netlist:
         """Total number of flip-flop *bits* (the paper's "flipflops" column)."""
         return sum(reg.width for reg in self.registers.values())
 
-    def state_bits(self) -> int:
-        return self.num_flipflops()
-
     def stats(self) -> Dict[str, int]:
         return {
             "inputs": len(self.inputs),

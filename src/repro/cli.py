@@ -105,7 +105,7 @@ def _make_stream_printer():
         done[0] += 1
         print(
             f"[cell {done[0]}] {measurement.workload} / {measurement.method}: "
-            f"{measurement.status} ({measurement.seconds:.2f}s)",
+            f"{measurement.verdict} ({measurement.seconds:.2f}s)",
             flush=True,
         )
 

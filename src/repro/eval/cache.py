@@ -21,9 +21,10 @@ The digest is plain SHA-256 over canonical JSON — independent of
 store (one file per digest, atomic writes), shared by the serial runner,
 the ``--jobs N`` pool and the ``python -m repro serve`` daemon — which is
 what makes a cold serial run and a warm ``--via-daemon`` run render
-byte-identically.  Only ``ok`` and ``timeout`` measurements are cached:
-a dash is a deterministic verdict of the budget, a ``failed`` cell (crash,
-malformed pairing) may be transient and is always re-run.
+byte-identically.  Only ``equivalent`` and ``timeout`` measurements are
+cached: a dash is a deterministic verdict of the budget, an ``error`` cell
+(crash, malformed pairing) may be transient and is always re-run, and
+refutations are re-run too.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ CODE_SALT = os.environ.get("REPRO_CACHE_SALT", f"repro-{__version__}/{CACHE_SCHE
 #: default on-disk store location (relative to the working directory)
 DEFAULT_CACHE_DIR = os.path.join(".benchmarks", "cache")
 
-#: statuses worth caching — see the module docstring
-CACHEABLE_STATUSES = frozenset({"ok", "timeout"})
+#: verdicts worth caching — see the module docstring
+CACHEABLE_VERDICTS = frozenset({"equivalent", "timeout"})
 
 
 def default_cache_dir() -> str:
@@ -126,11 +127,10 @@ def measurement_to_dict(measurement: Measurement) -> Dict[str, Any]:
     return {
         "workload": measurement.workload,
         "method": measurement.method,
-        "status": measurement.status,
+        "verdict": measurement.verdict,
         "seconds": measurement.seconds,
         "detail": measurement.detail,
         "stats": dict(measurement.stats),
-        "verdict": measurement.verdict,
         "counterexample": measurement.counterexample,
     }
 
@@ -140,11 +140,10 @@ def measurement_from_dict(payload: Dict[str, Any]) -> Measurement:
     return Measurement(
         workload=payload["workload"],
         method=payload["method"],
-        status=payload["status"],
+        verdict=payload["verdict"],
         seconds=float(payload["seconds"]),
         detail=payload.get("detail", ""),
         stats={k: float(v) for k, v in payload.get("stats", {}).items()},
-        verdict=payload.get("verdict", ""),
         counterexample=None if cex is None else
         {str(k): bool(v) for k, v in cex.items()},
     )
@@ -205,8 +204,8 @@ class ResultCache:
         return None
 
     def store(self, key: str, measurement: Measurement) -> bool:
-        """Cache a measurement; returns False for uncacheable statuses."""
-        if measurement.status not in CACHEABLE_STATUSES:
+        """Cache a measurement; returns False for uncacheable verdicts."""
+        if measurement.verdict not in CACHEABLE_VERDICTS:
             return False
         self._remember(key, measurement)
         if self.directory:

@@ -55,7 +55,14 @@ from ..retiming.apply import apply_forward_retiming, forward_retimable_cells
 from ..retiming.cuts import sized_forward_cut
 from ..verification.registry import Checker, get_checker
 from .cache import measurement_to_dict
-from .runner import DEFINITE_VERDICTS, CellSpec, Measurement, run_cell, run_cells
+from .runner import (
+    DEFINITE_VERDICTS,
+    VERDICT_SYMBOL,
+    CellSpec,
+    Measurement,
+    run_cell,
+    run_cells,
+)
 from .scenarios import register_scenario
 from .workloads import Workload
 
@@ -558,10 +565,6 @@ def load_repro(path: str) -> Tuple[FuzzSpec, str, str]:
 # Rendering
 # ---------------------------------------------------------------------------
 
-_VERDICT_SYMBOL = {"equivalent": "=", "not_equivalent": "!=", "timeout": "-",
-                   "error": "?"}
-
-
 def _cex_cell(row: Dict[str, Measurement], methods: Sequence[str]) -> str:
     """The first certified counterexample in method order, rendered k=v."""
     for method in methods:
@@ -592,7 +595,7 @@ def render_fuzz_table(report: FuzzReport) -> str:
             if measurement is None:
                 line.append(".")
             else:
-                line.append(_VERDICT_SYMBOL.get(measurement.verdict, "?"))
+                line.append(VERDICT_SYMBOL[measurement.verdict])
         line.append(_cex_cell(row, report.methods))
         table.append(line)
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]

@@ -22,7 +22,7 @@ accepts batches through :class:`~repro.eval.service.DaemonClient`.
 
 Results are collected by submission index, never by completion order, so a
 table produced with ``jobs=4`` — or served by the daemon — has exactly the
-same rows, columns and statuses as the serial one; with cached or
+same rows, columns and verdicts as the serial one; with cached or
 deterministic cell results the output is byte-identical, which
 ``tests/eval/test_runner.py`` and ``tests/eval/test_service.py`` pin down.
 """
@@ -34,8 +34,15 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..verification.common import VERDICTS
 from ..verification.registry import get_checker, get_shardable, run_checker
 from .workloads import Workload
+
+
+#: how a table renders each verdict (``equivalent`` cells render their
+#: time in timing tables); shared by :func:`render_table` and the fuzz table
+VERDICT_SYMBOL = {"equivalent": "=", "not_equivalent": "!=", "timeout": "-",
+                  "error": "?"}
 
 
 @dataclass
@@ -44,36 +51,30 @@ class Measurement:
 
     workload: str
     method: str
-    status: str           # "ok" | "timeout" | "failed"
+    #: the cell's outcome, one of ``VERDICTS``: the backend's verdict, or
+    #: ``timeout`` for a killed or skipped cell and ``error`` for a crash
+    verdict: str
     seconds: float
     detail: str = ""
     #: structured cost counters from the backend (kernel steps, BDD nodes,
     #: iterations, ...) — see :class:`repro.verification.common.VerificationResult`.
     stats: Dict[str, float] = field(default_factory=dict)
-    #: the backend's own verdict ("equivalent" | "not_equivalent" | "timeout"
-    #: | "error") — ``status`` folds every non-proof into "failed", but the
-    #: fuzz oracle must distinguish a refutation from a crash.
-    verdict: str = ""
     #: certified counterexample of a ``not_equivalent`` verdict (total,
     #: sorted-key assignment; see verification.common.certify_result).
     counterexample: Optional[Dict[str, bool]] = None
 
     def __post_init__(self):
-        if not self.verdict:
-            self.verdict = {"ok": "equivalent", "timeout": "timeout"}.get(
-                self.status, "error"
-            )
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.counterexample is not None:
             self.counterexample = {
                 str(k): bool(v) for k, v in sorted(self.counterexample.items())
             }
 
     def render(self, precision: int = 2) -> str:
-        if self.status == "ok":
+        if self.verdict == "equivalent":
             return f"{self.seconds:.{precision}f}"
-        if self.status == "timeout":
-            return "-"
-        return "?"
+        return VERDICT_SYMBOL[self.verdict]
 
 
 #: default per-cell wall-clock budget (seconds)
@@ -123,8 +124,8 @@ def run_cell(
     """Measure one registered method on one workload, in-process.
 
     Backend exceptions (``VerificationError`` or anything unexpected) never
-    escape: they become a ``status="failed"`` cell so a single bad pairing
-    cannot abort an entire table run.  Unknown method names *do* raise.
+    escape: they become an ``error`` cell so a single bad pairing cannot
+    abort an entire table run.  Unknown method names *do* raise.
     """
     get_checker(method)  # unknown methods are a caller error, raised eagerly
     start = time.perf_counter()
@@ -143,24 +144,17 @@ def run_cell(
         return Measurement(
             workload=workload.name,
             method=method,
-            status="failed",
+            verdict="error",
             seconds=time.perf_counter() - start,
             detail=f"{type(exc).__name__}: {exc}",
         )
-    if result.status == "equivalent":
-        status = "ok"
-    elif result.status == "timeout":
-        status = "timeout"
-    else:
-        status = "failed"
     return Measurement(
         workload=workload.name,
         method=method,
-        status=status,
+        verdict=result.status,
         seconds=result.seconds,
         detail=result.detail,
         stats=dict(result.stats),
-        verdict=result.status,
         counterexample=result.counterexample,
     )
 
@@ -180,7 +174,7 @@ def _killed_measurement(spec: CellSpec) -> Measurement:
     return Measurement(
         workload=spec.workload.name,
         method=spec.method,
-        status="timeout",
+        verdict="timeout",
         seconds=spec.time_budget,
         detail=f"killed at the wall-clock limit ({spec.time_budget:.1f}s)",
     )
@@ -216,8 +210,8 @@ def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
     never looks at completion order, so serial, ``--jobs N`` and
     ``--via-daemon`` runs of the same sharded cell merge byte-identically.
     Verdict: refuted as soon as any shard refutes (the first refuting
-    shard by index supplies the counterexample and detail), else failed if
-    any shard failed, else the dash if any shard ran out of budget, else
+    shard by index supplies the counterexample and detail), else error if
+    any shard erred, else the dash if any shard ran out of budget, else
     equivalent.  Stats: additive counters (the backend's declared
     ``sum_stats``) are summed, everything else — peaks, graph sizes — takes
     the max; ``seconds`` is the slowest shard (the group's critical path)
@@ -237,23 +231,18 @@ def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
     stats["shards"] = float(len(parts))
     seconds = max(part.seconds for part in parts)
 
-    base = next((p for p in parts if p.verdict == "not_equivalent"), None)
-    if base is None:
-        base = next((p for p in parts if p.status == "failed"), None)
-    if base is None:
-        base = next((p for p in parts if p.status == "timeout"), None)
-    if base is not None:
-        return Measurement(
-            workload=spec.workload.name, method=spec.method,
-            status=base.status, seconds=seconds,
-            detail=base.detail, stats=stats, verdict=base.verdict,
-            counterexample=base.counterexample,
-        )
+    for verdict in ("not_equivalent", "error", "timeout"):
+        base = next((p for p in parts if p.verdict == verdict), None)
+        if base is not None:
+            return Measurement(
+                workload=spec.workload.name, method=spec.method,
+                verdict=verdict, seconds=seconds, detail=base.detail,
+                stats=stats, counterexample=base.counterexample,
+            )
     return Measurement(
         workload=spec.workload.name, method=spec.method,
-        status="ok", seconds=seconds,
-        detail=f"merged {len(parts)} shards; " + parts[0].detail,
-        stats=stats, verdict="equivalent",
+        verdict="equivalent", seconds=seconds,
+        detail=f"merged {len(parts)} shards; " + parts[0].detail, stats=stats,
     )
 
 
@@ -467,6 +456,9 @@ def render_table(
     with_inferences = inference_method is not None and any(
         inference_cell(row) for row in rows
     )
+    with_refutations = any(
+        row.cells[m].verdict == "not_equivalent" for row in rows for m in methods
+    )
     headers = ["circuit"] + list(extra_columns) + [m.upper() for m in methods]
     if with_inferences:
         headers.append("inferences")
@@ -487,6 +479,8 @@ def render_table(
     lines.append("")
     lines.append("times in seconds; '-' = budget exceeded "
                  "(the paper's 'not processable in reasonable time')")
+    if with_refutations:
+        lines.append("'!=' = not equivalent (the backend refuted the pair)")
     if with_inferences:
         lines.append(f"inferences = kernel steps of the {inference_method.upper()} "
                      "proof (from VerificationResult.stats)")

@@ -85,7 +85,7 @@ def _pool_worker(conn) -> None:
             measurement = Measurement(
                 workload=spec.workload.name,
                 method=spec.method,
-                status="failed",
+                verdict="error",
                 seconds=0.0,
                 detail=f"worker crashed: {type(exc).__name__}: {exc}",
             )
@@ -262,7 +262,7 @@ class WorkerPool:
                         measurement = Measurement(
                             workload=spec.workload.name,
                             method=spec.method,
-                            status="failed",
+                            verdict="error",
                             seconds=0.0,
                             detail="worker exited without a result "
                                    f"(exit code {exitcode}; retried once)",

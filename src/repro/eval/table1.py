@@ -65,7 +65,7 @@ def run_table1(
                       aig_opt=aig_opt, shards=shards)
         for offset, method in enumerate(skipped):
             measurement = Measurement(
-                workload=workload.name, method=method, status="timeout",
+                workload=workload.name, method=method, verdict="timeout",
                 seconds=time_budget, detail="skipped after repeated timeouts",
             )
             row.cells[method] = measurement
@@ -75,7 +75,7 @@ def run_table1(
                 on_result(len(to_run) + offset, measurement)
         for method in to_run:
             if method != "hash":
-                if row.cells[method].status == "timeout":
+                if row.cells[method].verdict == "timeout":
                     consecutive_timeouts[method] += 1
                 else:
                     consecutive_timeouts[method] = 0

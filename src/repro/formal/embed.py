@@ -129,15 +129,6 @@ class EmbeddedCircuit:
     #: register names in state-layout order
     register_order: List[str]
 
-    def input_type(self) -> HolType:
-        return self.input_layout.type()
-
-    def state_type(self) -> HolType:
-        return self.state_layout.type()
-
-    def output_type(self) -> HolType:
-        return self.output_layout.type()
-
 
 def _layouts(netlist: Netlist, register_order: Optional[Sequence[str]] = None
              ) -> Tuple[TupleLayout, TupleLayout, TupleLayout, List[str]]:

@@ -250,45 +250,6 @@ def DEPTH_CONV(c: Conv, limit: int = 100_000) -> Conv:
     return conv
 
 
-def ONCE_DEPTH_CONV(c: Conv) -> Conv:
-    """Apply ``c`` once to the outermost applicable subterms (top-down).
-
-    Iterative (explicit stack); performs the same kernel calls as the
-    recursive ``ORELSEC(c, SUB_CONV(conv))`` formulation.
-    """
-
-    def conv(t: Term) -> Theorem:
-        out: list = []
-        stack: list = [(_VISIT, t)]
-        while stack:
-            op, tm = stack.pop()
-            if op == _VISIT:
-                try:
-                    out.append(c(tm))
-                    continue
-                except (ConvError, KernelError, MatchError):
-                    pass
-                if isinstance(tm, Comb):
-                    stack.append((_COMB_FRAME, tm))
-                    stack.append((_VISIT, tm.rand))
-                    stack.append((_VISIT, tm.rator))
-                elif isinstance(tm, Abs):
-                    stack.append((_ABS_FRAME, tm))
-                    stack.append((_VISIT, tm.body))
-                else:
-                    out.append(REFL(tm))
-                continue
-            if op == _COMB_FRAME:
-                th_rand = out.pop()
-                th_rator = out.pop()
-                out.append(MK_COMB(th_rator, th_rand))
-                continue
-            out.append(ABS(tm.bvar, out.pop()))
-        return out[0]
-
-    return conv
-
-
 def TOP_DEPTH_CONV(c: Conv, limit: int = 100_000) -> Conv:
     """Repeatedly apply ``c`` anywhere until no further change occurs.
 

@@ -16,7 +16,7 @@ chains) can be rendered at the default recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import terms as tm
 
@@ -141,11 +141,3 @@ def theorem_to_string(hyps, concl) -> str:
         hs = ", ".join(term_to_string(h) for h in sorted(hyps, key=term_to_string))
         return f"{hs} |- {term_to_string(concl)}"
     return f"|- {term_to_string(concl)}"
-
-
-def pp(obj, width: Optional[int] = None) -> str:
-    """Best-effort pretty print of a term, type or theorem."""
-    _ = width
-    if isinstance(obj, tm.Term):
-        return term_to_string(obj)
-    return str(obj)

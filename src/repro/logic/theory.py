@@ -68,9 +68,6 @@ class Theory:
             raise TheoryError(f"type operator {name} already declared with different arity")
         self.type_operators[name] = arity
 
-    def has_type_operator(self, name: str) -> bool:
-        return name in self.type_operators
-
     # -- constants -----------------------------------------------------------
     def new_constant(
         self,

@@ -51,9 +51,6 @@ class RetimingGraph:
     edges: List[Edge] = field(default_factory=list)
     delay: Dict[str, int] = field(default_factory=dict)
 
-    def out_edges(self, v: str) -> List[Edge]:
-        return [e for e in self.edges if e.tail == v]
-
     def in_edges(self, v: str) -> List[Edge]:
         return [e for e in self.edges if e.head == v]
 

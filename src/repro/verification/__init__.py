@@ -9,7 +9,7 @@ Tables I/II):
 * :mod:`repro.verification.model_checking` — SMV-style product-machine
   reachability (the "SMV" column);
 * :mod:`repro.verification.fsm_compare` — SIS-style FSM comparison (the
-  "SIS" column);
+  "SIS" column): the SMV traversal under its own name;
 * :mod:`repro.verification.van_eijk` — signal-correspondence induction, with
   and without functional-dependency exploitation (the "Eijk"/"Eijk+"
   columns);

@@ -152,9 +152,6 @@ class BddManager:
     def level_of(self, name: str) -> int:
         return self._var_levels[name]
 
-    def name_of_level(self, level: int) -> str:
-        return self._level_names[level]
-
     @property
     def num_nodes(self) -> int:
         """Number of stored nodes (terminal included); also the peak, since

@@ -17,16 +17,21 @@ equivalence checking.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuits.bitblast import bitblast
 from ..circuits.netlist import Cell, Netlist
-from .bdd import FALSE, TRUE, BddManager
+from .bdd import FALSE, TRUE, BddBudgetExceeded, BddManager
 
 
 class VerificationError(Exception):
     """Raised for malformed verification problems."""
+
+
+#: the closed verdict vocabulary of every backend and every table cell;
+#: ``error`` is a bug only for a backend whose ``Checker.complete`` is set
+VERDICTS = ("equivalent", "not_equivalent", "timeout", "error")
 
 
 @dataclass
@@ -41,7 +46,7 @@ class VerificationResult:
     """
 
     method: str
-    status: str                    # "equivalent" | "not_equivalent" | "timeout" | "error"
+    status: str                    # one of VERDICTS
     seconds: float
     iterations: int = 0
     peak_nodes: int = 0
@@ -50,6 +55,8 @@ class VerificationResult:
     stats: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.status not in VERDICTS:
+            raise ValueError(f"{self.method}: unknown verdict {self.status!r}")
         self.stats.setdefault("wall_seconds", self.seconds)
         if self.iterations:
             self.stats.setdefault("iterations", float(self.iterations))
@@ -63,14 +70,6 @@ class VerificationResult:
             self.counterexample = {
                 str(k): bool(v) for k, v in sorted(self.counterexample.items())
             }
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "equivalent"
-
-    @property
-    def timed_out(self) -> bool:
-        return self.status == "timeout"
 
     def __str__(self) -> str:
         return f"[{self.method}] {self.status} in {self.seconds:.3f}s ({self.detail})"
@@ -111,6 +110,71 @@ class TimeoutBudgetExceeded(Exception):
     """Raised when a verification run exceeds its wall-clock budget."""
 
 
+class EngineRun:
+    """One budgeted backend run: its clock, its budget and its cost record.
+
+    Every budget-polling backend runs its body under :func:`run_engine`, so
+    the start time, the :class:`Budget`, the registry-name label and the
+    merge of BDD, lowering and backend counters live here once.  The body
+    keeps the record current — ``manager`` once a BDD manager exists,
+    ``iterations`` as it steps, ``counters`` for its own counters — and
+    :meth:`result` reads it whenever the run ends, overrun or not.
+    """
+
+    def __init__(self, method: str, time_budget: Optional[float] = None):
+        self.method = method
+        self.budget = Budget(seconds=time_budget)
+        #: bit-blast / AIG-rewrite counters of the lowered circuits
+        self.lowering: Dict[str, int] = {}
+        #: the BDD manager whose counters join the record
+        self.manager: Optional[BddManager] = None
+        #: traversal or refinement steps taken so far
+        self.iterations = 0
+        #: the backend's own counters as they stand when the run ends
+        self.counters: Callable[[], Dict[str, float]] = dict
+
+    def gate_level(self, netlist: Netlist, opt: bool = True) -> Netlist:
+        """:func:`ensure_gate_level`, counting the lowering in the record."""
+        return ensure_gate_level(netlist, opt=opt, stats=self.lowering)
+
+    def attach(self, manager: BddManager) -> None:
+        """Arm the budget on a BDD manager and report its counters."""
+        self.manager = manager
+        self.budget.arm(manager)
+
+    def result(self, status: str, detail: str,
+               counterexample: Optional[Dict[str, bool]] = None) -> VerificationResult:
+        m = self.manager
+        return VerificationResult(
+            method=self.method,
+            status=status,
+            seconds=self.budget.elapsed(),
+            iterations=self.iterations,
+            peak_nodes=m.num_nodes if m is not None else 0,
+            counterexample=counterexample,
+            detail=detail,
+            stats={**(m.op_stats() if m is not None else {}),
+                   **self.lowering, **self.counters()},
+        )
+
+
+def run_engine(method: str, time_budget: Optional[float],
+               body: Callable[[EngineRun], VerificationResult]) -> VerificationResult:
+    """Run a backend body under one :class:`EngineRun` labelled ``method``.
+
+    The single budget-overrun handler of the package: a
+    :class:`TimeoutBudgetExceeded` or
+    :class:`~repro.verification.bdd.BddBudgetExceeded` raised anywhere in
+    the body becomes a ``timeout`` result — the tables' dash — that still
+    carries the run's cost record.
+    """
+    run = EngineRun(method, time_budget)
+    try:
+        return body(run)
+    except (TimeoutBudgetExceeded, BddBudgetExceeded) as exc:
+        return run.result("timeout", str(exc))
+
+
 @dataclass
 class SymbolicFSM:
     """A gate-level sequential circuit compiled to BDDs."""
@@ -136,9 +200,6 @@ class SymbolicFSM:
             self.manager.var(var) if self.init[var] else self.manager.nvar(var)
             for var in self.state_vars
         )
-
-    def num_state_bits(self) -> int:
-        return len(self.state_vars)
 
 
 def is_gate_level_netlist(netlist: Netlist) -> bool:
@@ -341,6 +402,47 @@ def declare_next_state_vars(product: ProductFSM) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
+# Cut-point pairing (taut, taut-rw, sat, fraig)
+# ---------------------------------------------------------------------------
+
+def pair_cut_points(
+    gate_a: Netlist, gate_b: Netlist,
+) -> Tuple[List[str], List[Tuple[str, str, str]]]:
+    """What a cut-point check compares, and what rules it out up front.
+
+    Registers become free variables keyed by register *name*, so only
+    same-named registers correspond.  Returns ``(mismatches, compared)``:
+    ``mismatches`` lists the structural differences that refute the pair
+    without any search (an output or a register present in only one
+    circuit, a shared register with another initial value); ``compared``
+    lists ``(label, net_a, net_b)`` for every shared primary output, in
+    the first circuit's order, then for the next-state nets of the shared
+    registers, sorted by name.  Each backend maps the nets to its own BDDs,
+    terms or literals.  Raises :class:`ValueError` if the primary inputs
+    differ.
+    """
+    if sorted(gate_a.inputs) != sorted(gate_b.inputs):
+        raise ValueError("cut-point check: input mismatch")
+    regs_a = {r.name: r for r in gate_a.registers.values()}
+    regs_b = {r.name: r for r in gate_b.registers.values()}
+    shared_regs = sorted(set(regs_a) & set(regs_b))
+    mismatches = [
+        f"output {name} present in only one circuit"
+        for name in sorted(set(gate_a.outputs) ^ set(gate_b.outputs))
+    ]
+    mismatches += [f"initial value of register {name}" for name in shared_regs
+                   if regs_a[name].init != regs_b[name].init]
+    mismatches += [f"register {name} present in only one circuit"
+                   for name in sorted(set(regs_a) ^ set(regs_b))]
+    compared = [(f"output {out}", out, out)
+                for out in gate_a.outputs if out in gate_b.outputs]
+    compared += [(f"next-state of register {name}",
+                  regs_a[name].input, regs_b[name].input)
+                 for name in shared_regs]
+    return mismatches, compared
+
+
+# ---------------------------------------------------------------------------
 # Counterexample certification
 # ---------------------------------------------------------------------------
 #
@@ -462,13 +564,8 @@ def certify_result(
     else:
         reason = "replay does not distinguish the circuits"
     if not distinguishes:
-        return VerificationResult(
-            method=result.method,
-            status="error",
-            seconds=result.seconds,
-            iterations=result.iterations,
-            peak_nodes=result.peak_nodes,
-            counterexample=None,
+        return replace(
+            result, status="error", counterexample=None,
             detail=f"uncertified counterexample: {reason}",
             stats={**result.stats, "cex_certified": 0.0},
         )

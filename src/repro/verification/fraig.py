@@ -32,16 +32,10 @@ diversification the paper's tables are about.
 from __future__ import annotations
 
 import random
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits.netlist import Netlist
-from .common import (
-    Budget,
-    TimeoutBudgetExceeded,
-    VerificationResult,
-    ensure_gate_level,
-)
+from .common import EngineRun, VerificationResult, run_engine
 from .sat import IncrementalMiter, miter_setup
 
 
@@ -179,42 +173,32 @@ def check_equivalence_fraig(
     ``n`` shards therefore equals the unsharded one: equivalent iff every
     shard proves its owned pairs, refuted as soon as any shard refutes.
     """
-    start = time.perf_counter()
-    budget = Budget(seconds=time_budget)
     if shard is not None:
         shard_index, shard_count = shard
         if not 0 <= shard_index < shard_count:
             raise ValueError(f"invalid shard {shard!r}")
         if shard_count == 1:
             shard = None
-    merges = 0
-    aig = None
-    miter: Optional[IncrementalMiter] = None
-    partition: Optional[_ClassPartition] = None
-    opt_stats: Dict[str, int] = {}
 
-    def solver_stats() -> Dict[str, float]:
-        if miter is None:
-            return {
-                "decisions": 0.0, "propagations": 0.0, "conflicts": 0.0,
-                "solver_calls": 0.0, "restarts": 0.0,
-                "learned_kept": 0.0, "learned_deleted": 0.0,
-                "vars_encoded": 0.0,
-            }
-        stats = miter.stats()
-        stats.pop("learned_clauses", None)
-        return stats
+    def body(run: EngineRun) -> VerificationResult:
+        budget = run.budget
+        gate_a = run.gate_level(a, aig_opt)
+        gate_b = run.gate_level(b, aig_opt)
+        aig, mismatches, compared = miter_setup(gate_a, gate_b)
+        merges = 0
+        miter: Optional[IncrementalMiter] = None
+        partition: Optional[_ClassPartition] = None
 
-    try:
-        gate_a = ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
-        gate_b = ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
-        aig, _va, _vb, mismatches, compared = miter_setup(gate_a, gate_b)
-        budget.check()
-
-        def finish(status: str, detail: str,
-                   counterexample: Optional[Dict[str, bool]] = None):
-            stats = solver_stats()
-            stats.update(opt_stats)
+        def counters() -> Dict[str, float]:
+            # dash cells carry the structured cost record too
+            if miter is None:
+                stats = dict.fromkeys(
+                    ("decisions", "propagations", "conflicts", "solver_calls",
+                     "restarts", "learned_kept", "learned_deleted",
+                     "vars_encoded"), 0.0)
+            else:
+                stats = miter.stats()
+                stats.pop("learned_clauses", None)
             stats.update({
                 "aig_nodes": float(aig.num_ands),
                 "sat_calls": stats["solver_calls"],
@@ -223,19 +207,18 @@ def check_equivalence_fraig(
                     partition.classes_split if partition is not None else 0
                 ),
             })
-            return VerificationResult(
-                method="fraig", status=status,
-                seconds=time.perf_counter() - start,
-                counterexample=counterexample, detail=detail, stats=stats,
-            )
+            return stats
+
+        run.counters = counters
+        budget.check()
 
         if mismatches:
-            return finish("not_equivalent", "; ".join(mismatches))
+            return run.result("not_equivalent", "; ".join(mismatches))
 
         roots = [la for _, la, _ in compared] + [lb for _, _, lb in compared]
         unresolved = [(label, la, lb) for label, la, lb in compared if la != lb]
         if not unresolved:
-            return finish(
+            return run.result(
                 "equivalent",
                 f"structurally equivalent after hashing "
                 f"({aig.num_ands} AIG nodes, no SAT sweep needed)",
@@ -399,24 +382,10 @@ def check_equivalence_fraig(
                 f"classes {lo}..{hi - 1 if hi > lo else lo} of {total}]"
             )
         if failing:
-            return finish(
+            return run.result(
                 "not_equivalent", "; ".join(failing) + "; " + detail,
                 counterexample,
             )
-        return finish("equivalent", detail)
-    except TimeoutBudgetExceeded as exc:
-        # dash cells carry the structured cost record too (PR-4 convention)
-        stats = solver_stats()
-        stats.update(opt_stats)
-        stats["sat_calls"] = stats["solver_calls"]
-        stats["merges"] = float(merges)
-        stats["classes_split"] = float(
-            partition.classes_split if partition is not None else 0
-        )
-        if aig is not None:
-            stats["aig_nodes"] = float(aig.num_ands)
-        return VerificationResult(
-            method="fraig", status="timeout",
-            seconds=time.perf_counter() - start, detail=str(exc),
-            stats=stats,
-        )
+        return run.result("equivalent", detail)
+
+    return run_engine("fraig", time_budget, body)

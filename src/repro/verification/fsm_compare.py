@@ -2,42 +2,23 @@
 
 The SIS column of Tables I and II uses the sequential verification command of
 the SIS synthesis system ("SIS provides a finite state machine comparison
-technique").  Algorithmically it is also a product-machine traversal, but in
-the SIS style rather than the SMV style:
-
-* output agreement is checked *on the fly*, before every traversal step —
-  the invariant is tested against the reached set each iteration rather
-  than once at the fixpoint;
-* the image of the reached set is computed from the per-register next-state
-  constraints directly — since PR 4 through the same clustered
-  early-quantification relational product as the SMV front end
-  (:func:`repro.verification.model_checking.partition_relation`): one
-  conjunct ``v' ≡ f(i, s)`` per register, greedily clustered by support,
-  inputs and current-state variables quantified as soon as their last
-  cluster is conjoined via the combined
-  :meth:`~repro.verification.bdd.BddManager.and_exists`.
-
-Both styles share the exponential dependence on the number of state bits;
-they differ in constants, which is why the paper reports them as separate
-columns.  Budgets again turn blow-ups into ``timeout`` results (the dashes
-of the paper's tables).
+technique").  Algorithmically that command is the breadth-first traversal of
+the product machine with the output-equality invariant checked before every
+step — the implicit state enumeration of Touati et al. (ICCAD 1990) — which
+is exactly the SMV column's algorithm.  So the two columns run one
+traversal, :func:`repro.verification.model_checking.traverse`, kept under
+two names for the paper's two columns; their timings differ only by noise.
+Budgets turn blow-ups into ``timeout`` results (the dashes of the paper's
+tables).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Optional
 
 from ..circuits.netlist import Netlist
-from .bdd import FALSE, BddBudgetExceeded, BddManager
-from .common import (
-    Budget,
-    TimeoutBudgetExceeded,
-    VerificationResult,
-    declare_next_state_vars,
-    product_fsm,
-)
-from .model_checking import image, partition_relation
+from .common import VerificationResult, product_fsm, run_engine
+from .model_checking import traverse
 
 
 def check_equivalence(
@@ -52,85 +33,7 @@ def check_equivalence(
     ``aig_opt`` toggles DAG-aware AIG rewriting when the circuits are
     bit-blasted (rewriting counters join ``stats``).
     """
-    start = time.perf_counter()
-    budget = Budget(seconds=time_budget)
-    m: Optional[BddManager] = None
-    iterations = 0
-    opt_stats: Dict[str, int] = {}
-    try:
-        product = product_fsm(original, retimed, node_budget=node_budget,
-                              aig_opt=aig_opt, opt_stats=opt_stats)
-        m = product.manager
-        budget.arm(m)
-        good = product.outputs_equal_bdd()
-        bad = m.exists(product.left.inputs, m.apply_not(good))
-
-        state_vars = product.all_state_vars()
-        primed = declare_next_state_vars(product)
-        unprime = {primed[v]: v for v in state_vars}
-        conjuncts = [
-            m.apply_xnor(m.var(primed[var]), fn)
-            for var, fn in sorted(product.next_fns().items())
-        ]
-        quantify = list(product.left.inputs) + state_vars
-        relation = partition_relation(m, conjuncts, quantify)
-
-        reached = product.initial_state_bdd()
-        frontier = reached
-        while frontier != FALSE:
-            budget.check()
-            # on-the-fly invariant check
-            if m.apply_and(reached, bad) != FALSE:
-                # Witness from reached ∧ ¬good, not reached ∧ bad: the input
-                # variables are quantified out of `bad`, so a model of it
-                # carries no input values.  reached ∧ bad ≠ ⊥ implies
-                # reached ∧ ¬good ≠ ⊥, and the latter's models assign the
-                # violating inputs too.
-                cex = m.any_sat(m.apply_and(reached, m.apply_not(good)))
-                return VerificationResult(
-                    method="sis",
-                    status="not_equivalent",
-                    seconds=time.perf_counter() - start,
-                    iterations=iterations,
-                    peak_nodes=m.num_nodes,
-                    counterexample=cex,
-                    detail=f"outputs differ after {iterations} traversal steps",
-                    stats={**m.op_stats(), **opt_stats},
-                )
-            image_primed = image(m, frontier, relation, budget=budget)
-            new_states = m.rename(image_primed, unprime)
-            frontier = m.apply_and(new_states, m.apply_not(reached))
-            reached = m.apply_or(reached, new_states)
-            iterations += 1
-
-        if m.apply_and(reached, bad) != FALSE:
-            cex = m.any_sat(m.apply_and(reached, m.apply_not(good)))
-            return VerificationResult(
-                method="sis",
-                status="not_equivalent",
-                seconds=time.perf_counter() - start,
-                iterations=iterations,
-                peak_nodes=m.num_nodes,
-                counterexample=cex,
-                detail="outputs differ on a reachable state",
-                stats={**m.op_stats(), **opt_stats},
-            )
-        return VerificationResult(
-            method="sis",
-            status="equivalent",
-            seconds=time.perf_counter() - start,
-            iterations=iterations,
-            peak_nodes=m.num_nodes,
-            detail=f"fixpoint after {iterations} steps, {m.num_nodes} BDD nodes",
-            stats={**m.op_stats(), **opt_stats},
-        )
-    except (TimeoutBudgetExceeded, BddBudgetExceeded) as exc:
-        return VerificationResult(
-            method="sis",
-            status="timeout",
-            seconds=time.perf_counter() - start,
-            iterations=iterations,
-            peak_nodes=m.num_nodes if m is not None else 0,
-            detail=str(exc),
-            stats={**(m.op_stats() if m is not None else {}), **opt_stats},
-        )
+    return run_engine("sis", time_budget, lambda run: traverse(run, product_fsm(
+        original, retimed, node_budget=node_budget, aig_opt=aig_opt,
+        opt_stats=run.lowering,
+    )))

@@ -1,8 +1,9 @@
 """SMV-style symbolic model checking of sequential equivalence.
 
-This is the reproduction's stand-in for the SMV column of Tables I and II.
-Equivalence of the original and the retimed circuit is phrased as an
-invariant of the synchronous product machine:
+This is the reproduction's stand-in for the SMV column of Tables I and II,
+and — under its own name in :mod:`repro.verification.fsm_compare` — for the
+SIS column too.  Equivalence of the original and the retimed circuit is
+phrased as an invariant of the synchronous product machine:
 
     AG (outputs of machine A = outputs of machine B)
 
@@ -33,19 +34,19 @@ dash ("could not be processed in reasonable time").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.netlist import Netlist
-from .bdd import FALSE, BddBudgetExceeded, BddManager
+from .bdd import FALSE, BddManager
 from .common import (
     Budget,
+    EngineRun,
     ProductFSM,
-    TimeoutBudgetExceeded,
     VerificationResult,
     declare_next_state_vars,
     product_fsm,
+    run_engine,
 )
 
 #: default bound on the BDD size (nodes) of one transition-relation cluster
@@ -69,9 +70,6 @@ class PartitionedRelation:
     pre_quantified: List[str]
     #: the full quantification set (inputs + current-state variables)
     quantify: List[str]
-
-    def total_size(self, manager: BddManager) -> int:
-        return sum(manager.size(c) for c in self.clusters)
 
 
 def partition_relation(
@@ -199,38 +197,68 @@ def forward_reachability(
     product: ProductFSM,
     relation: PartitionedRelation,
     primed: Dict[str, str],
-    budget: Optional[Budget] = None,
+    run: Optional[EngineRun] = None,
     bad_states: Optional[int] = None,
-    progress: Optional[Dict[str, int]] = None,
 ) -> Tuple[int, int, bool]:
     """Breadth-first reachability; returns (reached, iterations, hit_bad).
 
     When ``bad_states`` is given the traversal stops as soon as a bad state
-    is reached (on-the-fly invariant checking).  ``progress`` (if given)
-    tracks ``iterations`` while the loop runs, so a caller catching a
-    budget exception can still report how far the traversal got.
+    is reached (on-the-fly invariant checking).  ``run`` (if given) is the
+    engine run whose budget is polled and whose ``iterations`` count the
+    steps, so a budget overrun still reports how far the traversal got.
     """
+    run = run if run is not None else EngineRun("reachability")
     m = product.manager
     state_vars = product.all_state_vars()
     unprime = {primed[v]: v for v in state_vars}
 
     reached = product.initial_state_bdd()
     frontier = reached
-    iterations = 0
     while frontier != FALSE:
-        if progress is not None:
-            progress["iterations"] = iterations
-        if budget is not None:
-            budget.check()
+        run.budget.check()
         if bad_states is not None and m.apply_and(reached, bad_states) != FALSE:
-            return reached, iterations, True
-        image_primed = image(m, frontier, relation, budget=budget)
+            return reached, run.iterations, True
+        image_primed = image(m, frontier, relation, budget=run.budget)
         new_states = m.rename(image_primed, unprime)
         frontier = m.apply_and(new_states, m.apply_not(reached))
         reached = m.apply_or(reached, new_states)
-        iterations += 1
+        run.iterations += 1
     hit_bad = bad_states is not None and m.apply_and(reached, bad_states) != FALSE
-    return reached, iterations, hit_bad
+    return reached, run.iterations, hit_bad
+
+
+def traverse(run: EngineRun, product: ProductFSM) -> VerificationResult:
+    """Decide ``AG (outputs of A = outputs of B)`` on a compiled product.
+
+    The one traversal behind the ``smv`` and ``sis`` columns: each entry
+    point builds its product machine and hands it here.
+    """
+    m = product.manager
+    run.attach(m)
+    primed = declare_next_state_vars(product)
+    relation = build_transition_relation(product, primed)
+    run.budget.check()
+    good = product.outputs_equal_bdd()
+    # The invariant must hold for every input in every reached state, so a
+    # "bad" state is one for which *some* input violates output equality.
+    bad = m.exists(product.left.inputs, m.apply_not(good))
+    reached, iterations, hit_bad = forward_reachability(
+        product, relation, primed, run, bad_states=bad
+    )
+    if hit_bad:
+        # `bad` has the inputs quantified away, so its models say nothing
+        # about which input vector breaks equality.  reached ∧ bad ≠ ⊥
+        # implies reached ∧ ¬good ≠ ⊥, and a model of the latter carries
+        # both the state pair and the violating inputs.
+        cex = m.any_sat(m.apply_and(reached, m.apply_not(good)))
+        return run.result(
+            "not_equivalent",
+            f"bad state reached after {iterations} traversal steps", cex,
+        )
+    return run.result(
+        "equivalent",
+        f"fixpoint after {iterations} traversal steps, {m.num_nodes} BDD nodes",
+    )
 
 
 def check_equivalence(
@@ -238,7 +266,6 @@ def check_equivalence(
     retimed: Netlist,
     time_budget: Optional[float] = None,
     node_budget: Optional[int] = None,
-    cluster_size: Optional[int] = DEFAULT_CLUSTER_SIZE,
     aig_opt: bool = True,
 ) -> VerificationResult:
     """Check sequential output-equivalence of two circuits (SMV style).
@@ -246,62 +273,7 @@ def check_equivalence(
     ``aig_opt`` toggles DAG-aware AIG rewriting when the circuits are
     bit-blasted (rewriting counters join ``stats``).
     """
-    start = time.perf_counter()
-    budget = Budget(seconds=time_budget)
-    m: Optional[BddManager] = None
-    progress = {"iterations": 0}
-    opt_stats: Dict[str, int] = {}
-    try:
-        product = product_fsm(original, retimed, node_budget=node_budget,
-                              aig_opt=aig_opt, opt_stats=opt_stats)
-        m = product.manager
-        budget.arm(m)
-        primed = declare_next_state_vars(product)
-        relation = build_transition_relation(product, primed, cluster_size)
-        budget.check()
-        good = product.outputs_equal_bdd()
-        # The invariant must hold for every input in every reached state, so a
-        # "bad" state is one for which *some* input violates output equality.
-        bad = m.exists(product.left.inputs, m.apply_not(good))
-        reached, iterations, hit_bad = forward_reachability(
-            product, relation, primed, budget=budget, bad_states=bad,
-            progress=progress,
-        )
-        seconds = time.perf_counter() - start
-        if hit_bad:
-            # `bad` has the inputs quantified away, so its models say nothing
-            # about which input vector breaks equality.  reached ∧ bad ≠ ⊥
-            # implies reached ∧ ¬good ≠ ⊥, and a model of the latter carries
-            # both the state pair and the violating inputs.
-            witness_region = m.apply_and(reached, m.apply_not(good))
-            cex = m.any_sat(witness_region)
-            return VerificationResult(
-                method="smv",
-                status="not_equivalent",
-                seconds=seconds,
-                iterations=iterations,
-                peak_nodes=m.num_nodes,
-                counterexample=cex,
-                detail=f"bad state reached after {iterations} traversal steps",
-                stats={**m.op_stats(), **opt_stats},
-            )
-        return VerificationResult(
-            method="smv",
-            status="equivalent",
-            seconds=seconds,
-            iterations=iterations,
-            peak_nodes=m.num_nodes,
-            detail=f"fixpoint after {iterations} traversal steps, "
-                   f"{m.num_nodes} BDD nodes",
-            stats={**m.op_stats(), **opt_stats},
-        )
-    except (TimeoutBudgetExceeded, BddBudgetExceeded) as exc:
-        return VerificationResult(
-            method="smv",
-            status="timeout",
-            seconds=time.perf_counter() - start,
-            iterations=progress["iterations"],
-            peak_nodes=m.num_nodes if m is not None else 0,
-            detail=str(exc),
-            stats={**(m.op_stats() if m is not None else {}), **opt_stats},
-        )
+    return run_engine("smv", time_budget, lambda run: traverse(run, product_fsm(
+        original, retimed, node_budget=node_budget, aig_opt=aig_opt,
+        opt_stats=run.lowering,
+    )))

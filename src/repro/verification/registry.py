@@ -264,13 +264,13 @@ register_checker(
     "smv", model_checking.check_equivalence,
     description="SMV-style symbolic model checking (clustered transition "
                 "relation, early-quantification image, breadth-first "
-                "product traversal)",
+                "product traversal checking the invariant every step)",
     accepts=("time_budget", "node_budget", "aig_opt"),
 )
 register_checker(
     "sis", fsm_compare.check_equivalence,
-    description="SIS-style FSM comparison (per-register relation conjuncts, "
-                "on-the-fly invariant check every traversal step)",
+    description="SIS-style FSM comparison: the same product traversal as "
+                "smv, kept as a second name for the paper's SIS column",
     accepts=("time_budget", "node_budget", "aig_opt"),
 )
 register_checker(

@@ -16,8 +16,9 @@ Algorithm
 1. Both netlists must have the same primary inputs/outputs and the same
    combinational cell instances (matched by name and type) — retiming moves
    registers, it does not change the logic.  If the logic differs the
-   verifier gives up (``status = "inconclusive"``), exactly like the original
-   tool would on a compound retiming+resynthesis step.
+   verifier gives up (``status = "error"``: inconclusive, as the backend is
+   registered incomplete), exactly like the original tool would on a
+   compound retiming+resynthesis step.
 2. Build, for both circuits, the *connection graph*: nodes are combinational
    cells plus a host node for the primary inputs/outputs; each consumer pin
    contributes an edge from the combinational driver of the signal it reads,
@@ -36,12 +37,11 @@ The method is fast (linear in the netlist) but, as the paper stresses,
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits.netlist import Cell, Netlist, Register
 from ..circuits.simulate import random_input_sequence, simulate
-from .common import VerificationResult
+from .common import EngineRun, VerificationResult
 
 #: The node representing the environment (primary inputs and outputs).
 HOST = "<host>"
@@ -131,29 +131,21 @@ def check_equivalence(
     check_cycles: int = 64,
 ) -> VerificationResult:
     """Structural verification that ``retimed`` is a retiming of ``original``."""
-    start = time.perf_counter()
-
-    def done(status: str, detail: str, **stats: float) -> VerificationResult:
-        return VerificationResult(
-            method="retiming-match",
-            status=status,
-            seconds=time.perf_counter() - start,
-            detail=detail,
-            stats={k: float(v) for k, v in stats.items()},
-        )
+    run = EngineRun("match")
 
     # 1. interface and combinational structure must match
     if sorted(original.inputs) != sorted(retimed.inputs) or sorted(
         original.outputs
     ) != sorted(retimed.outputs):
-        return done("inconclusive", "primary interface differs; not a pure retiming")
+        return run.result("error", "inconclusive: primary interface differs; "
+                                   "not a pure retiming")
 
     types_a = {c.name: c.type for c in original.cells.values()}
     types_b = {c.name: c.type for c in retimed.cells.values()}
     if types_a != types_b:
-        return done(
-            "inconclusive",
-            "combinational cells differ; not a pure retiming "
+        return run.result(
+            "error",
+            "inconclusive: combinational cells differ; not a pure retiming "
             "(a general verifier is required)",
         )
 
@@ -162,7 +154,7 @@ def check_equivalence(
     edges_b = connection_graph(retimed)
     lags = recover_lags(edges_a, edges_b)
     if lags is None:
-        return done(
+        return run.result(
             "not_equivalent",
             "no consistent retiming lag assignment relates the two netlists",
         )
@@ -177,19 +169,19 @@ def check_equivalence(
         trace_b = simulate(retimed, seq)
         for t, (oa, ob) in enumerate(zip(trace_a.outputs, trace_b.outputs)):
             if oa != ob:
-                return done(
+                return run.result(
                     "not_equivalent",
                     f"outputs differ at cycle {t} on the {label} stimulus "
                     "(initial values not consistent with the retiming)",
                 )
 
     moved = sorted(name for name, lag in lags.items() if lag and name != HOST)
-    return done(
+    run.counters = lambda: {"moved_cells": float(len(moved)),
+                            "edges": float(len(edges_a))}
+    return run.result(
         "equivalent",
         "structure matches with lags "
         + (f"on {len(moved)} cells ({', '.join(moved[:6])}...)" if len(moved) > 6
            else f"{ {name: lags[name] for name in moved} }")
         + "; initial values consistent",
-        moved_cells=len(moved),
-        edges=len(edges_a),
     )

@@ -42,10 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuits.aig import Aig, lit_negated, lit_node, lit_not, lower_combinational
 from ..circuits.netlist import Netlist
 from .common import (
-    Budget,
+    EngineRun,
     TimeoutBudgetExceeded,
     VerificationResult,
     ensure_gate_level,
+    pair_cut_points,
+    run_engine,
 )
 
 
@@ -809,19 +811,14 @@ class IncrementalMiter:
 
 def miter_setup(
     gate_a: Netlist, gate_b: Netlist,
-) -> Tuple[Aig, Dict[str, List[int]], Dict[str, List[int]],
-           List[str], List[Tuple[str, int, int]]]:
+) -> Tuple[Aig, List[str], List[Tuple[str, int, int]]]:
     """Lower two gate-level circuits into one shared AIG over cut points.
 
-    Returns ``(aig, vals_a, vals_b, mismatches, compared)`` where
-    ``compared`` lists ``(label, literal_a, literal_b)`` for every shared
-    primary output and every next-state function of same-named registers.
-    Interface/structural mismatches (register sets, initial values, missing
-    outputs) are collected in ``mismatches`` exactly like the BDD tautology
-    checker, so both backends reach identical verdicts.
+    Returns ``(aig, mismatches, compared)``: the structural mismatches and
+    the compared net pairs of :func:`~repro.verification.common.pair_cut_points`,
+    with every pair mapped to its ``(label, literal_a, literal_b)``.
     """
-    if sorted(gate_a.inputs) != sorted(gate_b.inputs):
-        raise ValueError("combinational miter: input mismatch")
+    mismatches, pairs = pair_cut_points(gate_a, gate_b)
     aig = Aig(f"{gate_a.name}_vs_{gate_b.name}")
     env_a: Dict[str, List[int]] = {}
     env_b: Dict[str, List[int]] = {}
@@ -838,27 +835,9 @@ def miter_setup(
             env[reg.output] = [cut_lits[cut]]
     vals_a = lower_combinational(aig, gate_a, env_a)
     vals_b = lower_combinational(aig, gate_b, env_b)
-
-    mismatches: List[str] = []
-    compared: List[Tuple[str, int, int]] = []
-    for out in gate_a.outputs:
-        if out not in gate_b.nets:
-            mismatches.append(f"output {out} missing in second circuit")
-        else:
-            compared.append((f"output {out}", vals_a[out][0], vals_b[out][0]))
-    regs_a = {r.name: r for r in gate_a.registers.values()}
-    regs_b = {r.name: r for r in gate_b.registers.values()}
-    for name in sorted(set(regs_a) & set(regs_b)):
-        compared.append((
-            f"next-state of register {name}",
-            vals_a[regs_a[name].input][0],
-            vals_b[regs_b[name].input][0],
-        ))
-        if regs_a[name].init != regs_b[name].init:
-            mismatches.append(f"initial value of register {name}")
-    for name in sorted(set(regs_a) ^ set(regs_b)):
-        mismatches.append(f"register {name} present in only one circuit")
-    return aig, vals_a, vals_b, mismatches, compared
+    compared = [(label, vals_a[net_a][0], vals_b[net_b][0])
+                for label, net_a, net_b in pairs]
+    return aig, mismatches, compared
 
 
 def counterexample_from_model(aig: Aig, model: Dict[int, bool]) -> Dict[str, bool]:
@@ -896,77 +875,50 @@ def check_equivalence_sat(
     instead of node counts.  ``aig_opt`` toggles DAG-aware rewriting during
     bit-blasting (counters join ``stats``).
     """
-    start = time.perf_counter()
-    budget = Budget(seconds=time_budget)
-    aig: Optional[Aig] = None
-    miter: Optional[IncrementalMiter] = None
-    stats: Dict[str, float] = {}
-    try:
-        opt_stats: Dict[str, int] = {}
-        gate_a = ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
-        gate_b = ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
-        stats.update(opt_stats)
-        aig, _vals_a, _vals_b, mismatches, compared = miter_setup(gate_a, gate_b)
-        budget.check()
 
-        counterexample: Optional[Dict[str, bool]] = None
+    def body(run: EngineRun) -> VerificationResult:
+        gate_a = run.gate_level(a, aig_opt)
+        gate_b = run.gate_level(b, aig_opt)
+        aig, mismatches, compared = miter_setup(gate_a, gate_b)
+        # a dash cell carries the cost record too: how large the shared AIG
+        # grew and how far the incremental search got
+        run.counters = lambda: {"aig_nodes": float(aig.num_ands)}
+        run.budget.check()
+
         # cut-point mismatches skip the solver entirely, but the cost
         # record keeps its shape: zeroed counters, never missing keys
         miter = IncrementalMiter(aig)
-        stats.update(miter.stats())
-        if not mismatches:
-            failing: List[str] = []
-            for label, la, lb in compared:
-                budget.check()
-                model = miter.prove_equal(la, lb, deadline=budget.deadline)
-                if model is not None:
-                    failing.append(label)
-                    if counterexample is None:
-                        counterexample = miter.counterexample(model)
-            stats.update(miter.stats())
-            mismatches.extend(failing)
-            if miter.solver_calls == 0:
-                detail = (
-                    f"structurally equivalent after hashing "
-                    f"({aig.num_ands} AIG nodes, no SAT search needed)"
-                )
-            else:
-                detail = (
-                    f"{len(compared)} compared functions, "
-                    f"{int(stats['conflicts'])} conflicts / "
-                    f"{int(stats['decisions'])} decisions in "
-                    f"{int(stats['solver_calls'])} incremental calls over "
-                    f"{int(stats['vars_encoded'])} encoded of "
-                    f"{aig.num_ands} AIG nodes"
-                )
-        else:
-            detail = "; ".join(mismatches)
-
-        stats["aig_nodes"] = float(aig.num_ands)
-        seconds = time.perf_counter() - start
+        run.counters = lambda: {**miter.stats(), "aig_nodes": float(aig.num_ands)}
         if mismatches:
-            return VerificationResult(
-                method="sat", status="not_equivalent", seconds=seconds,
-                counterexample=counterexample,
-                detail="; ".join(mismatches), stats=stats,
+            return run.result("not_equivalent", "; ".join(mismatches))
+        counterexample: Optional[Dict[str, bool]] = None
+        for label, la, lb in compared:
+            run.budget.check()
+            model = miter.prove_equal(la, lb, deadline=run.budget.deadline)
+            if model is not None:
+                mismatches.append(label)
+                if counterexample is None:
+                    counterexample = miter.counterexample(model)
+        if mismatches:
+            return run.result("not_equivalent", "; ".join(mismatches), counterexample)
+        stats = miter.stats()
+        if miter.solver_calls == 0:
+            detail = (
+                f"structurally equivalent after hashing "
+                f"({aig.num_ands} AIG nodes, no SAT search needed)"
             )
-        return VerificationResult(
-            method="sat", status="equivalent", seconds=seconds,
-            detail=detail, stats=stats,
-        )
-    except TimeoutBudgetExceeded as exc:
-        # even a dash cell carries the structured cost record (PR-4
-        # convention): how large the shared AIG grew and how far the
-        # incremental search got before the budget hit
-        if miter is not None:
-            stats.update(miter.stats())
-        if aig is not None:
-            stats.setdefault("aig_nodes", float(aig.num_ands))
-        return VerificationResult(
-            method="sat", status="timeout",
-            seconds=time.perf_counter() - start, detail=str(exc),
-            stats=stats,
-        )
+        else:
+            detail = (
+                f"{len(compared)} compared functions, "
+                f"{int(stats['conflicts'])} conflicts / "
+                f"{int(stats['decisions'])} decisions in "
+                f"{int(stats['solver_calls'])} incremental calls over "
+                f"{int(stats['vars_encoded'])} encoded of "
+                f"{aig.num_ands} AIG nodes"
+            )
+        return run.result("equivalent", detail)
+
+    return run_engine("sat", time_budget, body)
 
 
 def is_tautology_sat(netlist: Netlist, output: Optional[str] = None,

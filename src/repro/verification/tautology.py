@@ -34,7 +34,6 @@ solver instead of BDDs or case enumeration.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits.netlist import Netlist
@@ -45,13 +44,16 @@ from ..logic.kernel import KernelError, Theorem, inference_steps
 from ..logic.rules import RuleError, equal_by_normalisation
 from ..logic.stdlib import ensure_stdlib
 from ..logic.terms import Term, Var, mk_tuple, var_subst
-from .bdd import FALSE, TRUE, BddBudgetExceeded, BddManager
+from .bdd import FALSE, TRUE, BddManager
 from .common import (
-    Budget,
+    EngineRun,
     TimeoutBudgetExceeded,
     VerificationResult,
+    _cell_bdd,
     compile_fsm,
     ensure_gate_level,
+    pair_cut_points,
+    run_engine,
 )
 
 
@@ -113,18 +115,13 @@ def combinational_equivalent(
     of all ``n`` shard verdicts equals the unsharded verdict, with each
     shard's BDDs correspondingly smaller.
     """
-    start = time.perf_counter()
-    budget = Budget(seconds=time_budget)
-    manager: Optional[BddManager] = None
-    opt_stats: Dict[str, int] = {}
-    try:
-        gate_a = ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
-        gate_b = ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
-        manager = BddManager(node_budget=node_budget)
-        budget.arm(manager)
 
-        if sorted(gate_a.inputs) != sorted(gate_b.inputs):
-            raise ValueError("combinational_equivalent: input mismatch")
+    def body(run: EngineRun) -> VerificationResult:
+        gate_a = run.gate_level(a, aig_opt)
+        gate_b = run.gate_level(b, aig_opt)
+        manager = BddManager(node_budget=node_budget)
+        run.attach(manager)
+        mismatches, compared = pair_cut_points(gate_a, gate_b)
 
         # shared input variables; register outputs keyed by register name so
         # that same-named registers become the same cut-point variable.
@@ -141,12 +138,10 @@ def combinational_equivalent(
         )
         fixed = _shard_prefix(cofactor_vars, shard)
         if fixed is None:
-            return VerificationResult(
-                method="tautology", status="equivalent",
-                seconds=time.perf_counter() - start,
-                detail=f"empty shard {shard[0] + 1}/{shard[1]} "
-                       f"(only {len(cofactor_vars)} prefix bits)",
-                stats={**manager.op_stats(), **opt_stats},
+            return run.result(
+                "equivalent",
+                f"empty shard {shard[0] + 1}/{shard[1]} "
+                f"(only {len(cofactor_vars)} prefix bits)",
             )
 
         def bdd_of(name: str) -> int:
@@ -160,40 +155,21 @@ def combinational_equivalent(
                 values[name] = bdd_of(name)
             for reg in gate.registers.values():
                 values[reg.output] = bdd_of(f"cut.{reg.name}")
-            from .common import _cell_bdd
-
             for cell in gate.topological_cells():
-                budget.check()
+                run.budget.check()
                 values[cell.output] = _cell_bdd(manager, cell, values)
             return values
 
         vals_a = net_functions(gate_a)
         vals_b = net_functions(gate_b)
 
-        mismatches = []
         witness = None  # BDD separating the first pair of unequal functions
-        for out in gate_a.outputs:
-            if out not in gate_b.nets:
-                mismatches.append(f"output {out} missing in second circuit")
-            elif vals_a[out] != vals_b[out]:
-                mismatches.append(f"output {out}")
+        for label, net_a, net_b in compared:
+            if vals_a[net_a] != vals_b[net_b]:
+                mismatches.append(label)
                 if witness is None:
-                    witness = manager.apply_xor(vals_a[out], vals_b[out])
-        regs_a = {r.name: r for r in gate_a.registers.values()}
-        regs_b = {r.name: r for r in gate_b.registers.values()}
-        for name in sorted(set(regs_a) & set(regs_b)):
-            if vals_a[regs_a[name].input] != vals_b[regs_b[name].input]:
-                mismatches.append(f"next-state of register {name}")
-                if witness is None:
-                    witness = manager.apply_xor(
-                        vals_a[regs_a[name].input], vals_b[regs_b[name].input]
-                    )
-            if regs_a[name].init != regs_b[name].init:
-                mismatches.append(f"initial value of register {name}")
-        for name in sorted(set(regs_a) ^ set(regs_b)):
-            mismatches.append(f"register {name} present in only one circuit")
+                    witness = manager.apply_xor(vals_a[net_a], vals_b[net_b])
 
-        seconds = time.perf_counter() - start
         shard_note = ("" if not fixed else
                       f" [shard {shard[0] + 1}/{shard[1]}: "
                       f"{len(fixed)}-bit prefix cofactor]")
@@ -203,34 +179,15 @@ def combinational_equivalent(
                 # the witness separates the *cofactors*: pin the fixed
                 # prefix bits so the replayed assignment stays separating
                 counterexample = {**manager.any_sat(witness), **fixed}
-            return VerificationResult(
-                method="tautology",
-                status="not_equivalent",
-                seconds=seconds,
-                peak_nodes=manager.num_nodes,
-                counterexample=counterexample,
-                detail="; ".join(mismatches) + shard_note,
-                stats={**manager.op_stats(), **opt_stats},
-            )
-        return VerificationResult(
-            method="tautology",
-            status="equivalent",
-            seconds=seconds,
-            peak_nodes=manager.num_nodes,
-            detail="all outputs and next-state functions agree "
-                   f"({manager.num_nodes} BDD nodes)" + shard_note,
-            stats={**manager.op_stats(), **opt_stats},
+            return run.result("not_equivalent", "; ".join(mismatches) + shard_note,
+                              counterexample)
+        return run.result(
+            "equivalent",
+            "all outputs and next-state functions agree "
+            f"({manager.num_nodes} BDD nodes)" + shard_note,
         )
-    except (TimeoutBudgetExceeded, BddBudgetExceeded) as exc:
-        return VerificationResult(
-            method="tautology",
-            status="timeout",
-            seconds=time.perf_counter() - start,
-            peak_nodes=manager.num_nodes if manager is not None else 0,
-            detail=str(exc),
-            stats={**(manager.op_stats() if manager is not None else {}),
-                   **opt_stats},
-        )
+
+    return run_engine("taut", time_budget, body)
 
 
 def is_tautology_by_sat(netlist: Netlist, output: Optional[str] = None,
@@ -280,40 +237,27 @@ def _net_terms(gate: Netlist) -> Tuple[Dict[str, Term], List[str]]:
     return values, var_names
 
 
-def _assignments(names: List[str]):
-    """All boolean assignments to ``names`` (one dict per vector)."""
-    for bits in range(1 << len(names)):
-        yield {name: bool((bits >> i) & 1) for i, name in enumerate(names)}
-
-
 def _shard_assignments(names: List[str], shard):
     """Assignments whose low prefix bits spell this shard's index.
 
-    With ``shard=(k, n)`` (``n = 2^p``) only the assignments whose first
-    ``p`` variables (low bit positions of the enumeration counter) equal
-    the bits of ``k`` are yielded — a contiguous index-range slice of the
-    full enumeration order, so the ``n`` shards partition the vector space
-    exactly.  ``shard=None`` degrades to :func:`_assignments`.  Returns
-    ``(generator, vectors_in_shard)``; empty surplus shards (more shards
-    than prefix values) yield nothing.
+    With ``shard=(k, n)`` only the assignments extending the shard's fixed
+    prefix (:func:`_shard_prefix`) are yielded, in enumeration order — a
+    contiguous index-range slice of the full enumeration, so the ``n``
+    shards partition the vector space exactly; ``shard=None`` yields every
+    assignment.  Returns ``(generator, vectors_in_shard)``; empty surplus
+    shards (more shards than prefix values) yield nothing.
     """
-    if shard is None:
-        return _assignments(names), 1 << len(names)
-    index, count = shard
-    if not 0 <= index < count:
-        raise ValueError(f"invalid shard {shard!r}")
-    if count & (count - 1):
-        raise ValueError(f"shard count must be a power of two, got {count}")
-    p = min((count - 1).bit_length(), len(names))
-    if index >= (1 << p):
+    fixed = _shard_prefix(names, shard)
+    if fixed is None:
         return iter(()), 0
+    free = names[len(fixed):]
 
     def generate():
-        for j in range(1 << (len(names) - p)):
-            bits = index | (j << p)
-            yield {name: bool((bits >> i) & 1) for i, name in enumerate(names)}
+        for bits in range(1 << len(free)):
+            yield {**fixed,
+                   **{name: bool((bits >> i) & 1) for i, name in enumerate(free)}}
 
-    return generate(), 1 << (len(names) - p)
+    return generate(), 1 << len(free)
 
 
 def _eval_under(term: Term, assignment: Dict[str, bool]) -> Theorem:
@@ -344,7 +288,7 @@ def is_tautology_by_rewriting(
             f"budget of {max_vectors}"
         )
     out_term = values[output or gate.outputs[0]]
-    for assignment in _assignments(var_names):
+    for assignment in _shard_assignments(var_names, None)[0]:
         th = _eval_under(out_term, assignment)
         if not th.rhs.is_const("T"):
             return False
@@ -374,29 +318,13 @@ def combinational_equivalent_by_rewriting(
     the ``max_vectors`` bound then applies per shard, which is exactly how
     sharding opens circuits the unsharded enumeration refuses.
     """
-    start = time.perf_counter()
     ensure_stdlib()  # one-time theory setup is not this cell's kernel work
     steps_before = inference_steps()
-    try:
+
+    def body(run: EngineRun) -> VerificationResult:
         gate_a = ensure_gate_level(a)
         gate_b = ensure_gate_level(b)
-        if sorted(gate_a.inputs) != sorted(gate_b.inputs):
-            raise ValueError("combinational_equivalent_by_rewriting: input mismatch")
-
-        regs_a = {r.name: r for r in gate_a.registers.values()}
-        regs_b = {r.name: r for r in gate_b.registers.values()}
-        mismatches = [
-            f"register {name} present in only one circuit"
-            for name in sorted(set(regs_a) ^ set(regs_b))
-        ]
-        for name in sorted(set(regs_a) & set(regs_b)):
-            if regs_a[name].init != regs_b[name].init:
-                mismatches.append(f"initial value of register {name}")
-        mismatches += [
-            f"output {name} present in only one circuit"
-            for name in sorted(set(gate_a.outputs) ^ set(gate_b.outputs))
-        ]
-
+        mismatches, compared = pair_cut_points(gate_a, gate_b)
         vals_a, names_a = _net_terms(gate_a)
         vals_b, names_b = _net_terms(gate_b)
         var_names = sorted(set(names_a) | set(names_b))
@@ -404,42 +332,21 @@ def combinational_equivalent_by_rewriting(
         if shard_vectors > max_vectors:
             over = (f"2^{len(var_names)}" if shard is None else
                     f"this shard's {shard_vectors}")
-            return VerificationResult(
-                method="tautology-rw",
-                status="timeout",
-                seconds=time.perf_counter() - start,
-                detail=f"{over} vectors exceed the budget of {max_vectors}",
-            )
+            raise TimeoutBudgetExceeded(
+                f"{over} vectors exceed the budget of {max_vectors}")
 
-        # compare by *name*, not declaration order, like the BDD checker:
-        # shared outputs then shared next-state functions, in sorted order
-        shared_outputs = sorted(set(gate_a.outputs) & set(gate_b.outputs))
-        shared_regs = sorted(set(regs_a) & set(regs_b))
-
-        def compared_terms(gate: Netlist, values: Dict[str, Term]) -> Term:
-            regs = {r.name: r for r in gate.registers.values()}
-            parts = [values[o] for o in shared_outputs]
-            parts += [values[regs[n].input] for n in shared_regs]
-            return mk_tuple(parts)
-
-        term_a = compared_terms(gate_a, vals_a)
-        term_b = compared_terms(gate_b, vals_b)
+        term_a = mk_tuple([vals_a[net_a] for _, net_a, _ in compared])
+        term_b = mk_tuple([vals_b[net_b] for _, _, net_b in compared])
 
         theorems = 0
+        run.counters = lambda: {
+            "vectors": float(theorems),
+            "kernel_steps": float(inference_steps() - steps_before),
+        }
         counterexample: Optional[Dict[str, bool]] = None
         if not mismatches:
             for assignment in assignments:
-                if time_budget is not None and time.perf_counter() - start > time_budget:
-                    return VerificationResult(
-                        method="tautology-rw",
-                        status="timeout",
-                        seconds=time.perf_counter() - start,
-                        detail=f"time budget exhausted after {theorems} vectors",
-                        stats={
-                            "vectors": float(theorems),
-                            "kernel_steps": float(inference_steps() - steps_before),
-                        },
-                    )
+                run.budget.check()
                 th_a = _eval_under(term_a, assignment)
                 th_b = _eval_under(term_b, assignment)
                 try:
@@ -453,34 +360,20 @@ def combinational_equivalent_by_rewriting(
                     break
                 theorems += 1
 
-        seconds = time.perf_counter() - start
-        stats = {
-            "vectors": float(theorems),
-            "kernel_steps": float(inference_steps() - steps_before),
-        }
         if mismatches:
-            return VerificationResult(
-                method="tautology-rw",
-                status="not_equivalent",
-                seconds=seconds,
-                counterexample=counterexample,
-                detail="; ".join(mismatches),
-                stats=stats,
-            )
+            return run.result("not_equivalent", "; ".join(mismatches), counterexample)
         shard_note = ("" if shard is None else
                       f" [shard {shard[0] + 1}/{shard[1]}]")
-        return VerificationResult(
-            method="tautology-rw",
-            status="equivalent",
-            seconds=seconds,
-            detail=f"{theorems} kernel-checked case theorems "
-                   f"over {len(var_names)} input/cut bits" + shard_note,
-            stats=stats,
+        return run.result(
+            "equivalent",
+            f"{theorems} kernel-checked case theorems "
+            f"over {len(var_names)} input/cut bits" + shard_note,
         )
-    except (ConvError, KernelError, ValueError) as exc:
-        return VerificationResult(
-            method="tautology-rw",
-            status="error",
-            seconds=time.perf_counter() - start,
-            detail=str(exc),
-        )
+
+    def guarded(run: EngineRun) -> VerificationResult:
+        try:
+            return body(run)
+        except (ConvError, KernelError, ValueError) as exc:
+            return run.result("error", str(exc))
+
+    return run_engine("taut-rw", time_budget, guarded)

@@ -13,7 +13,8 @@ value at every time point — by a simulation-guided induction:
    next-state functions); candidates that fail are dropped and the step is
    repeated until the set is inductively closed,
 4. the circuits are equivalent if every pair of corresponding primary
-   outputs survives.
+   outputs survives; otherwise the check is inconclusive (``error``) —
+   the induction yields no counterexample to certify.
 
 Retimed circuits are the ideal target: the moved register of the retimed
 circuit corresponds to an internal net of the original (for Figure 2, the
@@ -33,19 +34,12 @@ is the difference between the Eijk and Eijk+ columns.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits.netlist import Netlist
 from ..circuits.simulate import bit_parallel_signatures
-from .bdd import FALSE, TRUE, BddBudgetExceeded, BddManager
-from .common import (
-    Budget,
-    TimeoutBudgetExceeded,
-    VerificationResult,
-    ensure_gate_level,
-    product_fsm,
-)
+from .bdd import FALSE, TRUE
+from .common import EngineRun, VerificationResult, product_fsm, run_engine
 
 
 def _simulation_signatures(
@@ -90,20 +84,20 @@ def check_equivalence(
     ``exploit_dependencies=False`` reproduces the "Eijk" column,
     ``exploit_dependencies=True`` the "Eijk+" column.  ``aig_opt`` toggles
     DAG-aware rewriting during bit-blasting (counters join ``stats``).
+
+    The method is incomplete: when the induction closes without the output
+    pairs corresponding, the result is ``error`` (inconclusive), never an
+    unwitnessed ``not_equivalent``.
     """
-    method = "eijk+" if exploit_dependencies else "eijk"
-    start = time.perf_counter()
-    budget = Budget(seconds=time_budget)
-    m: Optional[BddManager] = None
-    iterations = 0
-    opt_stats: Dict[str, int] = {}
-    try:
-        gate_a = ensure_gate_level(original, opt=aig_opt, stats=opt_stats)
-        gate_b = ensure_gate_level(retimed, opt=aig_opt, stats=opt_stats)
+
+    def body(run: EngineRun) -> VerificationResult:
+        gate_a = run.gate_level(original, aig_opt)
+        gate_b = run.gate_level(retimed, aig_opt)
 
         product = product_fsm(gate_a, gate_b, node_budget=node_budget)
         m = product.manager
-        budget.arm(m)
+        run.attach(m)
+        budget = run.budget
         left, right = product.left, product.right
         fn = {"A": dict(left.net_fns), "B": dict(right.net_fns)}
         regs = {
@@ -218,7 +212,7 @@ def check_equivalence(
 
         while True:
             budget.check()
-            iterations += 1
+            run.iterations += 1
             # Assumption: every class member equals its representative at time t.
             assume = TRUE
             for group in classes:
@@ -249,7 +243,6 @@ def check_equivalence(
             if not changed:
                 break
 
-        seconds = time.perf_counter() - start
         class_of: Dict[Tuple[str, str], int] = {}
         for idx, group in enumerate(classes):
             for node in group:
@@ -260,37 +253,22 @@ def check_equivalence(
         )
         detail = (
             f"{sum(len(g) for g in classes)} corresponding signals in "
-            f"{len(classes)} classes after {iterations} refinement rounds"
+            f"{len(classes)} classes after {run.iterations} refinement rounds"
         )
         if exploit_dependencies:
             detail += f", {merged_vars} dependent registers eliminated"
-        stats = {**m.op_stats(), **opt_stats}
-        stats.update({
+        run.counters = lambda: {
             "corresponding_signals": float(sum(len(g) for g in classes)),
             "classes": float(len(classes)),
             "merged_registers": float(merged_vars),
-        })
+        }
         if proved:
-            return VerificationResult(
-                method=method, status="equivalent", seconds=seconds,
-                iterations=iterations, peak_nodes=m.num_nodes, detail=detail,
-                stats=stats,
-            )
-        return VerificationResult(
-            method=method, status="not_equivalent", seconds=seconds,
-            iterations=iterations, peak_nodes=m.num_nodes,
-            detail="output correspondence not inductively provable "
-                   "(incomplete method or genuinely inequivalent); " + detail,
-            stats=stats,
+            return run.result("equivalent", detail)
+        return run.result(
+            "error",
+            "inconclusive: output correspondence not inductively provable "
+            "(incomplete method, no counterexample); " + detail,
         )
-    except (TimeoutBudgetExceeded, BddBudgetExceeded) as exc:
-        # even a dash cell carries the structured cost record: how far the
-        # induction got and how large the manager grew before the budget hit
-        return VerificationResult(
-            method=method, status="timeout",
-            seconds=time.perf_counter() - start,
-            iterations=iterations,
-            peak_nodes=m.num_nodes if m is not None else 0,
-            detail=str(exc),
-            stats={**(m.op_stats() if m is not None else {}), **opt_stats},
-        )
+
+    method = "eijk+" if exploit_dependencies else "eijk"
+    return run_engine(method, time_budget, body)

@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.circuits.netlist import Netlist
 from repro.eval.cache import (
-    CACHEABLE_STATUSES,
+    CACHEABLE_VERDICTS,
     ResultCache,
     cell_key,
     measurement_from_dict,
@@ -149,9 +149,9 @@ class TestCellKeyDeterminism:
         # about the stats payload can reach it
         assert key == cell_key(w, "fraig", 10.0, 1000, salt="golden-salt")
 
-        old = Measurement("w", "fraig", "ok", 1.0,
+        old = Measurement("w", "fraig", "equivalent", 1.0,
                           stats={"decisions": 3.0, "sat_calls": 2.0})
-        new = Measurement("w", "fraig", "ok", 1.0,
+        new = Measurement("w", "fraig", "equivalent", 1.0,
                           stats={"decisions": 3.0, "sat_calls": 2.0,
                                  "solver_calls": 2.0, "restarts": 0.0,
                                  "learned_kept": 5.0, "learned_deleted": 1.0,
@@ -208,8 +208,8 @@ class TestMeasurementRoundTrip:
 
 
 class TestResultCache:
-    def _m(self, status="ok", seconds=1.0):
-        return Measurement("w", "m", status, seconds, stats={"kernel_steps": 3.0})
+    def _m(self, verdict="equivalent", seconds=1.0):
+        return Measurement("w", "m", verdict, seconds, stats={"kernel_steps": 3.0})
 
     def test_memory_round_trip_and_counters(self):
         cache = ResultCache()
@@ -220,14 +220,14 @@ class TestResultCache:
 
     def test_failed_measurements_are_never_cached(self):
         cache = ResultCache()
-        assert cache.store("k", self._m(status="failed")) is False
+        assert cache.store("k", self._m(verdict="error")) is False
         assert cache.lookup("k") is None
-        assert "failed" not in CACHEABLE_STATUSES
+        assert "error" not in CACHEABLE_VERDICTS
 
     def test_timeout_measurements_are_cached(self):
         cache = ResultCache()
-        assert cache.store("k", self._m(status="timeout")) is True
-        assert cache.lookup("k").status == "timeout"
+        assert cache.store("k", self._m(verdict="timeout")) is True
+        assert cache.lookup("k").verdict == "timeout"
 
     def test_lru_eviction_in_memory(self):
         cache = ResultCache(max_memory_entries=2)
@@ -262,6 +262,36 @@ class TestResultCache:
         (tmp_path / "cache" / ("y" * 8 + ".json")).write_text(json.dumps(entry))
         assert cache.lookup("y" * 8) is None
         assert cache.misses == 2
+
+    def test_entries_that_also_carry_a_status_still_hit(self, tmp_path):
+        # the on-disk shape written while cells carried both a ``status``
+        # and a ``verdict``: the verdict is read, the status ignored
+        (tmp_path / "cache").mkdir()
+        entries = {
+            "k" * 8: ('{"key": "kkkkkkkk", "measurement": {"counterexample": '
+                      'null, "detail": "", "method": "sis", "seconds": 0.5, '
+                      '"stats": {"ite_calls": 164.0}, "status": "ok", '
+                      '"verdict": "equivalent", "workload": "w"}, "salt": "s"}'),
+            "t" * 8: ('{"key": "tttttttt", "measurement": {"counterexample": '
+                      'null, "detail": "killed", "method": "sis", "seconds": '
+                      '20.0, "stats": {}, "status": "timeout", "verdict": '
+                      '"timeout", "workload": "w"}, "salt": "s"}'),
+        }
+        for key, text in entries.items():
+            (tmp_path / "cache" / (key + ".json")).write_text(text + "\n")
+        cache = ResultCache(directory=str(tmp_path / "cache"), salt="s")
+        assert cache.lookup("k" * 8) == Measurement(
+            "w", "sis", "equivalent", 0.5, stats={"ite_calls": 164.0})
+        assert cache.lookup("t" * 8) == Measurement(
+            "w", "sis", "timeout", 20.0, detail="killed")
+        assert (cache.hits, cache.misses) == (2, 0)
+
+    def test_verdict_outside_the_vocabulary_is_a_miss(self, tmp_path):
+        cache = ResultCache(directory=str(tmp_path / "cache"))
+        entry = {"measurement": measurement_to_dict(self._m())}
+        entry["measurement"]["verdict"] = "ok"
+        (tmp_path / "cache" / ("v" * 8 + ".json")).write_text(json.dumps(entry))
+        assert cache.lookup("v" * 8) is None
 
     @pytest.mark.parametrize("value", ["sis", None, [1.0], {"k": 1.0}],
                              ids=["string", "null", "list", "object"])
@@ -332,8 +362,8 @@ class TestRunCellsWithCache:
         run_cells(specs, cache=cache)
         events = []
         run_cells(specs, cache=cache,
-                  on_result=lambda i, m: events.append((i, m.status)))
-        assert events == [(0, "ok")]
+                  on_result=lambda i, m: events.append((i, m.verdict)))
+        assert events == [(0, "equivalent")]
 
     def test_no_cache_means_every_run_computes(self):
         specs = [CellSpec(_golden_workload(), "stub-count", time_budget=5.0)]

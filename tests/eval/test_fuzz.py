@@ -148,9 +148,8 @@ class TestMethodApplies:
 
 def _measurement(verdict, cex=None, certified=None, detail=""):
     stats = {} if certified is None else {"cex_certified": certified}
-    return Measurement(workload="w", method="m", status="x", seconds=0.0,
-                       verdict=verdict, counterexample=cex, stats=stats,
-                       detail=detail)
+    return Measurement(workload="w", method="m", verdict=verdict, seconds=0.0,
+                       counterexample=cex, stats=stats, detail=detail)
 
 
 class TestViolationOf:
@@ -213,6 +212,20 @@ class TestCleanSweep:
         assert "EQ" in out and "NEQ" in out
         assert "violations: 0" in out
         assert "=" in out and "!=" in out
+
+    @pytest.mark.parametrize("method", ["eijk", "eijk+"])
+    def test_van_eijk_never_claims_an_unwitnessed_refutation(self, method):
+        # an induction that does not close is inconclusive (error), which
+        # the oracle accepts from an incomplete method; a bare
+        # not_equivalent would be an uncertified refutation
+        checker = get_checker(method)
+        assert not checker.complete
+        for spec in make_specs(6, seed=0):
+            cell = build_cell(spec)
+            measurement = run_cell(cell.workload, method, time_budget=30.0)
+            assert violation_of(checker, cell.expected, measurement) is None
+            if cell.expected == "not_equivalent":
+                assert measurement.verdict in ("error", "timeout")
 
     @needs_fork
     def test_table_is_identical_serial_and_parallel(self):

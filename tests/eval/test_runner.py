@@ -13,6 +13,7 @@ from repro.circuits.generators import counter
 from repro.eval.runner import (
     CellSpec,
     Measurement,
+    Row,
     method_checker,
     render_table,
     run_cell,
@@ -93,7 +94,7 @@ def tiny_workload():
 
 class TestMeasurementRender:
     def test_ok_renders_seconds(self):
-        m = Measurement("w", "m", "ok", 1.2345)
+        m = Measurement("w", "m", "equivalent", 1.2345)
         assert m.render() == "1.23"
         assert m.render(precision=3) == "1.234"
 
@@ -101,29 +102,52 @@ class TestMeasurementRender:
         assert Measurement("w", "m", "timeout", 60.0).render() == "-"
 
     def test_failed_renders_question_mark(self):
-        assert Measurement("w", "m", "failed", 0.1).render() == "?"
+        assert Measurement("w", "m", "error", 0.1).render() == "?"
+
+    def test_refutation_renders_apart_from_a_crash(self, tiny_workload):
+        assert Measurement("w", "m", "not_equivalent", 0.1).render() == "!="
+        row = Row(workload=tiny_workload, cells={
+            "refuted": Measurement("w", "refuted", "not_equivalent", 0.1),
+            "crashed": Measurement("w", "crashed", "error", 0.1),
+        })
+        text = render_table([row], ["refuted", "crashed"], title="t")
+        assert text.splitlines()[4].split()[-2:] == ["!=", "?"]
+        assert "'!=' = not equivalent" in text
+
+    def test_legend_names_refutations_only_when_present(self, tiny_workload):
+        row = Row(workload=tiny_workload, cells={
+            "ok": Measurement("w", "ok", "equivalent", 0.1),
+            "crashed": Measurement("w", "crashed", "error", 0.1),
+        })
+        text = render_table([row], ["ok", "crashed"], title="t")
+        assert "'!='" not in text
+
+    def test_unknown_verdict_is_rejected(self):
+        for verdict in ("ok", "failed", "inconclusive", ""):
+            with pytest.raises(ValueError):
+                Measurement("w", "m", verdict, 0.1)
 
 
 class TestRunCellPaths:
     def test_ok_path_copies_structured_stats(self, tiny_workload):
         m = run_cell(tiny_workload, "stub-ok")
-        assert (m.status, m.seconds) == ("ok", 1.23)
+        assert (m.verdict, m.seconds) == ("equivalent", 1.23)
         assert m.stats["kernel_steps"] == 42.0
 
     def test_cooperative_timeout_path(self, tiny_workload):
         m = run_cell(tiny_workload, "stub-to", time_budget=7.0)
-        assert m.status == "timeout"
+        assert m.verdict == "timeout"
         assert m.seconds == 7.0
 
     def test_verification_error_becomes_failed_cell(self, tiny_workload):
         # the PR-3 bugfix: a raising checker must not abort the table run
         m = run_cell(tiny_workload, "stub-raise")
-        assert m.status == "failed"
+        assert m.verdict == "error"
         assert "VerificationError" in m.detail and "boom" in m.detail
 
     def test_unexpected_exception_becomes_failed_cell(self, tiny_workload):
         m = run_cell(tiny_workload, "stub-crash")
-        assert m.status == "failed"
+        assert m.verdict == "error"
         assert "RuntimeError" in m.detail
 
     def test_interface_mismatch_becomes_failed_cell(self, tiny_workload):
@@ -131,13 +155,13 @@ class TestRunCellPaths:
         bad = Workload(name="bad", original=tiny_workload.original,
                        cut=tiny_workload.cut, retimed=counter(2))
         m = run_cell(bad, "smv", time_budget=10)
-        assert m.status == "failed"
+        assert m.verdict == "error"
         assert "mismatch" in m.detail
 
     def test_node_budget_overrun_is_a_timeout(self):
         workload = table1_workload(8)
         m = run_cell(workload, "smv", time_budget=60, node_budget=100)
-        assert m.status == "timeout"
+        assert m.verdict == "timeout"
         assert "node" in m.detail.lower()
 
     def test_unknown_method_raises_eagerly(self, tiny_workload):
@@ -187,7 +211,7 @@ class TestIsolatedExecution:
         (m,) = run_cells([CellSpec(tiny_workload, "stub-sleep", time_budget=1.0)],
                          jobs=1, isolate=True)
         elapsed = time.monotonic() - start
-        assert m.status == "timeout"
+        assert m.verdict == "timeout"
         assert "wall-clock" in m.detail
         assert m.seconds == 1.0
         # killed promptly (budget + grace + scheduling slack), nowhere near
@@ -197,7 +221,7 @@ class TestIsolatedExecution:
     def test_dead_worker_reported_as_failed(self, tiny_workload):
         (m,) = run_cells([CellSpec(tiny_workload, "stub-die", time_budget=10.0)],
                          jobs=1, isolate=True)
-        assert m.status == "failed"
+        assert m.verdict == "error"
         assert "exit code 3" in m.detail
 
     def test_results_follow_submission_order_not_completion_order(self, tiny_workload):
@@ -207,7 +231,7 @@ class TestIsolatedExecution:
         ]
         results = run_cells(specs, jobs=2, isolate=True)
         assert [m.method for m in results] == ["stub-sleep", "stub-ok"]
-        assert [m.status for m in results] == ["timeout", "ok"]
+        assert [m.verdict for m in results] == ["timeout", "equivalent"]
 
     def test_parallel_requires_isolation(self, tiny_workload):
         with pytest.raises(ValueError, match="isolate"):
@@ -238,7 +262,7 @@ class TestRowAssembly:
     def test_run_row_in_process(self, tiny_workload):
         row = run_row(tiny_workload, ["stub-ok", "stub-to"], time_budget=2.0)
         assert set(row.cells) == {"stub-ok", "stub-to"}
-        assert row.cell("stub-ok").status == "ok"
+        assert row.cell("stub-ok").verdict == "equivalent"
 
     @needs_fork
     def test_run_rows_reassembles_by_workload(self):
@@ -251,7 +275,7 @@ class TestRowAssembly:
 class TestRealBackendsThroughRunner:
     def test_hash_records_kernel_steps(self, tiny_workload):
         m = run_cell(tiny_workload, "hash")
-        assert m.status == "ok"
+        assert m.verdict == "equivalent"
         assert m.stats["kernel_steps"] > 0
 
     @needs_fork
@@ -260,7 +284,7 @@ class TestRealBackendsThroughRunner:
         methods = ["sis", "smv", "match", "hash"]
         in_proc = run_row(workload, methods, time_budget=30)
         isolated = run_row(workload, methods, time_budget=30, jobs=4, isolate=True)
-        assert {m: c.status for m, c in in_proc.cells.items()} == \
-               {m: c.status for m, c in isolated.cells.items()}
+        assert {m: c.verdict for m, c in in_proc.cells.items()} == \
+               {m: c.verdict for m, c in isolated.cells.items()}
         assert in_proc.cells["hash"].stats["kernel_steps"] == \
                isolated.cells["hash"].stats["kernel_steps"]

@@ -108,7 +108,7 @@ class TestWorkerPool:
         with WorkerPool(2) as pool:
             results = pool.run(
                 list(enumerate(_specs(tiny_workload, ["svc-ok", "svc-ok"]))))
-            assert {m.status for m in results.values()} == {"ok"}
+            assert {m.verdict for m in results.values()} == {"equivalent"}
             assert pool.cells_run == 2
             assert pool.recycled == 0
 
@@ -121,7 +121,7 @@ class TestWorkerPool:
             results = pool.run(
                 [(0, CellSpec(tiny_workload, "svc-sleep", time_budget=0.3))])
             killed = results[0]
-            assert killed.status == "timeout"
+            assert killed.verdict == "timeout"
             assert killed.render() == "-"
             assert "wall-clock" in killed.detail
             assert pool.recycled == 1
@@ -129,7 +129,7 @@ class TestWorkerPool:
             assert pool.worker_pids() != pids_before
             again = pool.run(
                 [(0, CellSpec(tiny_workload, "svc-ok", time_budget=60.0))])
-            assert again[0].status == "ok"
+            assert again[0].verdict == "equivalent"
             assert again[0].seconds == 1.23
 
     def test_deterministic_crasher_fails_after_one_retry(self, tiny_workload):
@@ -138,7 +138,7 @@ class TestWorkerPool:
         with WorkerPool(1, retry_backoff=0.01) as pool:
             results = pool.run(
                 [(0, CellSpec(tiny_workload, "svc-die", time_budget=60.0))])
-            assert results[0].status == "failed"
+            assert results[0].verdict == "error"
             assert "exit code 3" in results[0].detail
             assert "retried once" in results[0].detail
             assert results[0].stats["retries"] == 1.0
@@ -146,7 +146,7 @@ class TestWorkerPool:
             assert pool.retries == 1
             again = pool.run(
                 [(0, CellSpec(tiny_workload, "svc-ok", time_budget=60.0))])
-            assert again[0].status == "ok"
+            assert again[0].verdict == "equivalent"
 
     def test_crash_once_cell_succeeds_on_retry(self, tiny_workload, tmp_path,
                                                monkeypatch):
@@ -154,7 +154,7 @@ class TestWorkerPool:
         with WorkerPool(1, retry_backoff=0.01) as pool:
             results = pool.run(
                 [(0, CellSpec(tiny_workload, "svc-flaky", time_budget=60.0))])
-            assert results[0].status == "ok"
+            assert results[0].verdict == "equivalent"
             assert results[0].detail == "survived the retry"
             assert results[0].stats["retries"] == 1.0
             assert pool.recycled == 1
@@ -169,7 +169,7 @@ class TestWorkerPool:
                  (2, CellSpec(tiny_workload, "svc-ok", time_budget=60.0))]
         with WorkerPool(2, retry_backoff=0.01) as pool:
             results = pool.run(specs)
-            assert [results[i].status for i in range(3)] == ["ok"] * 3
+            assert [results[i].verdict for i in range(3)] == ["equivalent"] * 3
             assert results[0].stats["retries"] == 1.0
             assert "retries" not in results[1].stats
             assert pool.retries == 1
@@ -178,7 +178,7 @@ class TestWorkerPool:
         specs = _specs(tiny_workload, ["svc-ok", "svc-to", "svc-ok"])
         with WorkerPool(2) as pool:
             results = pool.run(list(enumerate(specs)))
-        assert [results[i].status for i in range(3)] == ["ok", "timeout", "ok"]
+        assert [results[i].verdict for i in range(3)] == ["equivalent", "timeout", "equivalent"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +238,15 @@ class TestDaemon:
             daemon.run_cells([CellSpec(tiny_workload, "no-such", time_budget=5.0)])
         # daemon still serves afterwards
         out = daemon.run_cells(_specs(tiny_workload, ["svc-ok"]))
-        assert out[0].status == "ok"
+        assert out[0].verdict == "equivalent"
 
     def test_budget_kill_inside_daemon_recycles(self, daemon, tiny_workload):
         out = daemon.run_cells(
             [CellSpec(tiny_workload, "svc-sleep", time_budget=0.3)])
-        assert out[0].status == "timeout"
+        assert out[0].verdict == "timeout"
         assert daemon.ping()["recycled"] == 1
         out = daemon.run_cells(_specs(tiny_workload, ["svc-ok"]))
-        assert out[0].status == "ok"
+        assert out[0].verdict == "equivalent"
 
     def test_cache_stats_and_clear_ops(self, daemon, tiny_workload):
         daemon.run_cells(_specs(tiny_workload, ["svc-ok"], budget=5.0))

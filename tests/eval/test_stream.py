@@ -32,8 +32,8 @@ class TestOnResultCallback:
             (s.workload.name, s.method) for s in specs
         ]
         plain = run_cells(specs)
-        assert [(m.workload, m.method, m.status) for m in results] == \
-            [(m.workload, m.method, m.status) for m in plain]
+        assert [(m.workload, m.method, m.verdict) for m in results] == \
+            [(m.workload, m.method, m.verdict) for m in plain]
 
     def test_parallel_callback_covers_every_cell(self):
         specs = _specs()
@@ -43,7 +43,7 @@ class TestOnResultCallback:
             on_result=lambda i, m: events.append(i),
         )
         assert sorted(events) == list(range(len(specs)))
-        assert all(m.status == "ok" for m in results)
+        assert all(m.verdict == "equivalent" for m in results)
 
     def test_render_identical_with_and_without_streaming(self):
         workloads = scenarios.build_scenario("strash", widths=2)
@@ -55,7 +55,7 @@ class TestOnResultCallback:
 
         def strip_times(rows):
             return [
-                [(m, row.cells[m].status) for m in methods] for row in rows
+                [(m, row.cells[m].verdict) for m in methods] for row in rows
             ]
 
         assert strip_times(rows_plain) == strip_times(rows_stream)
@@ -101,4 +101,4 @@ class TestStrashScenario:
         for w in workloads:
             for method in scenario.default_methods:
                 result = runner.run_cell(w, method)
-                assert result.status == "ok", (w.name, method, result.detail)
+                assert result.verdict == "equivalent", (w.name, method, result.detail)

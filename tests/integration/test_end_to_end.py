@@ -58,9 +58,9 @@ class TestHarness:
     def test_table1_single_row(self):
         workload = table1_workload(2)
         row = run_row(workload, ["sis", "smv", "hash"], time_budget=30)
-        assert row.cells["hash"].status == "ok"
-        assert row.cells["sis"].status == "ok"
-        assert row.cells["smv"].status == "ok"
+        assert row.cells["hash"].verdict == "equivalent"
+        assert row.cells["sis"].verdict == "equivalent"
+        assert row.cells["smv"].verdict == "equivalent"
 
     def test_table1_render(self):
         rows = table1.run_table1(widths=[1, 2], time_budget=20)
@@ -70,7 +70,7 @@ class TestHarness:
     def test_table2_scaled_row(self):
         workloads = table2_workloads(scale=0.06, names=["s344"])
         row = run_row(workloads[0], ["eijk", "sis", "hash"], time_budget=25)
-        assert row.cells["hash"].status == "ok"
+        assert row.cells["hash"].verdict == "equivalent"
 
     def test_table2_render(self):
         rows = table2.run_table2(scale=0.05, names=["s344", "s382"], time_budget=20)
@@ -80,7 +80,7 @@ class TestHarness:
     def test_hash_measurement_includes_inference_count(self):
         workload = make_workload(figure2(4), cut=figure2_cut())
         m = run_cell(workload, "hash")
-        assert m.status == "ok" and "inference" in m.detail
+        assert m.verdict == "equivalent" and "inference" in m.detail
 
     def test_timeouts_render_as_dash(self):
         workload = table1_workload(12)
@@ -111,7 +111,7 @@ class TestMultiplierFamily:
         for width in (3, 6):
             workload = make_workload(fractional_multiplier(width),
                                      cut=["shifter"])
-            assert run_cell(workload, "hash").status == "ok"
+            assert run_cell(workload, "hash").verdict == "equivalent"
 
     def test_verifier_budget_exhausted_on_wide_multiplier(self):
         workload = make_workload(fractional_multiplier(10), cut=["shifter"])
@@ -120,7 +120,7 @@ class TestMultiplierFamily:
         )
         assert result.status == "timeout"
         # ... while HASH still completes on the same instance
-        assert run_cell(workload, "hash").status == "ok"
+        assert run_cell(workload, "hash").verdict == "equivalent"
 
 
 class TestConventionalVsFormalAgreement:

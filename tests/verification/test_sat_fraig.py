@@ -178,6 +178,52 @@ class TestVerdictsMatchTaut:
         assert all(isinstance(v, bool) for v in result.counterexample.values())
 
 
+def _cut_point_circuit(outputs=("y", "z"), extra_register=False) -> Netlist:
+    """Two inputs, one register, up to two outputs; optionally a dangling
+    second register, so the pair differs only structurally."""
+    nl = Netlist("cp")
+    nl.add_input("a", 1)
+    nl.add_input("b", 1)
+    nl.add_cell("g_and", "AND", ["a", "b"], "d")
+    nl.add_register("r", "d", "q")
+    nl.add_cell("g_xor", "XOR", ["q", "a"], "y")
+    nl.add_cell("g_not", "NOT", ["b"], "z")
+    if extra_register:
+        nl.add_register("s", "a", "t")
+    for name in outputs:
+        nl.mark_output(name)
+    return nl
+
+
+class TestCutPointPairing:
+    """taut, taut-rw, sat and fraig pair cut points through one helper."""
+
+    METHODS = ("taut", "taut-rw", "sat", "fraig")
+
+    def _verdicts(self, a: Netlist, b: Netlist):
+        return {m: run_checker(m, a, b, time_budget=60.0) for m in self.METHODS}
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_missing_output(self, swap):
+        pair = (_cut_point_circuit(), _cut_point_circuit(outputs=("y",)))
+        results = self._verdicts(*(pair[::-1] if swap else pair))
+        for method, result in results.items():
+            assert result.status == "not_equivalent", method
+            assert result.detail == "output z present in only one circuit", method
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_extra_register(self, swap):
+        pair = (_cut_point_circuit(), _cut_point_circuit(extra_register=True))
+        results = self._verdicts(*(pair[::-1] if swap else pair))
+        for method, result in results.items():
+            assert result.status == "not_equivalent", method
+            assert result.detail == "register s present in only one circuit", method
+
+    def test_same_structure_is_equivalent(self):
+        results = self._verdicts(_cut_point_circuit(), _cut_point_circuit())
+        assert {r.status for r in results.values()} == {"equivalent"}
+
+
 class TestStats:
     def test_sat_stats_keys(self):
         w = table1_workload(2)

@@ -53,10 +53,9 @@ def tiny_workload():
     return table1_workload(1)
 
 
-def _measurement(method, status, seconds=1.0, verdict="", stats=None, **kw):
-    return Measurement(workload="w", method=method, status=status,
-                       seconds=seconds, verdict=verdict,
-                       stats=dict(stats or {}), **kw)
+def _measurement(method, verdict, seconds=1.0, stats=None, **kw):
+    return Measurement(workload="w", method=method, verdict=verdict,
+                       seconds=seconds, stats=dict(stats or {}), **kw)
 
 
 def _outcome(m):
@@ -188,13 +187,12 @@ class TestMergeShards:
 
     def test_sum_and_max_split_by_declared_stats(self, tiny_workload):
         parts = [
-            _measurement("taut-rw", "ok", seconds=1.0, verdict="equivalent",
+            _measurement("taut-rw", "equivalent", seconds=1.0,
                          stats={"vectors": 8.0, "graph_nodes": 10.0}),
-            _measurement("taut-rw", "ok", seconds=3.0, verdict="equivalent",
+            _measurement("taut-rw", "equivalent", seconds=3.0,
                          stats={"vectors": 8.0, "graph_nodes": 12.0}),
         ]
         merged = merge_shards(self._spec(tiny_workload), parts)
-        assert merged.status == "ok"
         assert merged.verdict == "equivalent"
         assert merged.stats["vectors"] == 16.0     # declared additive
         assert merged.stats["graph_nodes"] == 12.0  # peak: max
@@ -205,23 +203,21 @@ class TestMergeShards:
     def test_any_refuting_shard_refutes_the_cell(self, tiny_workload):
         cex = {"pi0": False}
         parts = [
-            _measurement("taut-rw", "ok", verdict="equivalent"),
-            _measurement("taut-rw", "failed", verdict="not_equivalent",
+            _measurement("taut-rw", "equivalent"),
+            _measurement("taut-rw", "not_equivalent",
                          detail="refuted in shard", counterexample=cex),
         ]
         merged = merge_shards(self._spec(tiny_workload), parts)
-        assert merged.status == "failed"
         assert merged.verdict == "not_equivalent"
         assert merged.counterexample == cex
         assert merged.detail == "refuted in shard"
 
     def test_timeout_shard_dashes_the_cell(self, tiny_workload):
         parts = [
-            _measurement("taut-rw", "ok", verdict="equivalent"),
-            _measurement("taut-rw", "timeout", verdict="timeout"),
+            _measurement("taut-rw", "equivalent"),
+            _measurement("taut-rw", "timeout"),
         ]
         merged = merge_shards(self._spec(tiny_workload), parts)
-        assert merged.status == "timeout"
         assert merged.verdict == "timeout"
 
     def test_empty_group_is_rejected(self, tiny_workload):
@@ -231,11 +227,10 @@ class TestMergeShards:
     def test_refutation_outranks_failure_and_timeout(self, tiny_workload):
         cex = {"pi0": True}
         parts = [
-            _measurement("taut-rw", "timeout", seconds=5.0, verdict="timeout"),
-            _measurement("taut-rw", "failed", verdict="error",
+            _measurement("taut-rw", "timeout", seconds=5.0),
+            _measurement("taut-rw", "error",
                          detail="crashed"),
-            _measurement("taut-rw", "failed", seconds=2.0,
-                         verdict="not_equivalent", detail="refuted",
+            _measurement("taut-rw", "not_equivalent", seconds=2.0, detail="refuted",
                          counterexample=cex),
         ]
         merged = merge_shards(self._spec(tiny_workload), parts)
@@ -246,13 +241,12 @@ class TestMergeShards:
 
     def test_failure_outranks_timeout(self, tiny_workload):
         parts = [
-            _measurement("taut-rw", "timeout", verdict="timeout"),
-            _measurement("taut-rw", "failed", verdict="error",
+            _measurement("taut-rw", "timeout"),
+            _measurement("taut-rw", "error",
                          detail="crashed"),
-            _measurement("taut-rw", "ok", verdict="equivalent"),
+            _measurement("taut-rw", "equivalent"),
         ]
         merged = merge_shards(self._spec(tiny_workload), parts)
-        assert merged.status == "failed"
         assert merged.verdict == "error"
         assert merged.detail == "crashed"
 
@@ -260,12 +254,12 @@ class TestMergeShards:
             self, tiny_workload):
         first, second = {"pi0": False}, {"pi0": True}
         refuting = [
-            _measurement("taut-rw", "failed", verdict="not_equivalent",
+            _measurement("taut-rw", "not_equivalent",
                          detail="shard 1", counterexample=first),
-            _measurement("taut-rw", "failed", verdict="not_equivalent",
+            _measurement("taut-rw", "not_equivalent",
                          detail="shard 2", counterexample=second),
         ]
-        ok = _measurement("taut-rw", "ok", verdict="equivalent")
+        ok = _measurement("taut-rw", "equivalent")
         spec = self._spec(tiny_workload)
         merged = merge_shards(spec, [ok] + refuting)
         assert (merged.detail, merged.counterexample) == ("shard 1", first)
@@ -275,9 +269,9 @@ class TestMergeShards:
     def test_unshardable_method_takes_the_max_of_every_stat(self,
                                                             tiny_workload):
         parts = [
-            _measurement("smv", "ok", verdict="equivalent",
+            _measurement("smv", "equivalent",
                          stats={"iterations": 3.0, "peak_nodes": 9.0}),
-            _measurement("smv", "ok", verdict="equivalent",
+            _measurement("smv", "equivalent",
                          stats={"iterations": 5.0, "peak_nodes": 4.0}),
         ]
         merged = merge_shards(CellSpec(tiny_workload, "smv", shards=2), parts)
