@@ -5,8 +5,8 @@ the paper (see DESIGN.md §4 for the index).  The harness is sized so that a
 full ``pytest benchmarks/ --benchmark-only`` run finishes in a few minutes on
 a laptop: verification budgets are small (their *timeouts* are part of the
 result — they reproduce the paper's dashes) and the Table-II suite is scaled
-down; the full-size tables are produced by ``python -m repro.eval.table1`` /
-``table2``.
+down; the full-size tables are produced by ``python -m repro run --table 1``
+/ ``--table 2``.
 """
 
 import os

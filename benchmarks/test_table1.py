@@ -17,6 +17,7 @@ import pytest
 
 from repro.eval import table1
 from repro.eval.runner import run_cell
+from repro.eval.scenarios import build_scenario
 from repro.eval.workloads import table1_workload
 
 #: widths benchmarked cell-by-cell (kept small so the suite stays fast)
@@ -27,6 +28,8 @@ CELL_WIDTHS = [2, 4, 6]
 #: to width 12 to keep the paper's qualitative shape — the verifiers' cost
 #: is still exponential and exceeds the budget at the largest width.
 TABLE_WIDTHS = [1, 2, 4, 6, 8, 12]
+#: the paper's Table I columns
+METHODS = ["sis", "smv", "hash"]
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +62,11 @@ def test_table1_hash_cell(benchmark, workloads, width):
 
 def test_table1_full_shape(benchmark, results_dir, verifier_budget):
     def build():
-        return table1.run_table1(widths=TABLE_WIDTHS, time_budget=verifier_budget)
+        return table1.run_table1(build_scenario("figure2", widths=TABLE_WIDTHS),
+                                 METHODS, time_budget=verifier_budget)
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    text = table1.render(rows)
+    text = table1.render(rows, METHODS)
     with open(os.path.join(results_dir, "table1.txt"), "w") as fh:
         fh.write(text + "\n")
 

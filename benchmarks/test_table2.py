@@ -1,7 +1,7 @@
 """Table II — Eijk / Eijk+ / SIS / HASH on the IWLS'91 stand-in suite.
 
 The suite is scaled down (``REPRO_BENCH_SCALE``, default 0.12) so the whole
-harness runs in minutes; ``python -m repro.eval.table2`` produces the
+harness runs in minutes; ``python -m repro run --table 2`` produces the
 full-size table.  Cells are benchmarked for a representative subset, the
 full (scaled) table is written to ``.benchmarks/results/table2.txt`` and the
 paper's qualitative claims are asserted:
@@ -17,7 +17,8 @@ import os
 import pytest
 
 from repro.eval import table2
-from repro.eval.runner import run_cell
+from repro.eval.runner import run_cell, run_rows
+from repro.eval.scenarios import build_scenario
 from repro.eval.workloads import make_workload
 from repro.circuits.generators import fractional_multiplier
 from repro.circuits.generators.multiplier import multiplier_retiming_cut
@@ -26,6 +27,8 @@ from repro.circuits.generators.multiplier import multiplier_retiming_cut
 CELL_BENCHMARKS = ["s344", "s820", "s526"]
 #: multiplier widths for the growth comparison (the paper's 8/16/32 scaled down)
 MULT_WIDTHS = [4, 8]
+#: the paper's Table II columns
+METHODS = ["eijk", "eijk+", "sis", "hash"]
 
 
 @pytest.mark.parametrize("name", CELL_BENCHMARKS)
@@ -92,11 +95,11 @@ def test_table2_full_shape(benchmark, results_dir, table2_scale, verifier_budget
     names = ["s344", "s382", "s526", "s820", "s1423"]
 
     def build():
-        return table2.run_table2(scale=table2_scale, names=names,
-                                 time_budget=verifier_budget)
+        workloads = build_scenario("iwls", scale=table2_scale, names=names)
+        return run_rows(workloads, METHODS, time_budget=verifier_budget)
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    text = table2.render(rows)
+    text = table2.render(rows, METHODS)
     with open(os.path.join(results_dir, "table2.txt"), "w") as fh:
         fh.write(text + "\n")
 
@@ -104,7 +107,7 @@ def test_table2_full_shape(benchmark, results_dir, table2_scale, verifier_budget
     # per-method kernel steps recorded in the `inferences` column
     assert all(row.cells["hash"].stats["kernel_steps"] > 0 for row in rows)
     assert "inferences" in text
-    statuses = {row.workload.name: {m: row.cells[m].verdict for m in table2.TABLE2_METHODS}
+    statuses = {row.workload.name: {m: row.cells[m].verdict for m in METHODS}
                 for row in rows}
     # every benchmark is solved by at least one method (HASH), and the table
     # records a result for every cell

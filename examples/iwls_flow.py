@@ -13,7 +13,7 @@ Run:  python examples/iwls_flow.py [--scale 0.15] [--budget 20] [--jobs 4]
 
 import argparse
 
-from repro.cli import main as cli_main, table_argv
+from repro.cli import main as cli_main
 
 
 def main() -> int:
@@ -28,8 +28,11 @@ def main() -> int:
                         help="subset of benchmarks (default: all ten)")
     args = parser.parse_args()
 
-    code = cli_main(table_argv(2, args.budget, args.jobs,
-                               scale=args.scale, names=args.names or None))
+    argv = ["run", "--table", "2", "--budget", str(args.budget),
+            "--jobs", str(args.jobs), "--param", f"scale={args.scale}"]
+    if args.names:
+        argv += ["--param", "names=" + ",".join(args.names)]
+    code = cli_main(argv)
     print("\nNote: circuits are synthetic stand-ins with the published "
           "flip-flop/gate counts (scaled by "
           f"{args.scale}); see DESIGN.md §5.")

@@ -29,13 +29,6 @@ from .simulate import (
     simulate,
 )
 from .bitblast import BitblastError, BitblastResult, bit_name, bitblast
-from .structural import (
-    same_interface,
-    state_only_cells,
-    structural_signature,
-    support_of,
-    transitive_fanin_nets,
-)
 from . import generators
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -69,20 +69,6 @@ def _parse_param(item: str) -> tuple:
     return key, _parse_scalar(raw)
 
 
-def table_argv(table: int, budget: float, jobs: int, **params: Any) -> List[str]:
-    """Assemble ``main()`` argv for a table run (shared by the legacy
-    ``repro.eval.table1``/``table2`` entry points and the examples)."""
-    argv = ["run", "--table", str(table),
-            "--budget", str(budget), "--jobs", str(jobs)]
-    for key, value in params.items():
-        if value is None:
-            continue
-        if isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
-        argv += ["--param", f"{key}={value}"]
-    return argv
-
-
 def _parse_methods(raw: Optional[str]) -> Optional[List[str]]:
     """Split ``--methods`` on commas; an unknown backend raises KeyError."""
     if raw is None:
@@ -112,13 +98,17 @@ def _make_stream_printer():
     return on_result
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    params: Dict[str, Any] = dict(args.param or [])
-    isolate = not args.no_isolate
+def _execution(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
+    """The ``run_cells`` options of the shared execution flags.
+
+    Opens the daemon client (checking that a daemon answers) or the result
+    cache.  Prints the error and returns ``None`` when the flags cannot be
+    honoured.
+    """
     if args.via_daemon and args.no_isolate:
         print("error: --via-daemon and --no-isolate are mutually exclusive",
               flush=True)
-        return 2
+        return None
     client = None
     cache = None
     if args.via_daemon:
@@ -128,61 +118,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (OSError, EOFError):
             print(f"error: no daemon listening on {client.socket_path} "
                   "(start one with: python -m repro serve)", flush=True)
-            return 2
+            return None
     elif not args.no_cache:
         cache = result_cache.ResultCache(
             args.cache_dir or result_cache.default_cache_dir()
         )
-    common = dict(
-        time_budget=args.budget,
-        node_budget=args.node_budget,
+    return dict(
         jobs=1 if args.no_isolate else args.jobs,
-        isolate=isolate,
+        isolate=not args.no_isolate,
         on_result=_make_stream_printer() if args.stream else None,
         cache=cache,
         client=client,
-        aig_opt=args.aig_opt,
-        shards=args.shards,
     )
-    try:
-        methods = _parse_methods(args.methods)
-        if args.table == 1:
-            widths = params.pop("widths", None)
-            no_skip = bool(params.pop("no_skip", False))
-            if params:  # reject leftovers *before* the (expensive) run
-                raise TypeError(f"--table 1 does not accept {sorted(params)}")
-            if widths is not None:
-                widths = [int(n) for n in scenarios.as_seq(widths)]
-            rows = table1.run_table1(
-                widths=widths, methods=methods, skip_hopeless=not no_skip,
-                **common,
-            )
-            print(table1.render(rows, methods=methods))
-        elif args.table == 2:
-            scale = params.pop("scale", 1.0)
-            names = params.pop("names", None)
-            if params:
-                raise TypeError(f"--table 2 does not accept {sorted(params)}")
-            if names is not None:
-                names = [str(n) for n in scenarios.as_seq(names)]
-            rows = table2.run_table2(
-                scale=scale, names=names, methods=methods, **common,
-            )
-            print(table2.render(rows, methods=methods))
-        else:
-            scenario = scenarios.get_scenario(args.scenario)
-            methods = methods or list(scenario.default_methods)
-            workloads = scenarios.build_scenario(args.scenario, **params)
-            rows = runner.run_rows(workloads, methods, **common)
-            print(runner.render_table(
-                rows, methods, title=f"Scenario {scenario.name!r}",
-            ))
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", flush=True)
-        return 2
-    # the cache summary goes to stderr: stdout carries only the table, so
-    # cold and warm runs stay byte-comparable (the CI daemon-smoke lane
-    # diffs stdout and greps stderr for the hit counters)
+
+
+def _print_cache_summary(execution: Dict[str, Any]) -> None:
+    """The ``cache: hits=H misses=M`` line, on stderr.
+
+    stdout carries only the table, so cold and warm runs stay
+    byte-comparable (the CI daemon-smoke lane diffs stdout and greps
+    stderr for the hit counters).
+    """
+    client, cache = execution["client"], execution["cache"]
     if client is not None:
         print(f"cache: hits={client.stats['cache_hits']} "
               f"misses={client.stats['cache_misses']} (daemon)",
@@ -190,16 +147,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif cache is not None:
         print(f"cache: hits={cache.hits} misses={cache.misses}",
               file=sys.stderr, flush=True)
+
+
+#: the scenario each ``--table N`` runs, under the paper's title
+TABLE_SCENARIOS = {1: "figure2", 2: "iwls"}
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    params: Dict[str, Any] = dict(args.param or [])
+    # Table I's skip policy is the one parameter a table adds to its scenario
+    skip_hopeless = args.table == 1 and not params.pop("no_skip", False)
+    name = TABLE_SCENARIOS.get(args.table, args.scenario)
+    execution = _execution(args)
+    if execution is None:
+        return 2
+    try:
+        methods = (_parse_methods(args.methods)
+                   or list(scenarios.get_scenario(name).default_methods))
+        workloads = scenarios.build_scenario(name, **params)
+        run = table1.run_table1 if skip_hopeless else runner.run_rows
+        rows = run(workloads, methods, time_budget=args.budget,
+                   node_budget=args.node_budget, shards=args.shards,
+                   **execution)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", flush=True)
+        return 2
+    if args.table == 1:
+        print(table1.render(rows, methods))
+    elif args.table == 2:
+        print(table2.render(rows, methods))
+    else:
+        print(runner.render_table(rows, methods, title=f"Scenario {name!r}"))
+    _print_cache_summary(execution)
     return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .eval import fuzz
 
-    if args.via_daemon and args.no_isolate:
-        print("error: --via-daemon and --no-isolate are mutually exclusive",
-              flush=True)
-        return 2
     if args.replay:
         try:
             spec, method, kind = fuzz.load_repro(args.replay)
@@ -222,20 +207,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("violation does not reproduce")
         return 0
 
-    client = None
-    cache = None
-    if args.via_daemon:
-        client = service.DaemonClient(args.socket)
-        try:
-            client.ping()
-        except (OSError, EOFError):
-            print(f"error: no daemon listening on {client.socket_path} "
-                  "(start one with: python -m repro serve)", flush=True)
-            return 2
-    elif not args.no_cache:
-        cache = result_cache.ResultCache(
-            args.cache_dir or result_cache.default_cache_dir()
-        )
+    execution = _execution(args)
+    if execution is None:
+        return 2
     try:
         methods = _parse_methods(args.methods) or list(fuzz.DEFAULT_METHODS)
         specs = fuzz.make_specs(
@@ -246,12 +220,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         report = fuzz.run_fuzz(
             specs, methods=methods,
             time_budget=args.budget, node_budget=args.node_budget,
-            jobs=1 if args.no_isolate else args.jobs,
-            isolate=not args.no_isolate,
-            on_result=_make_stream_printer() if args.stream else None,
-            cache=cache, client=client,
             shrink=not args.no_shrink, max_shrinks=args.max_shrinks,
-            out_dir=args.out_dir,
+            out_dir=args.out_dir, **execution,
         )
     except (KeyError, TypeError, ValueError, fuzz.FuzzError) as exc:
         print(f"error: {exc}", flush=True)
@@ -267,13 +237,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"DISAGREEMENT {cell}", file=sys.stderr, flush=True)
     for path in report.repro_paths:
         print(f"repro written: {path}", file=sys.stderr, flush=True)
-    if client is not None:
-        print(f"cache: hits={client.stats['cache_hits']} "
-              f"misses={client.stats['cache_misses']} (daemon)",
-              file=sys.stderr, flush=True)
-    elif cache is not None:
-        print(f"cache: hits={cache.hits} misses={cache.misses}",
-              file=sys.stderr, flush=True)
+    _print_cache_summary(execution)
     return 1 if (report.violations or report.disagreements) else 0
 
 
@@ -417,21 +381,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # how and where cells execute: the flags `run` and `fuzz` share
+    execution_flags = argparse.ArgumentParser(add_help=False)
+    execution_flags.add_argument(
+        "--jobs", type=int, default=1,
+        help="max concurrent worker subprocesses (default 1)")
+    execution_flags.add_argument(
+        "--no-isolate", action="store_true",
+        help="run cells in-process with cooperative budgets (implies --jobs 1)")
+    execution_flags.add_argument(
+        "--stream", action="store_true",
+        help="print each cell as its future completes (completion order); "
+             "the final table render is unchanged")
+    execution_flags.add_argument(
+        "--via-daemon", action="store_true",
+        help="submit cells to a resident `repro serve` daemon (its pool size "
+             "applies; --jobs is ignored)")
+    execution_flags.add_argument(
+        "--socket", default=None,
+        help="daemon socket path (default: $REPRO_SOCKET or "
+             f"{service.DEFAULT_SOCKET})")
+    execution_flags.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the content-addressed result cache (local modes; the "
+             "daemon owns its own cache)")
+    execution_flags.add_argument(
+        "--cache-dir", default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or "
+             f"{result_cache.DEFAULT_CACHE_DIR})")
+
     run_p = sub.add_parser(
-        "run", help="measure one table or scenario",
+        "run", help="measure one table or scenario", parents=[execution_flags],
         description="Measure a registered scenario (or one of the paper's "
                     "tables) with the requested backends.",
     )
     target = run_p.add_mutually_exclusive_group()
     target.add_argument("--table", type=int, choices=(1, 2),
-                        help="regenerate the paper's Table I or Table II")
+                        help="regenerate the paper's Table I or Table II: "
+                             "the figure2 or iwls scenario under the "
+                             "paper's title (Table I also takes --param "
+                             "no_skip=1 to run every verifier cell)")
     target.add_argument("--scenario", default="figure2",
                         help="a registered scenario (see list-scenarios)")
     run_p.add_argument("--methods", default=None,
                        help="comma-separated backends (see list-backends); "
                             "defaults to the table's/scenario's own methods")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="max concurrent worker subprocesses (default 1)")
     run_p.add_argument("--shards", type=int, default=1,
                        help="split each shardable cell (fraig, taut, "
                             "taut-rw) into up to N sibling jobs; the "
@@ -446,34 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="scenario parameter (repeatable), e.g. "
                             "--param widths=1,2,4 or --param scale=0.2")
-    run_p.add_argument("--no-isolate", action="store_true",
-                       help="run cells in-process with cooperative budgets "
-                            "(implies --jobs 1)")
-    run_p.add_argument("--stream", action="store_true",
-                       help="print each cell as its future completes "
-                            "(completion order); the final table render is "
-                            "unchanged")
-    run_p.add_argument("--via-daemon", action="store_true",
-                       help="submit cells to a resident `repro serve` daemon "
-                            "(its pool size applies; --jobs is ignored)")
-    run_p.add_argument("--socket", default=None,
-                       help="daemon socket path (default: $REPRO_SOCKET or "
-                            f"{service.DEFAULT_SOCKET})")
-    run_p.add_argument("--aig-opt", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="DAG-aware AIG rewriting during bit-blasting "
-                            "(default on; --no-aig-opt disables it — the "
-                            "result cache keys on the toggle)")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="disable the content-addressed result cache "
-                            "(local modes; the daemon owns its own cache)")
-    run_p.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default: "
-                            f"$REPRO_CACHE_DIR or {result_cache.DEFAULT_CACHE_DIR})")
     run_p.set_defaults(func=_cmd_run)
 
     fuzz_p = sub.add_parser(
         "fuzz", help="run the adversarial fault-injection fuzz oracle",
+        parents=[execution_flags],
         description="Generate seeded fuzz cells (random circuits x legal "
                     "retimings x visible injected faults), run every "
                     "requested backend on each, and cross-check all verdicts "
@@ -500,28 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--faults", type=int, default=2,
                         help="visible faults injected per inequivalent cell "
                              "(default 2)")
-    fuzz_p.add_argument("--jobs", type=int, default=1,
-                        help="max concurrent worker subprocesses (default 1)")
     fuzz_p.add_argument("--budget", type=float, default=20.0,
                         help="per-cell wall-clock budget in seconds "
                              "(default 20)")
     fuzz_p.add_argument("--node-budget", type=int, default=500_000,
                         help="per-cell BDD node budget (default 500000)")
-    fuzz_p.add_argument("--no-isolate", action="store_true",
-                        help="run cells in-process with cooperative budgets "
-                             "(implies --jobs 1)")
-    fuzz_p.add_argument("--stream", action="store_true",
-                        help="print each cell as its future completes")
-    fuzz_p.add_argument("--via-daemon", action="store_true",
-                        help="submit cells to a resident `repro serve` daemon")
-    fuzz_p.add_argument("--socket", default=None,
-                        help="daemon socket path (default: $REPRO_SOCKET or "
-                             f"{service.DEFAULT_SOCKET})")
-    fuzz_p.add_argument("--no-cache", action="store_true",
-                        help="disable the content-addressed result cache")
-    fuzz_p.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default: "
-                             f"$REPRO_CACHE_DIR or {result_cache.DEFAULT_CACHE_DIR})")
     fuzz_p.add_argument("--out-dir", default=None,
                         help="directory for minimised repros (default "
                              ".benchmarks/fuzz)")

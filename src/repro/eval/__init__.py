@@ -2,7 +2,6 @@
 
 from .workloads import (
     TABLE1_WIDTHS,
-    TABLE1_WIDTHS_QUICK,
     Workload,
     make_workload,
     table1_workload,
@@ -17,7 +16,6 @@ from .runner import (
     render_table,
     run_cell,
     run_cells,
-    run_row,
     run_rows,
 )
 from .scenarios import (

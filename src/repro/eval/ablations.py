@@ -97,14 +97,3 @@ def render_rtl_vs_gate(results: Sequence[LevelComparison]) -> str:
             ) + f" {int(r.stats['inference_steps']):12d}"
         )
     return "\n".join(lines)
-
-
-def main() -> int:  # pragma: no cover - convenience entry point
-    """Thin wrapper over the shared CLI (``python -m repro ablations``)."""
-    from ..cli import main as cli_main
-
-    return cli_main(["ablations"])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

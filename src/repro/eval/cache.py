@@ -87,13 +87,11 @@ def cell_key(
     time_budget: float,
     node_budget: int,
     salt: str = CODE_SALT,
-    aig_opt: bool = True,
 ) -> str:
     """The canonical content-addressed digest of one table cell.
 
-    ``aig_opt`` and the rewrite-library version are part of the digest: a
-    cell measured with DAG-aware rewriting off (or against a different NPN
-    structure library) must never be served for a rewriting-on request.
+    The rewrite-library version is part of the digest: a cell measured
+    against a different NPN structure library must never be served.
 
     Shard counts are deliberately *absent*: sharding is an execution
     strategy, and the merged measurement is defined to be shard-count
@@ -110,7 +108,6 @@ def cell_key(
         "method": method,
         "time_budget": float(time_budget),
         "node_budget": int(node_budget),
-        "aig_opt": bool(aig_opt),
         "rewrite_lib": LIBRARY_VERSION,
         "salt": salt,
     }
@@ -119,8 +116,7 @@ def cell_key(
 
 def spec_key(spec: CellSpec, salt: str = CODE_SALT) -> str:
     return cell_key(spec.workload, spec.method, spec.time_budget,
-                    spec.node_budget, salt=salt,
-                    aig_opt=getattr(spec, "aig_opt", True))
+                    spec.node_budget, salt=salt)
 
 
 def measurement_to_dict(measurement: Measurement) -> Dict[str, Any]:

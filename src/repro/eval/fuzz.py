@@ -40,7 +40,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..circuits.generators import random_sequential_circuit
 from ..circuits.mutate import (
@@ -361,21 +361,19 @@ def run_fuzz(
     methods: Sequence[str] = DEFAULT_METHODS,
     time_budget: float = 20.0,
     node_budget: int = 500_000,
-    jobs: int = 1,
-    isolate: bool = False,
-    on_result: Optional[Callable[[int, Measurement], None]] = None,
-    cache=None,
-    client=None,
     shrink: bool = True,
     max_shrinks: int = 24,
     out_dir: Optional[str] = None,
+    **options,
 ) -> FuzzReport:
     """Run one fuzz sweep end to end: build, measure, judge, shrink.
 
-    The measurement phase goes through :func:`~repro.eval.runner.run_cells`,
-    so serial, ``--jobs N``, cached and ``--via-daemon`` execution all apply
-    and return identical measurements.  Shrinking (serial, in-process) only
-    runs when the oracle found violations.
+    The measurement phase goes through :func:`~repro.eval.runner.run_cells`
+    with ``options`` (``jobs``, ``isolate``, ``on_result``, ``cache``,
+    ``client``) unchanged, so serial, ``--jobs N``, cached and
+    ``--via-daemon`` execution all apply and return identical measurements.
+    Shrinking (serial, in-process) only runs when the oracle found
+    violations.
     """
     for method in methods:
         get_checker(method)  # unknown methods raise before any cell is built
@@ -391,10 +389,7 @@ def run_fuzz(
                 ))
                 owners.append((index, method))
 
-    flat_results = run_cells(
-        flat_specs, jobs=jobs, isolate=isolate, on_result=on_result,
-        cache=cache, client=client,
-    )
+    flat_results = run_cells(flat_specs, **options)
     measurements: List[Dict[str, Measurement]] = [{} for _ in cells]
     for (index, method), measurement in zip(owners, flat_results):
         measurements[index][method] = measurement

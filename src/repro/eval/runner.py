@@ -101,8 +101,6 @@ class CellSpec:
     method: str
     time_budget: float = DEFAULT_TIME_BUDGET
     node_budget: int = DEFAULT_NODE_BUDGET
-    #: DAG-aware AIG rewriting during bit-blasting (part of the cache key)
-    aig_opt: bool = True
     #: requested intra-cell shard count (>1 splits shardable backends into
     #: range shards run as sibling jobs; NOT part of the cache key — the
     #: logical cell is keyed, and the merged measurement is what gets
@@ -118,7 +116,6 @@ def run_cell(
     method: str,
     time_budget: float = DEFAULT_TIME_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    aig_opt: bool = True,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Measurement:
     """Measure one registered method on one workload, in-process.
@@ -137,7 +134,6 @@ def run_cell(
             cut=workload.cut,
             time_budget=time_budget,
             node_budget=node_budget,
-            aig_opt=aig_opt,
             shard=shard,
         )
     except Exception as exc:
@@ -255,7 +251,6 @@ def run_cells(
     specs: Sequence[CellSpec],
     jobs: int = 1,
     isolate: bool = False,
-    grace: float = KILL_GRACE,
     on_result: Optional[Callable[[int, Measurement], None]] = None,
     cache=None,
     client=None,
@@ -266,9 +261,9 @@ def run_cells(
     With ``isolate=False`` (and necessarily ``jobs=1``) cells run serially
     in this process.  With ``isolate=True`` cells run on a persistent
     :class:`~repro.eval.service.WorkerPool` of at most ``jobs`` worker
-    subprocesses; a worker still alive ``grace`` seconds past its cell's
-    time budget is killed (and the pool recycles it), recording the cell
-    as a timeout.  ``pool`` is an already running pool to dispatch on
+    subprocesses; a worker still alive :data:`KILL_GRACE` seconds past its
+    cell's time budget is killed (and the pool recycles it), recording the
+    cell as a timeout.  ``pool`` is an already running pool to dispatch on
     instead of starting one — the daemon passes its resident pool.  The
     returned list always matches ``specs`` order.
 
@@ -351,12 +346,11 @@ def run_cells(
     elif not isolate:
         for job, part in enumerate(work):
             _finish(job, run_cell(part.workload, part.method, part.time_budget,
-                                  part.node_budget, part.aig_opt,
-                                  shard=part.shard))
+                                  part.node_budget, shard=part.shard))
     else:
         from .service import WorkerPool  # deferred: service builds on this module
 
-        with WorkerPool(min(jobs, len(work)), grace=grace) as own:
+        with WorkerPool(min(jobs, len(work))) as own:
             own.run(list(enumerate(work)), on_result=_finish)
 
     assert all(m is not None for m in results)
@@ -374,52 +368,26 @@ class Row:
         return self.cells[method]
 
 
-def run_row(
-    workload: Workload,
-    methods: Sequence[str],
-    time_budget: float = DEFAULT_TIME_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
-    isolate: Optional[bool] = None,
-    on_result: Optional[Callable[[int, Measurement], None]] = None,
-    cache=None,
-    client=None,
-    aig_opt: bool = True,
-    shards: int = 1,
-) -> Row:
-    """Measure every requested method on one workload."""
-    isolate = (jobs > 1) if isolate is None else isolate
-    specs = [CellSpec(workload, m, time_budget, node_budget, aig_opt,
-                      shards=shards)
-             for m in methods]
-    measurements = run_cells(specs, jobs=jobs, isolate=isolate,
-                             on_result=on_result, cache=cache, client=client)
-    return Row(workload=workload, cells={m.method: m for m in measurements})
-
-
 def run_rows(
     workloads: Sequence[Workload],
     methods: Sequence[str],
     time_budget: float = DEFAULT_TIME_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
-    isolate: Optional[bool] = None,
-    on_result: Optional[Callable[[int, Measurement], None]] = None,
-    cache=None,
-    client=None,
-    aig_opt: bool = True,
     shards: int = 1,
+    **options,
 ) -> List[Row]:
-    """Measure a whole table, parallelising across *all* cells of all rows."""
-    isolate = (jobs > 1) if isolate is None else isolate
+    """Measure a whole table, parallelising across *all* cells of all rows.
+
+    One :class:`CellSpec` per workload and method, in row-major order;
+    ``options`` (``jobs``, ``isolate``, ``on_result``, ``cache``,
+    ``client``) go to :func:`run_cells` unchanged.
+    """
     specs = [
-        CellSpec(workload, method, time_budget, node_budget, aig_opt,
-                 shards=shards)
+        CellSpec(workload, method, time_budget, node_budget, shards=shards)
         for workload in workloads
         for method in methods
     ]
-    measurements = run_cells(specs, jobs=jobs, isolate=isolate,
-                             on_result=on_result, cache=cache, client=client)
+    measurements = run_cells(specs, **options)
     rows: List[Row] = []
     per_row = len(methods)
     for i, workload in enumerate(workloads):

@@ -78,7 +78,6 @@ def _pool_worker(conn) -> None:
         try:
             measurement = run_cell(
                 spec.workload, spec.method, spec.time_budget, spec.node_budget,
-                getattr(spec, "aig_opt", True),
                 shard=getattr(spec, "shard", None),
             )
         except BaseException as exc:  # the parent must always receive *something*

@@ -13,77 +13,21 @@ with the maximal forward cut.  The published shape:
 * HASH is never the fastest on the easy circuits (its base cost is higher)
   but is the only method that finishes everywhere.
 
-Run ``python -m repro.eval.table2``; ``--scale`` shrinks the circuits for a
-quick run.  DESIGN.md §5 documents the benchmark substitution.
+Run ``python -m repro run --table 2``: the ``iwls`` scenario under the
+paper's title; ``--param scale=...`` shrinks the circuits for a quick run.
+DESIGN.md §5 documents the benchmark substitution.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from .runner import DEFAULT_NODE_BUDGET, Row, render_table, run_rows
-from .workloads import table2_workloads
-
-#: The methods of Table II, in the paper's column order.
-TABLE2_METHODS = ["eijk", "eijk+", "sis", "hash"]
+from .runner import Row, render_table
 
 
-def run_table2(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    methods: Optional[Sequence[str]] = None,
-    time_budget: float = 60.0,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
-    isolate: Optional[bool] = None,
-    on_result=None,
-    cache=None,
-    client=None,
-    aig_opt: bool = True,
-    shards: int = 1,
-) -> List[Row]:
-    """Measure Table II (optionally on a scaled-down suite).
-
-    With ``jobs > 1`` every cell of the whole table runs in a worker
-    subprocess, up to ``jobs`` concurrently, with enforced wall-clock kills;
-    results are collected in table order regardless of completion order.
-    """
-    methods = list(methods if methods is not None else TABLE2_METHODS)
-    workloads = table2_workloads(scale=scale, names=names)
-    return run_rows(workloads, methods, time_budget=time_budget,
-                    node_budget=node_budget, jobs=jobs, isolate=isolate,
-                    on_result=on_result, cache=cache, client=client,
-                    aig_opt=aig_opt, shards=shards)
-
-
-def render(rows: Sequence[Row], methods: Optional[Sequence[str]] = None) -> str:
-    methods = list(methods if methods is not None else TABLE2_METHODS)
+def render(rows: Sequence[Row], methods: Sequence[str]) -> str:
     return render_table(
         rows,
         methods,
         title="Table II — IWLS'91 benchmark stand-ins",
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Thin wrapper over the shared CLI (``python -m repro run --table 2``)."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="scale factor on flip-flop / gate counts")
-    parser.add_argument("--budget", type=float, default=60.0,
-                        help="per-cell wall-clock budget in seconds")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="number of parallel worker subprocesses")
-    parser.add_argument("--names", nargs="*", default=None,
-                        help="restrict to the named benchmarks")
-    args = parser.parse_args(argv)
-
-    from ..cli import main as cli_main, table_argv
-
-    return cli_main(table_argv(2, args.budget, args.jobs,
-                               scale=args.scale, names=args.names or None))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

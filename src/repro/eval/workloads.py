@@ -64,9 +64,6 @@ def make_workload(netlist: Netlist, cut: Optional[Sequence[str]] = None,
 #: example in the data bit width n).
 TABLE1_WIDTHS: List[int] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32]
 
-#: A shorter sweep for quick runs / CI.
-TABLE1_WIDTHS_QUICK: List[int] = [1, 2, 4, 6, 8]
-
 
 def table1_workload(n: int) -> Workload:
     """The Figure-2 example at bit width ``n`` with its maximal cut."""

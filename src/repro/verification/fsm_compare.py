@@ -26,14 +26,11 @@ def check_equivalence(
     retimed: Netlist,
     time_budget: Optional[float] = None,
     node_budget: Optional[int] = None,
-    aig_opt: bool = True,
 ) -> VerificationResult:
     """Check sequential output-equivalence of two circuits (SIS ``verify_fsm`` style).
 
-    ``aig_opt`` toggles DAG-aware AIG rewriting when the circuits are
-    bit-blasted (rewriting counters join ``stats``).
+    Bit-blasting counters join ``stats``.
     """
     return run_engine("sis", time_budget, lambda run: traverse(run, product_fsm(
-        original, retimed, node_budget=node_budget, aig_opt=aig_opt,
-        opt_stats=run.lowering,
+        original, retimed, node_budget=node_budget, opt_stats=run.lowering,
     )))

@@ -19,7 +19,6 @@ checking the conventional result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
@@ -33,7 +32,13 @@ from . import (
     tautology,
     van_eijk,
 )
-from .common import VerificationError, VerificationResult, certify_result
+from .common import (
+    EngineRun,
+    VerificationError,
+    VerificationResult,
+    certify_result,
+    run_engine,
+)
 
 
 @dataclass(frozen=True)
@@ -198,13 +203,8 @@ def run_checker(
     if result.status == "not_equivalent" and result.counterexample is not None:
         # No backend's counterexample is reported on its own authority: it
         # must survive an independent simulator replay first (see
-        # common.certify_result).  The same aig_opt setting is used so the
-        # replay sees the very netlists the backend compared.
-        aig_opt = extra.get("aig_opt")
-        result = certify_result(
-            result, original, retimed,
-            aig_opt=True if aig_opt is None else bool(aig_opt),
-        )
+        # common.certify_result).
+        result = certify_result(result, original, retimed)
     return result
 
 
@@ -233,27 +233,21 @@ def _hash_formal(
     """
     from ..formal.formal_retiming import FormalSynthesisError, formal_forward_retiming
 
-    start = time.perf_counter()
     if not cut:
         raise VerificationError("hash: the retiming cut is required")
-    try:
-        result = formal_forward_retiming(original, list(cut), cross_check=False)
-    except FormalSynthesisError as exc:
-        return VerificationResult(
-            method="hash",
-            status="error",
-            seconds=time.perf_counter() - start,
-            detail=str(exc),
-        )
-    stats = {k: float(v) for k, v in result.stats.items()}
-    stats["kernel_steps"] = stats.get("inference_steps", 0.0)
-    return VerificationResult(
-        method="hash",
-        status="equivalent",
-        seconds=stats.get("total_seconds", time.perf_counter() - start),
-        detail=f"{int(stats['kernel_steps'])} kernel inferences",
-        stats=stats,
-    )
+
+    def body(run: EngineRun) -> VerificationResult:
+        try:
+            result = formal_forward_retiming(original, list(cut), cross_check=False)
+        except FormalSynthesisError as exc:
+            return run.result("error", str(exc))
+        stats = {k: float(v) for k, v in result.stats.items()}
+        stats["kernel_steps"] = stats.get("inference_steps", 0.0)
+        run.counters = lambda: stats
+        return run.result("equivalent",
+                          f"{int(stats['kernel_steps'])} kernel inferences")
+
+    return run_engine("hash", time_budget, body)
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +259,25 @@ register_checker(
     description="SMV-style symbolic model checking (clustered transition "
                 "relation, early-quantification image, breadth-first "
                 "product traversal checking the invariant every step)",
-    accepts=("time_budget", "node_budget", "aig_opt"),
+    accepts=("time_budget", "node_budget"),
 )
 register_checker(
     "sis", fsm_compare.check_equivalence,
     description="SIS-style FSM comparison: the same product traversal as "
                 "smv, kept as a second name for the paper's SIS column",
-    accepts=("time_budget", "node_budget", "aig_opt"),
+    accepts=("time_budget", "node_budget"),
 )
 register_checker(
     "eijk", van_eijk.check_equivalence,
     description="van Eijk signal-correspondence induction (word-parallel "
                 "simulation signatures)",
-    accepts=("time_budget", "node_budget", "simulation_cycles", "seed",
-             "aig_opt"),
+    accepts=("time_budget", "node_budget", "simulation_cycles", "seed"),
     complete=False,
 )
 register_checker(
     "eijk+", _eijk_plus,
     description="van Eijk with functional-dependency exploitation",
-    accepts=("time_budget", "node_budget", "simulation_cycles", "seed",
-             "aig_opt"),
+    accepts=("time_budget", "node_budget", "simulation_cycles", "seed"),
     complete=False,
 )
 register_checker(
@@ -299,7 +291,7 @@ register_checker(
     "taut", tautology.combinational_equivalent,
     description="BDD combinational equivalence with registers as cut points "
                 "(same-state-representation restriction)",
-    accepts=("time_budget", "node_budget", "aig_opt", "shard"),
+    accepts=("time_budget", "node_budget", "shard"),
     cut_points=True,
 )
 register_checker(
@@ -309,7 +301,7 @@ register_checker(
                 "(assumption-based activation-literal miters, lazy "
                 "cone-local Tseitin, Luby restarts, LBD clause GC); "
                 "registers as cut points",
-    accepts=("time_budget", "aig_opt"),
+    accepts=("time_budget",),
     cut_points=True,
 )
 register_checker(
@@ -318,7 +310,7 @@ register_checker(
                 "in place on the shared AIG, refined by cone-priced "
                 "miters over one persistent incremental SAT solver; "
                 "registers as cut points",
-    accepts=("time_budget", "seed", "patterns", "aig_opt", "shard"),
+    accepts=("time_budget", "seed", "patterns", "shard"),
     cut_points=True,
 )
 register_checker(

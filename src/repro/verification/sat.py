@@ -45,6 +45,7 @@ from .common import (
     EngineRun,
     TimeoutBudgetExceeded,
     VerificationResult,
+    cut_point_vars,
     ensure_gate_level,
     pair_cut_points,
     run_engine,
@@ -820,19 +821,14 @@ def miter_setup(
     """
     mismatches, pairs = pair_cut_points(gate_a, gate_b)
     aig = Aig(f"{gate_a.name}_vs_{gate_b.name}")
+    literals: Dict[str, int] = {}
     env_a: Dict[str, List[int]] = {}
     env_b: Dict[str, List[int]] = {}
-    for name in gate_a.inputs:
-        literal = aig.add_input(name)
-        env_a[name] = [literal]
-        env_b[name] = [literal]
-    cut_lits: Dict[str, int] = {}
     for gate, env in ((gate_a, env_a), (gate_b, env_b)):
-        for reg in gate.registers.values():
-            cut = f"cut.{reg.name}"
-            if cut not in cut_lits:
-                cut_lits[cut] = aig.add_input(cut)
-            env[reg.output] = [cut_lits[cut]]
+        for net, name in cut_point_vars(gate).items():
+            if name not in literals:
+                literals[name] = aig.add_input(name)
+            env[net] = [literals[name]]
     vals_a = lower_combinational(aig, gate_a, env_a)
     vals_b = lower_combinational(aig, gate_b, env_b)
     compared = [(label, vals_a[net_a][0], vals_b[net_b][0])
@@ -862,7 +858,6 @@ def check_equivalence_sat(
     a: Netlist,
     b: Netlist,
     time_budget: Optional[float] = None,
-    aig_opt: bool = True,
 ) -> VerificationResult:
     """Combinational equivalence by cone-priced CNF miters on a shared AIG.
 
@@ -872,13 +867,12 @@ def check_equivalence_sat(
     miter over its lazily encoded cone, and every proved pair is asserted
     as a permanent biconditional that strengthens the remaining queries.
     Verdicts are identical to ``taut``; the cost profile is search counters
-    instead of node counts.  ``aig_opt`` toggles DAG-aware rewriting during
-    bit-blasting (counters join ``stats``).
+    instead of node counts.  Bit-blasting counters join ``stats``.
     """
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(a, aig_opt)
-        gate_b = run.gate_level(b, aig_opt)
+        gate_a = run.gate_level(a)
+        gate_b = run.gate_level(b)
         aig, mismatches, compared = miter_setup(gate_a, gate_b)
         # a dash cell carries the cost record too: how large the shared AIG
         # grew and how far the incremental search got
@@ -921,15 +915,14 @@ def check_equivalence_sat(
     return run_engine("sat", time_budget, body)
 
 
-def is_tautology_sat(netlist: Netlist, output: Optional[str] = None,
-                     aig_opt: bool = True) -> bool:
+def is_tautology_sat(netlist: Netlist, output: Optional[str] = None) -> bool:
     """AIG/SAT path for tautology checking: is the output constantly true?
 
     Rides the incremental layer: the complement of the output is assumed
     (not asserted), and the solver is asked for a falsifying vector; UNSAT
     under the assumption means tautology.
     """
-    gate = ensure_gate_level(netlist, opt=aig_opt)
+    gate = ensure_gate_level(netlist)
     if gate.registers:
         raise ValueError("is_tautology_sat: circuit must be purely combinational")
     lowered_aig = Aig(gate.name)

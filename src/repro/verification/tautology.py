@@ -51,6 +51,7 @@ from .common import (
     VerificationResult,
     _cell_bdd,
     compile_fsm,
+    cut_point_vars,
     ensure_gate_level,
     pair_cut_points,
     run_engine,
@@ -96,7 +97,6 @@ def combinational_equivalent(
     b: Netlist,
     time_budget: Optional[float] = None,
     node_budget: Optional[int] = None,
-    aig_opt: bool = True,
     shard=None,
 ) -> VerificationResult:
     """Combinational equivalence with registers treated as cut points.
@@ -106,7 +106,6 @@ def combinational_equivalent(
     complete for circuits with the same state representation — exactly the
     restriction the paper states for tautology checking).  Primary outputs
     and next-state functions of same-named registers are compared.
-    ``aig_opt`` toggles DAG-aware rewriting during bit-blasting.
 
     ``shard=(k, n)`` (``n`` a power of two) checks only the cofactor under
     the ``k``-th assignment of a ``log2(n)``-bit prefix of the sorted
@@ -117,25 +116,18 @@ def combinational_equivalent(
     """
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(a, aig_opt)
-        gate_b = run.gate_level(b, aig_opt)
+        gate_a = run.gate_level(a)
+        gate_b = run.gate_level(b)
         manager = BddManager(node_budget=node_budget)
         run.attach(manager)
         mismatches, compared = pair_cut_points(gate_a, gate_b)
 
-        # shared input variables; register outputs keyed by register name so
-        # that same-named registers become the same cut-point variable.
-        for name in gate_a.inputs:
+        # shared input variables, then the cut points of both circuits
+        sources_a, sources_b = cut_point_vars(gate_a), cut_point_vars(gate_b)
+        for name in [*sources_a.values(), *sources_b.values()]:
             manager.declare(name)
-        for gate in (gate_a, gate_b):
-            for reg in gate.registers.values():
-                manager.declare(f"cut.{reg.name}")
 
-        cofactor_vars = sorted(
-            set(gate_a.inputs)
-            | {f"cut.{reg.name}" for gate in (gate_a, gate_b)
-               for reg in gate.registers.values()}
-        )
+        cofactor_vars = sorted({*sources_a.values(), *sources_b.values()})
         fixed = _shard_prefix(cofactor_vars, shard)
         if fixed is None:
             return run.result(
@@ -149,19 +141,15 @@ def combinational_equivalent(
                 return TRUE if fixed[name] else FALSE
             return manager.var(name)
 
-        def net_functions(gate: Netlist) -> Dict[str, int]:
-            values: Dict[str, int] = {}
-            for name in gate.inputs:
-                values[name] = bdd_of(name)
-            for reg in gate.registers.values():
-                values[reg.output] = bdd_of(f"cut.{reg.name}")
+        def net_functions(gate: Netlist, sources: Dict[str, str]) -> Dict[str, int]:
+            values = {net: bdd_of(name) for net, name in sources.items()}
             for cell in gate.topological_cells():
                 run.budget.check()
                 values[cell.output] = _cell_bdd(manager, cell, values)
             return values
 
-        vals_a = net_functions(gate_a)
-        vals_b = net_functions(gate_b)
+        vals_a = net_functions(gate_a, sources_a)
+        vals_b = net_functions(gate_b, sources_b)
 
         witness = None  # BDD separating the first pair of unequal functions
         for label, net_a, net_b in compared:
@@ -190,8 +178,7 @@ def combinational_equivalent(
     return run_engine("taut", time_budget, body)
 
 
-def is_tautology_by_sat(netlist: Netlist, output: Optional[str] = None,
-                        aig_opt: bool = True) -> bool:
+def is_tautology_by_sat(netlist: Netlist, output: Optional[str] = None) -> bool:
     """AIG/SAT path: is the given combinational output constantly true?
 
     Lowers the circuit to the structurally-hashed AIG and rides the
@@ -204,7 +191,7 @@ def is_tautology_by_sat(netlist: Netlist, output: Optional[str] = None,
     """
     from .sat import is_tautology_sat
 
-    return is_tautology_sat(netlist, output, aig_opt=aig_opt)
+    return is_tautology_sat(netlist, output)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +201,20 @@ def is_tautology_by_sat(netlist: Netlist, output: Optional[str] = None,
 def _net_terms(gate: Netlist) -> Tuple[Dict[str, Term], List[str]]:
     """Logic terms for every net, over free variables for inputs/cut points.
 
-    Primary inputs become free boolean variables named after the net;
-    register outputs become cut-point variables ``cut.<register>`` (keyed by
-    register name, matching :func:`combinational_equivalent`).  Cells are
-    embedded by direct substitution — no ``let`` bindings — because terms are
-    hash-consed: shared logic shares pointers, and the rewrite engine's memo
-    cache evaluates every distinct subterm once.
+    Source nets become free boolean variables named by
+    :func:`~repro.verification.common.cut_point_vars`, as in
+    :func:`combinational_equivalent`.  Cells are embedded by direct
+    substitution — no ``let`` bindings — because terms are hash-consed:
+    shared logic shares pointers, and the rewrite engine's memo cache
+    evaluates every distinct subterm once.
     """
     from ..formal.embed import cell_term
 
     ensure_stdlib()
-    values: Dict[str, Term] = {}
-    var_names: List[str] = []
-    for name in gate.inputs:
-        values[name] = Var(name, bool_ty)
-        var_names.append(name)
-    for reg in gate.registers.values():
-        values[reg.output] = Var(f"cut.{reg.name}", bool_ty)
-        var_names.append(f"cut.{reg.name}")
+    sources = cut_point_vars(gate)
+    values: Dict[str, Term] = {net: Var(name, bool_ty)
+                               for net, name in sources.items()}
+    var_names = list(sources.values())
     for cell in gate.topological_cells():
         values[cell.output] = cell_term(gate, cell, [values[i] for i in cell.inputs])
     return values, var_names

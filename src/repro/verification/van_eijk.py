@@ -77,13 +77,12 @@ def check_equivalence(
     node_budget: Optional[int] = None,
     simulation_cycles: int = 48,
     seed: int = 0,
-    aig_opt: bool = True,
 ) -> VerificationResult:
     """Van Eijk signal-correspondence equivalence check.
 
     ``exploit_dependencies=False`` reproduces the "Eijk" column,
-    ``exploit_dependencies=True`` the "Eijk+" column.  ``aig_opt`` toggles
-    DAG-aware rewriting during bit-blasting (counters join ``stats``).
+    ``exploit_dependencies=True`` the "Eijk+" column.  Bit-blasting
+    counters join ``stats``.
 
     The method is incomplete: when the induction closes without the output
     pairs corresponding, the result is ``error`` (inconclusive), never an
@@ -91,8 +90,8 @@ def check_equivalence(
     """
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(original, aig_opt)
-        gate_b = run.gate_level(retimed, aig_opt)
+        gate_a = run.gate_level(original)
+        gate_b = run.gate_level(retimed)
 
         product = product_fsm(gate_a, gate_b, node_budget=node_budget)
         m = product.manager

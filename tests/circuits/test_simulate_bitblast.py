@@ -1,4 +1,4 @@
-"""Tests for cycle simulation, bit-blasting and structural analysis."""
+"""Tests for cycle simulation, bit-blasting and the circuit generators."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,13 +22,7 @@ from repro.circuits.simulate import (
     random_input_sequence,
     simulate,
 )
-from repro.circuits.structural import (
-    same_interface,
-    state_only_cells,
-    structural_signature,
-    support_of,
-    transitive_fanin_nets,
-)
+from repro.eval.cache import netlist_fingerprint
 
 
 class TestSimulation:
@@ -185,33 +179,19 @@ class TestBitblast:
 
 
 class TestStructural:
-    def test_support_and_fanin(self, fig2_small):
-        pis, regs = support_of(fig2_small, "m")
-        assert pis == {"a", "b"}
-        assert regs == {"d0_out", "d1_out"}
-        assert "sel" in transitive_fanin_nets(fig2_small, "m")
-
-    def test_state_only_cells(self, fig2_small):
-        assert "inc" in state_only_cells(fig2_small)
-        assert "cmp" not in state_only_cells(fig2_small)
-
     def test_structural_signature_stable(self, fig2_small):
-        sig1 = structural_signature(fig2_small)
-        sig2 = structural_signature(figure2(3))
-        assert sig1 == sig2
-
-    def test_same_interface(self, fig2_small, fig2_small_retimed):
-        assert same_interface(fig2_small, fig2_small_retimed)
-        assert not same_interface(fig2_small, counter(3))
+        assert netlist_fingerprint(fig2_small) == netlist_fingerprint(figure2(3))
 
 
 class TestGenerators:
     def test_random_circuit_deterministic(self):
-        a = random_sequential_circuit(4, 6, 30, seed=5)
-        b = random_sequential_circuit(4, 6, 30, seed=5)
-        assert structural_signature(a) == structural_signature(b)
-        c = random_sequential_circuit(4, 6, 30, seed=6)
-        assert structural_signature(a) != structural_signature(c)
+        # one name for all three: the default name carries the seed, which
+        # would make the inequality below hold for any generator
+        a = random_sequential_circuit(4, 6, 30, seed=5, name="rand")
+        b = random_sequential_circuit(4, 6, 30, seed=5, name="rand")
+        assert netlist_fingerprint(a) == netlist_fingerprint(b)
+        c = random_sequential_circuit(4, 6, 30, seed=6, name="rand")
+        assert netlist_fingerprint(a) != netlist_fingerprint(c)
 
     def test_random_circuit_sizes(self):
         nl = random_sequential_circuit(5, 12, 80, seed=1)

@@ -12,7 +12,6 @@ import pytest
 from repro.circuits.generators import (
     counter,
     figure2,
-    figure2_retimed,
     fractional_multiplier,
     random_sequential_circuit,
     shift_register,
@@ -23,11 +22,6 @@ from repro.circuits.generators import (
 def fig2_small():
     """The Figure-2 example at a small width (shared, read-only)."""
     return figure2(3)
-
-
-@pytest.fixture(scope="session")
-def fig2_small_retimed():
-    return figure2_retimed(3)
 
 
 @pytest.fixture(scope="session")

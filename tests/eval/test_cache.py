@@ -56,9 +56,9 @@ def _golden_workload(init: int = 0, params=None) -> Workload:
 
 #: pinned digest of (_golden_workload(), "match", 10.0, 1000, salt="golden-salt");
 #: changes only when the canonicalisation itself changes — bump deliberately.
-#: (PR 7 bump: the payload gained the ``aig_opt`` toggle and the NPN
-#: rewrite-library version.)
-GOLDEN_DIGEST = "d1d396d1768127c30cad587303ecd7a3d445eeafa300288a6f47af82e0d39fe9"
+#: (Bumped when the payload gained the NPN rewrite-library version, and
+#: again when it dropped the rewriting toggle: rewriting is always on.)
+GOLDEN_DIGEST = "8848fa241f420278594e100d3cd7d28af3533c210ef96107ddebfee0921d7684"
 
 
 class TestCellKeyDeterminism:
@@ -96,23 +96,6 @@ class TestCellKeyDeterminism:
         assert cell_key(w, "match", 20.0, 1000) != base
         assert cell_key(w, "match", 10.0, 2000) != base
         assert cell_key(w, "match", 10.0, 1000, salt="other") != base
-
-    def test_sensitive_to_aig_opt_toggle(self):
-        """A rewriting-off measurement must never serve a rewriting-on
-        request (and vice versa): the toggle is part of the digest."""
-        w = _golden_workload()
-        on = cell_key(w, "match", 10.0, 1000, aig_opt=True)
-        off = cell_key(w, "match", 10.0, 1000, aig_opt=False)
-        assert on != off
-        assert on == cell_key(w, "match", 10.0, 1000)  # default is on
-
-    def test_spec_key_carries_the_aig_opt_toggle(self):
-        from repro.eval.cache import spec_key
-
-        w = _golden_workload()
-        on = spec_key(CellSpec(w, "match", 10.0, 1000, aig_opt=True))
-        off = spec_key(CellSpec(w, "match", 10.0, 1000, aig_opt=False))
-        assert on != off
 
     def test_sensitive_to_rewrite_library_version(self, monkeypatch):
         """Regenerating the NPN structure library invalidates old entries."""

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import _parse_param, main
+from repro.verification.common import VerificationResult
+from repro.verification.registry import register_checker, unregister_checker
 
 
 class TestParamParsing:
@@ -84,6 +86,56 @@ class TestRun:
         assert "Table II" in out
         assert "s344" in out
 
+    def test_table2_is_the_iwls_scenario_under_its_title(self, capsys,
+                                                         tmp_path):
+        # one cache, so the second run's seconds are the first run's
+        shared = ["--param", "scale=0.05", "--param", "names=s344,s382",
+                  "--no-isolate", "--cache-dir", str(tmp_path)]
+        assert main(["run", "--table", "2", *shared]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert main(["run", "--scenario", "iwls", *shared]) == 0
+        scenario = capsys.readouterr().out.splitlines()
+        assert table[0].startswith("Table II")
+        assert scenario[0] == "Scenario 'iwls'"
+        assert table[2:] == scenario[2:]
+
+
+class TestTable1SkipPolicy:
+    """A verifier that timed out on two widths in a row is skipped after."""
+
+    @pytest.fixture()
+    def stub_widths(self):
+        widths = []
+
+        def always_times_out(original, retimed, time_budget=None):
+            widths.append(original.width(original.outputs[0]))
+            return VerificationResult(method="stub-slow", status="timeout",
+                                      seconds=0.0, detail="stubbed")
+
+        register_checker("stub-slow", always_times_out, replace=True)
+        yield widths
+        unregister_checker("stub-slow")
+
+    def _run(self, *extra):
+        return main(["run", "--table", "1", "--param", "widths=1,2,3,4",
+                     "--methods", "stub-slow,hash", "--budget", "20",
+                     "--no-isolate", "--no-cache", "--stream", *extra])
+
+    def test_verifier_skipped_after_two_timeouts(self, capsys, stub_widths):
+        assert self._run() == 0
+        out = capsys.readouterr().out
+        assert stub_widths == [1, 2]
+        streamed = [line for line in out.splitlines()
+                    if line.startswith("[cell ")]
+        assert len(streamed) == 8  # skipped cells stream too
+        assert sum("/ hash: equivalent" in line for line in streamed) == 4
+        assert sum("/ stub-slow: timeout" in line for line in streamed) == 4
+
+    def test_no_skip_runs_every_cell(self, capsys, stub_widths):
+        assert self._run("--param", "no_skip=1") == 0
+        capsys.readouterr()
+        assert stub_widths == [1, 2, 3, 4]
+
 
 class TestAigStats:
     def test_aig_stats_smoke(self, capsys):
@@ -100,14 +152,6 @@ class TestAigStats:
     def test_aig_stats_unknown_scenario_exits_2(self, capsys):
         assert main(["aig-stats", "--scenario", "nope"]) == 2
         assert "error:" in capsys.readouterr().out
-
-    def test_run_accepts_the_rewrite_toggle(self, capsys):
-        code = main(["run", "--scenario", "figure2", "--param", "widths=2",
-                     "--methods", "hash", "--budget", "20", "--no-isolate",
-                     "--no-cache", "--no-aig-opt"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "figure2 n=2" in out
 
 
 class TestErrors:
@@ -152,6 +196,25 @@ class TestErrors:
         out = capsys.readouterr().out
         assert code == 2
         assert "does not accept" in out
+
+    def test_table2_takes_no_skip_policy(self, capsys):
+        code = main(["run", "--table", "2", "--param", "no_skip=1",
+                     "--no-cache"])
+        assert code == 2
+        assert "does not accept ['no_skip']" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "fuzz"])
+    def test_via_daemon_excludes_no_isolate(self, capsys, command):
+        assert main([command, "--via-daemon", "--no-isolate"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "fuzz"])
+    def test_via_daemon_without_a_daemon_exits_2(self, capsys, tmp_path,
+                                                 command):
+        code = main([command, "--via-daemon",
+                     "--socket", str(tmp_path / "absent.sock")])
+        assert code == 2
+        assert "no daemon listening" in capsys.readouterr().out
 
     def test_malformed_param_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):

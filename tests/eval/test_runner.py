@@ -18,7 +18,6 @@ from repro.eval.runner import (
     render_table,
     run_cell,
     run_cells,
-    run_row,
     run_rows,
 )
 from repro.eval.scenarios import build_scenario
@@ -260,7 +259,8 @@ class TestDeterminism:
 
 class TestRowAssembly:
     def test_run_row_in_process(self, tiny_workload):
-        row = run_row(tiny_workload, ["stub-ok", "stub-to"], time_budget=2.0)
+        (row,) = run_rows([tiny_workload], ["stub-ok", "stub-to"],
+                          time_budget=2.0)
         assert set(row.cells) == {"stub-ok", "stub-to"}
         assert row.cell("stub-ok").verdict == "equivalent"
 
@@ -282,8 +282,9 @@ class TestRealBackendsThroughRunner:
     def test_isolated_real_row_matches_in_process_statuses(self):
         workload = table1_workload(2)
         methods = ["sis", "smv", "match", "hash"]
-        in_proc = run_row(workload, methods, time_budget=30)
-        isolated = run_row(workload, methods, time_budget=30, jobs=4, isolate=True)
+        (in_proc,) = run_rows([workload], methods, time_budget=30)
+        (isolated,) = run_rows([workload], methods, time_budget=30, jobs=4,
+                               isolate=True)
         assert {m: c.verdict for m, c in in_proc.cells.items()} == \
                {m: c.verdict for m, c in isolated.cells.items()}
         assert in_proc.cells["hash"].stats["kernel_steps"] == \

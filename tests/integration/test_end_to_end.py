@@ -5,7 +5,8 @@ import pytest
 from repro.circuits.generators import figure2, figure2_cut, fractional_multiplier
 from repro.circuits.simulate import outputs_equal
 from repro.eval import table1, table2
-from repro.eval.runner import run_cell, run_row
+from repro.eval.runner import run_cell, run_rows
+from repro.eval.scenarios import build_scenario
 from repro.eval.workloads import make_workload, table1_workload, table2_workloads
 from repro.formal import certificate_for, formal_forward_retiming
 from repro.retiming.cuts import maximal_forward_cut
@@ -57,24 +58,28 @@ class TestFormalResultAcceptedByAllVerifiers:
 class TestHarness:
     def test_table1_single_row(self):
         workload = table1_workload(2)
-        row = run_row(workload, ["sis", "smv", "hash"], time_budget=30)
+        (row,) = run_rows([workload], ["sis", "smv", "hash"], time_budget=30)
         assert row.cells["hash"].verdict == "equivalent"
         assert row.cells["sis"].verdict == "equivalent"
         assert row.cells["smv"].verdict == "equivalent"
 
     def test_table1_render(self):
-        rows = table1.run_table1(widths=[1, 2], time_budget=20)
-        text = table1.render(rows)
+        methods = ["sis", "smv", "hash"]
+        rows = table1.run_table1(build_scenario("figure2", widths=[1, 2]),
+                                 methods, time_budget=20)
+        text = table1.render(rows, methods)
         assert "Table I" in text and "HASH" in text
 
     def test_table2_scaled_row(self):
         workloads = table2_workloads(scale=0.06, names=["s344"])
-        row = run_row(workloads[0], ["eijk", "sis", "hash"], time_budget=25)
+        (row,) = run_rows(workloads, ["eijk", "sis", "hash"], time_budget=25)
         assert row.cells["hash"].verdict == "equivalent"
 
     def test_table2_render(self):
-        rows = table2.run_table2(scale=0.05, names=["s344", "s382"], time_budget=20)
-        text = table2.render(rows)
+        methods = ["eijk", "eijk+", "sis", "hash"]
+        workloads = build_scenario("iwls", scale=0.05, names=["s344", "s382"])
+        rows = run_rows(workloads, methods, time_budget=20)
+        text = table2.render(rows, methods)
         assert "Table II" in text and "EIJK" in text
 
     def test_hash_measurement_includes_inference_count(self):
@@ -84,7 +89,7 @@ class TestHarness:
 
     def test_timeouts_render_as_dash(self):
         workload = table1_workload(12)
-        row = run_row(workload, ["smv"], time_budget=0.2)
+        (row,) = run_rows([workload], ["smv"], time_budget=0.2)
         assert row.cells["smv"].render() == "-"
 
 

@@ -12,7 +12,7 @@ from repro.circuits.generators import (
     shift_register,
 )
 from repro.circuits.simulate import outputs_equal
-from repro.circuits.structural import structural_signature
+from repro.eval.cache import netlist_fingerprint
 from repro.retiming.apply import (
     BackwardRetimingError,
     RetimingApplyError,
@@ -63,9 +63,9 @@ class TestForwardRetiming:
 
     def test_original_untouched(self):
         original = figure2(4)
-        signature = structural_signature(original)
+        fingerprint = netlist_fingerprint(original)
         apply_forward_retiming(original, ["inc"])
-        assert structural_signature(original) == signature
+        assert netlist_fingerprint(original) == fingerprint
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_random_circuits_preserved(self, seed):

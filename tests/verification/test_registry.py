@@ -1,8 +1,13 @@
 """Tests for the declarative verification-backend registry."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.circuits.generators import figure2, figure2_retimed
+import repro
+from repro.circuits.generators import figure2, figure2_false_cut, figure2_retimed
 from repro.verification.common import VerificationError, VerificationResult
 from repro.verification.registry import (
     available_checkers,
@@ -71,6 +76,31 @@ class TestDispatch:
     def test_hash_without_cut_raises(self, fig_pair):
         with pytest.raises(VerificationError, match="cut"):
             run_checker("hash", *fig_pair)
+
+    def test_hash_false_cut_is_an_error_result(self):
+        original = figure2(4)
+        result = run_checker("hash", original, original,
+                             cut=figure2_false_cut())
+        assert result.status == "error"
+        assert "false cut" in result.detail
+        assert result.stats["wall_seconds"] == pytest.approx(result.seconds)
+
+    def test_hash_kernel_steps_do_not_depend_on_process_history(self):
+        # a fresh process: the first proof in it must not also count the
+        # one-time theory setup (stdlib and the universal retiming theorem)
+        code = (
+            "from repro.eval.runner import run_cell; "
+            "from repro.eval.workloads import table1_workload; "
+            "w = table1_workload(2); "
+            "print(*[run_cell(w, 'hash').stats['kernel_steps'] "
+            "for _ in range(2)])"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        first, second = out.stdout.split()
+        assert first == second
 
 
 class TestRegistration:

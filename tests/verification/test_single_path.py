@@ -5,6 +5,8 @@
 * one overrun handler: every budget-polling backend, forced over budget,
   returns a ``timeout`` that keeps its structured cost record, from its own
   entry point and through ``run_checker`` alike;
+* one cut-point naming rule: an input names itself, a register output is
+  ``cut.<register>``;
 * the per-layer tracer of ``perfbench/`` finds every site it wraps.
 """
 
@@ -28,7 +30,12 @@ from repro.verification import (
     tautology,
     van_eijk,
 )
-from repro.verification.common import VERDICTS, VerificationResult
+from repro.verification.common import (
+    VERDICTS,
+    VerificationResult,
+    cut_point_vars,
+    ensure_gate_level,
+)
 from repro.verification.registry import available_checkers, run_checker
 
 # ---------------------------------------------------------------------------
@@ -171,6 +178,19 @@ def test_a_verdict_outside_the_vocabulary_is_rejected():
     for status in ("inconclusive", "ok", "failed"):
         with pytest.raises(ValueError):
             VerificationResult(method="x", status=status, seconds=0.0)
+
+
+# ---------------------------------------------------------------------------
+# One cut-point naming rule
+# ---------------------------------------------------------------------------
+
+def test_cut_point_vars_name_inputs_then_registers(fig2_small):
+    gate = ensure_gate_level(fig2_small)
+    names = cut_point_vars(gate)
+    registers = list(gate.registers.values())
+    assert list(names) == list(gate.inputs) + [r.output for r in registers]
+    assert all(names[net] == net for net in gate.inputs)
+    assert all(names[r.output] == f"cut.{r.name}" for r in registers)
 
 
 # ---------------------------------------------------------------------------
