@@ -2,9 +2,10 @@
 
 The adversarial counterpart of the generator family: every operator takes a
 netlist and returns a *mutated copy*, and every applied mutation is recorded
-as a structured :class:`Mutation` — JSON-serialisable, so a fuzz cell's
-provenance (and therefore its result-cache key) captures exactly which
-faults were injected, and a minimised repro can replay them verbatim.
+as a structured :class:`Mutation` — JSON-serialisable, so a minimised
+repro can replay the injected faults verbatim.  The faults reach a
+fuzz cell's result-cache key through the mutant netlist's structural
+fingerprint, like any other change to a circuit.
 
 Operators (the classic gate-level fault models):
 

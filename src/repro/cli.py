@@ -12,8 +12,8 @@ One front end for the whole evaluation layer, built on the two registries:
 * ``python -m repro serve`` — the resident evaluation daemon (persistent
   worker pool + shared result cache); ``repro run ... --via-daemon``
   submits cells to it instead of running them locally;
-* ``python -m repro cache stats|clear`` — manage the content-addressed
-  result cache.
+* ``python -m repro cache stats|clear`` — inspect or clear the on-disk
+  result cache, which the daemon shares.
 
 ``--jobs N`` runs up to ``N`` cells concurrently on a pool of worker
 subprocesses with the time budget enforced as a wall-clock kill; results
@@ -324,21 +324,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         count, nbytes = store.disk_entries()
         print(f"cache dir : {directory}")
         print(f"entries   : {count} ({nbytes} bytes)")
-        try:
-            live = service.DaemonClient(args.socket).cache_stats()
-        except (OSError, EOFError):
-            live = None
-        if live is not None:
-            print(f"daemon    : hits={live['hits']} misses={live['misses']} "
-                  f"stores={live['stores']} "
-                  f"memory_entries={live['memory_entries']}")
         return 0
-    removed = store.clear()
-    try:  # a resident daemon caches in memory too — clear it as well
-        removed = max(removed, service.DaemonClient(args.socket).cache_clear())
-    except (OSError, EOFError):
-        pass
-    print(f"removed {removed} cached result(s) from {directory}")
+    print(f"removed {store.clear()} cached result(s) from {directory}")
     return 0
 
 
@@ -535,9 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("--cache-dir", default=None,
                          help="result cache directory (default: "
                               f"$REPRO_CACHE_DIR or {result_cache.DEFAULT_CACHE_DIR})")
-    cache_p.add_argument("--socket", default=None,
-                         help="also query/clear a resident daemon's cache "
-                              "through this socket")
     cache_p.set_defaults(func=_cmd_cache)
 
     lb = sub.add_parser("list-backends", help="list registered verification backends")

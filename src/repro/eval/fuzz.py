@@ -185,7 +185,6 @@ def build_cell(spec: FuzzSpec) -> FuzzCell:
         spec.n_inputs, spec.n_flipflops, spec.n_gates,
         seed=spec.seed, name=f"fuzz_s{spec.seed}",
     )
-    provenance = {"scenario": "fuzz", "params": spec.to_dict()}
 
     cut: List[str] = []
     retimed: Optional[Netlist] = None
@@ -202,7 +201,7 @@ def build_cell(spec: FuzzSpec) -> FuzzCell:
         return FuzzCell(
             spec=spec,
             workload=Workload(name=spec.name, original=base, cut=cut,
-                              retimed=retimed, provenance=provenance),
+                              retimed=retimed),
             expected="equivalent",
         )
 
@@ -224,14 +223,10 @@ def build_cell(spec: FuzzSpec) -> FuzzCell:
             )
         except MutationError as exc:
             raise FuzzError(f"{spec.name}: {exc}") from exc
-    # the cache key must see the applied faults, not just "n_faults=2"
-    provenance["params"] = dataclasses.replace(
-        spec, mutations=tuple(mutations)
-    ).to_dict()
     return FuzzCell(
         spec=spec,
         workload=Workload(name=spec.name, original=base, cut=cut,
-                          retimed=mutant, provenance=provenance),
+                          retimed=mutant),
         expected="not_equivalent",
         mutations=mutations,
     )

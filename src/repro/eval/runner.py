@@ -15,10 +15,11 @@ can run
   the paper's dash, and its worker is recycled so the pool stays live.
 
 Two orthogonal extensions feed both modes: a content-addressed result
-cache (:mod:`repro.eval.cache`) that short-circuits already-proved cells
-before any dispatch, and a resident daemon (:mod:`repro.eval.service`,
-``python -m repro serve``) that owns a pool + cache across invocations and
-accepts batches through :class:`~repro.eval.service.DaemonClient`.
+cache (:mod:`repro.eval.cache`) that short-circuits cells already proved
+``equivalent`` before any dispatch, and a resident daemon
+(:mod:`repro.eval.service`, ``python -m repro serve``) that owns a pool +
+cache across invocations and accepts batches through
+:class:`~repro.eval.service.DaemonClient`.
 
 Results are collected by submission index, never by completion order, so a
 table produced with ``jobs=4`` — or served by the daemon — has exactly the
@@ -103,8 +104,8 @@ class CellSpec:
     node_budget: int = DEFAULT_NODE_BUDGET
     #: requested intra-cell shard count (>1 splits shardable backends into
     #: range shards run as sibling jobs; NOT part of the cache key — the
-    #: logical cell is keyed, and the merged measurement is what gets
-    #: cached)
+    #: logical cell is keyed, and only a merged ``equivalent``, which no
+    #: shard count can change, is cached)
     shards: int = 1
     #: the ``(k, n)`` range assignment of one expanded shard (internal:
     #: set by :func:`expand_cell`, passed to the backend as ``shard=``)
@@ -273,14 +274,14 @@ def run_cells(
 
     ``cache`` is an optional :class:`~repro.eval.cache.ResultCache`: cells
     whose content-addressed digest is already cached short-circuit before
-    any worker dispatch, and freshly computed ``ok``/``timeout`` cells are
-    stored back.  ``client`` is an optional
-    :class:`~repro.eval.service.DaemonClient`: the whole batch is submitted
-    to a resident ``python -m repro serve`` daemon instead of running
-    locally (the daemon owns its own pool and cache).  All four execution
-    modes — serial, pooled, cached, via-daemon — return the same
-    measurements for deterministic cells, so the rendered tables are
-    byte-identical.
+    any worker dispatch, and freshly computed ``equivalent`` cells are
+    stored back (every other verdict is recomputed next time).  ``client``
+    is an optional :class:`~repro.eval.service.DaemonClient`: the whole
+    batch is submitted to a resident ``python -m repro serve`` daemon
+    instead of running locally (the daemon owns its own pool and cache).
+    All four execution modes — serial, pooled, cached, via-daemon — return
+    the same measurements for deterministic cells, so the rendered tables
+    are byte-identical.
 
     ``on_result`` is the streaming hook: it is invoked as ``(index,
     measurement)`` the moment each cell finishes — cache hits first (in

@@ -111,16 +111,7 @@ def build_scenario(name: str, **params: Any) -> List[Workload]:
             f"scenario {name!r} does not accept {sorted(unknown)}; "
             f"parameters: {sorted(scenario.defaults)}"
         )
-    merged = dict(scenario.defaults)
-    merged.update(params)
-    workloads = scenario.build(**merged)
-    for workload in workloads:
-        # factories stamp per-workload provenance themselves; fall back to the
-        # whole sweep's parameters for scenarios that do not (the result cache
-        # still distinguishes cells by workload name and circuit content)
-        if workload.provenance is None:
-            workload.provenance = {"scenario": name, "params": merged}
-    return workloads
+    return scenario.build(**{**scenario.defaults, **params})
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +159,8 @@ def _iwls_scenario(scale: float, names: Optional[Sequence[str]]) -> List[Workloa
     widths=(2, 3, 4),
 )
 def _counters_scenario(widths: Sequence[int]) -> List[Workload]:
-    out: List[Workload] = []
-    for n in as_seq(widths):
-        n = int(n)
-        for kind, build in (("counter", counter), ("gray", gray_counter),
-                            ("shift", shift_register)):
-            out.append(make_workload(
-                build(n),
-                provenance={"scenario": "counters",
-                            "params": {"kind": kind, "n": n}},
-            ))
-    return out
+    return [make_workload(build(int(n))) for n in as_seq(widths)
+            for build in (counter, gray_counter, shift_register)]
 
 
 @register_scenario(
@@ -190,10 +172,7 @@ def _counters_scenario(widths: Sequence[int]) -> List[Workload]:
 )
 def _multiplier_scenario(widths: Sequence[int]) -> List[Workload]:
     return [
-        make_workload(
-            fractional_multiplier(int(n)), cut=multiplier_retiming_cut(),
-            provenance={"scenario": "multiplier", "params": {"n": int(n)}},
-        )
+        make_workload(fractional_multiplier(int(n)), cut=multiplier_retiming_cut())
         for n in as_seq(widths)
     ]
 
@@ -204,14 +183,13 @@ def _multiplier_scenario(widths: Sequence[int]) -> List[Workload]:
                 "vs its structurally-hashed AIG rebuild (same registers, "
                 "restructured logic) — the taut/sat/fraig cut-point "
                 "checkers prove equivalence, exercising the AIG backend "
-                "family on every cell; with opt=1 (the default) the rebuild "
-                "additionally runs DAG-aware rewriting + pattern emission, "
-                "so every cell proves the optimiser semantics-preserving",
+                "family on every cell; the rebuild runs DAG-aware "
+                "rewriting + pattern emission, so every cell proves the "
+                "optimiser semantics-preserving",
     default_methods=("taut", "sat", "fraig"),
     widths=(2, 3, 4),
-    opt=1,
 )
-def _strash_scenario(widths: Sequence[int], opt: int) -> List[Workload]:
+def _strash_scenario(widths: Sequence[int]) -> List[Workload]:
     from ..circuits.bitblast import bitblast
     from ..retiming.cuts import maximal_forward_cut
 
@@ -221,19 +199,15 @@ def _strash_scenario(widths: Sequence[int], opt: int) -> List[Workload]:
         for netlist in (figure2(n), counter(n)):
             # the left side is the *unoptimised* gate-level lowering; the
             # right side is the structurally-hashed rebuild, run through the
-            # DAG-aware rewriter when opt is on — the equivalence verdict is
-            # then a semantic check of the whole optimisation pipeline
+            # DAG-aware rewriter — the equivalence verdict is then a
+            # semantic check of the whole optimisation pipeline
             gate = bitblast(netlist, opt=False).netlist
-            rebuilt = bitblast(gate, name_suffix="_strash",
-                               opt=bool(opt)).netlist
+            rebuilt = bitblast(gate, name_suffix="_strash").netlist
             out.append(Workload(
                 name=f"strash {netlist.name}",
                 original=gate,
                 cut=maximal_forward_cut(gate),
                 retimed=rebuilt,
-                provenance={"scenario": "strash",
-                            "params": {"base": netlist.name, "n": n,
-                                       "opt": int(opt)}},
             ))
     return out
 
@@ -252,15 +226,9 @@ def _random_seq_scenario(
     seeds: Sequence[int], n_inputs: int, n_flipflops: int, n_gates: int
 ) -> List[Workload]:
     return [
-        make_workload(
-            random_sequential_circuit(
-                int(n_inputs), int(n_flipflops), int(n_gates), seed=int(seed)
-            ),
-            provenance={"scenario": "random_seq",
-                        "params": {"seed": int(seed), "n_inputs": int(n_inputs),
-                                   "n_flipflops": int(n_flipflops),
-                                   "n_gates": int(n_gates)}},
-        )
+        make_workload(random_sequential_circuit(
+            int(n_inputs), int(n_flipflops), int(n_gates), seed=int(seed)
+        ))
         for seed in as_seq(seeds)
     ]
 

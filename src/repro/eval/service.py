@@ -13,12 +13,14 @@ Three layers, bottom to top:
   pipe) is recycled the same way and reported as a ``failed`` cell.
 
 * :func:`serve` — a long-running daemon (``python -m repro serve``) that
-  owns one pool plus a shared :class:`~repro.eval.cache.ResultCache` and
-  accepts job batches over a Unix-domain socket.  Each batch goes through
-  :func:`~repro.eval.runner.run_cells` on the resident pool, so cache hits
-  short-circuit before worker dispatch and sharded cells expand and merge
-  exactly as in a local run; each batch's reply stream ends with a
-  ``cache_hits``/``cache_misses`` summary.
+  owns one pool plus a :class:`~repro.eval.cache.ResultCache` on the
+  shared cache directory and accepts job batches over a Unix-domain
+  socket.  Each batch goes through :func:`~repro.eval.runner.run_cells` on
+  the resident pool, so cache hits short-circuit before worker dispatch
+  and sharded cells expand and merge exactly as in a local run; each
+  batch's reply stream ends with a ``cache_hits``/``cache_misses``
+  summary.  The daemon keeps no results of its own: what it caches is on
+  disk, where ``repro cache stats|clear`` sees it.
 
 * :class:`DaemonClient` — the submit/stream client API.  ``run_cells``
   submits a batch and invokes the caller's ``on_result`` hook per cell as
@@ -187,9 +189,10 @@ class WorkerPool:
         exactly once on a fresh worker after ``retry_backoff`` seconds — a
         second crash is recorded as ``failed`` (with ``stats["retries"]=1``),
         so a deterministic crasher still fails fast and never wedges the
-        pool.  Budget kills are *not* retried: the dash is a deterministic
-        verdict.  Between events the pool sleeps until a result arrives,
-        the nearest kill deadline passes or a backed-off retry is due.
+        pool.  Budget kills are *not* retried: the dash is the cell's
+        verdict under this run's budget.  Between events the pool sleeps
+        until a result arrives, the nearest kill deadline passes or a
+        backed-off retry is due.
         """
         # (index, spec, earliest dispatch instant — the retry backoff)
         queue = deque((index, spec, 0.0) for index, spec in items)
@@ -306,12 +309,6 @@ def _handle_connection(conn, pool: WorkerPool, cache, log) -> bool:
         if log is not None:
             log(f"served {len(specs)} cell(s): {hits} cached, "
                 f"{len(specs) - hits} computed")
-    elif op == "cache-stats":
-        conn.send(("cache-stats",
-                   cache.counters() if cache is not None else None))
-    elif op == "cache-clear":
-        removed = cache.clear() if cache is not None else 0
-        conn.send(("ok", removed))
     elif op == "shutdown":
         conn.send(("ok", None))
         return False
@@ -356,7 +353,7 @@ def serve(
     listener = mp_connection.Listener(path, family="AF_UNIX", authkey=_AUTHKEY)
     pool = WorkerPool(jobs)
     if log is not None:
-        store = "off" if cache is None else (cache.directory or "memory-only")
+        store = "off" if cache is None else cache.directory
         log(f"repro daemon: {jobs} worker(s), socket {path}, cache {store}")
     if ready is not None:
         ready.set()
@@ -458,12 +455,6 @@ class DaemonClient:
 
     def ping(self) -> Dict:
         return self._simple("ping")[1]
-
-    def cache_stats(self) -> Optional[Dict]:
-        return self._simple("cache-stats")[1]
-
-    def cache_clear(self) -> int:
-        return self._simple("cache-clear")[1]
 
     def shutdown(self) -> None:
         self._simple("shutdown")

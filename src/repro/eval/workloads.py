@@ -10,8 +10,8 @@ number of retimable gates").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..circuits.generators import figure2, iwls_circuit
 from ..circuits.generators.iwls import IWLS_BENCHMARKS, BenchmarkSpec
@@ -28,11 +28,6 @@ class Workload:
     original: Netlist
     cut: List[str]
     retimed: Netlist
-    #: where this workload came from — ``{"scenario": name, "params": {...}}``
-    #: with the *per-workload* parameters (not the whole sweep), so identical
-    #: cells built through different sweeps share a result-cache key.  ``None``
-    #: for ad-hoc workloads; the cache then keys on circuit content alone.
-    provenance: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     @property
     def flipflops(self) -> int:
@@ -44,8 +39,7 @@ class Workload:
 
 
 def make_workload(netlist: Netlist, cut: Optional[Sequence[str]] = None,
-                  name: Optional[str] = None,
-                  provenance: Optional[Dict[str, Any]] = None) -> Workload:
+                  name: Optional[str] = None) -> Workload:
     """Bundle a netlist with its (maximal) cut and the conventionally retimed circuit."""
     chosen = list(cut) if cut is not None else maximal_forward_cut(netlist)
     if not chosen:
@@ -56,7 +50,6 @@ def make_workload(netlist: Netlist, cut: Optional[Sequence[str]] = None,
         original=netlist,
         cut=chosen,
         retimed=retimed,
-        provenance=provenance,
     )
 
 
@@ -67,10 +60,7 @@ TABLE1_WIDTHS: List[int] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32]
 
 def table1_workload(n: int) -> Workload:
     """The Figure-2 example at bit width ``n`` with its maximal cut."""
-    return make_workload(
-        figure2(n), name=f"figure2 n={n}",
-        provenance={"scenario": "figure2", "params": {"n": int(n)}},
-    )
+    return make_workload(figure2(n), name=f"figure2 n={n}")
 
 
 def table2_workloads(scale: float = 1.0,
@@ -79,12 +69,5 @@ def table2_workloads(scale: float = 1.0,
     selected: List[BenchmarkSpec] = [
         spec for spec in IWLS_BENCHMARKS if names is None or spec.name in names
     ]
-    out = []
-    for spec in selected:
-        netlist = iwls_circuit(spec.name, scale=scale)
-        out.append(make_workload(
-            netlist, name=spec.name,
-            provenance={"scenario": "iwls",
-                        "params": {"name": spec.name, "scale": float(scale)}},
-        ))
-    return out
+    return [make_workload(iwls_circuit(spec.name, scale=scale), name=spec.name)
+            for spec in selected]

@@ -113,10 +113,6 @@ class BddManager:
         self.ite_calls = 0
         self.cache_hits = 0
 
-    def set_deadline(self, deadline: Optional[float]) -> None:
-        """Abort long-running operations after this ``time.perf_counter()`` instant."""
-        self.deadline = deadline
-
     def _check_deadline(self) -> None:
         if self.deadline is not None and _perf_counter() > self.deadline:
             raise BddBudgetExceeded(

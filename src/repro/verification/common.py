@@ -76,11 +76,10 @@ class VerificationResult:
 
 
 class Budget:
-    """A wall-clock / BDD-node budget shared by one verification run."""
+    """The wall-clock budget of one verification run."""
 
-    def __init__(self, seconds: Optional[float] = None, nodes: Optional[int] = None):
+    def __init__(self, seconds: Optional[float] = None):
         self.seconds = seconds
-        self.nodes = nodes
         self._start = time.perf_counter()
 
     @property
@@ -99,12 +98,6 @@ class Budget:
                 f"time budget of {self.seconds:.1f}s exceeded"
             )
 
-    def arm(self, manager) -> None:
-        """Make a :class:`~repro.verification.bdd.BddManager` honour this budget."""
-        manager.set_deadline(self.deadline)
-        if self.nodes is not None and manager.node_budget is None:
-            manager.node_budget = self.nodes
-
 
 class TimeoutBudgetExceeded(Exception):
     """Raised when a verification run exceeds its wall-clock budget."""
@@ -116,9 +109,10 @@ class EngineRun:
     Every budget-polling backend runs its body under :func:`run_engine`, so
     the start time, the :class:`Budget`, the registry-name label and the
     merge of BDD, lowering and backend counters live here once.  The body
-    keeps the record current — ``manager`` once a BDD manager exists,
-    ``iterations`` as it steps, ``counters`` for its own counters — and
-    :meth:`result` reads it whenever the run ends, overrun or not.
+    keeps the record current — its BDD manager comes from
+    :meth:`bdd_manager`, ``iterations`` count its steps, ``counters`` report
+    its own counters — and :meth:`result` reads it whenever the run ends,
+    overrun or not.
     """
 
     def __init__(self, method: str, time_budget: Optional[float] = None):
@@ -137,10 +131,13 @@ class EngineRun:
         """:func:`ensure_gate_level`, counting the lowering in the record."""
         return ensure_gate_level(netlist, stats=self.lowering)
 
-    def attach(self, manager: BddManager) -> None:
-        """Arm the budget on a BDD manager and report its counters."""
-        self.manager = manager
-        self.budget.arm(manager)
+    def bdd_manager(self, node_budget: Optional[int]) -> BddManager:
+        """A BDD manager that already honours the run's deadline and
+        ``node_budget``, so compiling into it is budgeted too; its counters
+        join the record."""
+        self.manager = BddManager(node_budget=node_budget,
+                                  deadline=self.budget.deadline)
+        return self.manager
 
     def result(self, status: str, detail: str,
                counterexample: Optional[Dict[str, bool]] = None) -> VerificationResult:
@@ -341,7 +338,6 @@ def product_fsm(
     a: Netlist,
     b: Netlist,
     manager: Optional[BddManager] = None,
-    node_budget: Optional[int] = None,
     opt_stats: Optional[Dict[str, int]] = None,
 ) -> ProductFSM:
     """Compile two circuits with the same primary inputs into a product FSM.
@@ -361,7 +357,7 @@ def product_fsm(
         raise VerificationError(
             f"output mismatch: {sorted(gate_a.outputs)} vs {sorted(gate_b.outputs)}"
         )
-    manager = manager or BddManager(node_budget=node_budget)
+    manager = manager or BddManager()
 
     # interleaved variable order: inputs, then state bits of A and B alternating
     for name in gate_a.inputs:

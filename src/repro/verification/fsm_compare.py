@@ -32,5 +32,5 @@ def check_equivalence(
     Bit-blasting counters join ``stats``.
     """
     return run_engine("sis", time_budget, lambda run: traverse(run, product_fsm(
-        original, retimed, node_budget=node_budget, opt_stats=run.lowering,
+        original, retimed, run.bdd_manager(node_budget), opt_stats=run.lowering,
     )))

@@ -231,10 +231,10 @@ def traverse(run: EngineRun, product: ProductFSM) -> VerificationResult:
     """Decide ``AG (outputs of A = outputs of B)`` on a compiled product.
 
     The one traversal behind the ``smv`` and ``sis`` columns: each entry
-    point builds its product machine and hands it here.
+    point compiles its product machine into ``run``'s BDD manager and hands
+    it here.
     """
     m = product.manager
-    run.attach(m)
     primed = declare_next_state_vars(product)
     relation = build_transition_relation(product, primed)
     run.budget.check()
@@ -272,5 +272,5 @@ def check_equivalence(
     Bit-blasting counters join ``stats``.
     """
     return run_engine("smv", time_budget, lambda run: traverse(run, product_fsm(
-        original, retimed, node_budget=node_budget, opt_stats=run.lowering,
+        original, retimed, run.bdd_manager(node_budget), opt_stats=run.lowering,
     )))

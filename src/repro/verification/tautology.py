@@ -44,7 +44,7 @@ from ..logic.kernel import KernelError, Theorem, inference_steps
 from ..logic.rules import RuleError, equal_by_normalisation
 from ..logic.stdlib import ensure_stdlib
 from ..logic.terms import Term, Var, mk_tuple, var_subst
-from .bdd import FALSE, TRUE, BddManager
+from .bdd import FALSE, TRUE
 from .common import (
     EngineRun,
     TimeoutBudgetExceeded,
@@ -118,8 +118,7 @@ def combinational_equivalent(
     def body(run: EngineRun) -> VerificationResult:
         gate_a = run.gate_level(a)
         gate_b = run.gate_level(b)
-        manager = BddManager(node_budget=node_budget)
-        run.attach(manager)
+        manager = run.bdd_manager(node_budget)
         mismatches, compared = pair_cut_points(gate_a, gate_b)
 
         # shared input variables, then the cut points of both circuits

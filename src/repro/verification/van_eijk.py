@@ -93,9 +93,8 @@ def check_equivalence(
         gate_a = run.gate_level(original)
         gate_b = run.gate_level(retimed)
 
-        product = product_fsm(gate_a, gate_b, node_budget=node_budget)
+        product = product_fsm(gate_a, gate_b, run.bdd_manager(node_budget))
         m = product.manager
-        run.attach(m)
         budget = run.budget
         left, right = product.left, product.right
         fn = {"A": dict(left.net_fns), "B": dict(right.net_fns)}

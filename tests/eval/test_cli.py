@@ -137,6 +137,27 @@ class TestTable1SkipPolicy:
         assert stub_widths == [1, 2, 3, 4]
 
 
+class TestCacheCommand:
+    def test_stats_and_clear_see_the_whole_store(self, capsys, tmp_path):
+        directory = str(tmp_path / "cache")
+        assert main(["run", "--scenario", "multiplier", "--param", "widths=3",
+                     "--methods", "match,hash", "--budget", "30",
+                     "--no-isolate", "--cache-dir", directory]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", directory]) == 0
+        assert "entries   : 2 (" in capsys.readouterr().out
+        assert main(["cache", "clear", "--cache-dir", directory]) == 0
+        assert "removed 2 cached result(s)" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", directory]) == 0
+        assert "entries   : 0 (0 bytes)" in capsys.readouterr().out
+
+    def test_cache_command_takes_no_socket(self, capsys):
+        # a daemon keeps no results outside the directory
+        with pytest.raises(SystemExit):
+            main(["cache", "--help"])
+        assert "--socket" not in capsys.readouterr().out
+
+
 class TestAigStats:
     def test_aig_stats_smoke(self, capsys):
         code = main(["aig-stats", "--scenario", "figure2",

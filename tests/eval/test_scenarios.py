@@ -55,6 +55,12 @@ class TestBuilding:
         with pytest.raises(TypeError, match="does not accept"):
             build_scenario("figure2", depth=3)
 
+    def test_strash_takes_widths_only(self):
+        # the rebuild always runs the DAG-aware rewriter: no opt toggle
+        assert dict(get_scenario("strash").defaults) == {"widths": (2, 3, 4)}
+        with pytest.raises(TypeError, match="does not accept"):
+            build_scenario("strash", opt=0)
+
     def test_deterministic_rebuild(self):
         first = build_scenario("random_seq", seeds=[1, 2])
         second = build_scenario("random_seq", seeds=[1, 2])

@@ -133,7 +133,7 @@ class TestOperations:
         names = [f"w{i}" for i in range(12)]
         for name in names:
             m.declare(name)
-        m.set_deadline(time.perf_counter() - 1.0)
+        m.deadline = time.perf_counter() - 1.0
         rng = random.Random(0)
         with pytest.raises(BddBudgetExceeded):
             # a random 12-variable function has hundreds of BDD nodes, enough

@@ -267,7 +267,7 @@ class TestBudgets:
         f = build_from_table(m, names, lambda bits: rng.random() < 0.5)
         g = build_from_table(m, names, lambda bits: rng.random() < 0.5)
         m.apply_and(f, g)  # warm the cache
-        m.set_deadline(time.perf_counter() - 1.0)
+        m.deadline = time.perf_counter() - 1.0
         with pytest.raises(BddBudgetExceeded):
             # every subproblem is now a cache hit; the tick-based deadline
             # check must fire anyway within a bounded number of operations

@@ -1,5 +1,7 @@
 """Tests for the post-synthesis verification baselines."""
 
+import time
+
 import pytest
 
 from repro.circuits.generators import counter, figure2, figure2_retimed, fractional_multiplier
@@ -77,6 +79,30 @@ class TestModelChecking:
         retimed = apply_forward_retiming(original, ["inc"])
         result = model_checking.check_equivalence(original, retimed, time_budget=0.2)
         assert result.status == "timeout"
+
+
+#: the product-FSM backends, whose budget must also cover compiling the
+#: product machine into BDDs
+_PRODUCT_FSM_CHECKERS = {
+    "smv": model_checking.check_equivalence,
+    "sis": fsm_compare.check_equivalence,
+    "eijk": van_eijk.check_equivalence,
+    "eijk+": lambda a, b, **kw: van_eijk.check_equivalence(
+        a, b, exploit_dependencies=True, **kw),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_PRODUCT_FSM_CHECKERS))
+def test_time_budget_covers_fsm_compilation(method):
+    """figure2(16)'s product machine alone takes many seconds to compile;
+    a 0.2 s budget without a node budget still ends the run promptly."""
+    original = figure2(16)
+    retimed = apply_forward_retiming(original, maximal_forward_cut(original))
+    start = time.perf_counter()
+    result = _PRODUCT_FSM_CHECKERS[method](original, retimed, time_budget=0.2)
+    elapsed = time.perf_counter() - start
+    assert result.status == "timeout"
+    assert elapsed < 1.5, f"{method} took {elapsed:.2f}s on a 0.2s budget"
 
 
 class TestFsmCompare:

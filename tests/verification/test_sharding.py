@@ -408,9 +408,9 @@ class TestShardedRunCells:
 
     @pytest.mark.parametrize("isolate", (False, True), ids=("serial", "pool"))
     def test_merged_cell_is_cached_under_the_logical_key(self, counter,
-                                                         isolate):
+                                                         isolate, tmp_path):
         spec = CellSpec(counter, "fraig", time_budget=60.0, shards=4)
-        cache = ResultCache()
+        cache = ResultCache(str(tmp_path / "cache"))
         cold = run_cells([spec], jobs=2 if isolate else 1, isolate=isolate,
                          cache=cache)
         assert (cache.misses, cache.stores) == (1, 1)  # one cell, not 4 jobs
@@ -462,7 +462,8 @@ class TestDaemonShards:
 
     def test_warm_daemon_run_never_reaches_the_pool(self, counter, tmp_path):
         specs = [CellSpec(counter, "taut", time_budget=60.0, shards=4)]
-        with _daemon(str(tmp_path / "d.sock"), ResultCache()) as client:
+        with _daemon(str(tmp_path / "d.sock"),
+                     ResultCache(str(tmp_path / "cache"))) as client:
             cold = run_cells(specs, client=client)
             jobs = client.ping()["cells_run"]
             warm = run_cells(specs, client=client)

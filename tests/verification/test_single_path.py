@@ -115,7 +115,7 @@ _DASH_CELLS = [
     ("smv", _sequential_pair, model_checking.check_equivalence,
      {"time_budget": 0.0}, _LOWERING + _BDD),
     ("smv", _sequential_pair, model_checking.check_equivalence,
-     {"node_budget": 300}, _LOWERING),
+     {"node_budget": 300}, _LOWERING + _BDD),
     ("smv", _sequential_pair, model_checking.check_equivalence,
      {"node_budget": 20_000}, _LOWERING + _BDD + ["iterations"]),
     ("sis", _sequential_pair, fsm_compare.check_equivalence,
