@@ -9,16 +9,8 @@ from .aig import (
     lower_combinational,
     netlist_to_aig,
 )
-from .cells import CellError, CellType, all_cell_types, cell_type, is_gate_level
-from .netlist import (
-    Cell,
-    Net,
-    Netlist,
-    NetlistError,
-    Register,
-    combinational_depth,
-    initial_state,
-)
+from .cells import CellError, CellType, cell_type, is_gate_level
+from .netlist import Cell, Net, Netlist, NetlistError, Register
 from .simulate import (
     SimulationError,
     Simulator,

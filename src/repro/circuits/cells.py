@@ -20,7 +20,7 @@ The library covers both the RT-level components of the paper's Figure 2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 
 class CellError(Exception):
@@ -196,11 +196,6 @@ def cell_type(name: str) -> CellType:
         return _LIBRARY[name]
     except KeyError:
         raise CellError(f"unknown cell type: {name}") from None
-
-
-def all_cell_types() -> Tuple[str, ...]:
-    """Names of all registered cell types."""
-    return tuple(sorted(_LIBRARY))
 
 
 #: Cell types whose single-bit instances are ordinary logic gates.

@@ -22,7 +22,7 @@ from .figure2 import figure2, figure2_retimed, figure2_cut, figure2_false_cut
 from .counters import counter, shift_register, gray_counter
 from .multiplier import fractional_multiplier
 from .random_seq import random_sequential_circuit
-from .iwls import IWLS_BENCHMARKS, iwls_circuit, iwls_suite
+from .iwls import IWLS_BENCHMARKS, iwls_circuit
 
 __all__ = [
     "figure2",
@@ -36,5 +36,4 @@ __all__ = [
     "random_sequential_circuit",
     "IWLS_BENCHMARKS",
     "iwls_circuit",
-    "iwls_suite",
 ]

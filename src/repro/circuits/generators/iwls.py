@@ -93,9 +93,3 @@ def iwls_circuit(name: str, scale: float = 1.0) -> Netlist:
         seed=spec.seed,
         name=name,
     )
-
-
-def iwls_suite(scale: float = 1.0, names: Optional[List[str]] = None) -> Dict[str, Netlist]:
-    """Build the whole Table-II suite (optionally restricted / scaled)."""
-    selected = names or [spec.name for spec in IWLS_BENCHMARKS]
-    return {name: iwls_circuit(name, scale=scale) for name in selected}

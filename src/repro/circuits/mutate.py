@@ -22,7 +22,9 @@ Operators (the classic gate-level fault models):
 only those whose effect is *observable* by random simulation against a
 reference circuit — the ground truth the fuzz oracle holds every backend
 to: an expected-inequivalent pair always carries a simulation-witnessed
-mismatch, never a masked fault.
+mismatch, never a masked fault.  The simulation steps the lowered AIG
+(:func:`repro.circuits.simulate.aig_outputs`): the reference once per call,
+each candidate up to its first differing cycle.
 """
 
 from __future__ import annotations
@@ -268,17 +270,19 @@ def inject_visible_faults(
 ) -> Tuple[Netlist, List[Mutation]]:
     """Apply ``n`` seeded mutations whose *composite* effect is visible.
 
-    After each candidate mutation the mutant is simulated against
-    ``reference`` (default: the unmutated input) on random stimuli; a
-    candidate that leaves the outputs indistinguishable — a masked fault —
-    is discarded and redrawn, so the returned pair is inequivalent with a
-    concrete simulation witness, not merely mutated.  Raises
-    :class:`MutationError` when ``max_tries`` draws cannot produce a
+    ``reference`` (default: the unmutated input) is simulated once on
+    random stimuli, and each candidate mutant is stepped against that
+    trace; a candidate that leaves the outputs indistinguishable — a
+    masked fault — is discarded and redrawn, so the returned pair is
+    inequivalent with a concrete simulation witness, not merely mutated.
+    Raises :class:`MutationError` when ``max_tries`` draws cannot produce a
     visible fault (e.g. heavily redundant logic).
     """
-    from .simulate import find_mismatch
+    from .simulate import aig_outputs, random_input_sequence
 
     reference = reference if reference is not None else netlist
+    stimulus = random_input_sequence(reference, cycles)
+    expected = list(aig_outputs(reference, stimulus))
     rng = random.Random(seed)
     current = netlist
     applied: List[Mutation] = []
@@ -291,7 +295,8 @@ def inject_visible_faults(
                 candidate = apply_mutation(current, mutation)
             except MutationError:
                 continue
-            if find_mismatch(reference, candidate, cycles=cycles) is None:
+            outputs = aig_outputs(candidate, stimulus)
+            if all(out == exp for out, exp in zip(outputs, expected)):
                 continue  # masked fault: not observable, redraw
             current = candidate
             applied.append(mutation)

@@ -334,25 +334,3 @@ class Netlist:
             f"Netlist({self.name!r}, cells={s['cells']}, registers={s['registers']},"
             f" ff_bits={s['flipflop_bits']})"
         )
-
-
-def initial_state(netlist: Netlist) -> Dict[str, int]:
-    """The initial register assignment of a netlist."""
-    return {name: reg.init for name, reg in netlist.registers.items()}
-
-
-def combinational_depth(netlist: Netlist) -> int:
-    """Length of the longest combinational path (in cells).
-
-    This is the quantity minimised by min-period retiming; primary inputs and
-    register outputs have depth zero.
-    """
-    depth: Dict[str, int] = {name: 0 for name in netlist.inputs}
-    for reg in netlist.registers.values():
-        depth[reg.output] = 0
-    best = 0
-    for cell in netlist.topological_cells():
-        d = 1 + max((depth.get(i, 0) for i in cell.inputs), default=0)
-        depth[cell.output] = d
-        best = max(best, d)
-    return best

@@ -7,13 +7,29 @@ against which every transformation in the library (conventional retiming,
 formal retiming, bit-blasting, state encoding) is tested: two circuits are
 *observationally equivalent* when they produce the same output streams for
 every input stream from their respective initial states.
+
+Two engines implement these semantics:
+
+* :class:`Simulator` interprets the netlist cell by cell.  It is the
+  reference semantics.  :func:`find_mismatch`, :func:`outputs_equal`,
+  ``match``'s initial-value checks and ``certify_result``'s counterexample
+  replay run on it; the replay so judges a witness apart from the AIG that
+  sat, fraig and taut search.
+* :func:`aig_outputs` lowers a netlist once to the AIG and steps it with an
+  index loop over the nodes that the outputs and next states depend on.
+  ``inject_visible_faults`` runs on it: its reference once per call, and
+  each candidate fault up to its first differing cycle.  It is faster on
+  gate-level netlists and slower on word-level arithmetic, which lowers to
+  many AND nodes (a ``w``-bit multiplier to O(w²)).
+  :func:`bit_parallel_signatures` steps its latches on the same loop and
+  then packs all cycles into one int per node.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .netlist import Netlist
 
@@ -26,9 +42,7 @@ class SimulationError(Exception):
 class Trace:
     """Result of a multi-cycle simulation."""
 
-    inputs: List[Dict[str, int]]
     outputs: List[Dict[str, int]]
-    states: List[Dict[str, int]]
 
     def output_sequence(self, name: str) -> List[int]:
         return [step[name] for step in self.outputs]
@@ -87,15 +101,53 @@ class Simulator:
     # -- multi cycle -------------------------------------------------------------
     def run(self, input_sequence: Sequence[Dict[str, int]]) -> Trace:
         """Simulate a sequence of input vectors from the current state."""
-        inputs_log: List[Dict[str, int]] = []
-        outputs_log: List[Dict[str, int]] = []
-        states_log: List[Dict[str, int]] = []
-        for vec in input_sequence:
-            states_log.append(dict(self.state))
-            out = self.step(vec)
-            inputs_log.append(dict(vec))
-            outputs_log.append(out)
-        return Trace(inputs_log, outputs_log, states_log)
+        return Trace([self.step(vec) for vec in input_sequence])
+
+
+def _aig_cycles(netlist: Netlist, lowered, input_sequence: Iterable[Dict[str, int]],
+                roots: Sequence[int] = ()) -> Iterator[List[int]]:
+    """Step a netlist lowered by ``netlist_to_aig``, one cycle per input vector.
+
+    Yields, once per cycle, the 0/1 value of each node by index: the inputs,
+    the latches (holding that cycle's state) and the AND nodes in the cones
+    of ``roots`` and of the next-state literals.  The list is reused, so a
+    caller reads it before asking for the next cycle.
+    """
+    aig = lowered.aig
+    input_bits = [(name, i, literal >> 1) for name in netlist.inputs
+                  for i, literal in enumerate(lowered.lit_map[name])]
+    latches = list(aig.latches)
+    nexts = [aig.next_of(node) for node in latches]
+    ands = [(node,) + aig.fanins(node) for node in aig.cone(list(roots) + nexts)
+            if aig.is_and(node)]
+    vals = [0] * aig.num_nodes
+    state = [aig.init_of(node) for node in latches]
+    for vec in input_sequence:
+        for name, i, node in input_bits:
+            vals[node] = vec[name] >> i & 1
+        for node, bit in zip(latches, state):
+            vals[node] = bit
+        for node, f0, f1 in ands:
+            vals[node] = (vals[f0 >> 1] ^ (f0 & 1)) & (vals[f1 >> 1] ^ (f1 & 1))
+        yield vals
+        state = [vals[nxt >> 1] ^ (nxt & 1) for nxt in nexts]
+
+
+def aig_outputs(netlist: Netlist,
+                input_sequence: Iterable[Dict[str, int]]) -> Iterator[Dict[str, int]]:
+    """The outputs of each cycle, as :meth:`Simulator.step` returns them.
+
+    The netlist is lowered once with :func:`repro.circuits.aig.netlist_to_aig`
+    and stepped lazily, as far as the caller reads.
+    """
+    from .aig import netlist_to_aig
+
+    lowered = netlist_to_aig(netlist)
+    outputs = [(name, lowered.lit_map[name]) for name in netlist.outputs]
+    roots = [literal for _, lits in outputs for literal in lits]
+    for vals in _aig_cycles(netlist, lowered, input_sequence, roots):
+        yield {name: sum((vals[lit >> 1] ^ (lit & 1)) << i for i, lit in enumerate(lits))
+               for name, lits in outputs}
 
 
 def bit_parallel_signatures(
@@ -131,30 +183,14 @@ def bit_parallel_signatures(
     mask = (1 << cycles) - 1 if cycles else 0
 
     input_node = {name: lowered.lit_map[name][0] >> 1 for name in netlist.inputs}
-    latch_nodes = [lowered.latch_map[reg.name][0]
-                   for reg in netlist.registers.values()]
-    next_lits = {node: aig.next_of(node) for node in latch_nodes}
 
     # Phase 1 (sequential, narrow): the latch trajectories.  Only the AND
     # nodes in the fan-in cones of the next-state literals are evaluated per
     # cycle; everything else waits for the word-parallel pass.
-    cone_ands = [n for n in aig.cone(next_lits.values()) if aig.is_and(n)]
-    state = {node: aig.init_of(node) for node in latch_nodes}
-    latch_words = {node: 0 for node in latch_nodes}
-    vals = [0] * aig.num_nodes
-    for t, vec in enumerate(seq):
-        for name, node in input_node.items():
-            vals[node] = vec[name] & 1
-        for node, bit in state.items():
-            vals[node] = bit
-            latch_words[node] |= bit << t
-        for node in cone_ands:
-            f0, f1 = aig.fanins(node)
-            vals[node] = ((vals[f0 >> 1] ^ (f0 & 1)) &
-                          (vals[f1 >> 1] ^ (f1 & 1)))
-        state = {
-            node: vals[nxt >> 1] ^ (nxt & 1) for node, nxt in next_lits.items()
-        }
+    latch_words = {node: 0 for node in aig.latches}
+    for t, vals in enumerate(_aig_cycles(netlist, lowered, seq)):
+        for node in latch_words:
+            latch_words[node] |= vals[node] << t
 
     # Phase 2 (bit-parallel, wide): one pass over every node on packed words.
     words = {
@@ -193,32 +229,13 @@ def simulate(
     return Simulator(netlist, state).run(input_sequence)
 
 
-def outputs_equal(
-    a: Netlist,
-    b: Netlist,
-    cycles: int = 64,
-    seed: int = 0,
-    input_map: Optional[Dict[str, str]] = None,
-) -> bool:
+def outputs_equal(a: Netlist, b: Netlist, cycles: int = 64, seed: int = 0) -> bool:
     """Simulation-based equivalence check on random stimuli.
 
-    Both netlists must have the same primary inputs and outputs (possibly
-    renamed through ``input_map`` which maps nets of ``a`` to nets of ``b``).
     This is the "validation by simulation" baseline of Section II of the
     paper — it can find mismatches but never proves equivalence.
     """
-    seq = random_input_sequence(a, cycles, seed)
-    trace_a = simulate(a, seq)
-    mapped_seq = []
-    for vec in seq:
-        mapped_seq.append({(input_map or {}).get(k, k): v for k, v in vec.items()})
-    trace_b = simulate(b, mapped_seq)
-    for step_a, step_b in zip(trace_a.outputs, trace_b.outputs):
-        for name, value in step_a.items():
-            b_name = (input_map or {}).get(name, name)
-            if step_b.get(b_name) != value:
-                return False
-    return True
+    return find_mismatch(a, b, cycles, seed) is None
 
 
 def find_mismatch(

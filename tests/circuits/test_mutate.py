@@ -7,6 +7,7 @@ JSON round-trips, and the visibility guarantee of
 rests on.
 """
 
+import importlib
 import random
 
 import pytest
@@ -234,6 +235,23 @@ class TestInjectVisibleFaults:
                                                 n=1, seed=4)
         assert applied
         assert find_mismatch(net, mutant) is not None
+
+    def test_reference_is_simulated_once_per_call(self, monkeypatch):
+        # seed 8 draws six candidates for two faults: four are masked
+        simulate_module = importlib.import_module("repro.circuits.simulate")
+        simulated = []
+        aig_outputs = simulate_module.aig_outputs
+
+        def counting(netlist, input_sequence):
+            simulated.append(netlist)
+            return aig_outputs(netlist, input_sequence)
+
+        monkeypatch.setattr(simulate_module, "aig_outputs", counting)
+        net = random_sequential_circuit(4, 5, 24, seed=8)
+        _, applied = inject_visible_faults(net, n=2, seed=8)
+        assert len(applied) == 2
+        assert [c is net for c in simulated].count(True) == 1
+        assert len(simulated) - 1 == 6
 
     def test_unmutatable_netlist_raises(self):
         n = Netlist("wires")

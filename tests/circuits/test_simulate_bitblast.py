@@ -1,5 +1,7 @@
 """Tests for cycle simulation, bit-blasting and the circuit generators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,10 +15,12 @@ from repro.circuits.generators import (
     random_sequential_circuit,
     shift_register,
 )
-from repro.circuits.netlist import Netlist
+from repro.circuits.mutate import MUTATION_KINDS, MutationError, apply_mutation, random_mutation
+from repro.circuits.netlist import Netlist, Register
 from repro.circuits.simulate import (
     SimulationError,
     Simulator,
+    aig_outputs,
     find_mismatch,
     outputs_equal,
     random_input_sequence,
@@ -86,11 +90,95 @@ class TestSimulation:
         a = counter(3)
         b = counter(3)
         # corrupt b's initial state
-        from repro.circuits.netlist import Register
-
         reg = b.registers["R"]
         b.registers["R"] = Register(reg.name, reg.input, reg.output, init=1, width=reg.width)
         assert find_mismatch(a, b, cycles=16) == 0
+
+
+def engines_agree(a: Netlist, b: Netlist, cycles: int = 128):
+    """Check the AIG step against the interpretive ``Simulator`` on
+    ``find_mismatch``'s stimulus; returns the first mismatch cycle."""
+    seq = random_input_sequence(a, cycles, seed=0)
+    trace_a, trace_b = simulate(a, seq).outputs, simulate(b, seq).outputs
+    assert list(aig_outputs(a, seq)) == trace_a
+    assert list(aig_outputs(b, seq)) == trace_b
+    pairs = zip(aig_outputs(a, seq), aig_outputs(b, seq))
+    mismatch = next((t for t, (x, y) in enumerate(pairs) if x != y), None)
+    assert find_mismatch(a, b, cycles) == mismatch
+    return mismatch
+
+
+def mux_netlist() -> Netlist:
+    """A 1-bit MUX feeding back through an inverter and a register: every
+    mutation kind, ``operand_swap`` and ``remove_inverter`` included, applies."""
+    n = Netlist("mux_loop")
+    for name in ("s", "a", "b"):
+        n.add_input(name)
+    for net in ("m", "nm", "x", "q"):
+        n.add_net(net)
+    n.add_cell("g_mux", "MUX", ["s", "a", "q"], "m")
+    n.add_cell("g_not", "NOT", ["m"], "nm")
+    n.add_cell("g_xor", "XOR", ["nm", "b"], "x")
+    n.add_register("r0", "x", "q", init=1)
+    n.add_cell("buf_y", "BUF", ["m"], "y")
+    n.add_cell("buf_z", "BUF", ["q"], "z")
+    n.add_output("y")
+    n.add_output("z")
+    n.validate()
+    return n
+
+
+class TestAigOutputs:
+    """The AIG step against the interpretive reference semantics."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_resweep_size_circuits(self, seed):
+        base = random_sequential_circuit(6, 8, 48, seed=seed)
+        mutant = None
+        rng = random.Random(seed)
+        while mutant is None:
+            try:
+                mutant = apply_mutation(base, random_mutation(base, rng))
+            except MutationError:
+                pass
+        engines_agree(base, mutant)
+
+    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    def test_one_mutant_per_kind(self, kind):
+        base, rng = mux_netlist(), random.Random(0)
+        for _ in range(20):
+            try:
+                mutant = apply_mutation(base, random_mutation(base, rng, kinds=(kind,)))
+                break
+            except MutationError:
+                continue
+        types = sorted(cell.type for cell in mutant.cells.values())
+        if kind == "stuck_at":
+            assert "CONST" in types
+        elif kind == "remove_inverter":
+            assert "NOT" not in types
+        elif kind == "insert_inverter":
+            assert types.count("NOT") == 2
+        engines_agree(base, mutant)
+
+    def test_mux_netlist(self):
+        assert engines_agree(mux_netlist(), mux_netlist()) is None
+
+    def test_word_level_retiming_has_no_mismatch(self):
+        assert engines_agree(figure2(4), figure2_retimed(4)) is None
+
+    def test_corrupted_init_mismatches_at_cycle_zero(self):
+        a, b = counter(3), counter(3)
+        reg = b.registers["R"]
+        b.registers["R"] = Register(reg.name, reg.input, reg.output, init=1, width=reg.width)
+        assert engines_agree(a, b, cycles=16) == 0
+
+    def test_cycles_are_stepped_lazily(self):
+        stimulus = iter([{"en": 1}] * 3)
+        outputs = aig_outputs(counter(2), stimulus)
+        assert next(outputs) == {"y": 0}
+        assert next(outputs) == {"y": 1}
+        assert list(stimulus) == [{"en": 1}]
 
 
 class TestFigure2Behaviour:
@@ -211,12 +299,12 @@ class TestGenerators:
             random_sequential_circuit(0, 5, 10)
 
     def test_iwls_suite(self):
-        from repro.circuits.generators import IWLS_BENCHMARKS, iwls_circuit, iwls_suite
+        from repro.circuits.generators import IWLS_BENCHMARKS, iwls_circuit
 
         assert len(IWLS_BENCHMARKS) == 10
-        suite = iwls_suite(scale=0.05, names=["s344", "s526"])
-        assert set(suite) == {"s344", "s526"}
-        for nl in suite.values():
+        for name in ("s344", "s526"):
+            nl = iwls_circuit(name, scale=0.05)
+            assert nl.name.startswith(name)
             nl.validate()
         mult = iwls_circuit("s526", scale=1.0)
         assert "mult" in mult.cells

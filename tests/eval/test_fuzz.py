@@ -47,6 +47,84 @@ needs_fork = pytest.mark.skipif(
 #: small-but-real sweep dimensions used throughout (fast to build and check)
 SMALL = dict(n_inputs=3, n_flipflops=3, n_gates=12, n_faults=1)
 
+#: the faults ``build_cell`` draws on ``make_specs(24, seed=10000)`` at
+#: ``resweep`` size (6 inputs, 8 flip-flops, 48 gates), by spec seed; retime
+#: cells carry none
+RESWEEP_SIZE_FAULTS = {
+    10000: [],
+    10001: [
+        {"kind": "rewire", "cell": "ob0", "pin": 0, "arg": "pi1", "value": 0},
+        {"kind": "remove_inverter", "cell": "g8", "pin": 0, "arg": "", "value": 0},
+    ],
+    10002: [
+        {"kind": "insert_inverter", "cell": "g0", "pin": 1, "arg": "", "value": 0},
+        {"kind": "gate_swap", "cell": "g29", "pin": 0, "arg": "NOR", "value": 0},
+    ],
+    10003: [],
+    10004: [
+        {"kind": "rewire", "cell": "ob0", "pin": 0, "arg": "n29", "value": 0},
+        {"kind": "stuck_at", "cell": "g42", "pin": 0, "arg": "", "value": 1},
+    ],
+    10005: [
+        {"kind": "insert_inverter", "cell": "g36", "pin": 0, "arg": "", "value": 0},
+        {"kind": "stuck_at", "cell": "g3", "pin": 0, "arg": "", "value": 0},
+    ],
+    10006: [],
+    10007: [
+        {"kind": "insert_inverter", "cell": "ob0", "pin": 0, "arg": "", "value": 0},
+        {"kind": "gate_swap", "cell": "g4", "pin": 0, "arg": "BUF", "value": 0},
+    ],
+    10008: [
+        {"kind": "gate_swap", "cell": "g35", "pin": 0, "arg": "NAND", "value": 0},
+        {"kind": "insert_inverter", "cell": "g27", "pin": 1, "arg": "", "value": 0},
+    ],
+    10009: [],
+    10010: [
+        {"kind": "gate_swap", "cell": "g34", "pin": 0, "arg": "OR", "value": 0},
+        {"kind": "stuck_at", "cell": "g1", "pin": 0, "arg": "", "value": 1},
+    ],
+    10011: [
+        {"kind": "remove_inverter", "cell": "g34", "pin": 0, "arg": "", "value": 0},
+        {"kind": "rewire", "cell": "ob0", "pin": 0, "arg": "n32", "value": 0},
+    ],
+    10012: [],
+    10013: [
+        {"kind": "remove_inverter", "cell": "g13", "pin": 0, "arg": "", "value": 0},
+        {"kind": "rewire", "cell": "ob0", "pin": 0, "arg": "pi3", "value": 0},
+    ],
+    10014: [
+        {"kind": "insert_inverter", "cell": "ob3", "pin": 0, "arg": "", "value": 0},
+        {"kind": "insert_inverter", "cell": "g8", "pin": 1, "arg": "", "value": 0},
+    ],
+    10015: [],
+    10016: [
+        {"kind": "remove_inverter", "cell": "g34", "pin": 0, "arg": "", "value": 0},
+        {"kind": "stuck_at", "cell": "g5", "pin": 0, "arg": "", "value": 0},
+    ],
+    10017: [
+        {"kind": "rewire", "cell": "g41", "pin": 1, "arg": "po0", "value": 0},
+        {"kind": "rewire", "cell": "g44", "pin": 1, "arg": "n28", "value": 0},
+    ],
+    10018: [],
+    10019: [
+        {"kind": "remove_inverter", "cell": "g2", "pin": 0, "arg": "", "value": 0},
+        {"kind": "stuck_at", "cell": "g4", "pin": 0, "arg": "", "value": 0},
+    ],
+    10020: [
+        {"kind": "stuck_at", "cell": "g13", "pin": 0, "arg": "", "value": 1},
+        {"kind": "gate_swap", "cell": "ob3", "pin": 0, "arg": "NOT", "value": 0},
+    ],
+    10021: [],
+    10022: [
+        {"kind": "rewire", "cell": "g3", "pin": 1, "arg": "n14", "value": 0},
+        {"kind": "insert_inverter", "cell": "g47", "pin": 0, "arg": "", "value": 0},
+    ],
+    10023: [
+        {"kind": "remove_inverter", "cell": "g5", "pin": 0, "arg": "", "value": 0},
+        {"kind": "gate_swap", "cell": "ob1", "pin": 0, "arg": "NOT", "value": 0},
+    ],
+}
+
 
 class TestSpecs:
     def test_make_specs_cycles_flavours(self):
@@ -118,6 +196,21 @@ class TestBuildCell:
                         **SMALL)
         with pytest.raises(FuzzError, match="not simulation-visible"):
             build_cell(spec)
+
+    def test_resweep_size_faults_are_pinned(self):
+        # which faults are drawn, and which specs find none, follow only the
+        # seed: a simulator that saw a different mismatch would move them
+        drawn, failed = {}, []
+        for spec in make_specs(24, seed=10000, n_inputs=6, n_flipflops=8,
+                               n_gates=48):
+            try:
+                cell = build_cell(spec)
+            except FuzzError:
+                failed.append(spec.seed)
+                continue
+            drawn[spec.seed] = [m.to_dict() for m in cell.mutations]
+        assert failed == []
+        assert drawn == RESWEEP_SIZE_FAULTS
 
 
 class TestMethodApplies:
