@@ -192,9 +192,6 @@ class BddManager:
         idx, c = f >> 1, f & 1
         return BddNode(self._level[idx], self._low[idx] ^ c, self._high[idx] ^ c)
 
-    def is_terminal(self, f: int) -> bool:
-        return (f >> 1) == 0
-
     # -- the operation machine ------------------------------------------------
     #
     # One explicit-stack evaluator for ITE/AND/XOR.  Tasks are tuples whose
@@ -619,12 +616,6 @@ class BddManager:
             tasks.append((0, f1, g1))
             tasks.append((0, f0, g0))
         return results[-1]
-
-    def relational_product(
-        self, quantified: Sequence[str], f: int, g: int
-    ) -> int:
-        """``∃ quantified. f ∧ g`` via the combined :meth:`and_exists`."""
-        return self.and_exists(quantified, f, g)
 
     def rename(self, f: int, mapping: Dict[str, str]) -> int:
         """Rename variables (the standard next-state <-> current-state swap).

@@ -9,15 +9,18 @@ mirroring how the original tools work on flat bit-level descriptions
 compared to HASH's RT-level rewriting).
 
 :func:`product_fsm` builds the synchronous product of two circuits on a
-shared manager with an interleaved variable order (inputs first, then the
-state bits of both machines interleaved), which is the standard order for
-equivalence checking.
+shared manager, with the variables ordered bit by bit: every input and
+state variable of word bit k (``net[k]``) sits together, least significant
+bit first, so the bits that one adder, comparator or multiplexer slice
+combines are neighbours in the order.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuits.bitblast import bitblast
@@ -303,7 +306,8 @@ def _cell_bdd(manager: BddManager, cell: Cell, values: Dict[str, int]) -> int:
 
 @dataclass
 class ProductFSM:
-    """Two machines compiled over a shared manager with interleaved state order."""
+    """Two machines compiled over one manager, each state variable ``v``
+    declared with its primed partner ``v'`` right after it."""
 
     manager: BddManager
     left: SymbolicFSM
@@ -344,8 +348,11 @@ def product_fsm(
 
     The circuits must have identical primary input names/widths and the same
     primary output names/widths (the usual precondition of sequential
-    equivalence checking).  State variables of the two machines are
-    interleaved in the BDD order.
+    equivalence checking).  The variable order starts from the inputs, then
+    A's and B's registers paired by declaration index, each primed
+    (next-state) variable right after its partner; that sequence is then
+    stable-sorted by word bit, least significant first, with 1-bit nets
+    ahead of bit 0.  A circuit without words keeps the sequence as it is.
     """
     gate_a = ensure_gate_level(a, stats=opt_stats)
     gate_b = ensure_gate_level(b, stats=opt_stats)
@@ -359,19 +366,13 @@ def product_fsm(
         )
     manager = manager or BddManager()
 
-    # interleaved variable order: inputs, then state bits of A and B alternating
-    for name in gate_a.inputs:
+    order = list(gate_a.inputs)
+    for pair in zip_longest([f"A.{reg.output}" for reg in gate_a.registers.values()],
+                            [f"B.{reg.output}" for reg in gate_b.registers.values()]):
+        for var in filter(None, pair):
+            order += [var, var + "'"]
+    for name in sorted(order, key=_word_bit):
         manager.declare(name)
-    regs_a = list(gate_a.registers.values())
-    regs_b = list(gate_b.registers.values())
-    # each primed (next-state) variable sits right next to its unprimed partner
-    for i in range(max(len(regs_a), len(regs_b))):
-        if i < len(regs_a):
-            manager.declare(f"A.{regs_a[i].output}")
-            manager.declare(f"A.{regs_a[i].output}'")
-        if i < len(regs_b):
-            manager.declare(f"B.{regs_b[i].output}")
-            manager.declare(f"B.{regs_b[i].output}'")
 
     left = compile_fsm(gate_a, manager, prefix="A.", declare_vars=False)
     right = compile_fsm(gate_b, manager, prefix="B.", declare_vars=False)
@@ -379,20 +380,20 @@ def product_fsm(
     return ProductFSM(manager=manager, left=left, right=right, output_pairs=pairs)
 
 
-def declare_next_state_vars(product: ProductFSM) -> Dict[str, str]:
-    """Declare primed copies of all state variables (for transition relations).
+_WORD_BIT = re.compile(r"\[(\d+)\]'?$")
 
-    Each primed variable is declared immediately after its unprimed partner
-    would appear in the order (appended at the end of the current order,
-    still pairing A and B machines), and the mapping current -> primed is
-    returned.
-    """
-    mapping: Dict[str, str] = {}
-    for var in product.all_state_vars():
-        primed = var + "'"
-        product.manager.declare(primed)
-        mapping[var] = primed
-    return mapping
+
+def _word_bit(name: str) -> int:
+    """The bit ``aig.bit_name`` wrote into a (possibly primed) net name
+    ``net[k]``; -1 for a 1-bit net."""
+    match = _WORD_BIT.search(name)
+    return int(match.group(1)) if match else -1
+
+
+def declare_next_state_vars(product: ProductFSM) -> Dict[str, str]:
+    """The primed (next-state) partner of each state variable, for
+    transition relations; :func:`product_fsm` has declared each one."""
+    return {var: var + "'" for var in product.all_state_vars()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ def manager():
 
 class TestBasics:
     def test_terminals(self, manager):
-        assert manager.is_terminal(TRUE) and manager.is_terminal(FALSE)
         assert manager.apply_not(TRUE) == FALSE
 
     def test_variable_canonical(self, manager):
@@ -113,10 +112,10 @@ class TestOperations:
         with pytest.raises(BddError):
             manager.count_sat(f, over=["a"])
 
-    def test_relational_product(self, manager):
+    def test_and_exists(self, manager):
         a, b = manager.var("a"), manager.var("b")
         rel = manager.apply_and(a, b)
-        assert manager.relational_product(["a"], a, rel) == b
+        assert manager.and_exists(["a"], a, rel) == b
 
     def test_node_budget(self):
         m = BddManager(node_budget=8)

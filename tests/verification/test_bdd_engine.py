@@ -10,7 +10,9 @@ Pins the PR-4 rebuild of :mod:`repro.verification.bdd`:
   (``apply_not`` must expand no subproblems and allocate no nodes);
 * a >2000-level deep-BDD regression at the *default* recursion limit,
   mirroring ``tests/automata/test_deep_eval.py`` for the logic kernel;
-* the clustered early-quantification image against the monolithic one.
+* the clustered early-quantification image against the monolithic one;
+* the product machine's variable order: bit by bit, least significant
+  bit first, and unchanged for circuits without words.
 """
 
 import itertools
@@ -20,7 +22,10 @@ import sys
 import pytest
 
 from repro.circuits.generators import counter, random_sequential_circuit
-from repro.verification import model_checking
+from repro.eval.workloads import table1_workload
+from repro.retiming.apply import apply_forward_retiming
+from repro.retiming.cuts import maximal_forward_cut
+from repro.verification import fsm_compare, model_checking
 from repro.verification.bdd import (
     FALSE,
     TRUE,
@@ -334,3 +339,51 @@ class TestPartitionedImage:
         for i, step in enumerate(relation.schedule):
             for later in relation.clusters[i + 1:]:
                 assert not (set(step) & m.support(later))
+
+
+class TestProductOrder:
+    """The product machine declares its variables bit by bit, LSB first."""
+
+    def test_figure2_is_declared_bit_by_bit(self):
+        w = table1_workload(2)
+        product = product_fsm(w.original, w.retimed)
+        assert product.manager.var_names() == [
+            "a[0]", "b[0]",
+            "A.d0_out[0]", "A.d0_out[0]'", "B.d0_out[0]", "B.d0_out[0]'",
+            "A.d1_out[0]", "A.d1_out[0]'", "B.inc_out[0]", "B.inc_out[0]'",
+            "B.y[0]", "B.y[0]'",
+            "a[1]", "b[1]",
+            "A.d0_out[1]", "A.d0_out[1]'", "B.d0_out[1]", "B.d0_out[1]'",
+            "A.d1_out[1]", "A.d1_out[1]'", "B.inc_out[1]", "B.inc_out[1]'",
+            "B.y[1]", "B.y[1]'",
+        ]
+        primed = declare_next_state_vars(product)
+        assert primed == {v: v + "'" for v in product.all_state_vars()}
+
+    @pytest.mark.parametrize("retime", [False, True])
+    def test_a_word_free_pair_keeps_the_index_order(self, retime):
+        a = random_sequential_circuit(seed=3, n_inputs=3, n_flipflops=5,
+                                      n_gates=20)
+        b = apply_forward_retiming(a, maximal_forward_cut(a)) if retime else a
+        regs_a = [f"A.{r.output}" for r in a.registers.values()]
+        regs_b = [f"B.{r.output}" for r in b.registers.values()]
+        if retime:
+            assert [r.name for r in b.registers.values()] != \
+                [r.name for r in a.registers.values()]
+        expected = list(a.inputs)
+        for i in range(max(len(regs_a), len(regs_b))):
+            for regs in (regs_a, regs_b):
+                if i < len(regs):
+                    expected += [regs[i], regs[i] + "'"]
+        assert not any("[" in name for name in expected)
+        assert product_fsm(a, b).manager.var_names() == expected
+
+    @pytest.mark.parametrize("module", [model_checking, fsm_compare],
+                             ids=["smv", "sis"])
+    def test_figure2_n8_fits_in_fifty_thousand_nodes(self, module):
+        w = table1_workload(8)
+        result = module.check_equivalence(w.original, w.retimed,
+                                          time_budget=60.0)
+        assert result.status == "equivalent"
+        assert result.iterations == 256
+        assert result.stats["peak_nodes"] <= 50_000  # 464,268 by index order

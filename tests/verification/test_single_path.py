@@ -117,11 +117,11 @@ _DASH_CELLS = [
     ("smv", _sequential_pair, model_checking.check_equivalence,
      {"node_budget": 300}, _LOWERING + _BDD),
     ("smv", _sequential_pair, model_checking.check_equivalence,
-     {"node_budget": 20_000}, _LOWERING + _BDD + ["iterations"]),
+     {"node_budget": 10_000}, _LOWERING + _BDD + ["iterations"]),
     ("sis", _sequential_pair, fsm_compare.check_equivalence,
      {"time_budget": 0.0}, _LOWERING + _BDD),
     ("sis", _sequential_pair, fsm_compare.check_equivalence,
-     {"node_budget": 20_000}, _LOWERING + _BDD + ["iterations"]),
+     {"node_budget": 10_000}, _LOWERING + _BDD + ["iterations"]),
     ("eijk", _sequential_pair, van_eijk.check_equivalence,
      {"time_budget": 0.0}, _LOWERING + _BDD),
     ("eijk", _sequential_pair, van_eijk.check_equivalence,
