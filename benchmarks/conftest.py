@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Every module in this directory regenerates one table, figure or ablation of
-the paper (see DESIGN.md §4 for the index).  The harness is sized so that a
-full ``pytest benchmarks/ --benchmark-only`` run finishes in a few minutes on
-a laptop: verification budgets are small (their *timeouts* are part of the
+the paper (README.md, "What this reproduction substitutes", has the index).
+The harness is sized so that a full ``pytest benchmarks/ --benchmark-only``
+run finishes in a few minutes on a laptop: verification budgets are small (their *timeouts* are part of the
 result — they reproduce the paper's dashes) and the Table-II suite is scaled
 down; the full-size tables are produced by ``python -m repro run --table 1``
 / ``--table 2``.

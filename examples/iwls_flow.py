@@ -35,7 +35,8 @@ def main() -> int:
     code = cli_main(argv)
     print("\nNote: circuits are synthetic stand-ins with the published "
           "flip-flop/gate counts (scaled by "
-          f"{args.scale}); see DESIGN.md §5.")
+          f"{args.scale}); see README.md, \"What this reproduction "
+          "substitutes\".")
     return code
 
 

@@ -24,7 +24,8 @@ Quickstart::
     print(result.theorem)          # |- automaton(original) = automaton(retimed)
     print(result.new_init_value)   # the evaluated f(q)
 
-See README.md, DESIGN.md and EXPERIMENTS.md for the full picture.
+See README.md for the full picture, and its section "What this
+reproduction substitutes" for what differs from the paper.
 """
 
 __version__ = "1.0.0"

@@ -7,7 +7,6 @@ from .automaton import (
     automaton_generic_type,
     dest_automaton,
     ensure_automata_theory,
-    is_automaton,
     mk_automaton,
 )
 from .retiming_theorem import (

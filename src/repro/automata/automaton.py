@@ -102,14 +102,6 @@ def dest_automaton(t: Term) -> Tuple[Term, Term]:
     return dest_pair(t.rand)
 
 
-def is_automaton(t: Term) -> bool:
-    try:
-        dest_automaton(t)
-        return True
-    except Exception:
-        return False
-
-
 @dataclass
 class TupleLayout:
     """A mapping from named signals to a right-nested product type.

@@ -2,7 +2,8 @@
 
 The paper's universal retiming theorem is proved "once and for all" inside
 HOL by induction over time; reproducing that proof verbatim would require a
-full natural-number/stream library.  Instead (see DESIGN.md §5) the theorem
+full natural-number/stream library.  Instead (see README.md, "What this
+reproduction substitutes") the theorem
 is introduced as an axiom of the Automata theory, and this module supplies
 the once-and-for-all justification in executable form:
 
@@ -211,17 +212,6 @@ class TermEvaluator:
             term = term.rator
         args.reverse()
         return term, args
-
-
-def flatten(value: Any) -> Tuple:
-    """Flatten nested pair values into a flat tuple (single values stay scalar)."""
-    if isinstance(value, tuple):
-        out: Tuple = ()
-        for v in value:
-            fv = flatten(v)
-            out = out + (fv if isinstance(fv, tuple) else (fv,))
-        return out
-    return value
 
 
 def run_automaton(

@@ -9,7 +9,7 @@ from .aig import (
     lower_combinational,
     netlist_to_aig,
 )
-from .cells import CellError, CellType, cell_type, is_gate_level
+from .cells import CellError, CellType, cell_type
 from .netlist import Cell, Net, Netlist, NetlistError, Register
 from .simulate import (
     SimulationError,

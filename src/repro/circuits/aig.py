@@ -499,6 +499,18 @@ class _Emitter:
         #: node -> name of the net carrying the complemented function
         self.inv_of: Dict[int, str] = {}
 
+    def name_source(self, node: int, net: str) -> None:
+        """Pre-name an input or latch node."""
+        self.net_of[node] = net
+
+    def emit_cones(self, named: List[int], next_states: List[int]) -> None:
+        """Emit every AND node in the cones of the named nets, in index order
+        (fanins always precede their readers); next-state literals are
+        emitted on demand."""
+        for node in self.aig.cone(named):
+            if self.aig.is_and(node):
+                self.emit_node(node)
+
     def _fresh(self, base: str) -> str:
         return self.out.fresh_net_name(base)
 
@@ -573,6 +585,15 @@ class _PatternEmitter:
         self.net: Dict[Tuple[int, int], str] = {}
         self.demand: set = set()
         self._rules: Dict[int, Optional[tuple]] = {}
+
+    def name_source(self, node: int, net: str) -> None:
+        """Pre-name an input or latch node (its plain polarity)."""
+        self.net[(node, 0)] = net
+
+    def emit_cones(self, named: List[int], next_states: List[int]) -> None:
+        """Emit the logic the named nets and the next states demand."""
+        self.require(named + next_states)
+        self.emit()
 
     def _match(self, node: int) -> Optional[tuple]:
         """Classify an AND node: ``("xor", n0, n1, parity)`` means the plain
@@ -657,7 +678,7 @@ class _PatternEmitter:
                     f0, f1 = aig.fanins(node)
                     self._add_gate(
                         "AND" if pol == 0 else "NAND",
-                        [self._lit_net(f0), self._lit_net(f1)], net,
+                        [self.emit_lit(f0), self.emit_lit(f1)], net,
                         (node, pol),
                     )
                 elif rule[0] == "xor":
@@ -673,13 +694,10 @@ class _PatternEmitter:
                     self._add_gate(
                         "MUX",
                         [self.net[(sel >> 1, 0)],
-                         self._lit_net(branch_a ^ flip),
-                         self._lit_net(branch_b ^ flip)], net,
+                         self.emit_lit(branch_a ^ flip),
+                         self.emit_lit(branch_b ^ flip)], net,
                         (node, pol),
                     )
-
-    def _lit_net(self, literal: int) -> str:
-        return self.net[(literal >> 1, literal & 1)]
 
     def _add_gate(self, type: str, inputs: List[str], net: str,
                   pair: Tuple[int, int], params=None) -> None:
@@ -709,40 +727,36 @@ def aig_to_netlist(lowered: NetlistAig, source, name: Optional[str] = None,
     complement-only AND nodes become ``NAND``, and only logic demanded by
     named nets and latch next-states is emitted at all.
     """
-    if patterns:
-        return _aig_to_netlist_patterns(lowered, source, name)
     from .netlist import Netlist
 
     aig = lowered.aig
     out = Netlist(name or aig.name)
-    emitter = _Emitter(out, aig)
+    emitter = (_PatternEmitter if patterns else _Emitter)(out, aig)
+
+    def bit(net: str, i: int, width: int) -> str:
+        return bit_name(net, i) if width > 1 else net
 
     for inp in source.inputs:
         width = source.width(inp)
         for i, literal in enumerate(lowered.lit_map[inp]):
-            bn = bit_name(inp, i) if width > 1 else inp
-            out.add_input(bn, 1)
-            emitter.net_of[lit_node(literal)] = bn
+            net = out.add_input(bit(inp, i, width), 1).name
+            emitter.name_source(lit_node(literal), net)
     for reg in source.registers.values():
         for i, node in enumerate(lowered.latch_map[reg.name]):
-            bn = bit_name(reg.output, i) if reg.width > 1 else reg.output
-            out.add_net(bn, 1)
-            emitter.net_of[node] = bn
+            net = out.add_net(bit(reg.output, i, reg.width), 1).name
+            emitter.name_source(node, net)
 
-    # emit every node in the cones of all nets (AND nodes in index order so
-    # fanins always precede their readers)
-    all_lits = [l for lits in lowered.lit_map.values() for l in lits]
-    for node in aig.cone(all_lits):
-        if aig.is_and(node):
-            emitter.emit_node(node)
+    emitter.emit_cones(
+        [l for lits in lowered.lit_map.values() for l in lits],
+        [aig.next_of(node) for reg in source.registers.values()
+         for node in lowered.latch_map[reg.name]],
+    )
 
     for reg in source.registers.values():
         for i, node in enumerate(lowered.latch_map[reg.name]):
-            next_net = emitter.emit_lit(aig.next_of(node))
-            out_net = bit_name(reg.output, i) if reg.width > 1 else reg.output
-            reg_name = bit_name(reg.name, i) if reg.width > 1 else reg.name
             out.add_register(
-                reg_name, next_net, out_net, init=(reg.init >> i) & 1, width=1
+                bit(reg.name, i, reg.width), emitter.emit_lit(aig.next_of(node)),
+                bit(reg.output, i, reg.width), init=(reg.init >> i) & 1, width=1,
             )
 
     bit_map = {
@@ -753,65 +767,7 @@ def aig_to_netlist(lowered: NetlistAig, source, name: Optional[str] = None,
     for po in source.outputs:
         width = source.width(po)
         for i, src in enumerate(bit_map[po]):
-            target = bit_name(po, i) if width > 1 else po
-            if src != target and target not in out.nets:
-                out.add_net(target, 1)
-                cell = out.fresh_instance_name(f"buf_{target}")
-                out.add_cell(cell, "BUF", [src], target)
-            out.mark_output(target)
-
-    out.validate()
-    return out, bit_map
-
-
-def _aig_to_netlist_patterns(lowered: NetlistAig, source,
-                             name: Optional[str] = None):
-    """The ``patterns=True`` body of :func:`aig_to_netlist`."""
-    from .netlist import Netlist
-
-    aig = lowered.aig
-    out = Netlist(name or aig.name)
-    emitter = _PatternEmitter(out, aig)
-
-    for inp in source.inputs:
-        width = source.width(inp)
-        for i, literal in enumerate(lowered.lit_map[inp]):
-            bn = bit_name(inp, i) if width > 1 else inp
-            out.add_input(bn, 1)
-            emitter.net[(lit_node(literal), 0)] = bn
-    for reg in source.registers.values():
-        for i, node in enumerate(lowered.latch_map[reg.name]):
-            bn = bit_name(reg.output, i) if reg.width > 1 else reg.output
-            out.add_net(bn, 1)
-            emitter.net[(node, 0)] = bn
-
-    demanded = [l for lits in lowered.lit_map.values() for l in lits]
-    demanded += [
-        aig.next_of(node)
-        for reg in source.registers.values()
-        for node in lowered.latch_map[reg.name]
-    ]
-    emitter.require(demanded)
-    emitter.emit()
-
-    for reg in source.registers.values():
-        for i, node in enumerate(lowered.latch_map[reg.name]):
-            next_net = emitter.emit_lit(aig.next_of(node))
-            out_net = bit_name(reg.output, i) if reg.width > 1 else reg.output
-            reg_name = bit_name(reg.name, i) if reg.width > 1 else reg.name
-            out.add_register(
-                reg_name, next_net, out_net, init=(reg.init >> i) & 1, width=1
-            )
-
-    bit_map = {
-        net: [emitter.emit_lit(l) for l in lits]
-        for net, lits in lowered.lit_map.items()
-    }
-
-    for po in source.outputs:
-        width = source.width(po)
-        for i, src in enumerate(bit_map[po]):
-            target = bit_name(po, i) if width > 1 else po
+            target = bit(po, i, width)
             if src != target and target not in out.nets:
                 out.add_net(target, 1)
                 cell = out.fresh_instance_name(f"buf_{target}")

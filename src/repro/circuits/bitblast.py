@@ -31,10 +31,7 @@ from typing import Dict, List, Optional
 from .aig import AigError, aig_to_netlist, bit_name, netlist_to_aig
 from .netlist import Netlist
 
-__all__ = [
-    "BitblastError", "BitblastResult", "bit_name", "bitblast",
-    "pack_output_bits",
-]
+__all__ = ["BitblastError", "BitblastResult", "bit_name", "bitblast"]
 
 
 class BitblastError(Exception):
@@ -83,17 +80,3 @@ def bitblast(netlist: Netlist, name_suffix: str = "_bits",
             else:
                 stats[key] = stats.get(key, 0) + value
     return BitblastResult(netlist=gate, bit_map=bit_map, stats=counters)
-
-
-def pack_output_bits(result: BitblastResult, word_netlist: Netlist,
-                     bit_outputs: Dict[str, int]) -> Dict[str, int]:
-    """Recombine bit-level output values into word-level values."""
-    packed = {}
-    for out in word_netlist.outputs:
-        width = word_netlist.width(out)
-        value = 0
-        for i in range(width):
-            name = bit_name(out, i) if width > 1 else out
-            value |= (bit_outputs[name] & 1) << i
-        packed[out] = value
-    return packed

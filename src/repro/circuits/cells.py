@@ -200,8 +200,3 @@ def cell_type(name: str) -> CellType:
 
 #: Cell types whose single-bit instances are ordinary logic gates.
 GATE_LEVEL_TYPES = ("BUF", "NOT", "AND", "OR", "XOR", "NAND", "NOR", "XNOR", "MUX", "CONST")
-
-
-def is_gate_level(name: str, width: int) -> bool:
-    """Is a cell of this type and output width a plain 1-bit gate?"""
-    return width == 1 and name in GATE_LEVEL_TYPES

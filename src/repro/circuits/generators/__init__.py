@@ -15,7 +15,8 @@ the examples, the tests and the benchmark harness:
   control-logic circuits;
 * :mod:`repro.circuits.generators.iwls` — synthetic stand-ins for the
   IWLS'91 benchmark suite with the flip-flop/gate counts published in
-  Table II (see DESIGN.md §5 for the substitution argument).
+  Table II (see README.md, "What this reproduction substitutes", for the
+  substitution argument).
 """
 
 from .figure2 import figure2, figure2_retimed, figure2_cut, figure2_false_cut

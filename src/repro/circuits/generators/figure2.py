@@ -8,7 +8,8 @@ retiming theorem).  The circuit is scalable in the data bit-width ``n`` and
 is the workload of Table I.
 
 Concrete structure used by this reproduction (the published figure is a
-schematic; the exact wiring is documented here and in DESIGN.md):
+schematic; the exact wiring is documented here, as README.md, "What this
+reproduction substitutes" says):
 
 * inputs ``a``, ``b`` (n bit), output ``y`` (n bit);
 * registers ``D0`` (output register, init 0) and ``D1`` (counter register,

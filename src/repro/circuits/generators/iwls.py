@@ -15,7 +15,8 @@ stand-ins*:
 
 The drivers of verification cost (number of state bits, combinational size,
 multiplier structure) therefore match the paper's workloads, which is what
-Table II's *shape* depends on; see DESIGN.md §5.
+Table II's *shape* depends on; see README.md, "What this reproduction
+substitutes".
 """
 
 from __future__ import annotations

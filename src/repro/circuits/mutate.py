@@ -94,22 +94,6 @@ class Mutation:
             value=int(payload.get("value", 0)),
         )
 
-    def describe(self) -> str:
-        if self.kind == "stuck_at":
-            return f"stuck-at-{self.value} on {self.cell}"
-        if self.kind == "gate_swap":
-            return f"{self.cell} becomes {self.arg}"
-        if self.kind == "operand_swap":
-            return f"operand swap on {self.cell}"
-        if self.kind == "insert_inverter":
-            return f"inverter inserted on pin {self.pin} of {self.cell}"
-        if self.kind == "remove_inverter":
-            return f"inverter {self.cell} removed"
-        if self.kind == "rewire":
-            return f"pin {self.pin} of {self.cell} rewired to {self.arg}"
-        return f"{self.kind} on {self.cell}"
-
-
 def _target_cell(netlist: Netlist, mutation: Mutation) -> Cell:
     cell = netlist.cells.get(mutation.cell)
     if cell is None:

@@ -174,18 +174,6 @@ class Netlist:
     def width(self, name: str) -> int:
         return self.net(name).width
 
-    def driver_of(self, net_name: str):
-        """The cell or register driving a net, or ``None`` for primary inputs."""
-        for cell in self.cells.values():
-            if cell.output == net_name:
-                return cell
-        for reg in self.registers.values():
-            if reg.output == net_name:
-                return reg
-        if net_name in self.inputs:
-            return None
-        raise NetlistError(f"net {net_name} has no driver and is not an input")
-
     def drivers(self) -> Dict[str, object]:
         """Map from net name to its driver (cells and registers)."""
         out: Dict[str, object] = {}
@@ -209,12 +197,6 @@ class Netlist:
             if reg.input == net_name:
                 readers.append(reg)
         return readers
-
-    def fanout_count(self, net_name: str) -> int:
-        count = len(self.readers_of(net_name))
-        if net_name in self.outputs:
-            count += 1
-        return count
 
     def num_gates(self) -> int:
         """Number of combinational cells (the paper's "gates" column)."""

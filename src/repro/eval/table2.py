@@ -15,7 +15,8 @@ with the maximal forward cut.  The published shape:
 
 Run ``python -m repro run --table 2``: the ``iwls`` scenario under the
 paper's title; ``--param scale=...`` shrinks the circuits for a quick run.
-DESIGN.md §5 documents the benchmark substitution.
+README.md, "What this reproduction substitutes", documents the benchmark
+substitution.
 """
 
 from __future__ import annotations

@@ -19,47 +19,30 @@ sure no formal step sneaks past the kernel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..logic.kernel import Theorem, current_theory, proof_size, trusted_base_report
+from ..logic.kernel import (
+    Theorem,
+    current_theory,
+    derivation,
+    proof_size,
+    trusted_base_report,
+)
 from ..logic.theory import Theory
 
 
 def rule_histogram(theorem: Theorem) -> Dict[str, int]:
     """How often each kernel rule occurs in the derivation DAG of a theorem."""
-    histogram: Dict[str, int] = {}
-    seen = set()
-    stack = [theorem]
-    while stack:
-        thm = stack.pop()
-        if id(thm) in seen:
-            continue
-        seen.add(id(thm))
-        name = thm.rule.split(":", 1)[0]
-        histogram[name] = histogram.get(name, 0) + 1
-        for dep in thm.deps:
-            if isinstance(dep, Theorem):
-                stack.append(dep)
+    histogram = Counter(thm.rule.split(":", 1)[0] for thm in derivation(theorem))
     return dict(sorted(histogram.items()))
 
 
 def axioms_used(theorem: Theorem) -> List[str]:
     """Names of the axioms/definitions appearing in the derivation DAG."""
-    used = []
-    seen = set()
-    stack = [theorem]
-    while stack:
-        thm = stack.pop()
-        if id(thm) in seen:
-            continue
-        seen.add(id(thm))
-        if thm.rule.startswith(("AXIOM:", "DEFINITION:", "COMPUTE:")):
-            used.append(thm.rule)
-        for dep in thm.deps:
-            if isinstance(dep, Theorem):
-                stack.append(dep)
-    return sorted(set(used))
+    return sorted({thm.rule for thm in derivation(theorem)
+                   if thm.rule.startswith(("AXIOM:", "DEFINITION:", "COMPUTE:"))})
 
 
 @dataclass

@@ -219,15 +219,3 @@ def embed_netlist(
         output_layout=output_layout,
         register_order=regs,
     )
-
-
-def input_values_to_ground(embedded: EmbeddedCircuit, vector: Dict[str, int]):
-    """Convert a simulator input vector into the evaluator's ground value."""
-    values = []
-    for name in embedded.input_layout.names:
-        width = embedded.netlist.width(name)
-        v = vector[name]
-        values.append(bool(v) if width == 1 else int(v))
-    if len(values) == 1:
-        return values[0]
-    return tuple(values)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..automata.automaton import TupleLayout
 from ..automata.retiming_theorem import instantiate_retiming, retiming_theorem
@@ -311,7 +311,6 @@ def _congruence_on_automaton(embedded: EmbeddedCircuit, step_eq: Theorem) -> The
 def formal_forward_retiming(
     netlist: Netlist,
     cut: Sequence[str],
-    embedded: Optional[EmbeddedCircuit] = None,
     cross_check: bool = True,
 ) -> FormalRetimingResult:
     """Run the full four-step HASH retiming procedure on a netlist and a cut.
@@ -328,7 +327,7 @@ def formal_forward_retiming(
 
     # Step 0: the input circuit description (a logic term).
     t0 = time.perf_counter()
-    embedded = embedded or embed_netlist(netlist)
+    embedded = embed_netlist(netlist)
     stats["embed_seconds"] = time.perf_counter() - t0
 
     # Step 1: split the combinational part into f and g.

@@ -25,14 +25,10 @@ from .hol_types import (
     TyVar,
     bool_ty,
     dest_fun_ty,
-    dest_prod_ty,
     mk_fun,
     mk_fun_ty,
     mk_prod_ty,
-    mk_tuple_ty,
-    mk_vartype,
     num_ty,
-    type_intern_stats,
 )
 from .terms import (
     Abs,
@@ -43,17 +39,11 @@ from .terms import (
     Var,
     aconv,
     dest_eq,
-    flatten_tuple,
-    list_mk_abs,
-    list_mk_comb,
-    mk_abs,
-    mk_comb,
     mk_eq,
     mk_fst,
     mk_pair,
     mk_snd,
     mk_tuple,
-    mk_var,
     strip_abs,
     strip_comb,
     term_intern_stats,
@@ -61,7 +51,6 @@ from .terms import (
 from .ground import (
     GroundError,
     dest_numeral,
-    is_ground,
     is_numeral,
     mk_bool,
     mk_numeral,
@@ -93,11 +82,10 @@ from .kernel import (
     new_definition,
     proof_size,
     reset_kernel,
-    set_current_theory,
     trusted_base_report,
 )
 from .theory import Theory, TheoryError, bootstrap_theory
-from .match import MatchError, matches, term_match
+from .match import MatchError, term_match
 from . import conv, rewriter, rules, stdlib
 from .rewriter import RewriteNet, net_conv
 from .stdlib import ensure_stdlib, mk_let, dest_let, is_let, word_op

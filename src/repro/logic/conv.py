@@ -7,8 +7,10 @@ paper's retiming procedure) are all performed by composing the conversions
 in this module, so every intermediate circuit description is related to the
 previous one by a kernel-checked equation.
 
-The combinator set follows HOL (``THENC``, ``ORELSEC``, ``DEPTH_CONV`` ...),
-plus:
+The combinators follow HOL: ``ORELSEC``, ``RAND_CONV``/``RATOR_CONV``, the
+``TOP_DEPTH_CONV`` traversal (kept as the reference the worklist engine of
+:mod:`repro.logic.rewriter` is tested against) and its worklist counterparts
+``NET_REWRITE_CONV``/``TOP_SWEEP_CONV``, plus:
 
 * :func:`REWR_CONV` — rewrite with an equational theorem, via first-order
   matching and kernel instantiation;
@@ -34,7 +36,6 @@ from .kernel import (
     KernelError,
     MK_COMB,
     REFL,
-    SYM,
     TRANS,
     Theorem,
 )
@@ -54,29 +55,9 @@ class ConvError(Exception):
 # Basic conversions and combinators
 # ---------------------------------------------------------------------------
 
-def ALL_CONV(t: Term) -> Theorem:
-    """The identity conversion ``|- t = t``."""
-    return REFL(t)
-
-
 def NO_CONV(t: Term) -> Theorem:
     """The conversion that always fails."""
     raise ConvError(lazy("NO_CONV applied to {}", t))
-
-
-def THENC(*convs: Conv) -> Conv:
-    """Sequential composition of conversions."""
-
-    def conv(t: Term) -> Theorem:
-        th = REFL(t)
-        current = t
-        for c in convs:
-            step = c(current)
-            th = TRANS(th, step)
-            current = dest_eq(step.concl)[1]
-        return th
-
-    return conv
 
 
 def ORELSEC(*convs: Conv) -> Conv:
@@ -90,39 +71,6 @@ def ORELSEC(*convs: Conv) -> Conv:
             except (ConvError, KernelError, MatchError) as exc:
                 last = exc
         raise ConvError(lazy("ORELSEC: no conversion applied to {}: {}", t, last))
-
-    return conv
-
-
-def TRY_CONV(c: Conv) -> Conv:
-    """Apply ``c`` if possible, otherwise behave as the identity."""
-
-    def conv(t: Term) -> Theorem:
-        try:
-            return c(t)
-        except (ConvError, KernelError, MatchError):
-            return REFL(t)
-
-    return conv
-
-
-def CHANGED_CONV(c: Conv) -> Conv:
-    """Like ``c`` but fails if the result is alpha-equivalent to the input."""
-
-    def conv(t: Term) -> Theorem:
-        th = c(t)
-        if aconv(*dest_eq(th.concl)):
-            raise ConvError(lazy("CHANGED_CONV: no change on {}", t))
-        return th
-
-    return conv
-
-
-def REPEATC(c: Conv, limit: int = 10_000) -> Conv:
-    """Apply ``c`` repeatedly until it fails or stops changing the term."""
-
-    def conv(t: Term) -> Theorem:
-        return _repeatc_apply(c, limit, t)
 
     return conv
 
@@ -153,47 +101,13 @@ def RATOR_CONV(c: Conv) -> Conv:
     return conv
 
 
-def ABS_CONV(c: Conv) -> Conv:
-    """Apply ``c`` under an abstraction."""
-
-    def conv(t: Term) -> Theorem:
-        if not isinstance(t, Abs):
-            raise ConvError(lazy("ABS_CONV: not an abstraction: {}", t))
-        return ABS(t.bvar, c(t.body))
-
-    return conv
-
-
-def COMB_CONV(c: Conv) -> Conv:
-    """Apply ``c`` to both sides of an application."""
-
-    def conv(t: Term) -> Theorem:
-        if not isinstance(t, Comb):
-            raise ConvError(lazy("COMB_CONV: not an application: {}", t))
-        return MK_COMB(c(t.rator), c(t.rand))
-
-    return conv
-
-
-def SUB_CONV(c: Conv) -> Conv:
-    """Apply ``c`` to the immediate subterms (identity on atoms)."""
-
-    def conv(t: Term) -> Theorem:
-        if isinstance(t, Comb):
-            return COMB_CONV(c)(t)
-        if isinstance(t, Abs):
-            return ABS_CONV(c)(t)
-        return REFL(t)
-
-    return conv
-
-
-#: frame opcodes for the explicit-stack traversal engines below
+#: frame opcodes for the explicit-stack traversal engine below
 _VISIT, _COMB_FRAME, _ABS_FRAME = 0, 1, 2
 
 
 def _repeatc_apply(c: Conv, limit: int, t: Term) -> Theorem:
-    """The body of ``REPEATC(c, limit)`` as a plain function call."""
+    """Apply ``c`` repeatedly until it fails or stops changing the term (HOL's
+    ``REPEATC``)."""
     th = REFL(t)
     current = t
     for _ in range(limit):
@@ -206,48 +120,6 @@ def _repeatc_apply(c: Conv, limit: int, t: Term) -> Theorem:
         th = TRANS(th, step)
         current = dest_eq(step.concl)[1]
     raise ConvError("REPEATC: iteration limit exceeded")
-
-
-def DEPTH_CONV(c: Conv, limit: int = 100_000) -> Conv:
-    """Apply ``c`` repeatedly to all subterms, bottom-up.
-
-    Equivalent to the classic ``THENC(SUB_CONV(conv), REPEATC(c))``
-    recursion, but driven by an explicit work stack so term depth is not
-    bounded by the Python recursion limit.  The kernel calls performed (and
-    hence the inference-step count) are the same as for the recursive
-    formulation.
-    """
-
-    def finish(tm: Term, sub_th: Theorem) -> Theorem:
-        th = TRANS(REFL(tm), sub_th)
-        current = dest_eq(sub_th.concl)[1]
-        return TRANS(th, _repeatc_apply(c, limit, current))
-
-    def conv(t: Term) -> Theorem:
-        out: list = []
-        stack: list = [(_VISIT, t)]
-        while stack:
-            op, tm = stack.pop()
-            if op == _VISIT:
-                if isinstance(tm, Comb):
-                    stack.append((_COMB_FRAME, tm))
-                    stack.append((_VISIT, tm.rand))
-                    stack.append((_VISIT, tm.rator))
-                elif isinstance(tm, Abs):
-                    stack.append((_ABS_FRAME, tm))
-                    stack.append((_VISIT, tm.body))
-                else:
-                    out.append(finish(tm, REFL(tm)))
-                continue
-            if op == _COMB_FRAME:
-                th_rand = out.pop()
-                th_rator = out.pop()
-                out.append(finish(tm, MK_COMB(th_rator, th_rand)))
-                continue
-            out.append(finish(tm, ABS(tm.bvar, out.pop())))
-        return out[0]
-
-    return conv
 
 
 def TOP_DEPTH_CONV(c: Conv, limit: int = 100_000) -> Conv:
@@ -529,11 +401,3 @@ def RHS_CONV_RULE(c: Conv, th: Theorem) -> Theorem:
         raise ConvError("RHS_CONV_RULE: theorem is not an equation")
     step = c(th.rhs)
     return TRANS(th, step)
-
-
-def LHS_CONV_RULE(c: Conv, th: Theorem) -> Theorem:
-    """Apply a conversion to the left-hand side of an equational theorem."""
-    if not th.is_equation():
-        raise ConvError("LHS_CONV_RULE: theorem is not an equation")
-    step = c(th.lhs)
-    return TRANS(SYM(step), th)

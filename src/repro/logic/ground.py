@@ -13,9 +13,9 @@ Only these three shapes are considered ground; everything else raises
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any
 
-from .hol_types import HolType, bool_ty, mk_prod_ty, num_ty
+from .hol_types import bool_ty, num_ty
 from .lazyfmt import lazy
 from .terms import Const, Term, dest_pair, is_pair
 
@@ -61,21 +61,6 @@ def dest_bool_literal(t: Term) -> bool:
     return t.name == "T"
 
 
-def value_type(value: Any) -> HolType:
-    """The HOL type of a Python ground value."""
-    if isinstance(value, bool):
-        return bool_ty
-    if isinstance(value, int):
-        return num_ty
-    if isinstance(value, tuple):
-        if len(value) < 2:
-            raise GroundError(f"tuples must have at least two components: {value!r}")
-        if len(value) == 2:
-            return mk_prod_ty(value_type(value[0]), value_type(value[1]))
-        return mk_prod_ty(value_type(value[0]), value_type(tuple(value[1:])))
-    raise GroundError(f"cannot encode Python value of type {type(value).__name__}")
-
-
 def term_of_value(value: Any) -> Term:
     """Encode a Python ground value as a HOL term."""
     if isinstance(value, bool):
@@ -107,23 +92,3 @@ def value_of_term(t: Term) -> Any:
             return (left,) + right
         return (left, right)
     raise GroundError(lazy("not a ground value term: {}", t))
-
-
-def is_ground(t: Term) -> bool:
-    """Is ``t`` a ground value term (literal / numeral / tuple of those)?"""
-    try:
-        value_of_term(t)
-        return True
-    except GroundError:
-        return False
-
-
-def flatten_value(value: Any) -> Tuple:
-    """Flatten a (possibly nested) tuple value into a flat tuple."""
-    if isinstance(value, tuple):
-        out = ()
-        for v in value:
-            flat = flatten_value(v)
-            out = out + (flat if isinstance(flat, tuple) else (flat,))
-        return out
-    return (value,)

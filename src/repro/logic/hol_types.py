@@ -18,28 +18,13 @@ large bit-blasted state tuples) never hit the Python recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 from weakref import WeakValueDictionary
 
 from .lazyfmt import lazy
 
 #: Global intern table mapping structural keys to the unique live instance.
 _intern_table: "WeakValueDictionary" = WeakValueDictionary()
-
-#: Hit/miss counters for the intern table (observable via
-#: :func:`type_intern_stats`; used by tests and benchmarks).
-_intern_hits = 0
-_intern_misses = 0
-
-
-def type_intern_stats() -> Dict[str, int]:
-    """Counters of the type intern table: hits, misses and live entries."""
-    return {
-        "hits": _intern_hits,
-        "misses": _intern_misses,
-        "live": len(_intern_table),
-    }
-
 
 _EMPTY_TVS: frozenset = frozenset()
 
@@ -108,15 +93,12 @@ class TyVar(HolType):
     __slots__ = ("name", "_hash", "_tvs")
 
     def __new__(cls, name: str):
-        global _intern_hits, _intern_misses
         if not name:
             raise ValueError("type variable needs a non-empty name")
         key = ("TyVar", name)
         cached = _intern_table.get(key)
         if cached is not None:
-            _intern_hits += 1
             return cached
-        _intern_misses += 1
         self = object.__new__(cls)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(key))
@@ -145,19 +127,16 @@ class TyApp(HolType):
     __slots__ = ("op", "args", "_hash", "_tvs")
 
     def __new__(cls, op: str, args: Sequence[HolType] = ()):
-        global _intern_hits, _intern_misses
         if not op:
             raise ValueError("type operator needs a non-empty name")
         args = tuple(args)
         key = ("TyApp", op, args)
         cached = _intern_table.get(key)
         if cached is not None:
-            _intern_hits += 1
             return cached
         for a in args:
             if not isinstance(a, HolType):
                 raise TypeError(f"type argument is not a HolType: {a!r}")
-        _intern_misses += 1
         self = object.__new__(cls)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "args", args)
@@ -249,57 +228,11 @@ def mk_prod_ty(fst: HolType, snd: HolType) -> HolType:
     return TyApp("prod", (fst, snd))
 
 
-def mk_vartype(name: str) -> TyVar:
-    """Build the type variable ``'name``."""
-    return TyVar(name)
-
-
-def mk_tuple_ty(types: Sequence[HolType]) -> HolType:
-    """Right-nested product of one or more types.
-
-    ``mk_tuple_ty([a])`` is ``a``; ``mk_tuple_ty([a, b, c])`` is
-    ``a # (b # c)``.
-    """
-    types = list(types)
-    if not types:
-        raise ValueError("mk_tuple_ty: need at least one type")
-    out = types[-1]
-    for ty in reversed(types[:-1]):
-        out = mk_prod_ty(ty, out)
-    return out
-
-
 def dest_fun_ty(ty: HolType) -> Tuple[HolType, HolType]:
     """Destruct a function type into ``(domain, codomain)``."""
     if not ty.is_fun():
         raise TypeError(f"dest_fun_ty: not a function type: {ty}")
     return ty.args[0], ty.args[1]  # type: ignore[attr-defined]
-
-
-def dest_prod_ty(ty: HolType) -> Tuple[HolType, HolType]:
-    """Destruct a product type into ``(fst, snd)``."""
-    if not ty.is_prod():
-        raise TypeError(f"dest_prod_ty: not a product type: {ty}")
-    return ty.args[0], ty.args[1]  # type: ignore[attr-defined]
-
-
-def strip_fun_ty(ty: HolType) -> Tuple[Tuple[HolType, ...], HolType]:
-    """Split ``a -> b -> ... -> r`` into ``((a, b, ...), r)``."""
-    doms = []
-    while ty.is_fun():
-        doms.append(ty.domain)
-        ty = ty.codomain
-    return tuple(doms), ty
-
-
-def flatten_prod_ty(ty: HolType) -> Tuple[HolType, ...]:
-    """Flatten a right-nested product type into its components."""
-    parts = []
-    while ty.is_prod():
-        parts.append(ty.fst_type)
-        ty = ty.snd_type
-    parts.append(ty)
-    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +310,3 @@ def _type_match(pattern: HolType, target: HolType, env: Dict[TyVar, HolType]) ->
         if not isinstance(t, TyApp) or t.op != p.op or len(t.args) != len(p.args):
             raise TypeMatchError(lazy("cannot match {} against {}", p, t))
         stack.extend(reversed(list(zip(p.args, t.args))))
-
-
-def occurs_in(tv: TyVar, ty: HolType) -> bool:
-    """``True`` if the type variable ``tv`` occurs in ``ty``."""
-    return tv in ty._tvs  # type: ignore[attr-defined]
-
-
-def fresh_tyvar(avoid: Iterable[TyVar], base: str = "a") -> TyVar:
-    """Return a type variable with a name not used by any of ``avoid``."""
-    used = {tv.name for tv in avoid}
-    if base not in used:
-        return TyVar(base)
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    return TyVar(f"{base}{i}")

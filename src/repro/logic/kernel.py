@@ -34,7 +34,7 @@ always be audited (see :func:`trusted_base_report`).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .ground import GroundError, term_of_value, value_of_term
 from .lazyfmt import lazy
@@ -152,10 +152,6 @@ def current_theory() -> Theory:
         thy = bootstrap_theory()
         _state.theory = thy
     return thy
-
-
-def set_current_theory(thy: Theory) -> None:
-    _state.theory = thy
 
 
 def reset_kernel() -> Theory:
@@ -334,8 +330,8 @@ def new_axiom(t: Term, name: str = "<axiom>", theory: Optional[Theory] = None) -
 
     The axiom is recorded in the theory's trusted base.  HASH itself only
     uses this for the once-and-for-all Automata-theory lemmas (see
-    DESIGN.md §5); all synthesis-time reasoning goes through the inference
-    rules above.
+    README.md, "What this reproduction substitutes"); all synthesis-time
+    reasoning goes through the inference rules above.
     """
     _count_step()
     if t.ty != bool_ty:
@@ -444,8 +440,8 @@ def trusted_base_report(theory: Optional[Theory] = None) -> str:
     return "\n".join(lines)
 
 
-def proof_size(th: Theorem) -> int:
-    """Number of distinct theorems in the derivation DAG of ``th``.
+def derivation(th: Theorem) -> Iterator[Theorem]:
+    """Each distinct theorem of the derivation DAG of ``th``, once.
 
     Iterative: derivation DAGs of long ``TRANS`` chains (one link per
     synthesis step) are far deeper than the Python recursion limit.
@@ -457,7 +453,10 @@ def proof_size(th: Theorem) -> int:
         if id(t) in seen:
             continue
         seen.add(id(t))
-        for dep in t.deps:
-            if isinstance(dep, Theorem):
-                stack.append(dep)
-    return len(seen)
+        yield t
+        stack.extend(dep for dep in t.deps if isinstance(dep, Theorem))
+
+
+def proof_size(th: Theorem) -> int:
+    """Number of distinct theorems in the derivation DAG of ``th``."""
+    return sum(1 for _ in derivation(th))

@@ -1,9 +1,9 @@
 """Deferred formatting for exception messages on kernel hot paths.
 
-The conversion combinators (``ORELSEC``, ``REPEATC``, ``TOP_DEPTH_CONV``)
-use exceptions as control flow: every node of a traversal may raise and
-catch "not applicable" errors.  Formatting a large term into the message at
-the raise site is O(term size) and dominated gate-level workloads; wrapping
+The conversion combinators (``ORELSEC``, ``TOP_DEPTH_CONV`` and its repeat
+loop) use exceptions as control flow: every node of a traversal may raise
+and catch "not applicable" errors.  Formatting a large term into the message
+at the raise site is O(term size) and dominated gate-level workloads; wrapping
 the message in :class:`LazyMessage` defers the rendering until something
 actually prints the exception (which for control-flow errors is never).
 """

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .hol_types import HolType, TyVar, TypeMatchError, type_match
 from .lazyfmt import lazy
-from .terms import Abs, Comb, Const, Term, Var, aconv, inst_type, var_subst
+from .terms import Abs, Comb, Const, Term, Var, aconv
 
 
 class MatchError(Exception):
@@ -129,25 +129,3 @@ def _match(
         new_pbound[p.bvar] = depth
         new_tbound[t.bvar] = depth
         stack.append((p.body, t.body, new_pbound, new_tbound))
-
-
-def apply_substitution(subst: Substitution, t: Term) -> Term:
-    """Apply a substitution produced by :func:`term_match` to a term."""
-    term_env, type_env = subst
-    t2 = inst_type(type_env, t)
-    # Re-type the keys of the term environment after type instantiation.
-    retyped = {}
-    for v, tm in term_env.items():
-        v2 = inst_type(type_env, v)
-        assert isinstance(v2, Var)
-        retyped[v2] = tm
-    return var_subst(retyped, t2)
-
-
-def matches(pattern: Term, target: Term) -> bool:
-    """``True`` if ``pattern`` matches ``target``."""
-    try:
-        term_match(pattern, target)
-        return True
-    except MatchError:
-        return False

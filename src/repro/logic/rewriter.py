@@ -158,8 +158,8 @@ def _step(net: RewriteNet, t: Term) -> Optional[Theorem]:
     """One rewrite at the root of ``t``, or ``None`` if no rule applies.
 
     A rule whose result does not change the term (alpha-equivalent sides)
-    counts as not applicable, mirroring ``REPEATC`` — this is what guarantees
-    termination for rules like ``x = x``.
+    counts as not applicable, mirroring HOL's ``REPEATC`` — this is what
+    guarantees termination for rules like ``x = x``.
     """
     for rule in net.candidates(t):
         try:

@@ -21,7 +21,7 @@ from .kernel import (
     TRANS,
     Theorem,
 )
-from .terms import Term, aconv, dest_eq
+from .terms import aconv, dest_eq
 
 
 class RuleError(Exception):
@@ -48,20 +48,6 @@ def prove_hyp(lemma: Theorem, th: Theorem) -> Theorem:
     """From ``|- a`` and ``{a, ...} |- b`` infer ``{...} |- b``."""
     eq = DEDUCT_ANTISYM(lemma, th)
     return EQ_MP(eq, lemma)
-
-
-def alpha_link(th: Theorem, target_lhs: Term) -> Theorem:
-    """Re-anchor an equation on an alpha-equivalent left-hand side.
-
-    Given ``|- a = b`` and a term ``a'`` alpha-equivalent to ``a``, returns
-    ``|- a' = b``.
-    """
-    a, _ = dest_eq(th.concl)
-    if a == target_lhs:
-        return th
-    if not aconv(a, target_lhs):
-        raise RuleError("alpha_link: terms are not alpha-equivalent")
-    return TRANS(ALPHA(target_lhs, a), th)
 
 
 def sym(th: Theorem) -> Theorem:

@@ -14,7 +14,8 @@ All connectives and operators are *computable constants*
 (:func:`repro.logic.kernel.new_computable_constant`), so ground applications
 can be evaluated by ``EVAL_CONV`` producing kernel theorems.  The only
 non-computational extensions are ``LET_DEF`` (a definition) and the two pair
-projection laws (theory axioms, see DESIGN.md §5).
+projection laws (theory axioms, see README.md, "What this reproduction
+substitutes").
 
 Everything here is installed *idempotently per theory*: the first call to
 :func:`ensure_stdlib` (or any accessor) performs the installation and caches

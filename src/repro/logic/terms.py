@@ -445,11 +445,6 @@ def _term_size(t: Term) -> int:
     return memo[t]
 
 
-def free_in(v: Var, t: Term) -> bool:
-    """``True`` if variable ``v`` occurs free in ``t``."""
-    return v in free_vars_set(t)
-
-
 def variant(avoid: Iterable[Var], v: Var) -> Var:
     """Rename ``v`` (if necessary) so its name clashes with none of ``avoid``."""
     used = {a.name for a in avoid}
@@ -709,71 +704,9 @@ def beta_reduce_step(t: Term) -> Term:
     return var_subst({t.rator.bvar: t.rand}, t.rator.body)
 
 
-def beta_normalize(t: Term, max_steps: int = 1_000_000) -> Term:
-    """Full beta-normalisation (call-by-value-ish, leftmost-outermost).
-
-    Iterative with per-node memoisation: the normal form of a term does not
-    depend on its context, so shared (interned) subterms are normalised once.
-    ``max_steps`` bounds the number of beta contractions.
-    """
-    steps = 0
-    memo: Dict[Term, Term] = {}
-    stack: List[tuple] = [(_VISIT, t)]
-    while stack:
-        frame = stack.pop()
-        op = frame[0]
-        tm = frame[1]
-        if op == _VISIT:
-            if tm in memo:
-                continue
-            if isinstance(tm, (Var, Const)):
-                memo[tm] = tm
-                continue
-            if isinstance(tm, Abs):
-                stack.append((_BUILD_ABS, tm))
-                stack.append((_VISIT, tm._body))
-                continue
-            stack.append((_BUILD_COMB, tm))
-            stack.append((_VISIT, tm._rand))
-            stack.append((_VISIT, tm._rator))
-            continue
-        if op == _BUILD_COMB:
-            nr = memo[tm._rator]
-            nd = memo[tm._rand]
-            if isinstance(nr, Abs):
-                steps += 1
-                if steps > max_steps:
-                    raise TermError("beta_normalize: too many reduction steps")
-                contracted = var_subst({nr._bvar: nd}, nr._body)
-                stack.append((_ALIAS, tm, contracted))
-                stack.append((_VISIT, contracted))
-                continue
-            memo[tm] = tm if nr is tm._rator and nd is tm._rand else Comb(nr, nd)
-            continue
-        if op == _BUILD_ABS:
-            nb = memo[tm._body]
-            memo[tm] = tm if nb is tm._body else Abs(tm._bvar, nb)
-            continue
-        # _ALIAS
-        memo[tm] = memo[frame[2]]
-    return memo[t]
-
-
 # ---------------------------------------------------------------------------
 # Constructors / destructors for the built-in syntax
 # ---------------------------------------------------------------------------
-
-def mk_var(name: str, ty: HolType) -> Var:
-    return Var(name, ty)
-
-
-def mk_comb(rator: Term, rand: Term) -> Comb:
-    return Comb(rator, rand)
-
-
-def mk_abs(bvar: Var, body: Term) -> Abs:
-    return Abs(bvar, body)
-
 
 #: Cache of the instantiated ``=`` constant per operand type.  ``mk_eq`` is
 #: called once per kernel inference (every theorem's conclusion is built with
@@ -822,14 +755,6 @@ def dest_binop(t: Term) -> Tuple[Term, Term, Term]:
     return t.rator.rator, t.rator.rand, t.rand
 
 
-def list_mk_comb(f: Term, args: Sequence[Term]) -> Term:
-    """Apply ``f`` to a list of arguments: ``f a1 a2 ...``."""
-    out = f
-    for a in args:
-        out = Comb(out, a)
-    return out
-
-
 def strip_comb(t: Term) -> Tuple[Term, List[Term]]:
     """Split ``f a1 ... an`` into ``(f, [a1, ..., an])``."""
     args: List[Term] = []
@@ -838,14 +763,6 @@ def strip_comb(t: Term) -> Tuple[Term, List[Term]]:
         t = t.rator
     args.reverse()
     return t, args
-
-
-def list_mk_abs(vars_: Sequence[Var], body: Term) -> Term:
-    """Build the iterated abstraction ``\\v1 ... vn. body``."""
-    out = body
-    for v in reversed(list(vars_)):
-        out = Abs(v, out)
-    return out
 
 
 def strip_abs(t: Term) -> Tuple[List[Var], Term]:
@@ -889,17 +806,6 @@ def mk_tuple(terms: Sequence[Term]) -> Term:
     for tm in reversed(terms[:-1]):
         out = mk_pair(tm, out)
     return out
-
-
-def flatten_tuple(t: Term) -> List[Term]:
-    """Flatten a right-nested tuple term into its components."""
-    parts: List[Term] = []
-    while is_pair(t):
-        a, b = dest_pair(t)
-        parts.append(a)
-        t = b
-    parts.append(t)
-    return parts
 
 
 def mk_fst(t: Term) -> Term:

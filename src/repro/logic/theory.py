@@ -129,14 +129,6 @@ class Theory:
         out.extend(self.axioms)
         return out
 
-    # -- bookkeeping -----------------------------------------------------------
-    def summary(self) -> str:
-        lines = [f"theory {self.name}"]
-        lines.append(f"  type operators: {sorted(self.type_operators)}")
-        lines.append(f"  constants: {sorted(self.constants)}")
-        lines.append(f"  axioms/definitions: {len(self.axioms)}")
-        return "\n".join(lines)
-
 
 def bootstrap_theory() -> Theory:
     """The initial theory: equality, booleans, pairs and numbers.

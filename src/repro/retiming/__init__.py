@@ -1,22 +1,8 @@
 """``repro.retiming`` — conventional retiming: graphs, algorithms, netlist rewriting."""
 
 from .graph import HOST, Edge, RetimingGraph, RetimingGraphError, graph_from_netlist, lags_from_cut
-from .leiserson_saxe import (
-    RetimingInfeasible,
-    feasible_clock_period,
-    forward_retimable_cells as graph_forward_retimable_cells,
-    forward_retiming_lags,
-    min_period_retiming,
-    min_register_retiming,
-)
-from .apply import (
-    BackwardRetimingError,
-    RetimingApplyError,
-    apply_backward_retiming,
-    apply_forward_retiming,
-    forward_retimable_cells,
-    retime_netlist,
-)
-from .cuts import false_cut, maximal_forward_cut, single_cell_cut, sized_forward_cut
+from .leiserson_saxe import RetimingInfeasible, feasible_clock_period, min_period_retiming
+from .apply import RetimingApplyError, apply_forward_retiming, forward_retimable_cells
+from .cuts import maximal_forward_cut, sized_forward_cut
 
 __all__ = [name for name in dir() if not name.startswith("_")]

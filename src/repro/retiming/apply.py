@@ -1,35 +1,27 @@
 """Applying retimings to netlists (the conventional synthesis transformation).
 
 This module is the *conventional* retiming back end: given control
-information (a cut, or a lag assignment from the Leiserson–Saxe algorithms)
-it rewrites the netlist by moving registers and computing the new initial
-values.  The formal HASH step (:mod:`repro.formal.formal_retiming`) performs
-the same transformation but derives a theorem relating the two circuit
-descriptions; the conventional back end is used as the baseline whose output
-the post-synthesis verifiers of :mod:`repro.verification` have to check.
+information (a cut) it rewrites the netlist by moving registers and
+computing the new initial values.  The formal HASH step
+(:mod:`repro.formal.formal_retiming`) performs the same transformation but
+derives a theorem relating the two circuit descriptions; the conventional
+back end is used as the baseline whose output the post-synthesis verifiers
+of :mod:`repro.verification` have to check.
 
 Forward retiming moves the registers sitting on *all* inputs of a cell to
 its output; the new register's initial value is the cell evaluated on the
 old initial values — exactly the ``f(q)`` of the universal retiming theorem.
-Backward retiming is the inverse move and requires *solving* for an initial
-value whose image under the moved logic is the old initial value; as the
-paper notes, this is the harder direction, and it may fail (no preimage
-exists) — :class:`BackwardRetimingError` reports that.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
-from ..circuits.netlist import Cell, Netlist, Register
+from ..circuits.netlist import Cell, Netlist
 
 
 class RetimingApplyError(Exception):
     """Raised when a cut cannot be retimed on the given netlist."""
-
-
-class BackwardRetimingError(RetimingApplyError):
-    """Raised when no initial value exists for a backward move."""
 
 
 def _evaluate_cell(netlist: Netlist, cell: Cell, input_values: Sequence[int]) -> int:
@@ -121,127 +113,4 @@ def apply_forward_retiming(
                 del out.nets[reg.output]
 
     out.validate()
-    return out
-
-
-def _preimage(netlist: Netlist, cell: Cell, target: int, width: int) -> Optional[Tuple[int, ...]]:
-    """Find input values whose image under ``cell`` is ``target`` (brute force)."""
-    in_widths = [netlist.width(i) for i in cell.inputs]
-    total_bits = sum(in_widths)
-    if total_bits > 20:
-        raise BackwardRetimingError(
-            f"backward retiming over {cell.name}: preimage search space too large "
-            f"({total_bits} bits)"
-        )
-    limit = 1 << total_bits
-    for combined in range(limit):
-        values = []
-        shift = 0
-        for w in in_widths:
-            values.append((combined >> shift) & ((1 << w) - 1))
-            shift += w
-        if _evaluate_cell(netlist, cell, values) == target:
-            return tuple(values)
-    return None
-
-
-def apply_backward_retiming(
-    netlist: Netlist,
-    cut: Iterable[str],
-    name_suffix: str = "_backward",
-) -> Netlist:
-    """Move the register sitting on the output of every cell in ``cut`` to its inputs.
-
-    The cell's output must be driven into exactly one register (and nothing
-    else), and an initial value for the new input registers must exist whose
-    image under the cell equals the old register's initial value.
-    """
-    cut = list(dict.fromkeys(cut))
-    out = netlist.copy(netlist.name + name_suffix)
-
-    for cell_name in cut:
-        if cell_name not in out.cells:
-            raise RetimingApplyError(f"cut refers to unknown cell {cell_name!r}")
-        cell = out.cells[cell_name]
-        readers = out.readers_of(cell.output)
-        if len(readers) != 1 or not isinstance(readers[0], Register) or (
-            cell.output in out.outputs
-        ):
-            raise RetimingApplyError(
-                f"cell {cell_name}: output must feed exactly one register "
-                "for a backward move"
-            )
-        reg = readers[0]
-
-        values = _preimage(out, cell, reg.init, reg.width)
-        if values is None:
-            raise BackwardRetimingError(
-                f"cell {cell_name}: initial value {reg.init} has no preimage; "
-                "backward retiming impossible (as discussed in Section IV.A "
-                "of the paper, the backward direction may fail)"
-            )
-
-        # place one register on each input of the cell
-        new_inputs = []
-        for pin, (net, init_val) in enumerate(zip(cell.inputs, values)):
-            reg_name = out.fresh_instance_name(f"B_{cell_name}_{pin}")
-            reg_out_net = out.fresh_net_name(f"{net}_d")
-            out.add_net(reg_out_net, out.width(net))
-            out.add_register(reg_name, net, reg_out_net, init=init_val,
-                             width=out.width(net))
-            new_inputs.append(reg_out_net)
-
-        # the cell now drives the old register's output net directly
-        old_reg_output = reg.output
-        out.remove_register(reg.name)
-        out.cells[cell_name] = Cell(
-            cell.name, cell.type, tuple(new_inputs), old_reg_output, dict(cell.params)
-        )
-        # the cell's old output net disappears if nothing else used it
-        if not out.readers_of(cell.output) and cell.output not in out.outputs:
-            if cell.output in out.nets and cell.output != old_reg_output:
-                del out.nets[cell.output]
-
-    out.validate()
-    return out
-
-
-def retime_netlist(
-    netlist: Netlist, lags: Dict[str, int], name_suffix: str = "_retimed"
-) -> Netlist:
-    """Apply a (forward-only) lag assignment by iterated unit forward moves.
-
-    Cells with lag ``-k`` are forward-retimed ``k`` times.  Mixed
-    forward/backward lag assignments are applied as a forward pass followed
-    by a backward pass; deeper schedules raise :class:`RetimingApplyError`.
-    """
-    forward_cells = {name: -lag for name, lag in lags.items() if lag < 0 and name in netlist.cells}
-    backward_cells = {name: lag for name, lag in lags.items() if lag > 0 and name in netlist.cells}
-    out = netlist
-    remaining = dict(forward_cells)
-    rounds = 0
-    while any(v > 0 for v in remaining.values()):
-        rounds += 1
-        if rounds > 64:
-            raise RetimingApplyError("retime_netlist: could not schedule forward moves")
-        movable = [
-            name
-            for name, count in remaining.items()
-            if count > 0 and name in forward_retimable_cells(out)
-        ]
-        if not movable:
-            raise RetimingApplyError(
-                "retime_netlist: forward lags cannot be realised by unit moves "
-                f"(stuck with {remaining})"
-            )
-        out = apply_forward_retiming(out, movable, name_suffix="")
-        for name in movable:
-            remaining[name] -= 1
-    for name, count in backward_cells.items():
-        for _ in range(count):
-            out = apply_backward_retiming(out, [name], name_suffix="")
-    if out is netlist:
-        out = netlist.copy(netlist.name + name_suffix)
-    else:
-        out.name = netlist.name + name_suffix
     return out

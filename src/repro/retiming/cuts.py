@@ -16,7 +16,7 @@ describes in Section IV.B.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ..circuits.netlist import Netlist
 from .apply import forward_retimable_cells
@@ -25,13 +25,6 @@ from .apply import forward_retimable_cells
 def maximal_forward_cut(netlist: Netlist) -> List[str]:
     """All forward-retimable cells — the paper's Table-I/II worst case for HASH."""
     return forward_retimable_cells(netlist)
-
-
-def single_cell_cut(netlist: Netlist, cell: str) -> List[str]:
-    """A cut consisting of one named cell (Figure 3 uses the incrementer)."""
-    if cell not in netlist.cells:
-        raise KeyError(f"unknown cell {cell}")
-    return [cell]
 
 
 def sized_forward_cut(netlist: Netlist, size: int, seed: int = 0) -> List[str]:
@@ -45,20 +38,3 @@ def sized_forward_cut(netlist: Netlist, size: int, seed: int = 0) -> List[str]:
     size = max(0, min(size, len(candidates)))
     rng = random.Random(seed)
     return sorted(rng.sample(candidates, size))
-
-
-def false_cut(netlist: Netlist, seed: int = 0) -> Optional[List[str]]:
-    """A deliberately illegal cut (contains an input-dependent cell), if any exists.
-
-    Used by tests and by the Figure-4 benchmark to exercise the failure path
-    of both engines: the formal procedure must raise instead of producing a
-    theorem.
-    """
-    retimable = set(forward_retimable_cells(netlist))
-    bad = [name for name in sorted(netlist.cells) if name not in retimable
-           and netlist.cells[name].inputs]
-    if not bad:
-        return None
-    rng = random.Random(seed)
-    chosen = bad[rng.randrange(len(bad))]
-    return sorted(set([chosen]) | (retimable and {next(iter(sorted(retimable)))} or set()))

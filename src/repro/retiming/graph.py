@@ -14,13 +14,13 @@ A *retiming* is an integer lag ``r : V -> Z`` with ``r(host) = 0``; it moves
 registers so the new weight of an edge is ``w_r(e) = w(e) + r(v) - r(u)``,
 which must stay non-negative.  The classic algorithms (OPT/FEAS, implemented
 in :mod:`repro.retiming.leiserson_saxe`) search for lags minimising the clock
-period or the register count.
+period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..circuits.netlist import Cell, Netlist, Register
 
@@ -51,12 +51,6 @@ class RetimingGraph:
     edges: List[Edge] = field(default_factory=list)
     delay: Dict[str, int] = field(default_factory=dict)
 
-    def in_edges(self, v: str) -> List[Edge]:
-        return [e for e in self.edges if e.head == v]
-
-    def total_registers(self) -> int:
-        return sum(e.weight for e in self.edges)
-
     def retimed_weight(self, edge: Edge, lags: Dict[str, int]) -> int:
         return edge.weight + lags.get(edge.head, 0) - lags.get(edge.tail, 0)
 
@@ -83,31 +77,39 @@ class RetimingGraph:
         (primary outputs) but never pass *through* it: the environment is
         sequential.
         """
-        # longest path in the DAG formed by zero-weight edges
+        # longest path in the DAG formed by zero-weight edges, by an
+        # explicit-stack postorder (combinational chains can be thousands
+        # of cells deep)
         zero_adj: Dict[str, List[str]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.weight == 0:
                 zero_adj[e.tail].append(e.head)
-        memo: Dict[str, int] = {}
-        visiting: Dict[str, bool] = {}
-
-        def longest_from(v: str) -> int:
-            if v in memo:
-                return memo[v]
-            if visiting.get(v):
-                raise RetimingGraphError("combinational cycle (zero-weight cycle)")
-            visiting[v] = True
-            best = 0
-            if v != HOST:  # do not continue a path through the environment
-                for head in zero_adj[v]:
-                    best = max(best, longest_from(head))
-            visiting[v] = False
-            memo[v] = self.delay.get(v, 0) + best
-            return memo[v]
-
-        start_points = [longest_from(v) for v in self.vertices if v != HOST]
-        start_points += [longest_from(head) for head in zero_adj.get(HOST, ())]
-        return max(start_points, default=0)
+        longest: Dict[str, int] = {}  # delay of the longest path from v
+        on_path: Set[str] = set()
+        roots = [v for v in self.vertices if v != HOST] + zero_adj.get(HOST, [])
+        for root in roots:
+            stack = [root]
+            while stack:
+                v = stack[-1]
+                if v in longest:
+                    stack.pop()
+                    continue
+                # do not continue a path through the environment
+                heads = zero_adj[v] if v != HOST else []
+                if v not in on_path:
+                    on_path.add(v)
+                    for head in heads:
+                        if head in on_path:
+                            raise RetimingGraphError(
+                                "combinational cycle (zero-weight cycle)")
+                        if head not in longest:
+                            stack.append(head)
+                    continue
+                on_path.discard(v)
+                longest[v] = self.delay.get(v, 0) + max(
+                    (longest[head] for head in heads), default=0)
+                stack.pop()
+        return max((longest[v] for v in roots), default=0)
 
     def path_weight_matrices(self) -> Tuple[Dict[Tuple[str, str], int], Dict[Tuple[str, str], int]]:
         """The W and D matrices of Leiserson–Saxe.

@@ -10,22 +10,20 @@ either the conventional netlist transformer (:mod:`repro.retiming.apply`) or
 the formal HASH step (:mod:`repro.formal.formal_retiming`) as *control
 information*.
 
-Implemented:
-
-* :func:`feasible_clock_period` / :func:`min_period_retiming` — binary search
-  over candidate periods with a Bellman–Ford feasibility check (the OPT1/FEAS
-  algorithm);
-* :func:`min_register_retiming` — a greedy register-count reduction;
-* :func:`forward_retiming_lags` — the maximal forward retiming used by
-  Table I ("f covering a maximum number of retimable gates, i.e. the worst
-  case for our approach").
+Implemented: :func:`feasible_clock_period` / :func:`min_period_retiming` —
+binary search over candidate periods with a Bellman–Ford feasibility check
+(the OPT1/FEAS algorithm).  The maximal forward retiming that Tables I and II
+use ("f covering a maximum number of retimable gates, i.e. the worst case for
+our approach") is a cut, not a lag search: see
+:func:`repro.retiming.cuts.maximal_forward_cut`, and
+:func:`repro.retiming.graph.lags_from_cut` for its lags.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .graph import HOST, RetimingGraph, RetimingGraphError
+from .graph import HOST, RetimingGraph
 
 
 class RetimingInfeasible(Exception):
@@ -113,82 +111,3 @@ def min_period_retiming(graph: RetimingGraph) -> Tuple[int, Dict[str, int]]:
     if best is None:
         raise RetimingInfeasible("no feasible clock period found")
     return best
-
-
-# ---------------------------------------------------------------------------
-# Register-count reduction
-# ---------------------------------------------------------------------------
-
-def min_register_retiming(
-    graph: RetimingGraph, max_rounds: int = 1000
-) -> Dict[str, int]:
-    """Greedy register-count reduction preserving legality.
-
-    Repeatedly picks a single-vertex lag change that reduces the total
-    retimed register count while keeping all edge weights non-negative.  This
-    is not the full LP-based minimum but reproduces the qualitative
-    behaviour (it merges shareable registers at fan-out points) and is fast.
-    """
-    lags = {v: 0 for v in graph.vertices}
-
-    def total(lgs: Dict[str, int]) -> int:
-        return sum(graph.retimed_weight(e, lgs) for e in graph.edges)
-
-    current = total(lags)
-    for _ in range(max_rounds):
-        improved = False
-        for v in graph.vertices:
-            if v == HOST:
-                continue
-            for delta in (-1, 1):
-                trial = dict(lags)
-                trial[v] = trial[v] + delta
-                if not graph.is_legal(trial):
-                    continue
-                t = total(trial)
-                if t < current:
-                    lags, current = trial, t
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    return lags
-
-
-# ---------------------------------------------------------------------------
-# Maximal forward retiming (the Table-I workload)
-# ---------------------------------------------------------------------------
-
-def forward_retimable_cells(graph: RetimingGraph) -> List[str]:
-    """Cells all of whose input edges carry at least one register.
-
-    These are the cells over which registers can be moved forward in a single
-    step; the corresponding cut "covers a maximum number of retimable gates",
-    which the paper uses as the worst case for HASH in Tables I and II.
-    """
-    out = []
-    for v in graph.vertices:
-        if v == HOST:
-            continue
-        in_edges = graph.in_edges(v)
-        if in_edges and all(e.weight >= 1 for e in in_edges):
-            out.append(v)
-    return sorted(out)
-
-
-def forward_retiming_lags(graph: RetimingGraph, cells: Optional[Iterable[str]] = None) -> Dict[str, int]:
-    """Lags for a forward retiming of the given cells (default: all retimable)."""
-    chosen = list(cells) if cells is not None else forward_retimable_cells(graph)
-    lags = {v: 0 for v in graph.vertices}
-    for v in chosen:
-        if v not in lags:
-            raise RetimingGraphError(f"unknown cell {v}")
-        lags[v] = -1
-    if not graph.is_legal(lags):
-        raise RetimingInfeasible(
-            "forward retiming of the requested cells is not legal "
-            "(some input connection carries no register)"
-        )
-    return lags

@@ -23,12 +23,11 @@ ROBDD implementation with the three classic production optimisations
   cache through De Morgan, ``xnor`` shares the ``XOR`` cache through the
   complement bit).
 
-* **Iterative core.**  Every manager operation (``ite``, ``restrict``,
-  ``exists``/``forall``, ``compose``, ``count_sat``, ``and_exists``,
-  ``build_from_table``) runs on an explicit work stack — the repo-wide
-  "no recursion-limit bumps in ``src/``" guarantee of the HOL kernel
-  extends to the BDD layer, so BDDs thousands of levels deep are processed
-  at the default recursion limit.
+* **Iterative core.**  Every manager operation (``ite``, ``exists``/``forall``,
+  ``compose``, ``count_sat``, ``and_exists``, ``build_from_table``) runs on
+  an explicit work stack — the repo-wide "no recursion-limit bumps in
+  ``src/``" guarantee of the HOL kernel extends to the BDD layer, so BDDs
+  thousands of levels deep are processed at the default recursion limit.
 
 * **Combined ``and_exists``.**  :meth:`BddManager.and_exists` computes
   ``∃V. f ∧ g`` in one pass without materialising the conjunction — the
@@ -446,41 +445,6 @@ class BddManager:
         return out
 
     # -- quantification and substitution ------------------------------------------------
-    def restrict(self, f: int, name: str, value: bool) -> int:
-        """Cofactor of ``f`` with respect to ``name = value``."""
-        target = self._var_levels[name]
-        level = self._level
-        low = self._low
-        high = self._high
-        cache: Dict[int, int] = {}
-        tasks: List[Tuple[int, int]] = [(0, f)]
-        results: List[int] = []
-        while tasks:
-            tag, e = tasks.pop()
-            if tag == 1:
-                hi = results.pop()
-                lo = results.pop()
-                r = self._mk(level[e >> 1], lo, hi)
-                cache[e] = r
-                results.append(r)
-                continue
-            idx, c = e >> 1, e & 1
-            lvl = level[idx]
-            if lvl > target:                       # terminal or below the variable
-                results.append(e)
-                continue
-            if lvl == target:                      # ordered: var occurs once per path
-                results.append((high[idx] if value else low[idx]) ^ c)
-                continue
-            r = cache.get(e)
-            if r is not None:
-                results.append(r)
-                continue
-            tasks.append((1, e))
-            tasks.append((0, high[idx] ^ c))
-            tasks.append((0, low[idx] ^ c))
-        return results[-1]
-
     def _quantify_levels(self, levels: Set[int], f: int,
                          cache: Optional[Dict[int, int]] = None) -> int:
         """Existential quantification of the given *levels* (iterative).

@@ -228,26 +228,20 @@ def compile_fsm(
     netlist: Netlist,
     manager: Optional[BddManager] = None,
     prefix: str = "",
-    declare_vars: bool = True,
-    opt_stats: Optional[Dict[str, int]] = None,
 ) -> SymbolicFSM:
     """Compile a netlist (bit-blasting it first if needed) into a SymbolicFSM.
 
     ``prefix`` is prepended to state variable names so two machines can
     coexist in one manager.  Primary-input variables are *not* prefixed:
     a product machine must drive both circuits with the same inputs.
+    Variables the manager does not know yet are declared in order, inputs
+    first; :func:`product_fsm` declares its own order beforehand.
     """
-    gate = ensure_gate_level(netlist, stats=opt_stats)
+    gate = ensure_gate_level(netlist)
     manager = manager or BddManager()
 
     input_names = list(gate.inputs)
     state_names = {reg.output: f"{prefix}{reg.output}" for reg in gate.registers.values()}
-
-    if declare_vars:
-        for name in input_names:
-            manager.declare(name)
-        for reg in gate.registers.values():
-            manager.declare(state_names[reg.output])
 
     values: Dict[str, int] = {}
     for name in input_names:
@@ -374,8 +368,8 @@ def product_fsm(
     for name in sorted(order, key=_word_bit):
         manager.declare(name)
 
-    left = compile_fsm(gate_a, manager, prefix="A.", declare_vars=False)
-    right = compile_fsm(gate_b, manager, prefix="B.", declare_vars=False)
+    left = compile_fsm(gate_a, manager, prefix="A.")
+    right = compile_fsm(gate_b, manager, prefix="B.")
     pairs = [(o, o) for o in gate_a.outputs]
     return ProductFSM(manager=manager, left=left, right=right, output_pairs=pairs)
 

@@ -161,10 +161,6 @@ def get_shardable(method: str) -> Optional[ShardableCheck]:
     return _SHARDABLE.get(method)
 
 
-def shardable_methods() -> List[str]:
-    return sorted(_SHARDABLE)
-
-
 def get_checker(name: str) -> Checker:
     try:
         return _CHECKERS[name]

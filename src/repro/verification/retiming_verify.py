@@ -19,11 +19,14 @@ Algorithm
    verifier gives up (``status = "error"``: inconclusive, as the backend is
    registered incomplete), exactly like the original tool would on a
    compound retiming+resynthesis step.
-2. Build, for both circuits, the *connection graph*: nodes are combinational
-   cells plus a host node for the primary inputs/outputs; each consumer pin
-   contributes an edge from the combinational driver of the signal it reads,
-   weighted by the number of registers passed on the way.  A legal retiming
-   is exactly an integer lag ``r(v)`` per cell with ``r(host) = 0`` such that
+2. Build, for both circuits, the *connection graph* — the Leiserson–Saxe
+   graph of :func:`repro.retiming.graph.graph_from_netlist`: nodes are
+   combinational cells plus a host node for the primary inputs/outputs; each
+   consumer pin contributes an edge from the combinational driver of the
+   signal it reads, weighted by the number of registers passed on the way.
+   A ring of registers with no cell on it has no such driver, and the
+   verifier gives up (``error``).  A legal retiming is exactly an integer
+   lag ``r(v)`` per cell with ``r(host) = 0`` such that
    ``w_retimed(e) = w_original(e) + r(head) - r(tail)`` on every edge.  The
    lags are recovered by propagation and checked for consistency.
 3. Initial values cannot be validated purely structurally; they are checked
@@ -39,53 +42,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..circuits.netlist import Cell, Netlist, Register
+from ..circuits.netlist import Netlist
 from ..circuits.simulate import random_input_sequence, simulate
+from ..retiming.graph import HOST, RetimingGraphError, graph_from_netlist
 from .common import EngineRun, VerificationResult
 
-#: The node representing the environment (primary inputs and outputs).
-HOST = "<host>"
 
-
-def connection_graph(netlist: Netlist) -> Dict[Tuple[str, str, int], int]:
-    """Edges of the Leiserson–Saxe graph with register weights.
-
-    Keys are ``(tail, head, pin)`` where *tail* is the combinational driver
-    (cell name or :data:`HOST`), *head* is the consuming cell name (or
-    :data:`HOST` for primary outputs) and *pin* is the input position; the
-    value is the number of registers on the connection.
-    """
-    drivers = netlist.drivers()
-
-    def comb_source(net: str) -> Tuple[str, int]:
-        """Walk back through registers to the combinational driver of a net."""
-        weight = 0
-        current = net
-        seen = set()
-        while True:
-            if current in netlist.inputs:
-                return HOST, weight
-            driver = drivers[current]
-            if isinstance(driver, Register):
-                if current in seen:
-                    # a register-only cycle; treat the register itself as source
-                    return f"<regloop:{driver.name}>", weight
-                seen.add(current)
-                weight += 1
-                current = driver.input
-                continue
-            assert isinstance(driver, Cell)
-            return driver.name, weight
-
-    edges: Dict[Tuple[str, str, int], int] = {}
-    for cell in netlist.cells.values():
-        for pin, net in enumerate(cell.inputs):
-            tail, weight = comb_source(net)
-            edges[(tail, cell.name, pin)] = weight
-    for pin, out in enumerate(sorted(netlist.outputs)):
-        tail, weight = comb_source(out)
-        edges[(tail, HOST, pin)] = weight
-    return edges
+def _edge_weights(netlist: Netlist) -> Dict[Tuple[str, str, int], int]:
+    """The register weight of each edge ``(tail, head, pin)`` of the
+    netlist's connection graph."""
+    return {(e.tail, e.head, e.pin): e.weight
+            for e in graph_from_netlist(netlist).edges}
 
 
 def recover_lags(
@@ -150,8 +117,11 @@ def check_equivalence(
         )
 
     # 2. a consistent lag assignment must relate the two connection graphs
-    edges_a = connection_graph(original)
-    edges_b = connection_graph(retimed)
+    try:
+        edges_a = _edge_weights(original)
+        edges_b = _edge_weights(retimed)
+    except RetimingGraphError as exc:
+        return run.result("error", f"inconclusive: {exc}; no connection graph")
     lags = recover_lags(edges_a, edges_b)
     if lags is None:
         return run.result(

@@ -15,9 +15,8 @@ assumption-based** (Eén & Sörensson): one :class:`SatSolver` survives an
 entire equivalence check (or an entire FRAIG sweep), variables grow on the
 fly with :meth:`SatSolver.add_var`, and each query is posed through
 ``solve(assumptions=[...])`` — assumption literals act as pseudo-decisions
-below every free decision, a failed query yields an unsat core over the
-assumptions, and every learned clause remains valid for (and speeds up)
-later queries.  The :class:`IncrementalMiter` layer on top owns the lazy,
+below every free decision, and every learned clause remains valid for (and
+speeds up) later queries.  The :class:`IncrementalMiter` layer on top owns the lazy,
 dense, cone-local Tseitin encoding: AIG nodes get solver variables only
 when a query first demands them (no O(max node index) allocation per
 call), each candidate-pair miter is posted under a fresh activation
@@ -46,7 +45,6 @@ from .common import (
     TimeoutBudgetExceeded,
     VerificationResult,
     cut_point_vars,
-    ensure_gate_level,
     pair_cut_points,
     run_engine,
 )
@@ -86,9 +84,7 @@ class SatSolver:
       encode lazily instead of sizing arrays up front;
     * :meth:`solve` takes ``assumptions`` — literals asserted as
       pseudo-decisions below every free decision, so a query can be posed
-      and retracted without touching the clause database.  When the result
-      is UNSAT under assumptions, final-conflict analysis leaves an unsat
-      core (a subset of the assumptions) in :meth:`unsat_core`;
+      and retracted without touching the clause database;
     * learned clauses persist between calls (they are implied by the clause
       database alone — assumptions are decisions, never resolved as
       reasons), and the garbage collector keeps the database from drowning
@@ -130,9 +126,6 @@ class SatSolver:
         self.unsat = False
         #: learned clauses currently stored before GC is forced
         self.learned_limit = 2000
-        #: unsat core of the last failed ``solve(assumptions=...)`` call —
-        #: a subset of the assumptions under which the database is UNSAT
-        self.core: List[int] = []
         # deterministic cost counters
         self.decisions = 0
         self.propagations = 0
@@ -355,41 +348,6 @@ class SatSolver:
         learned[1], learned[max_i] = learned[max_i], learned[1]
         return learned, max_level
 
-    def _analyze_final(self, failed: int) -> None:
-        """Unsat core for a failed assumption (final-conflict analysis).
-
-        ``failed`` is an assumption literal whose complement is implied by
-        the trail.  Walking the implication graph backwards from it and
-        collecting the assumption pseudo-decisions it rests on yields a
-        subset of the assumptions under which the database is UNSAT —
-        MiniSat's ``analyzeFinal``, with the core expressed as the
-        assumption literals themselves.
-        """
-        self.core = [failed]
-        if not self.trail_lim or self.levels[abs(failed)] == 0:
-            return
-        seen = [False] * (self.num_vars + 1)
-        seen[abs(failed)] = True
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            literal = self.trail[i]
-            var = abs(literal)
-            if not seen[var]:
-                continue
-            seen[var] = False
-            reason = self.reasons[var]
-            if reason is None:
-                # an assumption pseudo-decision the conflict rests on
-                if literal != failed:
-                    self.core.append(literal)
-            else:
-                for q in self.clauses[reason][1:]:
-                    if self.levels[abs(q)] > 0:
-                        seen[abs(q)] = True
-
-    def unsat_core(self) -> List[int]:
-        """Assumption subset from the last failed assumption-based call."""
-        return list(self.core)
-
     def _lbd(self, clause: List[int]) -> int:
         """Literal-block distance: distinct non-root decision levels."""
         return len({self.levels[abs(l)] for l in clause
@@ -469,9 +427,7 @@ class SatSolver:
         Assumption literals are asserted as pseudo-decisions at levels
         ``1..k`` before any free decision, so the clause database — learned
         clauses included — is untouched by the query itself and fully
-        reusable across calls.  ``model()`` is valid when True; when False
-        under assumptions, :meth:`unsat_core` holds a subset of them that
-        already makes the database UNSAT.
+        reusable across calls.  ``model()`` is valid when True.
 
         ``decision_vars``, when given, restricts free decisions to those
         variables: SAT is reported as soon as they and the assumptions are
@@ -488,7 +444,6 @@ class SatSolver:
         """
         self.deadline = deadline
         self.calls += 1
-        self.core = []
         self._decision_vars = (None if decision_vars is None
                                else list(decision_vars))
         if self.unsat:
@@ -541,8 +496,7 @@ class SatSolver:
                     # assumption <-> level correspondence
                     self.trail_lim.append(len(self.trail))
                 elif value == 0:
-                    self._analyze_final(p)
-                    return False
+                    return False  # the database refutes this assumption
                 else:
                     self.trail_lim.append(len(self.trail))
                     self._enqueue(p, None)
@@ -760,16 +714,6 @@ class IncrementalMiter:
         self.assert_equal(la, lb)
         return None
 
-    def solve(self, assumptions: Sequence[int] = (),
-              deadline: Optional[float] = None) -> bool:
-        """Raw assumption-based, cone-priced query over AIG literals."""
-        lits = [self.lit(l) for l in assumptions]
-        return self.solver.solve(
-            deadline=deadline,
-            assumptions=lits,
-            decision_vars=self._cone_vars(list(assumptions)),
-        )
-
     # -- model extraction ----------------------------------------------------
     def model(self) -> Dict[int, bool]:
         """Values of every encoded AIG node under the solver's model."""
@@ -788,8 +732,7 @@ class IncrementalMiter:
         ``model`` is a node-keyed model as returned by :meth:`prove_equal`
         or :meth:`model`; pass it explicitly when the solver has moved on
         since (retiring a miter cancels the assignment).  Inputs outside
-        every encoded cone default to False, exactly like the eager path's
-        :func:`counterexample_from_model`.
+        every encoded cone default to False.
         """
         if model is None:
             model = self.model()
@@ -834,20 +777,6 @@ def miter_setup(
     compared = [(label, vals_a[net_a][0], vals_b[net_b][0])
                 for label, net_a, net_b in pairs]
     return aig, mismatches, compared
-
-
-def counterexample_from_model(aig: Aig, model: Dict[int, bool]) -> Dict[str, bool]:
-    """Input/cut-point assignment named after the AIG's input nodes.
-
-    ``model`` is keyed by the eager encoder's sparse variables
-    (node ``i`` -> variable ``i + 1``).
-    """
-    out: Dict[str, bool] = {}
-    for node in aig.inputs:
-        name = aig.name_of(node)
-        if name is not None:
-            out[name] = model.get(node + 1, False)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -913,25 +842,3 @@ def check_equivalence_sat(
         return run.result("equivalent", detail)
 
     return run_engine("sat", time_budget, body)
-
-
-def is_tautology_sat(netlist: Netlist, output: Optional[str] = None) -> bool:
-    """AIG/SAT path for tautology checking: is the output constantly true?
-
-    Rides the incremental layer: the complement of the output is assumed
-    (not asserted), and the solver is asked for a falsifying vector; UNSAT
-    under the assumption means tautology.
-    """
-    gate = ensure_gate_level(netlist)
-    if gate.registers:
-        raise ValueError("is_tautology_sat: circuit must be purely combinational")
-    lowered_aig = Aig(gate.name)
-    env = {name: [lowered_aig.add_input(name)] for name in gate.inputs}
-    vals = lower_combinational(lowered_aig, gate, env)
-    root = vals[output or gate.outputs[0]][0]
-    if root == 1:
-        return True
-    if root == 0:
-        return False
-    miter = IncrementalMiter(lowered_aig)
-    return not miter.solve(assumptions=[lit_not(root)])

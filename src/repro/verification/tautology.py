@@ -5,18 +5,11 @@ for *combinational* circuits ("Boolean tautology checkers can only be applied
 to pure combinatorial circuits and to sequential circuits with same state
 representation.  The timing complexity increases exponentially with the size
 of the circuits").  This module provides that baseline:
+:func:`combinational_equivalent` decides whether two combinational circuits
+(or two sequential circuits with the *same* registers, compared
+cut-point-wise at the register boundary) implement the same functions.
 
-* :func:`is_tautology` — is a single-output combinational circuit constantly
-  true?
-* :func:`combinational_equivalent` — do two combinational circuits (or two
-  sequential circuits with the *same* registers, compared cut-point-wise at
-  the register boundary) implement the same functions?
-
-It is used by the compound-step experiments (retiming followed by logic
-minimisation) and by tests as a ground-truth check for small circuits.
-
-Besides the BDD-based checkers, :func:`is_tautology_by_rewriting` and
-:func:`combinational_equivalent_by_rewriting` run the same checks through
+:func:`combinational_equivalent_by_rewriting` runs the same check through
 the *kernel*: the circuit is embedded as a logic term and every input
 assignment is evaluated with the worklist rewrite engine
 (:func:`repro.logic.conv.EVAL_CONV`), so each case yields a kernel-checked
@@ -25,11 +18,10 @@ the number of input/cut-point bits — exactly the limitation Section II
 ascribes to tautology checking — but hash-consing plus the engine's memo
 cache make each individual case linear in the circuit size.
 
-The third path is the AIG one: :func:`is_tautology_by_sat` here (and the
-``sat``/``fraig`` backends in :mod:`repro.verification.sat` /
-:mod:`repro.verification.fraig`) decide the same questions on the shared
-structurally-hashed and-inverter graph with Tseitin CNF and a CDCL-lite
-solver instead of BDDs or case enumeration.
+The third path is the AIG one: the ``sat``/``fraig`` backends in
+:mod:`repro.verification.sat` / :mod:`repro.verification.fraig` decide the
+same question on the shared structurally-hashed and-inverter graph with
+Tseitin CNF and a CDCL-lite solver instead of BDDs or case enumeration.
 """
 
 from __future__ import annotations
@@ -50,22 +42,10 @@ from .common import (
     TimeoutBudgetExceeded,
     VerificationResult,
     _cell_bdd,
-    compile_fsm,
     cut_point_vars,
-    ensure_gate_level,
     pair_cut_points,
     run_engine,
 )
-
-
-def is_tautology(netlist: Netlist, output: Optional[str] = None) -> bool:
-    """Is the given (1-bit) output of a combinational circuit constantly true?"""
-    gate = ensure_gate_level(netlist)
-    if gate.registers:
-        raise ValueError("is_tautology: circuit must be purely combinational")
-    fsm = compile_fsm(gate)
-    out = output or gate.outputs[0]
-    return fsm.output_fns[out] == TRUE
 
 
 def _shard_prefix(var_names: List[str], shard) -> Optional[Dict[str, bool]]:
@@ -177,22 +157,6 @@ def combinational_equivalent(
     return run_engine("taut", time_budget, body)
 
 
-def is_tautology_by_sat(netlist: Netlist, output: Optional[str] = None) -> bool:
-    """AIG/SAT path: is the given combinational output constantly true?
-
-    Lowers the circuit to the structurally-hashed AIG and rides the
-    incremental SAT layer (:class:`repro.verification.sat.IncrementalMiter`):
-    the output's cone is lazily Tseitin-encoded and its complement is posed
-    as an *assumption*, so the query leaves the solver reusable (UNSAT
-    under the assumption = tautology).  Agrees with :func:`is_tautology` on
-    every circuit; the cost profile is SAT search counters instead of BDD
-    nodes.
-    """
-    from .sat import is_tautology_sat
-
-    return is_tautology_sat(netlist, output)
-
-
 # ---------------------------------------------------------------------------
 # Kernel-checked variants on the worklist rewrite engine
 # ---------------------------------------------------------------------------
@@ -250,33 +214,6 @@ def _eval_under(term: Term, assignment: Dict[str, bool]) -> Theorem:
     return conv.EVAL_CONV(var_subst(env, term))
 
 
-def is_tautology_by_rewriting(
-    netlist: Netlist, output: Optional[str] = None, max_vectors: int = 4096
-) -> bool:
-    """Kernel-checked tautology test for one output of a combinational circuit.
-
-    Enumerates every input assignment and evaluates the output term with the
-    worklist rewrite engine; each case is a theorem ``|- out[v] = T``.
-    Raises :class:`ValueError` for sequential circuits or when the input
-    space exceeds ``max_vectors``.
-    """
-    gate = ensure_gate_level(netlist)
-    if gate.registers:
-        raise ValueError("is_tautology_by_rewriting: circuit must be combinational")
-    values, var_names = _net_terms(gate)
-    if (1 << len(var_names)) > max_vectors:
-        raise ValueError(
-            f"is_tautology_by_rewriting: 2^{len(var_names)} vectors exceed the "
-            f"budget of {max_vectors}"
-        )
-    out_term = values[output or gate.outputs[0]]
-    for assignment in _shard_assignments(var_names, None)[0]:
-        th = _eval_under(out_term, assignment)
-        if not th.rhs.is_const("T"):
-            return False
-    return True
-
-
 def combinational_equivalent_by_rewriting(
     a: Netlist,
     b: Netlist,
@@ -304,8 +241,8 @@ def combinational_equivalent_by_rewriting(
     steps_before = inference_steps()
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = ensure_gate_level(a)
-        gate_b = ensure_gate_level(b)
+        gate_a = run.gate_level(a)
+        gate_b = run.gate_level(b)
         mismatches, compared = pair_cut_points(gate_a, gate_b)
         vals_a, names_a = _net_terms(gate_a)
         vals_b, names_b = _net_terms(gate_b)

@@ -8,7 +8,6 @@ from repro.automata import (
     TupleLayout,
     check_retiming_law,
     dest_automaton,
-    is_automaton,
     mk_automaton,
     prove_retiming_law_by_induction,
     retiming_theorem,
@@ -35,7 +34,6 @@ class TestAutomatonRepresentation:
     def test_mk_dest_roundtrip(self):
         step = _identity_step()
         auto = mk_automaton(step, mk_numeral(5))
-        assert is_automaton(auto)
         s, q = dest_automaton(auto)
         assert s == step and q == mk_numeral(5)
 

@@ -16,7 +16,7 @@ from repro.automata.semantics import TermEvaluator, run_automaton
 from repro.circuits.bitblast import bitblast
 from repro.circuits.netlist import Netlist
 from repro.circuits.simulate import simulate
-from repro.formal.embed import embed_netlist, input_values_to_ground
+from repro.formal.embed import embed_netlist
 from repro.logic.ground import mk_numeral
 from repro.logic.hol_types import num_ty
 from repro.logic.kernel import reset_kernel
@@ -81,6 +81,6 @@ def test_deep_bitblasted_circuit_evaluates_like_the_simulator():
 
     vectors = [{"i": k % 2} for k in range(4)]
     expected = [frame["y"] for frame in simulate(netlist, vectors).outputs]
-    inputs = [input_values_to_ground(embedded, v) for v in vectors]
+    inputs = [bool(v["i"]) for v in vectors]  # the one 1-bit input
     outputs = run_automaton(embedded.term, inputs)
     assert [int(o) for o in outputs] == [int(e) for e in expected]

@@ -29,7 +29,7 @@ from repro.circuits.aig_rewrite import (
     npn_canonical,
     optimize_netlist_aig,
 )
-from repro.circuits.bitblast import bit_name, bitblast
+from repro.circuits.bitblast import bitblast
 from repro.circuits.generators import (
     counter,
     figure2,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits.cells import CellError, cell_type, is_gate_level
+from repro.circuits.cells import CellError, cell_type
 from repro.circuits.netlist import Netlist, NetlistError
 
 
@@ -15,11 +15,6 @@ class TestCellLibrary:
     def test_unknown_cell(self):
         with pytest.raises(CellError):
             cell_type("FLUX_CAPACITOR")
-
-    def test_gate_level_predicate(self):
-        assert is_gate_level("AND", 1)
-        assert not is_gate_level("AND", 4)
-        assert not is_gate_level("ADD", 1)
 
     @given(st.integers(0, 255), st.integers(0, 255))
     @settings(max_examples=50, deadline=None)
@@ -112,12 +107,12 @@ class TestNetlistModel:
 
     def test_drivers_and_readers(self):
         nl = self._simple()
-        assert nl.driver_of("sum").name == "add"
-        assert nl.driver_of("a") is None
-        assert nl.driver_of("q").name == "R"
+        drivers = nl.drivers()
+        assert drivers["sum"].name == "add"
+        assert "a" not in drivers
+        assert drivers["q"].name == "R"
         readers = nl.readers_of("q")
-        assert any(getattr(r, "name", None) == "buf" for r in readers)
-        assert nl.fanout_count("q") == 1
+        assert [getattr(r, "name", None) for r in readers] == ["buf"]
 
     def test_multiple_drivers_detected(self):
         nl = self._simple()

@@ -23,8 +23,14 @@ from repro.formal import (
     embed_netlist,
     formal_forward_retiming,
 )
-from repro.formal.embed import input_values_to_ground
 from repro.retiming.cuts import maximal_forward_cut
+
+
+def _ground_inputs(embedded, vector):
+    """A simulator input vector as the evaluator's ground input value."""
+    values = [bool(vector[name]) if embedded.netlist.width(name) == 1
+              else int(vector[name]) for name in embedded.input_layout.names]
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _term_outputs_match_simulation(netlist, term, cycles=25, seed=0):
@@ -32,7 +38,7 @@ def _term_outputs_match_simulation(netlist, term, cycles=25, seed=0):
     embedded = embed_netlist(netlist)
     seq = random_input_sequence(netlist, cycles, seed=seed)
     trace = simulate(netlist, seq)
-    outs = run_automaton(term, [input_values_to_ground(embedded, v) for v in seq])
+    outs = run_automaton(term, [_ground_inputs(embedded, v) for v in seq])
     names = list(netlist.outputs)
     for value, expected in zip(outs, trace.outputs):
         if len(names) == 1:

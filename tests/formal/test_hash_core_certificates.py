@@ -18,6 +18,7 @@ from repro.formal import (
     rule_histogram,
     tidy_step,
 )
+from repro.logic.kernel import proof_size
 
 
 class TestSteps:
@@ -111,6 +112,16 @@ class TestCertificates:
         hist = rule_histogram(step.theorem)
         assert sum(hist.values()) > 100
         assert set(hist) & {"REFL", "TRANS", "MK_COMB"}
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_histogram_and_axioms_walk_one_derivation(self, width):
+        theorem = retiming_step(figure2(width), figure2_cut()).theorem
+        hist = rule_histogram(theorem)
+        # every distinct theorem of the DAG is counted exactly once
+        assert sum(hist.values()) == proof_size(theorem)
+        used = axioms_used(theorem)
+        assert used == sorted(set(used))
+        assert all(name.split(":", 1)[0] in hist for name in used)
 
     def test_axioms_used_subset_of_trusted_base(self):
         step = retiming_step(figure2(2), figure2_cut())

@@ -14,7 +14,6 @@ from repro.logic.hol_types import (
     mk_fun_ty,
     mk_prod_ty,
     num_ty,
-    type_intern_stats,
 )
 from repro.logic.kernel import REFL, TRANS, inference_steps
 from repro.logic.terms import (
@@ -43,17 +42,6 @@ class TestTypeInterning:
     def test_distinct_types_are_distinct(self):
         assert mk_fun_ty(bool_ty, num_ty) is not mk_fun_ty(num_ty, bool_ty)
         assert TyVar("a") is not TyVar("b")
-
-    def test_hit_counter_increases(self):
-        # hold a reference: intern tables are weak, unreferenced entries die
-        keep = mk_fun_ty(bool_ty, num_ty)
-        before = type_intern_stats()
-        again = mk_fun_ty(bool_ty, num_ty)
-        after = type_intern_stats()
-        assert again is keep
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
 
 class TestTermInterning:
     def test_var_const_identity(self):

@@ -22,6 +22,7 @@ from repro.logic.kernel import (
     TRANS,
     Theorem,
     current_theory,
+    derivation,
     inference_steps,
     new_axiom,
     new_computable_constant,
@@ -178,6 +179,13 @@ class TestPrimitiveRules:
     def test_proof_size_counts_dag(self):
         th = TRANS(REFL(x), REFL(x))
         assert proof_size(th) >= 2
+
+    def test_derivation_visits_each_theorem_once(self):
+        shared = REFL(x)
+        th = TRANS(TRANS(shared, shared), shared)
+        walked = list(derivation(th))
+        assert walked[0] is th
+        assert len({id(t) for t in walked}) == len(walked) == proof_size(th) == 3
 
 
 class TestTheoryExtension:

@@ -8,7 +8,6 @@ from repro.logic.conv import ConvError
 from repro.logic.ground import (
     GroundError,
     dest_numeral,
-    is_ground,
     mk_bool,
     mk_numeral,
     term_of_value,
@@ -16,10 +15,9 @@ from repro.logic.ground import (
 )
 from repro.logic.hol_types import TyVar, bool_ty, mk_fun_ty, num_ty
 from repro.logic.kernel import ASSUME, REFL
-from repro.logic.match import MatchError, apply_substitution, matches, term_match
+from repro.logic.match import MatchError, term_match
 from repro.logic.rules import (
     RuleError,
-    alpha_link,
     equal_by_normalisation,
     prove_hyp,
     trans_chain,
@@ -53,8 +51,10 @@ class TestMatching:
 
     def test_match_nonlinear_pattern(self):
         pattern = word_op("ADD", x, x)
-        assert matches(pattern, word_op("ADD", y, y))
-        assert not matches(pattern, word_op("ADD", y, mk_numeral(1)))
+        env, _ = term_match(pattern, word_op("ADD", y, y))
+        assert env == {x: y}
+        with pytest.raises(MatchError):
+            term_match(pattern, word_op("ADD", y, mk_numeral(1)))
 
     def test_match_with_types(self):
         a = TyVar("a")
@@ -78,12 +78,6 @@ class TestMatching:
         with pytest.raises(MatchError):
             term_match(pattern, target)
 
-    def test_apply_substitution_reproduces_target(self):
-        pattern = word_op("MUXW", Var("s", bool_ty), x, y)
-        target = word_op("MUXW", mk_bool(True), mk_numeral(4), mk_numeral(9))
-        subst = term_match(pattern, target)
-        assert apply_substitution(subst, pattern) == target
-
     def test_constant_mismatch(self):
         with pytest.raises(MatchError):
             term_match(word_op("ADD", x, y), word_op("SUB", x, y))
@@ -94,38 +88,18 @@ class TestMatching:
 # ---------------------------------------------------------------------------
 
 class TestConversions:
-    def test_all_conv(self):
-        assert conv.ALL_CONV(x).concl == mk_eq(x, x)
-
     def test_no_conv(self):
         with pytest.raises(ConvError):
             conv.NO_CONV(x)
 
-    def test_thenc_chains(self):
-        t = word_op("ADD", word_op("ADD", mk_numeral(1), mk_numeral(2)), mk_numeral(3))
-        chained = conv.THENC(conv.ALL_CONV, conv.EVAL_CONV)(t)
-        assert dest_eq(chained.concl)[1] == mk_numeral(6)
-
     def test_orelsec_falls_through(self):
-        c = conv.ORELSEC(conv.NO_CONV, conv.ALL_CONV)
+        c = conv.ORELSEC(conv.NO_CONV, REFL)
         assert c(x).concl == mk_eq(x, x)
-
-    def test_try_conv(self):
-        assert conv.TRY_CONV(conv.NO_CONV)(x).concl == mk_eq(x, x)
-
-    def test_changed_conv(self):
-        with pytest.raises(ConvError):
-            conv.CHANGED_CONV(conv.ALL_CONV)(x)
 
     def test_rand_rator_conv(self):
         t = word_op("ADD", mk_numeral(1), word_op("ADD", mk_numeral(2), mk_numeral(3)))
         th = conv.RAND_CONV(conv.EVAL_CONV)(t)
         assert dest_eq(th.concl)[1] == word_op("ADD", mk_numeral(1), mk_numeral(5))
-
-    def test_abs_conv(self):
-        t = Abs(x, word_op("ADD", mk_numeral(2), mk_numeral(2)))
-        th = conv.ABS_CONV(conv.EVAL_CONV)(t)
-        assert dest_eq(th.concl)[1] == Abs(x, mk_numeral(4))
 
     def test_beta_let_fst_snd(self):
         lt = mk_let(x, mk_numeral(3), word_op("ADD", x, mk_numeral(4)))
@@ -174,10 +148,8 @@ class TestConversions:
 
     def test_conv_rule_and_rhs_rule(self):
         eq = conv.EVAL_CONV(word_op("ADD", mk_numeral(2), mk_numeral(2)))
-        out = conv.RHS_CONV_RULE(conv.ALL_CONV, eq)
+        out = conv.RHS_CONV_RULE(REFL, eq)
         assert out.concl == eq.concl
-        flipped = conv.LHS_CONV_RULE(conv.ALL_CONV, eq)
-        assert flipped.concl == eq.concl
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +174,6 @@ class TestDerivedRules:
         # {p} |- p with lemma {p} |- p gives {p} |- p (hyp retained from lemma)
         out = prove_hyp(lemma, ASSUME(p))
         assert out.concl == p
-
-    def test_alpha_link(self):
-        t1 = Abs(x, word_op("ADD", x, mk_numeral(1)))
-        t2 = Abs(y, word_op("ADD", y, mk_numeral(1)))
-        eq = REFL(t1)
-        linked = alpha_link(eq, t2)
-        assert dest_eq(linked.concl)[0] == t2
 
     def test_equal_by_normalisation(self):
         lhs = word_op("ADD", mk_numeral(2), mk_numeral(3))
@@ -239,8 +204,7 @@ class TestStdlibAndGround:
             assert value_of_term(term_of_value(value)) == value
 
     def test_non_ground_detection(self):
-        assert not is_ground(x)
-        assert is_ground(mk_pair(mk_numeral(1), mk_bool(False)))
+        assert value_of_term(mk_pair(mk_numeral(1), mk_bool(False))) == (1, False)
         with pytest.raises(GroundError):
             value_of_term(x)
 

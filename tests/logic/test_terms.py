@@ -11,17 +11,12 @@ from repro.logic.terms import (
     TermError,
     Var,
     aconv,
-    beta_normalize,
     beta_reduce_step,
     dest_binop,
     dest_eq,
     dest_pair,
-    flatten_tuple,
-    free_in,
     is_pair,
     iter_subterms,
-    list_mk_abs,
-    list_mk_comb,
     mk_eq,
     mk_fst,
     mk_pair,
@@ -105,12 +100,12 @@ class TestEquationsAndBinops:
 class TestListOperations:
     def test_list_mk_comb_and_strip(self):
         g = Var("g", mk_fun_ty(num_ty, mk_fun_ty(num_ty, num_ty)))
-        t = list_mk_comb(g, [x, y])
+        t = Comb(Comb(g, x), y)
         head, args = strip_comb(t)
         assert head == g and args == [x, y]
 
     def test_list_mk_abs_and_strip(self):
-        t = list_mk_abs([x, y], mk_eq(x, y))
+        t = Abs(x, Abs(y, mk_eq(x, y)))
         vars_, body = strip_abs(t)
         assert vars_ == [x, y] and body == mk_eq(x, y)
 
@@ -130,9 +125,7 @@ class TestPairsAndTuples:
 
     def test_tuple_right_nested(self):
         t = mk_tuple([x, y, b])
-        assert flatten_tuple(t) == [x, y, b]
-        inner = dest_pair(t)[1]
-        assert is_pair(inner)
+        assert dest_pair(t) == (x, mk_pair(y, b))
 
     def test_fst_snd_types(self):
         p = mk_pair(x, b)
@@ -148,7 +141,6 @@ class TestFreeVarsAndSubstitution:
     def test_free_vars(self):
         t = Abs(x, Comb(f, Comb(f, y)))
         assert t.free_vars() == {f, y}
-        assert free_in(y, t) and not free_in(x, t)
 
     def test_subst_simple(self):
         t = Comb(f, x)
@@ -161,10 +153,11 @@ class TestFreeVarsAndSubstitution:
     def test_subst_capture_avoidance(self):
         # (\y. x + y)[x := y] must rename the bound y
         g = Var("g", mk_fun_ty(num_ty, mk_fun_ty(num_ty, num_ty)))
-        t = Abs(y, list_mk_comb(g, [x, y]))
+        t = Abs(y, Comb(Comb(g, x), y))
         out = var_subst({x: y}, t)
         assert out.bvar != y
-        assert aconv(out, Abs(Var("z", num_ty), list_mk_comb(g, [y, Var("z", num_ty)])))
+        z = Var("z", num_ty)
+        assert aconv(out, Abs(z, Comb(Comb(g, y), z)))
 
     def test_subst_type_mismatch(self):
         with pytest.raises(TermError):
@@ -200,12 +193,6 @@ class TestAlphaAndBeta:
         with pytest.raises(TermError):
             beta_reduce_step(Comb(f, x))
 
-    def test_beta_normalize_nested(self):
-        ident = Abs(x, x)
-        t = Comb(ident, Comb(ident, y))
-        assert beta_normalize(t) == y
-
-
 # -- property-based -----------------------------------------------------------
 
 _names = st.sampled_from(["x", "y", "z", "w"])
@@ -231,13 +218,6 @@ def test_property_aconv_reflexive(t):
 @given(_num_terms())
 def test_property_subst_identity(t):
     assert var_subst({}, t) is t
-
-
-@given(_num_terms(), _names)
-def test_property_beta_normal_form_has_no_redex(t, name):
-    normal = beta_normalize(t)
-    for sub in iter_subterms(normal):
-        assert not (sub.is_comb() and sub.rator.is_abs())
 
 
 @given(_num_terms())

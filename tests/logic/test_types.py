@@ -9,16 +9,9 @@ from repro.logic.hol_types import (
     TypeMatchError,
     bool_ty,
     dest_fun_ty,
-    dest_prod_ty,
-    flatten_prod_ty,
-    fresh_tyvar,
     mk_fun_ty,
     mk_prod_ty,
-    mk_tuple_ty,
-    mk_vartype,
     num_ty,
-    occurs_in,
-    strip_fun_ty,
     type_match,
     type_subst,
 )
@@ -32,7 +25,7 @@ class TestConstruction:
         assert bool_ty.args == ()
 
     def test_vartype(self):
-        a = mk_vartype("a")
+        a = TyVar("a")
         assert a.is_vartype()
         assert str(a) == "'a"
 
@@ -54,13 +47,12 @@ class TestConstruction:
         assert p.is_prod()
         assert p.fst_type == bool_ty
         assert p.snd_type == num_ty
-        assert dest_prod_ty(p) == (bool_ty, num_ty)
 
     def test_domain_of_non_function_raises(self):
         with pytest.raises(TypeError):
             _ = bool_ty.domain
         with pytest.raises(TypeError):
-            dest_prod_ty(bool_ty)
+            _ = bool_ty.fst_type
 
     def test_equality_and_hash(self):
         assert mk_fun_ty(bool_ty, num_ty) == mk_fun_ty(bool_ty, num_ty)
@@ -79,29 +71,6 @@ class TestConstruction:
             TyApp("fun", (bool_ty, "not a type"))
 
 
-class TestTupleTypes:
-    def test_single(self):
-        assert mk_tuple_ty([num_ty]) == num_ty
-
-    def test_right_nesting(self):
-        t = mk_tuple_ty([bool_ty, num_ty, bool_ty])
-        assert t == mk_prod_ty(bool_ty, mk_prod_ty(num_ty, bool_ty))
-
-    def test_flatten_roundtrip(self):
-        parts = (bool_ty, num_ty, bool_ty, num_ty)
-        assert flatten_prod_ty(mk_tuple_ty(parts)) == parts
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mk_tuple_ty([])
-
-    def test_strip_fun(self):
-        ty = mk_fun_ty(bool_ty, mk_fun_ty(num_ty, bool_ty))
-        doms, cod = strip_fun_ty(ty)
-        assert doms == (bool_ty, num_ty)
-        assert cod == bool_ty
-
-
 class TestSubstitutionAndVars:
     def test_type_vars(self):
         a, b = TyVar("a"), TyVar("b")
@@ -116,17 +85,6 @@ class TestSubstitutionAndVars:
     def test_subst_untouched_shares(self):
         ty = mk_fun_ty(bool_ty, num_ty)
         assert type_subst({TyVar("a"): num_ty}, ty) is ty
-
-    def test_occurs_in(self):
-        a = TyVar("a")
-        assert occurs_in(a, mk_fun_ty(bool_ty, a))
-        assert not occurs_in(a, mk_fun_ty(bool_ty, num_ty))
-
-    def test_fresh_tyvar(self):
-        avoid = [TyVar("a"), TyVar("a0")]
-        fresh = fresh_tyvar(avoid, base="a")
-        assert fresh not in avoid
-
 
 class TestMatching:
     def test_match_variable(self):
@@ -180,10 +138,10 @@ def test_property_subst_identity(ty):
 @given(_types(), _types())
 def test_property_subst_removes_variable(ty, replacement):
     a = TyVar("a")
-    if occurs_in(a, replacement):
+    if a in replacement.type_vars():
         return
     out = type_subst({a: replacement}, ty)
-    assert not occurs_in(a, out) or not occurs_in(a, ty) or a in replacement.type_vars()
+    assert a not in out.type_vars()
 
 
 @given(_types())

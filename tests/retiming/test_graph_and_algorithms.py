@@ -1,8 +1,19 @@
 """Tests for the retiming graph and the Leiserson-Saxe algorithms."""
 
+import random
+import sys
+
 import pytest
 
-from repro.circuits.generators import counter, figure2, fractional_multiplier, shift_register
+from repro.circuits.generators import (
+    counter,
+    figure2,
+    fractional_multiplier,
+    random_sequential_circuit,
+)
+from repro.circuits.netlist import Netlist
+from repro.retiming.apply import apply_forward_retiming
+from repro.retiming.cuts import maximal_forward_cut
 from repro.retiming.graph import (
     HOST,
     RetimingGraph,
@@ -11,14 +22,7 @@ from repro.retiming.graph import (
     graph_from_netlist,
     lags_from_cut,
 )
-from repro.retiming.leiserson_saxe import (
-    RetimingInfeasible,
-    feasible_clock_period,
-    forward_retimable_cells,
-    forward_retiming_lags,
-    min_period_retiming,
-    min_register_retiming,
-)
+from repro.retiming.leiserson_saxe import feasible_clock_period, min_period_retiming
 
 
 @pytest.fixture
@@ -43,7 +47,7 @@ def correlator_graph():
 class TestGraphModel:
     def test_graph_from_netlist_counts_registers(self, fig2_small):
         g = graph_from_netlist(fig2_small)
-        assert g.total_registers() >= 2
+        assert sum(e.weight for e in g.edges) >= 2
         assert HOST in g.vertices
         assert set(g.delay) == set(g.vertices)
 
@@ -60,6 +64,25 @@ class TestGraphModel:
         with pytest.raises(RetimingGraphError):
             g.clock_period()
 
+    def test_clock_period_of_a_deep_chain_at_default_recursion_limit(self):
+        # 2,500 NOT gates in a row, a register after the 1,000th: the
+        # longest zero-weight path runs through the last 1,500 gates
+        limit = sys.getrecursionlimit()
+        nl = Netlist("chain")
+        nl.add_input("x")
+        prev = "x"
+        for i in range(2500):
+            nl.add_net(f"n{i}")
+            nl.add_cell(f"g{i}", "NOT", [prev], f"n{i}")
+            prev = f"n{i}"
+            if i == 999:
+                nl.add_net("q")
+                nl.add_register("R", prev, "q")
+                prev = "q"
+        nl.mark_output(prev)
+        assert graph_from_netlist(nl).clock_period() == 1500
+        assert sys.getrecursionlimit() == limit
+
     def test_legality_and_apply(self, correlator_graph):
         lags = {HOST: 0, "a": 0, "b": 0, "c": 1}
         # c -> host would get weight 0 + 0 - 1 = -1: illegal
@@ -68,7 +91,8 @@ class TestGraphModel:
         # a's input edge host->a: 1 + (-1) - 0 = 0; a->b: 0 + 0 + 1 = 1: legal
         assert correlator_graph.is_legal(lags_ok)
         retimed = correlator_graph.apply(lags_ok)
-        assert retimed.total_registers() == correlator_graph.total_registers()
+        assert sum(e.weight for e in retimed.edges) == \
+            sum(e.weight for e in correlator_graph.edges)
 
     def test_apply_rejects_illegal(self, correlator_graph):
         with pytest.raises(RetimingGraphError):
@@ -106,25 +130,67 @@ class TestAlgorithms:
             assert period <= g.clock_period()
             assert g.is_legal(lags)
 
-    def test_min_register_retiming_never_increases(self):
-        g = graph_from_netlist(shift_register(4, width=1))
-        lags = min_register_retiming(g)
-        assert g.is_legal(lags)
-        assert sum(g.retimed_weight(e, lags) for e in g.edges) <= g.total_registers()
-
-    def test_forward_retimable_cells_graph(self, fig2_small):
-        g = graph_from_netlist(fig2_small)
-        cells = forward_retimable_cells(g)
-        assert "inc" in cells
-        assert "cmp" not in cells
-
     def test_forward_retiming_lags(self, fig2_small):
+        # a cut's lags are a legal retiming of the netlist's graph
         g = graph_from_netlist(fig2_small)
-        lags = forward_retiming_lags(g, ["inc"])
-        assert lags["inc"] == -1
-        assert g.is_legal(lags)
+        assert g.is_legal(lags_from_cut(fig2_small, ["inc"]))
 
     def test_forward_retiming_lags_illegal(self, fig2_small):
+        # cmp reads a primary input: moving it forward is no retiming
         g = graph_from_netlist(fig2_small)
-        with pytest.raises(RetimingInfeasible):
-            forward_retiming_lags(g, ["cmp"])
+        assert not g.is_legal(lags_from_cut(fig2_small, ["cmp"]))
+
+
+def _random_graph(seed):
+    """A small random graph whose zero-weight edges only run forward."""
+    rng = random.Random(seed)
+    cells = [f"v{i}" for i in range(rng.randint(3, 8))]
+    g = RetimingGraph()
+    g.vertices = [HOST] + cells
+    g.delay = {HOST: 0, **{c: rng.randint(1, 5) for c in cells}}
+    for i, head in enumerate(cells):
+        tails = rng.sample([HOST] + cells, rng.randint(1, 3))
+        for pin, tail in enumerate(tails):
+            forward = tail == HOST or cells.index(tail) < i
+            weight = rng.randint(0, 1) if forward else rng.randint(1, 2)
+            g.edges.append(Edge(tail, head, weight, pin))
+    for pin, tail in enumerate(rng.sample(cells, 2)):
+        g.edges.append(Edge(tail, HOST, rng.randint(0, 1), pin))
+    return g
+
+
+def _recursive_period(g):
+    """The textbook recursive longest zero-weight path (small graphs only)."""
+    zero = {}
+    for e in g.edges:
+        if e.weight == 0:
+            zero.setdefault(e.tail, []).append(e.head)
+
+    def longest(v):
+        if v == HOST:  # paths end at the environment, never pass through it
+            return g.delay[HOST]
+        return g.delay[v] + max((longest(h) for h in zero.get(v, [])), default=0)
+
+    starts = [v for v in g.vertices if v != HOST] + zero.get(HOST, [])
+    return max(longest(v) for v in starts)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_clock_period_matches_the_recursive_definition(seed):
+    g = _random_graph(seed)
+    assert g.clock_period() == _recursive_period(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cut_lags_relate_the_graphs_of_a_forward_retiming(seed):
+    # the lag convention of lags_from_cut is what apply_forward_retiming
+    # does to the register weights, and what the match backend recovers
+    netlist = random_sequential_circuit(4, 6, 30, seed=seed)
+    cut = maximal_forward_cut(netlist)
+    assert cut
+    g = graph_from_netlist(netlist)
+    lags = lags_from_cut(netlist, cut)
+    assert g.is_legal(lags)
+    after = graph_from_netlist(apply_forward_retiming(netlist, cut))
+    assert {(e.tail, e.head, e.pin): g.retimed_weight(e, lags) for e in g.edges} == \
+        {(e.tail, e.head, e.pin): e.weight for e in after.edges}

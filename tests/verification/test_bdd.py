@@ -62,12 +62,6 @@ class TestBasics:
 
 
 class TestOperations:
-    def test_restrict(self, manager):
-        a, b = manager.var("a"), manager.var("b")
-        f = manager.apply_and(a, b)
-        assert manager.restrict(f, "a", True) == b
-        assert manager.restrict(f, "a", False) == FALSE
-
     def test_exists_forall(self, manager):
         a, b = manager.var("a"), manager.var("b")
         f = manager.apply_and(a, b)

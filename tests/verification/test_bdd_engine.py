@@ -108,14 +108,6 @@ class TestDifferential:
             sf, sg = _truth_set(manager, f), _truth_set(manager, g)
             name = rng.choice(NAMES)
             ti = NAMES.index(name)
-            value = rng.choice([True, False])
-            restricted = manager.restrict(f, name, value)
-            expected = {
-                bits
-                for bits in itertools.product([False, True], repeat=len(NAMES))
-                if tuple(list(bits[:ti]) + [value] + list(bits[ti + 1:])) in sf
-            }
-            assert _truth_set(manager, restricted) == expected
             composed = manager.compose(f, {name: g})
             expected = set()
             for bits in itertools.product([False, True], repeat=len(NAMES)):
@@ -247,7 +239,6 @@ class TestDeepBdd:
         for name in names:
             m.declare(name)
         f = m.disjoin(m.nvar(n) for n in names)
-        assert m.restrict(f, names[-1], False) == TRUE
         assert len(m.support(f)) == self.WIDTH
 
     def test_deep_build_from_table(self):

@@ -6,8 +6,10 @@ import pytest
 
 from repro.circuits.generators import counter, figure2, figure2_retimed, fractional_multiplier
 from repro.circuits.netlist import Netlist, Register
+from repro.eval.workloads import table1_workload
 from repro.retiming.apply import apply_forward_retiming
 from repro.retiming.cuts import maximal_forward_cut
+from repro.retiming.graph import graph_from_netlist
 from repro.verification import (
     fsm_compare,
     model_checking,
@@ -15,6 +17,7 @@ from repro.verification import (
     tautology,
     van_eijk,
 )
+from repro.verification.bdd import BddManager
 from repro.verification.common import (
     VerificationError,
     compile_fsm,
@@ -37,6 +40,21 @@ def fig_pair():
 
 
 class TestCommonInfrastructure:
+    def test_compile_fsm_declares_inputs_then_state(self, fig2_small):
+        gate = ensure_gate_level(fig2_small)
+        fsm = compile_fsm(gate, prefix="A.")
+        assert fsm.manager.var_names() == list(gate.inputs) + fsm.state_vars
+
+    def test_compile_fsm_keeps_an_order_declared_before(self, fig2_small):
+        gate = ensure_gate_level(fig2_small)
+        manager = BddManager()
+        order = [f"A.{r.output}" for r in gate.registers.values()] + list(gate.inputs)
+        order.reverse()
+        for name in order:
+            manager.declare(name)
+        compile_fsm(gate, manager, prefix="A.")
+        assert manager.var_names() == order
+
     def test_compile_fsm_matches_simulation(self, fig2_small):
         from repro.circuits.simulate import Simulator, random_input_sequence
 
@@ -149,22 +167,6 @@ class TestVanEijk:
 
 
 class TestTautology:
-    def _combinational(self, value: bool) -> Netlist:
-        nl = Netlist("taut")
-        nl.add_input("a", 1)
-        nl.add_cell("na", "NOT", ["a"], "na")
-        nl.add_cell("orr", "OR" if value else "AND", ["a", "na"], "y")
-        nl.add_output("y", 1)
-        return nl
-
-    def test_is_tautology(self):
-        assert tautology.is_tautology(self._combinational(True))
-        assert not tautology.is_tautology(self._combinational(False))
-
-    def test_is_tautology_rejects_sequential(self, fig2_small):
-        with pytest.raises(ValueError):
-            tautology.is_tautology(fig2_small)
-
     def test_combinational_equivalence_same_registers(self, fig2_small):
         # identical circuits are equivalent under the cut-point abstraction
         result = tautology.combinational_equivalent(fig2_small, figure2(3))
@@ -187,17 +189,6 @@ class TestTautologyByRewriting:
         nl.add_cell("orr", "OR" if value else "AND", ["a", "na"], "y")
         nl.add_output("y", 1)
         return nl
-
-    def test_is_tautology_by_rewriting(self):
-        assert tautology.is_tautology_by_rewriting(self._combinational(True))
-        assert not tautology.is_tautology_by_rewriting(self._combinational(False))
-
-    def test_rejects_sequential_and_oversized(self, fig2_small):
-        with pytest.raises(ValueError):
-            tautology.is_tautology_by_rewriting(fig2_small)
-        wide = self._combinational(True)
-        with pytest.raises(ValueError):
-            tautology.is_tautology_by_rewriting(wide, max_vectors=1)
 
     def test_equivalence_agrees_with_bdd_checker(self, fig2_small):
         rw = tautology.combinational_equivalent_by_rewriting(fig2_small, figure2(3))
@@ -278,11 +269,32 @@ class TestRetimingVerify:
 
     def test_connection_graph_and_lags(self, fig2_small):
         retimed = apply_forward_retiming(fig2_small, ["inc"])
-        edges_a = retiming_verify.connection_graph(fig2_small)
-        edges_b = retiming_verify.connection_graph(retimed)
+        edges_a, edges_b = (
+            {(e.tail, e.head, e.pin): e.weight for e in graph_from_netlist(nl).edges}
+            for nl in (fig2_small, retimed)
+        )
         lags = retiming_verify.recover_lags(edges_a, edges_b)
         assert lags is not None
         assert lags["inc"] == -1
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_match_compares_the_connection_graph(self, width):
+        workload = table1_workload(width)
+        result = retiming_verify.check_equivalence(workload.original, workload.retimed)
+        assert result.status == "equivalent"
+        assert result.stats["edges"] == len(graph_from_netlist(workload.original).edges)
+
+    def test_register_only_ring_is_inconclusive(self, fig2_small):
+        # a ring of registers with no cell on it has no connection graph
+        ringed = fig2_small.copy("ringed")
+        ringed.add_net("ring_a", 1)
+        ringed.add_net("ring_b", 1)
+        ringed.add_register("RA", "ring_b", "ring_a", init=1)
+        ringed.add_register("RB", "ring_a", "ring_b", init=0)
+        ringed.mark_output("ring_a")
+        result = retiming_verify.check_equivalence(ringed, ringed.copy("ringed2"))
+        assert result.status == "error"
+        assert "register-only cycle" in result.detail
 
 
 class TestCrossMethodAgreement:

@@ -4,7 +4,7 @@ The acceptance criterion of the AIG refactor: the ``sat`` and ``fraig``
 backends must produce verdicts identical to the BDD ``taut`` backend on
 every Table I/II combinational cell, and on randomized miters.  Also
 covers the CDCL-lite solver itself (differential against brute force),
-the tautology AIG path, deep-cone CNF at the default recursion limit, and
+deep-cone CNF at the default recursion limit, and
 the structured ``decisions``/``propagations``/``conflicts``/``aig_nodes``
 counters.
 """
@@ -21,11 +21,7 @@ from repro.eval.workloads import table1_workload, table2_workloads
 from repro.verification import tautology
 from repro.verification.fraig import check_equivalence_fraig
 from repro.verification.registry import run_checker
-from repro.verification.sat import (
-    SatSolver,
-    check_equivalence_sat,
-    is_tautology_sat,
-)
+from repro.verification.sat import SatSolver, check_equivalence_sat
 
 
 class TestSolver:
@@ -243,30 +239,6 @@ class TestStats:
         for key in ("aig_nodes", "decisions", "propagations", "conflicts",
                     "sat_calls", "merges"):
             assert key in result.stats
-
-
-class TestTautologyAigPath:
-    def test_agrees_with_bdd_path(self):
-        taut_nl = Netlist("t")
-        taut_nl.add_input("x")
-        taut_nl.add_cell("n", "NOT", ["x"], "nx")
-        taut_nl.add_cell("o", "OR", ["x", "nx"], "y")
-        taut_nl.add_output("y")
-        assert is_tautology_sat(taut_nl) is True
-        assert tautology.is_tautology(taut_nl) is True
-        assert tautology.is_tautology_by_sat(taut_nl) is True
-
-        non = Netlist("nt")
-        non.add_input("x")
-        non.add_cell("b", "BUF", ["x"], "y")
-        non.add_output("y")
-        assert is_tautology_sat(non) is False
-        assert tautology.is_tautology(non) is False
-
-    def test_sequential_rejected(self):
-        c = bitblast(figure2(2)).netlist
-        with pytest.raises(ValueError):
-            is_tautology_sat(c)
 
 
 class TestDeepCnf:

@@ -5,6 +5,8 @@
 * one overrun handler: every budget-polling backend, forced over budget,
   returns a ``timeout`` that keeps its structured cost record, from its own
   entry point and through ``run_checker`` alike;
+* one lowering record: every cut-point backend lowers a word-level pair
+  through its run and reports the same lowering counters;
 * one cut-point naming rule: an input names itself, a register output is
   ``cut.<register>``;
 * the per-layer tracer of ``perfbench/`` finds every site it wraps.
@@ -163,6 +165,18 @@ def test_overrun_is_a_timeout_with_its_cost_record(method, pair, entry,
     routed = run_checker(method, original, retimed, **forcing)
     assert routed.status == "timeout"
     assert sorted(routed.stats) == expected
+
+
+@pytest.mark.parametrize("method", ["taut-rw", "sat", "fraig"])
+def test_cut_point_backends_report_the_lowering_like_taut(method):
+    # a word-level pair is lowered through the run, so its counters join
+    # the cost record of every cut-point backend alike
+    fig = figure2(2)
+    taut = run_checker("taut", fig, fig, time_budget=60.0)
+    other = run_checker(method, fig, fig, time_budget=60.0)
+    assert other.status == taut.status == "equivalent"
+    assert {k: other.stats.get(k) for k in _LOWERING} == \
+        {k: taut.stats[k] for k in _LOWERING}
 
 
 def test_results_are_labelled_with_their_registry_name(fig2_small):
