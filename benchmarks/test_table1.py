@@ -8,10 +8,12 @@ the final test regenerates a quick version of the whole table, writes it to
   and exceeds the budget at the largest width (the paper's dash), while
 * HASH completes at every width with only moderate growth, and
 * HASH is *not* the fastest method at the smallest width (its base cost is
-  higher — "this makes HASH slower for small sized circuits").
+  higher — "this makes HASH slower for small sized circuits"): its median
+  over five runs is at least 1.5x the faster verifier's.
 """
 
 import os
+import statistics
 
 import pytest
 
@@ -60,7 +62,7 @@ def test_table1_hash_cell(benchmark, workloads, width):
     assert measurement.verdict == "equivalent"
 
 
-def test_table1_full_shape(benchmark, results_dir, verifier_budget):
+def test_table1_full_shape(benchmark, workloads, results_dir, verifier_budget):
     def build():
         return table1.run_table1(build_scenario("figure2", widths=TABLE_WIDTHS),
                                  METHODS, time_budget=verifier_budget)
@@ -81,10 +83,17 @@ def test_table1_full_shape(benchmark, results_dir, verifier_budget):
     assert last.cells["sis"].verdict == "timeout"
     assert last.cells["smv"].verdict == "timeout"
     # At the smallest width HASH is not the fastest method (higher base cost).
-    first = rows[0]
-    assert first.cells["hash"].seconds >= min(
-        first.cells["sis"].seconds, first.cells["smv"].seconds
-    )
+    # Each width-1 cell takes a few milliseconds, so one sample per method is
+    # noise: compare medians of five in-process runs, at a margin.
+    small = workloads[TABLE_WIDTHS[0]]
+    median = {
+        method: statistics.median(
+            run_cell(small, method, time_budget=verifier_budget).seconds
+            for _ in range(5)
+        )
+        for method in METHODS
+    }
+    assert median["hash"] >= 1.5 * min(median["sis"], median["smv"]), median
     # Verifier run time grows super-linearly between the widths they solve.
     solved = [row for row in rows if row.cells["smv"].verdict == "equivalent"]
     if len(solved) >= 3:

@@ -9,8 +9,8 @@ operators ``bool``, ``fun`` (written ``a -> b``), ``prod`` (written
 
 Types are immutable and **hash-consed**: the constructors intern every type
 in a global weak table, so structurally equal types are pointer-identical.
-Equality is therefore an ``is`` check and hashing returns a value stored at
-construction time — both O(1) regardless of how deeply nested the type is.
+The classes therefore keep the interpreter's identity equality and hashing —
+both O(1) regardless of how deeply nested the type is.
 Every traversal in this module (substitution, matching, rendering) uses an
 explicit work stack, so arbitrarily deep types (the nested product types of
 large bit-blasted state tuples) never hit the Python recursion limit.
@@ -90,7 +90,7 @@ class HolType:
 class TyVar(HolType):
     """A type variable, e.g. ``'a``."""
 
-    __slots__ = ("name", "_hash", "_tvs")
+    __slots__ = ("name", "_tvs")
 
     def __new__(cls, name: str):
         if not name:
@@ -101,21 +101,11 @@ class TyVar(HolType):
             return cached
         self = object.__new__(cls)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_tvs", frozenset((self,)))
         return _intern_table.setdefault(key, self)
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability
         raise AttributeError("HolType instances are immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"'{self.name}" if not self.name.startswith("'") else self.name
@@ -124,7 +114,7 @@ class TyVar(HolType):
 class TyApp(HolType):
     """Application of a type operator, e.g. ``bool`` or ``num -> bool``."""
 
-    __slots__ = ("op", "args", "_hash", "_tvs")
+    __slots__ = ("op", "args", "_tvs")
 
     def __new__(cls, op: str, args: Sequence[HolType] = ()):
         if not op:
@@ -140,7 +130,6 @@ class TyApp(HolType):
         self = object.__new__(cls)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(key))
         if args:
             tvs = args[0]._tvs
             for a in args[1:]:
@@ -153,15 +142,6 @@ class TyApp(HolType):
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability
         raise AttributeError("HolType instances are immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return _type_to_str(self)

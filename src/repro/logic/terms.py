@@ -10,12 +10,12 @@ The term language is the simply-typed lambda calculus with constants:
 
 Terms are immutable and **hash-consed**: each constructor interns its result
 in a global weak table keyed on the (already interned) children, so
-structurally equal terms are pointer-identical.  ``==`` is therefore an
-``is`` check and ``hash`` returns a stored integer — both O(1) — which is
-what makes the kernel's hot path (``TRANS``, ``aconv``, dictionary lookups
-in substitution environments) cheap on the deep ``let`` chains produced by
-gate-level circuit embeddings.  ``==`` is *not* alpha-equivalence; use
-:func:`aconv` for that.
+structurally equal terms are pointer-identical.  The classes therefore keep
+the interpreter's identity ``==`` and ``hash`` — both O(1) and without a
+Python-level call — which is what makes the kernel's hot path (``TRANS``,
+``aconv``, dictionary lookups in substitution environments) cheap on the
+deep ``let`` chains produced by gate-level circuit embeddings.  ``==`` is
+*not* alpha-equivalence; use :func:`aconv` for that.
 
 Every traversal (free variables, capture-avoiding substitution, type
 instantiation, alpha-conversion, beta-normalisation) uses an explicit work
@@ -78,12 +78,6 @@ class Term:
 
     def is_const(self, name: Optional[str] = None) -> bool:
         return isinstance(self, Const) and (name is None or self.name == name)
-
-    def is_comb(self) -> bool:
-        return isinstance(self, Comb)
-
-    def is_abs(self) -> bool:
-        return isinstance(self, Abs)
 
     def is_eq(self) -> bool:
         """Is this term an equality ``a = b``?"""
@@ -177,7 +171,7 @@ class Term:
 class Var(Term):
     """A term variable ``name : ty``."""
 
-    __slots__ = ("name", "_ty", "_hash", "_fvs")
+    __slots__ = ("name", "_ty", "_fvs")
 
     def __new__(cls, name: str, ty: HolType):
         global _intern_hits, _intern_misses
@@ -194,7 +188,6 @@ class Var(Term):
         self = object.__new__(cls)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_ty", ty)
-        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_fvs", frozenset((self,)))
         return _intern_table.setdefault(key, self)
 
@@ -204,15 +197,6 @@ class Var(Term):
     @property
     def ty(self) -> HolType:
         return self._ty
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class Const(Term):
@@ -224,7 +208,7 @@ class Const(Term):
     constructor here is syntactic only.
     """
 
-    __slots__ = ("name", "_ty", "_hash", "_fvs")
+    __slots__ = ("name", "_ty", "_fvs")
 
     def __new__(cls, name: str, ty: HolType):
         global _intern_hits, _intern_misses
@@ -241,7 +225,6 @@ class Const(Term):
         self = object.__new__(cls)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_ty", ty)
-        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_fvs", _EMPTY_FVS)
         return _intern_table.setdefault(key, self)
 
@@ -252,20 +235,11 @@ class Const(Term):
     def ty(self) -> HolType:
         return self._ty
 
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __hash__(self) -> int:
-        return self._hash
-
 
 class Comb(Term):
     """An application ``rator rand``."""
 
-    __slots__ = ("_rator", "_rand", "_ty", "_hash", "_fvs")
+    __slots__ = ("_rator", "_rand", "_ty", "_fvs")
 
     def __new__(cls, rator: Term, rand: Term):
         global _intern_hits, _intern_misses
@@ -292,7 +266,6 @@ class Comb(Term):
         object.__setattr__(self, "_rator", rator)
         object.__setattr__(self, "_rand", rand)
         object.__setattr__(self, "_ty", cod)
-        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_fvs", None)
         return _intern_table.setdefault(key, self)
 
@@ -311,20 +284,11 @@ class Comb(Term):
     def rand(self) -> Term:
         return self._rand
 
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __hash__(self) -> int:
-        return self._hash
-
 
 class Abs(Term):
     """An abstraction ``\\bvar. body``."""
 
-    __slots__ = ("_bvar", "_body", "_ty", "_hash", "_fvs")
+    __slots__ = ("_bvar", "_body", "_ty", "_fvs")
 
     def __new__(cls, bvar: Var, body: Term):
         global _intern_hits, _intern_misses
@@ -342,7 +306,6 @@ class Abs(Term):
         object.__setattr__(self, "_bvar", bvar)
         object.__setattr__(self, "_body", body)
         object.__setattr__(self, "_ty", mk_fun_ty(bvar.ty, body.ty))
-        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_fvs", None)
         return _intern_table.setdefault(key, self)
 
@@ -360,15 +323,6 @@ class Abs(Term):
     @property
     def body(self) -> Term:
         return self._body
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +459,7 @@ def _subst(t: Term, env: Dict[Var, Term]) -> Term:
             if isinstance(tm, Var):
                 memo[key] = cur.get(tm, tm)
                 continue
-            if isinstance(tm, Const) or free_vars_set(tm).isdisjoint(cur):
+            if isinstance(tm, Const) or cur.keys().isdisjoint(free_vars_set(tm)):
                 memo[key] = tm
                 continue
             if isinstance(tm, Comb):
@@ -646,30 +600,50 @@ def _inst_type(t: Term, env: Dict[TyVar, HolType]) -> Term:
 # ---------------------------------------------------------------------------
 
 def aconv(t1: Term, t2: Term) -> bool:
-    """Alpha-equivalence of two terms (iterative; identical terms are O(1))."""
+    """Alpha-equivalence of two terms (iterative; identical terms are O(1)).
+
+    Each side keeps one map from its bound variables to the number of the
+    binder pair that binds them.  A binder pair updates both maps in place
+    and pushes an unbind frame (``None`` first) that restores what it
+    shadowed once the bodies are done, so the walk is linear in the terms
+    however deeply their binders nest.
+    """
     if t1 is t2:
         return True
-    stack: List[tuple] = [(t1, t2, None, None, 0)]
+    m1: Dict[Var, int] = {}
+    m2: Dict[Var, int] = {}
+    binders = 0
+    stack: List[tuple] = [(t1, t2)]
     while stack:
-        a, b, m1, m2, depth = stack.pop()
+        frame = stack.pop()
+        a = frame[0]
+        if a is None:
+            _, v1, old1, v2, old2 = frame
+            if old1 is None:
+                del m1[v1]
+            else:
+                m1[v1] = old1
+            if old2 is None:
+                del m2[v2]
+            else:
+                m2[v2] = old2
+            continue
+        b = frame[1]
         if a is b:
             # Identical interned subterms are alpha-equal as long as none of
             # their free variables is captured by an enclosing binder map.
             if not m1 and not m2:
                 continue
             fa = free_vars_set(a)
-            if (not m1 or fa.isdisjoint(m1)) and (not m2 or fa.isdisjoint(m2)):
+            if m1.keys().isdisjoint(fa) and m2.keys().isdisjoint(fa):
                 continue
         if isinstance(a, Var):
+            # bound by the same binder pair (whose types agree), or both free
+            # and identical
             if not isinstance(b, Var):
                 return False
-            d1 = m1.get(a) if m1 else None
-            d2 = m2.get(b) if m2 else None
-            if d1 is None and d2 is None:
-                if a is not b:
-                    return False
-                continue
-            if d1 != d2 or a._ty is not b._ty:
+            d1 = m1.get(a)
+            if d1 != m2.get(b) or (d1 is None and a is not b):
                 return False
             continue
         if isinstance(a, Const):
@@ -679,17 +653,19 @@ def aconv(t1: Term, t2: Term) -> bool:
         if isinstance(a, Comb):
             if not isinstance(b, Comb):
                 return False
-            stack.append((a._rand, b._rand, m1, m2, depth))
-            stack.append((a._rator, b._rator, m1, m2, depth))
+            # Operands first: in a ``let`` chain the operand is the bound
+            # value and the operator holds the rest of the chain.
+            stack.append((a._rator, b._rator))
+            stack.append((a._rand, b._rand))
             continue
         assert isinstance(a, Abs)
         if not isinstance(b, Abs) or a._bvar._ty is not b._bvar._ty:
             return False
-        n1 = dict(m1) if m1 else {}
-        n2 = dict(m2) if m2 else {}
-        n1[a._bvar] = depth
-        n2[b._bvar] = depth
-        stack.append((a._body, b._body, n1, n2, depth + 1))
+        v1, v2 = a._bvar, b._bvar
+        stack.append((None, v1, m1.get(v1), v2, m2.get(v2)))
+        stack.append((a._body, b._body))
+        m1[v1] = m2[v2] = binders
+        binders += 1
     return True
 
 

@@ -87,6 +87,19 @@ class TestHarness:
         m = run_cell(workload, "hash")
         assert m.verdict == "equivalent" and "inference" in m.detail
 
+    def test_full_scale_table2_hash_inferences(self):
+        # Table II's HASH `inferences` column: a faster term layer must
+        # leave every kernel step count as it is
+        pinned = {"s344": 2761, "s382": 3409, "s526": 194, "s641": 5580,
+                  "s713": 5860, "s820": 3003, "s1196": 7180, "s1238": 6851,
+                  "s1423": 194, "s5378": 194}
+        steps = {}
+        for workload in table2_workloads(scale=1.0):
+            m = run_cell(workload, "hash")
+            assert m.verdict == "equivalent", (workload.name, m.detail)
+            steps[workload.name] = int(m.stats["kernel_steps"])
+        assert steps == pinned
+
     def test_timeouts_render_as_dash(self):
         workload = table1_workload(12)
         (row,) = run_rows([workload], ["smv"], time_budget=0.2)

@@ -14,8 +14,9 @@ import sys
 from repro.circuits.bitblast import bitblast
 from repro.circuits.netlist import Netlist
 from repro.formal.embed import embed_netlist
-from repro.logic.hol_types import bool_ty
-from repro.logic.terms import Var, aconv, free_vars_set, var_subst
+from repro.logic.hol_types import bool_ty, mk_fun_ty
+from repro.logic.stdlib import mk_let
+from repro.logic.terms import Comb, Var, aconv, free_vars_set, var_subst
 
 #: Chain length: each XOR level emits ~4 gates/lets, so 1100 levels put the
 #: gate count comfortably above the 2000-gate target and the serial let
@@ -84,6 +85,36 @@ def test_deep_bitblasted_chain_at_default_recursion_limit():
     assert rendered.count("let ") > 2000
 
     # no traversal is allowed to touch the recursion limit
+    assert sys.getrecursionlimit() == limit_before
+
+
+def let_chain(n: int, prefix: str, swap_last: bool = False):
+    """``let p0 = op i i in let p1 = op p0 i in ... in p{n-1}``.
+
+    ``swap_last`` swaps the operands of the innermost binding's value.
+    """
+    i = Var("i", bool_ty)
+    op = Var("op", mk_fun_ty(bool_ty, mk_fun_ty(bool_ty, bool_ty)))
+    names = [Var(f"{prefix}{k}", bool_ty) for k in range(n)]
+    body = names[-1]
+    for k in reversed(range(n)):
+        prev = names[k - 1] if k else i
+        a, b = (i, prev) if swap_last and k == n - 1 else (prev, i)
+        body = mk_let(names[k], Comb(Comb(op, a), b), body)
+    return body
+
+
+def test_deep_let_chains_aconv_at_default_recursion_limit():
+    limit_before = sys.getrecursionlimit()
+    n = 2100
+    t1 = let_chain(n, "p")
+    t2 = let_chain(n, "q")
+    assert t1 is not t2
+    # only the bound-variable names differ
+    assert aconv(t1, t2) and aconv(t2, t1)
+    # the last binding's value differs, under all n binders
+    t3 = let_chain(n, "q", swap_last=True)
+    assert not aconv(t1, t3) and not aconv(t3, t1)
     assert sys.getrecursionlimit() == limit_before
 
 

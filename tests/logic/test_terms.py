@@ -1,7 +1,7 @@
 """Unit tests for the term language."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.hol_types import bool_ty, mk_fun_ty, mk_prod_ty, num_ty
 from repro.logic.terms import (
@@ -32,6 +32,14 @@ x = Var("x", num_ty)
 y = Var("y", num_ty)
 b = Var("b", bool_ty)
 f = Var("f", mk_fun_ty(num_ty, num_ty))
+_add = Var("add", mk_fun_ty(num_ty, mk_fun_ty(num_ty, num_ty)))
+_g = Var("g", mk_fun_ty(bool_ty, num_ty))
+#: binder operators, one per bound-variable type, so that the two sides of a
+#: pair can bind the same name at different types under the same operator
+_binders = {
+    num_ty: Var("k", mk_fun_ty(mk_fun_ty(num_ty, num_ty), num_ty)),
+    bool_ty: Var("k", mk_fun_ty(mk_fun_ty(bool_ty, num_ty), num_ty)),
+}
 
 
 class TestConstruction:
@@ -185,6 +193,37 @@ class TestAlphaAndBeta:
         t2 = Abs(b, mk_eq(b, b))
         assert not aconv(t1, t2)
 
+    def test_alpha_free_variable_captured_on_one_side(self):
+        t1 = Abs(x, Comb(f, y))
+        t2 = Abs(y, Comb(f, y))
+        assert not aconv(t1, t2) and not aconv(t2, t1)
+        assert not aconv(Comb(f, x), Comb(f, y))
+
+    def test_alpha_unused_binders_of_different_types(self):
+        body = Comb(f, y)
+        bool_x = Var("x", bool_ty)
+        assert not aconv(Comb(_binders[num_ty], Abs(x, body)),
+                         Comb(_binders[bool_ty], Abs(bool_x, body)))
+        assert not aconv(Abs(x, body), Abs(bool_x, body))
+
+    def test_alpha_restores_a_shadowed_binder(self):
+        # \x. add x (k (\x. x)): the operand's inner x shadows the outer x,
+        # which the operator uses once the operand is done
+        k, z = _binders[num_ty], Var("z", num_ty)
+        t1 = Abs(x, Comb(Comb(_add, x), Comb(k, Abs(x, x))))
+        t2 = Abs(y, Comb(Comb(_add, y), Comb(k, Abs(z, z))))
+        t3 = Abs(y, Comb(Comb(_add, x), Comb(k, Abs(z, z))))  # x is free here
+        assert aconv(t1, t2) and aconv(t2, t1)
+        assert not aconv(t1, t3) and not aconv(t3, t1)
+
+    def test_alpha_identical_subterm_under_binders(self):
+        shared = Comb(f, Var("z", num_ty))
+        assert aconv(Abs(x, Comb(Comb(_add, x), shared)),
+                     Abs(y, Comb(Comb(_add, y), shared)))
+        # the identical subterm mentions the bound variable on one side only
+        assert not aconv(Abs(x, Comb(Comb(_add, x), Comb(f, x))),
+                         Abs(y, Comb(Comb(_add, y), Comb(f, x))))
+
     def test_beta_step(self):
         redex = Comb(Abs(x, Comb(f, x)), y)
         assert beta_reduce_step(redex) == Comb(f, y)
@@ -225,3 +264,86 @@ def test_property_free_vars_preserved_by_alpha_normalisation(t):
     # substituting a fresh variable for itself never changes the term
     fresh = Var("fresh", num_ty)
     assert var_subst({fresh: fresh}, t) is t
+
+
+# -- aconv against a de Bruijn reference --------------------------------------
+
+_ACONV_NAMES = ["x", "y", "z"]
+
+
+def _de_bruijn(t, bound=()):
+    """``t`` with bound variables replaced by their binder distance."""
+    if isinstance(t, Var):
+        for distance, v in enumerate(reversed(bound)):
+            if v is t:
+                return ("bound", distance)
+        return ("free", t)
+    if isinstance(t, Const):
+        return ("const", t)
+    if isinstance(t, Comb):
+        return ("comb", _de_bruijn(t.rator, bound), _de_bruijn(t.rand, bound))
+    return ("abs", t.bvar.ty, _de_bruijn(t.body, bound + (t.bvar,)))
+
+
+@st.composite
+def _aconv_terms(draw, depth=0):
+    """A ``num`` term over a few shared names, with binders of two types."""
+    choice = draw(st.integers(0, 5 if depth < 4 else 1))
+    if choice == 0:
+        return Var(draw(st.sampled_from(_ACONV_NAMES)), num_ty)
+    if choice == 1:
+        return Comb(_g, Var(draw(st.sampled_from(_ACONV_NAMES)), bool_ty))
+    if choice == 2:
+        return Comb(f, draw(_aconv_terms(depth + 1)))
+    if choice == 3:
+        return Comb(Comb(_add, draw(_aconv_terms(depth + 1))),
+                    draw(_aconv_terms(depth + 1)))
+    if choice == 4:  # a let-style redex
+        v = Var(draw(st.sampled_from(_ACONV_NAMES)), num_ty)
+        return Comb(Abs(v, draw(_aconv_terms(depth + 1))),
+                    draw(_aconv_terms(depth + 1)))
+    ty = draw(st.sampled_from([num_ty, bool_ty]))
+    v = Var(draw(st.sampled_from(_ACONV_NAMES)), ty)
+    return Comb(_binders[ty], Abs(v, draw(_aconv_terms(depth + 1))))
+
+
+@st.composite
+def _renamed(draw, t, renames=None):
+    """``t`` with bound variables renamed at random, captures and all.
+
+    Each binder keeps or changes its name (to one of the shared names, so a
+    free variable of its body may be captured), and now and then a subterm
+    of type ``num`` is replaced by a freshly drawn one.
+    """
+    renames = renames or {}
+    if t.ty is num_ty and draw(st.integers(0, 9)) == 0:
+        return draw(_aconv_terms(3))
+    if isinstance(t, Var):
+        return renames.get(t, t)
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, Comb):
+        return Comb(draw(_renamed(t.rator, renames)), draw(_renamed(t.rand, renames)))
+    new_bv = Var(draw(st.sampled_from(_ACONV_NAMES)), t.bvar.ty)
+    return Abs(new_bv, draw(_renamed(t.body, {**renames, t.bvar: new_bv})))
+
+
+@st.composite
+def _aconv_pairs(draw):
+    t1 = draw(_aconv_terms())
+    t2 = draw(_renamed(t1))
+    if draw(st.booleans()):
+        # outermost binders, whose types may differ between the sides
+        names, types = st.sampled_from(_ACONV_NAMES), st.sampled_from([num_ty, bool_ty])
+        t1 = Abs(Var(draw(names), draw(types)), t1)
+        t2 = Abs(Var(draw(names), draw(types)), t2)
+    return t1, t2
+
+
+@settings(max_examples=400, deadline=None)
+@given(_aconv_pairs())
+def test_property_aconv_agrees_with_de_bruijn(pair):
+    t1, t2 = pair
+    expected = _de_bruijn(t1) == _de_bruijn(t2)
+    assert aconv(t1, t2) is expected
+    assert aconv(t2, t1) is expected
