@@ -7,8 +7,7 @@ Usage::
 Both files are pytest-benchmark JSON records; the quantities compared are
 the deterministic cost counters each benchmark stores in ``extra_info`` —
 ``kernel_steps`` (kernel inferences), ``peak_nodes`` and ``ite_calls``
-(BDD engine work), ``aig_nodes`` (shared-IR size), ``aig_nodes_post`` and
-``rewrites_applied`` (DAG-aware rewriting effectiveness), ``gate_cells``
+(BDD engine work), ``aig_nodes`` (shared-IR size), ``gate_cells``
 (pattern-matched emission size), ``decisions`` / ``solver_calls`` /
 ``restarts`` (SAT search effort and incremental-solver reuse),
 ``cache_hits`` / ``cache_misses`` (result-cache effectiveness) and
@@ -43,8 +42,8 @@ from typing import Dict
 
 #: the deterministic counters guarded against regressions
 TRACKED_COUNTERS = ("kernel_steps", "peak_nodes", "ite_calls",
-                    "aig_nodes", "aig_nodes_post", "rewrites_applied",
-                    "gate_cells", "decisions", "solver_calls", "restarts",
+                    "aig_nodes", "gate_cells", "decisions", "solver_calls",
+                    "restarts",
                     "cache_hits", "cache_misses",
                     "faults_injected", "faults_detected", "cex_certified",
                     "retries", "shards")

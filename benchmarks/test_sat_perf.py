@@ -128,9 +128,8 @@ def test_sat_figure2_strash_roundtrip(benchmark):
     Structural hashing should close the miter without any search at all —
     the benchmark pins ``aig_nodes`` and the all-zero search counters.
     """
-    opt_stats = {}
     gate = bitblast(table1_workload(FIG2_WIDTH).original).netlist
-    rebuilt = bitblast(gate, name_suffix="_strash", stats=opt_stats).netlist
+    rebuilt = bitblast(gate, name_suffix="_strash").netlist
 
     def run():
         return check_equivalence_sat(gate, rebuilt, time_budget=120.0)
@@ -140,9 +139,4 @@ def test_sat_figure2_strash_roundtrip(benchmark):
     benchmark.extra_info["aig_nodes"] = int(result.stats["aig_nodes"])
     benchmark.extra_info["decisions"] = int(result.stats["decisions"])
     benchmark.extra_info["solver_calls"] = int(result.stats["solver_calls"])
-    # the checker sees two already-gate-level circuits, so the rewriting
-    # counters come from the rebuild's own bit-blasting pass
-    benchmark.extra_info["aig_nodes_post"] = int(opt_stats["aig_nodes_post"])
-    benchmark.extra_info["rewrites_applied"] = int(
-        opt_stats["rewrites_applied"])
     assert result.stats["decisions"] == 0, "strash should close the miter"

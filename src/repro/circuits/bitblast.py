@@ -12,9 +12,10 @@ structurally-hashed IR:
    equal subcircuits — repeated partial products, shared carry chains,
    common subexpressions across cells — collapse onto single nodes; and
 2. :func:`~repro.circuits.aig.aig_to_netlist` emits the shared DAG as an
-   ordinary gate-level :class:`~repro.circuits.netlist.Netlist` (``AND`` /
-   ``NOT`` / ``CONST`` / ``BUF`` cells, all nets one bit wide), each node and
-   each complemented edge exactly once.
+   ordinary gate-level :class:`~repro.circuits.netlist.Netlist` with pattern
+   emission: canonical XOR/MUX AND structures become single ``XOR`` /
+   ``XNOR`` / ``MUX`` cells, complement-only ANDs ``NAND`` cells, and only
+   logic that a named net or a register needs is emitted.
 
 Every multi-bit net is exposed as 1-bit nets ``name[i]`` in the result's
 ``bit_map``; primary inputs, outputs and registers keep their external
@@ -26,7 +27,7 @@ stay in lock-step.  The result is suitable for building BDDs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .aig import AigError, aig_to_netlist, bit_name, netlist_to_aig
 from .netlist import Netlist
@@ -45,38 +46,19 @@ class BitblastResult:
     netlist: Netlist
     #: word-level net name -> list of bit-level net names (LSB first)
     bit_map: Dict[str, List[str]] = field(default_factory=dict)
-    #: rewriting counters when the DAG-aware optimiser ran (``opt=True``)
-    stats: Dict[str, int] = field(default_factory=dict)
 
 
-def bitblast(netlist: Netlist, name_suffix: str = "_bits",
-             opt: bool = True,
-             stats: Optional[Dict[str, int]] = None) -> BitblastResult:
+def bitblast(netlist: Netlist, name_suffix: str = "_bits") -> BitblastResult:
     """Lower an RT-level netlist to a pure gate-level netlist.
 
-    With ``opt=True`` (the default) the lowered AIG is first rewritten and
-    balanced by :func:`~repro.circuits.aig_rewrite.optimize_netlist_aig`
-    and the emission pattern-matches canonical XOR/MUX structures back
-    into single cells; ``opt=False`` reproduces the raw strash emission
-    (AND/NOT/CONST/BUF only).  ``stats`` (optional) accumulates the
-    rewriting counters, which are also exposed on the result.
+    The netlist is structurally hashed into an AIG and emitted with
+    XOR/MUX pattern matching (see the module docstring).
     """
     try:
-        lowered = netlist_to_aig(netlist)
-        counters: Dict[str, int] = {}
-        if opt:
-            from .aig_rewrite import optimize_netlist_aig
-
-            lowered = optimize_netlist_aig(lowered, stats=counters)
         gate, bit_map = aig_to_netlist(
-            lowered, netlist, name=netlist.name + name_suffix, patterns=opt
+            netlist_to_aig(netlist), netlist,
+            name=netlist.name + name_suffix, patterns=True,
         )
     except AigError as exc:
         raise BitblastError(str(exc)) from exc
-    if stats is not None:
-        for key, value in counters.items():
-            if key == "aig_levels":
-                stats[key] = max(stats.get(key, 0), value)
-            else:
-                stats[key] = stats.get(key, 0) + value
-    return BitblastResult(netlist=gate, bit_map=bit_map, stats=counters)
+    return BitblastResult(netlist=gate, bit_map=bit_map)

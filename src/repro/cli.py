@@ -277,46 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_aig_stats(args: argparse.Namespace) -> int:
-    """``python -m repro aig-stats``: pre/post rewriting statistics.
-
-    Bit-blasts every workload of the requested scenario twice — once with
-    DAG-aware rewriting off, once on — and reports AIG node counts before
-    and after rewriting, the post-rewrite depth, the cut/rewrite counters
-    and the emitted gate-level cell counts.
-    """
-    from .circuits.bitblast import bitblast
-
-    params: Dict[str, Any] = dict(args.param or [])
-    try:
-        scenario = scenarios.get_scenario(args.scenario)
-        workloads = scenarios.build_scenario(args.scenario, **params)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", flush=True)
-        return 2
-    header = (f"{'workload':<28s} {'side':<8s} {'pre':>6s} {'post':>6s} "
-              f"{'levels':>6s} {'cuts':>7s} {'rewrites':>8s} "
-              f"{'cells':>6s} {'cells_opt':>9s}")
-    print(f"AIG rewriting statistics — scenario {scenario.name!r}")
-    print(header)
-    print("-" * len(header))
-    for workload in workloads:
-        for side, netlist in (("original", workload.original),
-                              ("retimed", workload.retimed)):
-            stats: Dict[str, int] = {}
-            optimised = bitblast(netlist, opt=True, stats=stats)
-            plain = bitblast(netlist, opt=False)
-            print(f"{workload.name:<28s} {side:<8s} "
-                  f"{stats.get('aig_nodes_pre', 0):>6d} "
-                  f"{stats.get('aig_nodes_post', 0):>6d} "
-                  f"{stats.get('aig_levels', 0):>6d} "
-                  f"{stats.get('cuts_enumerated', 0):>7d} "
-                  f"{stats.get('rewrites_applied', 0):>8d} "
-                  f"{plain.netlist.num_gates():>6d} "
-                  f"{optimised.netlist.num_gates():>9d}")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     directory = args.cache_dir or result_cache.default_cache_dir()
     store = result_cache.ResultCache(directory)
@@ -498,22 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--ping", action="store_true",
                          help="check whether a daemon is listening and exit")
     serve_p.set_defaults(func=_cmd_serve)
-
-    aig_p = sub.add_parser(
-        "aig-stats",
-        help="report DAG-aware AIG rewriting statistics for a scenario",
-        description="Bit-blast every workload of a registered scenario with "
-                    "DAG-aware rewriting on and report pre/post AIG node "
-                    "counts, depth, cut/rewrite counters and emitted "
-                    "gate-level cell counts.",
-    )
-    aig_p.add_argument("--scenario", default="figure2",
-                       help="a registered scenario (see list-scenarios)")
-    aig_p.add_argument("--param", action="append", type=_parse_param,
-                       metavar="KEY=VALUE",
-                       help="scenario parameter (repeatable), e.g. "
-                            "--param widths=4,8")
-    aig_p.set_defaults(func=_cmd_aig_stats)
 
     cache_p = sub.add_parser(
         "cache", help="inspect or clear the content-addressed result cache",

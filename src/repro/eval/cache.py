@@ -67,8 +67,8 @@ def tree_digest(root: Path) -> str:
 
 @functools.lru_cache(maxsize=None)
 def code_digest() -> str:
-    """The digest of the package's sources (NPN library included), once per
-    process: any change to the code changes every cell key."""
+    """The :func:`tree_digest` of the package, once per process: any change
+    to the code changes every cell key."""
     return tree_digest(_PACKAGE_DIR)
 
 

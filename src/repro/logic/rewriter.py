@@ -4,7 +4,7 @@ The classic ``TOP_DEPTH_CONV`` strategy re-sweeps the *entire* term on every
 outer pass and emits a ``REFL``/``TRANS``/``MK_COMB`` congruence chain over
 unchanged subtrees, so gate-level workloads (deep ``let`` chains, one node
 per gate) pay millions of kernel inferences for work that touches almost
-nothing.  With the hash-consed kernel (pointer ``==``, stored hashes) we can
+nothing.  With the hash-consed kernel (identity ``==`` and hashing) we can
 do much better; this module provides the engine:
 
 * :class:`RewriteNet` — a head-symbol index (a first-order discrimination

@@ -428,9 +428,20 @@ class BddManager:
     def apply_implies(self, f: int, g: int) -> int:
         return self._run(_OP_AND, f, g ^ 1) ^ 1
 
+    def _deepest_first(self, fs: Iterable[int]) -> List[int]:
+        """The operands ordered by their top variable's level, deepest first.
+
+        Folded in that order, each operand lands above the accumulated
+        result instead of below it, so a cube of ``n`` literals costs O(n)
+        steps where a fold in declaration order walks the whole accumulated
+        chain each time, O(n²).
+        """
+        level = self._level
+        return sorted(fs, key=lambda f: level[f >> 1], reverse=True)
+
     def conjoin(self, fs: Iterable[int]) -> int:
         out = TRUE
-        for f in fs:
+        for f in self._deepest_first(fs):
             out = self.apply_and(out, f)
             if out == FALSE:
                 return FALSE
@@ -438,7 +449,7 @@ class BddManager:
 
     def disjoin(self, fs: Iterable[int]) -> int:
         out = FALSE
-        for f in fs:
+        for f in self._deepest_first(fs):
             out = self.apply_or(out, f)
             if out == TRUE:
                 return TRUE

@@ -111,28 +111,21 @@ class EngineRun:
 
     Every budget-polling backend runs its body under :func:`run_engine`, so
     the start time, the :class:`Budget`, the registry-name label and the
-    merge of BDD, lowering and backend counters live here once.  The body
-    keeps the record current — its BDD manager comes from
-    :meth:`bdd_manager`, ``iterations`` count its steps, ``counters`` report
-    its own counters — and :meth:`result` reads it whenever the run ends,
-    overrun or not.
+    merge of BDD and backend counters live here once.  The body keeps the
+    record current — its BDD manager comes from :meth:`bdd_manager`,
+    ``iterations`` count its steps, ``counters`` report its own counters —
+    and :meth:`result` reads it whenever the run ends, overrun or not.
     """
 
     def __init__(self, method: str, time_budget: Optional[float] = None):
         self.method = method
         self.budget = Budget(seconds=time_budget)
-        #: bit-blast / AIG-rewrite counters of the lowered circuits
-        self.lowering: Dict[str, int] = {}
         #: the BDD manager whose counters join the record
         self.manager: Optional[BddManager] = None
         #: traversal or refinement steps taken so far
         self.iterations = 0
         #: the backend's own counters as they stand when the run ends
         self.counters: Callable[[], Dict[str, float]] = dict
-
-    def gate_level(self, netlist: Netlist) -> Netlist:
-        """:func:`ensure_gate_level`, counting the lowering in the record."""
-        return ensure_gate_level(netlist, stats=self.lowering)
 
     def bdd_manager(self, node_budget: Optional[int]) -> BddManager:
         """A BDD manager that already honours the run's deadline and
@@ -153,8 +146,7 @@ class EngineRun:
             peak_nodes=m.num_nodes if m is not None else 0,
             counterexample=counterexample,
             detail=detail,
-            stats={**(m.op_stats() if m is not None else {}),
-                   **self.lowering, **self.counters()},
+            stats={**(m.op_stats() if m is not None else {}), **self.counters()},
         )
 
 
@@ -211,17 +203,16 @@ def is_gate_level_netlist(netlist: Netlist) -> bool:
     )
 
 
-def ensure_gate_level(netlist: Netlist,
-                      stats: Optional[Dict[str, int]] = None) -> Netlist:
+def ensure_gate_level(netlist: Netlist) -> Netlist:
     """Bit-blast a netlist unless it already is a pure gate-level circuit.
 
-    The bit-blaster runs its DAG-aware AIG rewriting pass (already-gate-level
-    inputs are returned untouched); when ``stats`` is given, the rewriting
-    counters accumulate into it.
+    Lowering is structural hashing plus pattern emission
+    (:func:`~repro.circuits.bitblast.bitblast`); an already gate-level
+    netlist is returned untouched.
     """
     if is_gate_level_netlist(netlist):
         return netlist
-    return bitblast(netlist, stats=stats).netlist
+    return bitblast(netlist).netlist
 
 
 def compile_fsm(
@@ -336,7 +327,6 @@ def product_fsm(
     a: Netlist,
     b: Netlist,
     manager: Optional[BddManager] = None,
-    opt_stats: Optional[Dict[str, int]] = None,
 ) -> ProductFSM:
     """Compile two circuits with the same primary inputs into a product FSM.
 
@@ -348,8 +338,8 @@ def product_fsm(
     stable-sorted by word bit, least significant first, with 1-bit nets
     ahead of bit 0.  A circuit without words keeps the sequence as it is.
     """
-    gate_a = ensure_gate_level(a, stats=opt_stats)
-    gate_b = ensure_gate_level(b, stats=opt_stats)
+    gate_a = ensure_gate_level(a)
+    gate_b = ensure_gate_level(b)
     if sorted(gate_a.inputs) != sorted(gate_b.inputs):
         raise VerificationError(
             f"input mismatch: {sorted(gate_a.inputs)} vs {sorted(gate_b.inputs)}"
@@ -401,9 +391,10 @@ def pair_cut_points(
 
     Registers become free variables keyed by register *name*, so only
     same-named registers correspond.  Returns ``(mismatches, compared)``:
-    ``mismatches`` lists the structural differences that refute the pair
-    without any search (an output or a register present in only one
-    circuit, a shared register with another initial value); ``compared``
+    ``mismatches`` lists the structural differences that leave the pair
+    outside a cut-point check's scope (an output or a register present in
+    only one circuit, a shared register with another initial value), which
+    :func:`cut_points_differ` turns into the verdict; ``compared``
     lists ``(label, net_a, net_b)`` for every shared primary output, in
     the first circuit's order, then for the next-state nets of the shared
     registers, sorted by name.  Each backend maps the nets to its own BDDs,
@@ -429,6 +420,18 @@ def pair_cut_points(
                   regs_a[name].input, regs_b[name].input)
                  for name in shared_regs]
     return mismatches, compared
+
+
+def cut_points_differ(run: EngineRun, mismatches: List[str]) -> VerificationResult:
+    """The ``error`` verdict of a cut-point check on a pair whose cut points
+    do not correspond, returned before any search.
+
+    Without a register correspondence the check cannot decide the pair: a
+    retiming moves and renames registers, so it would refute equivalent
+    circuits.
+    """
+    return run.result("error", "inconclusive: the cut points do not correspond: "
+                      + "; ".join(mismatches))
 
 
 def cut_point_vars(gate: Netlist) -> Dict[str, str]:

@@ -35,7 +35,13 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits.netlist import Netlist
-from .common import EngineRun, VerificationResult, run_engine
+from .common import (
+    EngineRun,
+    VerificationResult,
+    cut_points_differ,
+    ensure_gate_level,
+    run_engine,
+)
 from .sat import IncrementalMiter, miter_setup
 
 
@@ -159,7 +165,7 @@ def check_equivalence_fraig(
     every refuting SAT model is appended as an extra pattern that splits
     the candidate classes in place.  One persistent assumption-based
     solver serves the entire sweep.  Verdicts match the BDD ``taut``
-    backend on every cell.  Bit-blasting counters join ``stats``.
+    backend on every cell.
 
     ``shard=(k, n)`` restricts the sweep to the ``k``-th of ``n`` index
     ranges of the *initial* candidate classes (the simulation phase is
@@ -180,8 +186,8 @@ def check_equivalence_fraig(
 
     def body(run: EngineRun) -> VerificationResult:
         budget = run.budget
-        gate_a = run.gate_level(a)
-        gate_b = run.gate_level(b)
+        gate_a = ensure_gate_level(a)
+        gate_b = ensure_gate_level(b)
         aig, mismatches, compared = miter_setup(gate_a, gate_b)
         merges = 0
         miter: Optional[IncrementalMiter] = None
@@ -211,7 +217,7 @@ def check_equivalence_fraig(
         budget.check()
 
         if mismatches:
-            return run.result("not_equivalent", "; ".join(mismatches))
+            return cut_points_differ(run, mismatches)
 
         roots = [la for _, la, _ in compared] + [lb for _, _, lb in compared]
         unresolved = [(label, la, lb) for label, la, lb in compared if la != lb]

@@ -27,10 +27,6 @@ def check_equivalence(
     time_budget: Optional[float] = None,
     node_budget: Optional[int] = None,
 ) -> VerificationResult:
-    """Check sequential output-equivalence of two circuits (SIS ``verify_fsm`` style).
-
-    Bit-blasting counters join ``stats``.
-    """
+    """Check sequential output-equivalence of two circuits (SIS ``verify_fsm`` style)."""
     return run_engine("sis", time_budget, lambda run: traverse(run, product_fsm(
-        original, retimed, run.bdd_manager(node_budget), opt_stats=run.lowering,
-    )))
+        original, retimed, run.bdd_manager(node_budget))))

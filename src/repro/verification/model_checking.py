@@ -267,10 +267,6 @@ def check_equivalence(
     time_budget: Optional[float] = None,
     node_budget: Optional[int] = None,
 ) -> VerificationResult:
-    """Check sequential output-equivalence of two circuits (SMV style).
-
-    Bit-blasting counters join ``stats``.
-    """
+    """Check sequential output-equivalence of two circuits (SMV style)."""
     return run_engine("smv", time_budget, lambda run: traverse(run, product_fsm(
-        original, retimed, run.bdd_manager(node_budget), opt_stats=run.lowering,
-    )))
+        original, retimed, run.bdd_manager(node_budget))))

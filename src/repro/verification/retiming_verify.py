@@ -28,7 +28,9 @@ Algorithm
    verifier gives up (``error``).  A legal retiming is exactly an integer
    lag ``r(v)`` per cell with ``r(host) = 0`` such that
    ``w_retimed(e) = w_original(e) + r(head) - r(tail)`` on every edge.  The
-   lags are recovered by propagation and checked for consistency.
+   lags are recovered by propagation and checked for consistency; when no
+   consistent assignment exists the pair is not a pure retiming, and the
+   verifier gives up (``error``) rather than refute it without a witness.
 3. Initial values cannot be validated purely structurally; they are checked
    by short directed simulations (all-zeros plus seeded random stimuli).  A
    forward-retimed register must carry ``f(q)``, and a wrong initial value
@@ -125,8 +127,9 @@ def check_equivalence(
     lags = recover_lags(edges_a, edges_b)
     if lags is None:
         return run.result(
-            "not_equivalent",
-            "no consistent retiming lag assignment relates the two netlists",
+            "error",
+            "inconclusive: no consistent retiming lag assignment relates the "
+            "two netlists",
         )
 
     # 3. initial values: directed simulations

@@ -45,6 +45,8 @@ from .common import (
     TimeoutBudgetExceeded,
     VerificationResult,
     cut_point_vars,
+    cut_points_differ,
+    ensure_gate_level,
     pair_cut_points,
     run_engine,
 )
@@ -796,12 +798,12 @@ def check_equivalence_sat(
     miter over its lazily encoded cone, and every proved pair is asserted
     as a permanent biconditional that strengthens the remaining queries.
     Verdicts are identical to ``taut``; the cost profile is search counters
-    instead of node counts.  Bit-blasting counters join ``stats``.
+    instead of node counts.
     """
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(a)
-        gate_b = run.gate_level(b)
+        gate_a = ensure_gate_level(a)
+        gate_b = ensure_gate_level(b)
         aig, mismatches, compared = miter_setup(gate_a, gate_b)
         # a dash cell carries the cost record too: how large the shared AIG
         # grew and how far the incremental search got
@@ -813,7 +815,7 @@ def check_equivalence_sat(
         miter = IncrementalMiter(aig)
         run.counters = lambda: {**miter.stats(), "aig_nodes": float(aig.num_ands)}
         if mismatches:
-            return run.result("not_equivalent", "; ".join(mismatches))
+            return cut_points_differ(run, mismatches)
         counterexample: Optional[Dict[str, bool]] = None
         for label, la, lb in compared:
             run.budget.check()

@@ -43,6 +43,8 @@ from .common import (
     VerificationResult,
     _cell_bdd,
     cut_point_vars,
+    cut_points_differ,
+    ensure_gate_level,
     pair_cut_points,
     run_engine,
 )
@@ -84,8 +86,9 @@ def combinational_equivalent(
     Both circuits must have the same primary inputs; registers are treated as
     free cut-point variables (keyed by register *name*, so this is only
     complete for circuits with the same state representation — exactly the
-    restriction the paper states for tautology checking).  Primary outputs
-    and next-state functions of same-named registers are compared.
+    restriction the paper states for tautology checking; any other pair is
+    answered ``error``).  Primary outputs and next-state functions of
+    same-named registers are compared.
 
     ``shard=(k, n)`` (``n`` a power of two) checks only the cofactor under
     the ``k``-th assignment of a ``log2(n)``-bit prefix of the sorted
@@ -96,10 +99,12 @@ def combinational_equivalent(
     """
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(a)
-        gate_b = run.gate_level(b)
+        gate_a = ensure_gate_level(a)
+        gate_b = ensure_gate_level(b)
         manager = run.bdd_manager(node_budget)
         mismatches, compared = pair_cut_points(gate_a, gate_b)
+        if mismatches:
+            return cut_points_differ(run, mismatches)
 
         # shared input variables, then the cut points of both circuits
         sources_a, sources_b = cut_point_vars(gate_a), cut_point_vars(gate_b)
@@ -141,11 +146,9 @@ def combinational_equivalent(
                       f" [shard {shard[0] + 1}/{shard[1]}: "
                       f"{len(fixed)}-bit prefix cofactor]")
         if mismatches:
-            counterexample = None
-            if witness is not None:
-                # the witness separates the *cofactors*: pin the fixed
-                # prefix bits so the replayed assignment stays separating
-                counterexample = {**manager.any_sat(witness), **fixed}
+            # the witness separates the *cofactors*: pin the fixed prefix
+            # bits so the replayed assignment stays separating
+            counterexample = {**manager.any_sat(witness), **fixed}
             return run.result("not_equivalent", "; ".join(mismatches) + shard_note,
                               counterexample)
         return run.result(
@@ -241,9 +244,11 @@ def combinational_equivalent_by_rewriting(
     steps_before = inference_steps()
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(a)
-        gate_b = run.gate_level(b)
+        gate_a = ensure_gate_level(a)
+        gate_b = ensure_gate_level(b)
         mismatches, compared = pair_cut_points(gate_a, gate_b)
+        if mismatches:
+            return cut_points_differ(run, mismatches)
         vals_a, names_a = _net_terms(gate_a)
         vals_b, names_b = _net_terms(gate_b)
         var_names = sorted(set(names_a) | set(names_b))
@@ -262,25 +267,21 @@ def combinational_equivalent_by_rewriting(
             "vectors": float(theorems),
             "kernel_steps": float(inference_steps() - steps_before),
         }
-        counterexample: Optional[Dict[str, bool]] = None
-        if not mismatches:
-            for assignment in assignments:
-                run.budget.check()
-                th_a = _eval_under(term_a, assignment)
-                th_b = _eval_under(term_b, assignment)
-                try:
-                    equal_by_normalisation(th_a, th_b)
-                except RuleError:
-                    counterexample = assignment
-                    mismatches.append(
-                        "outputs/next-state differ under " +
-                        ",".join(f"{k}={int(v)}" for k, v in sorted(assignment.items()))
-                    )
-                    break
-                theorems += 1
+        for assignment in assignments:
+            run.budget.check()
+            th_a = _eval_under(term_a, assignment)
+            th_b = _eval_under(term_b, assignment)
+            try:
+                equal_by_normalisation(th_a, th_b)
+            except RuleError:
+                return run.result(
+                    "not_equivalent",
+                    "outputs/next-state differ under " +
+                    ",".join(f"{k}={int(v)}" for k, v in sorted(assignment.items())),
+                    assignment,
+                )
+            theorems += 1
 
-        if mismatches:
-            return run.result("not_equivalent", "; ".join(mismatches), counterexample)
         shard_note = ("" if shard is None else
                       f" [shard {shard[0] + 1}/{shard[1]}]")
         return run.result(

@@ -39,7 +39,13 @@ from typing import Dict, List, Optional, Tuple
 from ..circuits.netlist import Netlist
 from ..circuits.simulate import bit_parallel_signatures
 from .bdd import FALSE, TRUE
-from .common import EngineRun, VerificationResult, product_fsm, run_engine
+from .common import (
+    EngineRun,
+    VerificationResult,
+    ensure_gate_level,
+    product_fsm,
+    run_engine,
+)
 
 
 def _simulation_signatures(
@@ -81,8 +87,7 @@ def check_equivalence(
     """Van Eijk signal-correspondence equivalence check.
 
     ``exploit_dependencies=False`` reproduces the "Eijk" column,
-    ``exploit_dependencies=True`` the "Eijk+" column.  Bit-blasting
-    counters join ``stats``.
+    ``exploit_dependencies=True`` the "Eijk+" column.
 
     The method is incomplete: when the induction closes without the output
     pairs corresponding, the result is ``error`` (inconclusive), never an
@@ -90,8 +95,8 @@ def check_equivalence(
     """
 
     def body(run: EngineRun) -> VerificationResult:
-        gate_a = run.gate_level(original)
-        gate_b = run.gate_level(retimed)
+        gate_a = ensure_gate_level(original)
+        gate_b = ensure_gate_level(retimed)
 
         product = product_fsm(gate_a, gate_b, run.bdd_manager(node_budget))
         m = product.manager

@@ -13,7 +13,7 @@ without touching ``sys.setrecursionlimit``.
 import sys
 
 from repro.automata.semantics import TermEvaluator, run_automaton
-from repro.circuits.bitblast import bitblast
+from repro.circuits.aig import aig_to_netlist, netlist_to_aig
 from repro.circuits.netlist import Netlist
 from repro.circuits.simulate import simulate
 from repro.formal.embed import embed_netlist
@@ -74,8 +74,10 @@ def test_deep_bitblasted_circuit_evaluates_like_the_simulator():
     reset_kernel()
     ensure_stdlib()
 
-    # opt=False: the rewriter would (correctly) telescope the xor chain
-    netlist = bitblast(chain_netlist(1100), opt=False).netlist
+    # the raw AND/NOT emission: pattern emission would fold each xor stage
+    # into one cell
+    word = chain_netlist(1100)
+    netlist, _ = aig_to_netlist(netlist_to_aig(word), word)
     assert netlist.num_gates() > 2000
     embedded = embed_netlist(netlist)
 

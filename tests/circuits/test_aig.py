@@ -113,7 +113,7 @@ class TestStructuralHashing:
         nl.add_cell("x2", "XOR", ["a", "b"], "v")
         nl.add_output("u")
         nl.add_output("v")
-        gate = bitblast(nl, opt=False).netlist
+        gate, _ = aig_to_netlist(netlist_to_aig(nl), nl)
         # one shared xor structure (3 ANDs + inverters) plus output buffers,
         # never two copies
         ands = [c for c in gate.cells.values() if c.type == "AND"]
@@ -202,7 +202,8 @@ class TestDifferentialEvaluation:
 
 class TestEmission:
     def test_round_trip_is_pure_gate_level(self):
-        gate = bitblast(fractional_multiplier(3), opt=False).netlist
+        word = fractional_multiplier(3)
+        gate, _ = aig_to_netlist(netlist_to_aig(word), word)
         assert all(net.width == 1 for net in gate.nets.values())
         assert all(
             cell.type in ("AND", "NOT", "BUF", "CONST")
@@ -210,8 +211,8 @@ class TestEmission:
         )
 
     def test_optimised_round_trip_is_gate_level(self):
-        # with rewriting + pattern emission the cell alphabet widens to the
-        # matched gates, but stays strictly single-bit gate level
+        # with pattern emission the cell alphabet widens to the matched
+        # gates, but stays strictly single-bit gate level
         gate = bitblast(fractional_multiplier(3)).netlist
         assert all(net.width == 1 for net in gate.nets.values())
         assert all(

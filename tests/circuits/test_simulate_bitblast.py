@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuits.aig import aig_to_netlist, netlist_to_aig
 from repro.circuits.bitblast import bit_name, bitblast
 from repro.circuits.generators import (
     counter,
@@ -254,15 +255,16 @@ class TestBitblast:
     def test_both_emitters_name_the_interface_alike(self, maker, kwargs):
         # the strash and the pattern emitter differ only inside the cones
         word = maker(**kwargs)
-        raw, opt = bitblast(word, opt=False), bitblast(word)
-        assert raw.netlist.inputs == opt.netlist.inputs
-        assert raw.netlist.outputs == opt.netlist.outputs
-        registers = [[(r.name, r.output, r.init) for r in res.netlist.registers.values()]
-                     for res in (raw, opt)]
+        raw, raw_bit_map = aig_to_netlist(netlist_to_aig(word), word)
+        opt = bitblast(word)
+        assert raw.inputs == opt.netlist.inputs
+        assert raw.outputs == opt.netlist.outputs
+        registers = [[(r.name, r.output, r.init) for r in gate.registers.values()]
+                     for gate in (raw, opt.netlist)]
         assert registers[0] == registers[1]
-        assert set(raw.bit_map) == set(opt.bit_map)
-        assert all(raw.bit_map[net] == opt.bit_map[net] for net in word.inputs)
-        assert outputs_equal(raw.netlist, opt.netlist, cycles=40)
+        assert set(raw_bit_map) == set(opt.bit_map)
+        assert all(raw_bit_map[net] == opt.bit_map[net] for net in word.inputs)
+        assert outputs_equal(raw, opt.netlist, cycles=40)
 
     def test_bitblast_register_count(self):
         word = figure2(6)

@@ -9,7 +9,6 @@ pins the canonicalisation itself.
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -23,7 +22,6 @@ from repro.eval import cache as cache_mod
 from repro.eval.cache import (
     ResultCache,
     cell_key,
-    code_digest,
     measurement_from_dict,
     measurement_to_dict,
     netlist_fingerprint,
@@ -131,16 +129,6 @@ class TestCellKeyDeterminism:
         (tmp_path / "pkg" / "lib.json").write_text("{}\n")
         (tmp_path / "pkg" / "mod.py").rename(tmp_path / "pkg" / "mod2.py")
         assert tree_digest(tmp_path) != base
-
-    def test_code_digest_covers_the_npn_library(self, tmp_path, monkeypatch):
-        package = tmp_path / "repro"
-        shutil.copytree(cache_mod._PACKAGE_DIR, package,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        monkeypatch.setattr(cache_mod, "_PACKAGE_DIR", package)
-        base = code_digest.__wrapped__()  # past the once-per-process memo
-        library = package / "circuits" / "npn4_library.json"
-        library.write_text(library.read_text() + "\n")
-        assert code_digest.__wrapped__() != base
 
     def test_sensitive_to_circuit_content(self):
         base = cell_key(_golden_spec(init=0))

@@ -10,6 +10,7 @@ from repro.eval.scenarios import (
     unregister_scenario,
 )
 from repro.eval.workloads import Workload, make_workload
+from repro.verification.common import pair_cut_points
 
 BUILTIN_SCENARIOS = ["counters", "figure2", "iwls", "multiplier", "random_seq"]
 
@@ -56,10 +57,23 @@ class TestBuilding:
             build_scenario("figure2", depth=3)
 
     def test_strash_takes_widths_only(self):
-        # the rebuild always runs the DAG-aware rewriter: no opt toggle
+        # the rebuild is plain bitblast: there is no lowering toggle
         assert dict(get_scenario("strash").defaults) == {"widths": (2, 3, 4)}
         with pytest.raises(TypeError, match="does not accept"):
             build_scenario("strash", opt=0)
+
+    def test_strash_sides_differ_in_structure_not_in_cut_points(self):
+        # raw AND/NOT emission against XOR/MUX pattern emission, with the
+        # same registers and outputs, so the cut-point checkers decide it
+        workloads = build_scenario("strash", widths=[2])
+        assert [w.name for w in workloads] == ["strash figure2_2bit",
+                                               "strash counter_2bit"]
+        for w in workloads:
+            assert pair_cut_points(w.original, w.retimed)[0] == []
+            raw = {c.type for c in w.original.cells.values()}
+            rebuilt = {c.type for c in w.retimed.cells.values()}
+            assert raw <= {"AND", "NOT", "BUF", "CONST"}, w.name
+            assert rebuilt & {"XOR", "XNOR", "MUX"}, w.name
 
     def test_deterministic_rebuild(self):
         first = build_scenario("random_seq", seeds=[1, 2])

@@ -11,6 +11,7 @@ and exercises the core operations without touching ``sys.setrecursionlimit``.
 
 import sys
 
+from repro.circuits.aig import aig_to_netlist, netlist_to_aig
 from repro.circuits.bitblast import bitblast
 from repro.circuits.netlist import Netlist
 from repro.formal.embed import embed_netlist
@@ -52,8 +53,10 @@ def chain_netlist(n: int = CHAIN) -> Netlist:
 def test_deep_bitblasted_chain_at_default_recursion_limit():
     limit_before = sys.getrecursionlimit()
 
-    # opt=False: the rewriter would (correctly) telescope the xor chain
-    netlist = bitblast(chain_netlist(), opt=False).netlist
+    # the raw AND/NOT emission: pattern emission would fold each xor stage
+    # into one cell
+    word = chain_netlist()
+    netlist, _ = aig_to_netlist(netlist_to_aig(word), word)
     assert netlist.num_gates() > 2000
 
     embedded = embed_netlist(netlist)

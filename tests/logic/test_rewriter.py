@@ -102,9 +102,9 @@ class TestNetRewriteEquivalence:
 
 class TestGateLevelStepCounts:
     def test_gate_level_split_strictly_fewer_inferences(self):
-        """ISSUE acceptance: the gate-level ablation circuit (figure2(8)
-        bitblasted — 45 cells after DAG-aware rewriting + pattern-matched
-        emission; the pre-rewriting AND/NOT/CONST emission produced 182)."""
+        """The gate-level ablation circuit: figure2(8) bitblasted, 45 cells
+        with XOR/MUX pattern emission (the raw AND/NOT/CONST emission has
+        182)."""
         from repro.logic.stdlib import dest_let, is_let
         from repro.logic.terms import Abs, Comb, Var as TVar, mk_fst, mk_pair, mk_snd
         from repro.retiming.cuts import maximal_forward_cut

@@ -54,6 +54,35 @@ class TestBasics:
         anyv = manager.disjoin(vs)
         assert manager.evaluate(anyv, {"a": False, "b": False, "c": False, "d": True})
 
+    def test_conjoin_and_disjoin_of_nothing(self, manager):
+        assert manager.conjoin([]) == TRUE
+        assert manager.disjoin([]) == FALSE
+
+    def test_conjoin_stops_at_false(self, manager):
+        a, b = manager.var("a"), manager.var("b")
+        assert manager.conjoin([a, manager.apply_not(a), b]) == FALSE
+        assert manager.conjoin([b, FALSE, a]) == FALSE
+
+    def test_disjoin_stops_at_true(self, manager):
+        a, b = manager.var("a"), manager.var("b")
+        assert manager.disjoin([a, manager.apply_not(a), b]) == TRUE
+        assert manager.disjoin([b, TRUE, a]) == TRUE
+
+    @pytest.mark.parametrize("fold,literal", [("conjoin", "var"), ("disjoin", "nvar")])
+    def test_a_long_cube_costs_linear_ite_calls(self, fold, literal):
+        """Given in declaration order, the shallowest literal first, a cube
+        of n literals still costs O(n) ite calls, not the O(n²) of a left
+        fold in argument order."""
+        m = BddManager()
+        names = [f"x{i}" for i in range(400)]
+        for name in names:
+            m.declare(name)
+        literals = [getattr(m, literal)(n) for n in names]
+        before = m.ite_calls
+        f = getattr(m, fold)(literals)
+        assert m.size(f) == len(names)
+        assert m.ite_calls - before <= 2 * len(names)
+
     def test_level_conflict(self):
         m = BddManager()
         m.declare("x", level=0)
@@ -210,3 +239,22 @@ def test_property_canonicity(f1, f2):
         for bits in __import__("itertools").product([False, True], repeat=len(NAMES))
     )
     assert (b1 == b2) == same_function
+
+
+@given(st.lists(st.one_of(_formulas(), st.sampled_from([TRUE, FALSE])), max_size=6),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_conjoin_and_disjoin_equal_the_left_fold(operands, data):
+    """Folded deepest level first, in any list order, the result is the
+    canonical edge of the plain left fold."""
+    manager = BddManager()
+    for name in NAMES:
+        manager.declare(name)
+    fs = [f if isinstance(f, int) else _build(manager, f) for f in operands]
+    conjunction, disjunction = TRUE, FALSE
+    for f in fs:
+        conjunction = manager.apply_and(conjunction, f)
+        disjunction = manager.apply_or(disjunction, f)
+    order = data.draw(st.permutations(fs))
+    assert manager.conjoin(order) == conjunction
+    assert manager.disjoin(iter(order)) == disjunction

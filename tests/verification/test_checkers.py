@@ -174,9 +174,10 @@ class TestTautology:
 
     def test_combinational_equivalence_limitation(self, fig_pair):
         # retimed circuits have a *different* state representation, so the
-        # tautology-checking approach cannot prove them equivalent (Section II)
+        # tautology-checking approach cannot decide them (Section II)
         result = tautology.combinational_equivalent(*fig_pair)
-        assert result.status == "not_equivalent"
+        assert result.status == "error"
+        assert "the cut points do not correspond" in result.detail
 
 
 class TestTautologyByRewriting:
@@ -199,7 +200,7 @@ class TestTautologyByRewriting:
     def test_limitation_matches_the_bdd_checker(self, fig_pair):
         # same cut-point discipline, same Section-II limitation
         rw = tautology.combinational_equivalent_by_rewriting(*fig_pair)
-        assert rw.status == "not_equivalent"
+        assert rw.status == "error"
 
     def test_detects_a_real_mismatch_with_counterexample(self):
         good = self._combinational(True)
@@ -238,7 +239,7 @@ class TestTautologyByRewriting:
         b.add_cell("na", "NOT", ["a"], "y")
         b.add_output("y", 1)
         result = tautology.combinational_equivalent_by_rewriting(a, b)
-        assert result.status == "not_equivalent"
+        assert result.status == "error"
         assert "output z present in only one circuit" in result.detail
 
 
@@ -266,6 +267,24 @@ class TestRetimingVerify:
     def test_rejects_structurally_unrelated(self, fig2_small):
         result = retiming_verify.check_equivalence(fig2_small, counter(3))
         assert result.status in ("error", "not_equivalent")
+
+    def test_no_lag_assignment_is_inconclusive(self):
+        # a register in front of the only gate and none behind it: no lag
+        # relates the two connection graphs, so the pair is not a pure
+        # retiming and the matcher gives up instead of refuting it
+        plain = Netlist("plain")
+        plain.add_input("a", 1)
+        plain.add_cell("g", "NOT", ["a"], "y")
+        plain.add_output("y", 1)
+        delayed = Netlist("delayed")
+        delayed.add_input("a", 1)
+        delayed.add_net("a_q", 1)
+        delayed.add_register("R", "a", "a_q", init=0)
+        delayed.add_cell("g", "NOT", ["a_q"], "y")
+        delayed.add_output("y", 1)
+        result = retiming_verify.check_equivalence(plain, delayed)
+        assert result.status == "error"
+        assert "no consistent retiming lag assignment" in result.detail
 
     def test_connection_graph_and_lags(self, fig2_small):
         retimed = apply_forward_retiming(fig2_small, ["inc"])

@@ -174,16 +174,19 @@ class TestVerdictsMatchTaut:
         assert all(isinstance(v, bool) for v in result.counterexample.values())
 
 
-def _cut_point_circuit(outputs=("y", "z"), extra_register=False) -> Netlist:
+def _cut_point_circuit(outputs=("y", "z"), extra_register=False, init=0,
+                       next_state="AND", z_gate="NOT") -> Netlist:
     """Two inputs, one register, up to two outputs; optionally a dangling
-    second register, so the pair differs only structurally."""
+    second register, so the pair differs only structurally.  ``init``,
+    ``next_state`` and ``z_gate`` vary the register's initial value, its
+    next-state gate and the gate driving ``z``."""
     nl = Netlist("cp")
     nl.add_input("a", 1)
     nl.add_input("b", 1)
-    nl.add_cell("g_and", "AND", ["a", "b"], "d")
-    nl.add_register("r", "d", "q")
+    nl.add_cell("g_and", next_state, ["a", "b"], "d")
+    nl.add_register("r", "d", "q", init=init)
     nl.add_cell("g_xor", "XOR", ["q", "a"], "y")
-    nl.add_cell("g_not", "NOT", ["b"], "z")
+    nl.add_cell("g_not", z_gate, ["b"], "z")
     if extra_register:
         nl.add_register("s", "a", "t")
     for name in outputs:
@@ -204,20 +207,67 @@ class TestCutPointPairing:
         pair = (_cut_point_circuit(), _cut_point_circuit(outputs=("y",)))
         results = self._verdicts(*(pair[::-1] if swap else pair))
         for method, result in results.items():
-            assert result.status == "not_equivalent", method
-            assert result.detail == "output z present in only one circuit", method
+            assert result.status == "error", method
+            assert result.detail == ("inconclusive: the cut points do not correspond: "
+                                     "output z present in only one circuit"), method
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_extra_register(self, swap):
         pair = (_cut_point_circuit(), _cut_point_circuit(extra_register=True))
         results = self._verdicts(*(pair[::-1] if swap else pair))
         for method, result in results.items():
-            assert result.status == "not_equivalent", method
-            assert result.detail == "register s present in only one circuit", method
+            assert result.status == "error", method
+            assert result.detail == ("inconclusive: the cut points do not correspond: "
+                                     "register s present in only one circuit"), method
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_register_initial_value(self, swap):
+        pair = (_cut_point_circuit(), _cut_point_circuit(init=1))
+        results = self._verdicts(*(pair[::-1] if swap else pair))
+        for method, result in results.items():
+            assert result.status == "error", method
+            assert result.detail == ("inconclusive: the cut points do not correspond: "
+                                     "initial value of register r"), method
+
+    def test_every_mismatch_is_listed(self):
+        results = self._verdicts(
+            _cut_point_circuit(),
+            _cut_point_circuit(outputs=("y",), extra_register=True))
+        for method, result in results.items():
+            assert result.status == "error", method
+            assert result.detail == ("inconclusive: the cut points do not correspond: "
+                                     "output z present in only one circuit; "
+                                     "register s present in only one circuit"), method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_an_output_difference_is_still_refuted(self, method):
+        # the cut points correspond, so the check decides the pair
+        result = run_checker(method, _cut_point_circuit(),
+                             _cut_point_circuit(z_gate="BUF"), time_budget=60.0)
+        assert result.status == "not_equivalent"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_next_state_difference_is_still_refuted(self, method):
+        result = run_checker(method, _cut_point_circuit(),
+                             _cut_point_circuit(next_state="OR"), time_budget=60.0)
+        assert result.status == "not_equivalent"
 
     def test_same_structure_is_equivalent(self):
         results = self._verdicts(_cut_point_circuit(), _cut_point_circuit())
         assert {r.status for r in results.values()} == {"equivalent"}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_retimed_pair_is_inconclusive(self, method):
+        # retiming moves and renames registers, so the cut points of
+        # figure2(2) and its forward retiming do not correspond
+        workload = table1_workload(2)
+        result = run_checker(method, workload.original, workload.retimed,
+                             time_budget=60.0)
+        assert result.status == "error"
+        assert result.counterexample is None
+        assert result.detail.startswith(
+            "inconclusive: the cut points do not correspond: ")
+        assert "register" in result.detail
 
 
 class TestStats:

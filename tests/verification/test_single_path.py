@@ -87,8 +87,6 @@ def test_each_entry_point_builds_its_product_by_name(monkeypatch, module, method
 # One overrun handler
 # ---------------------------------------------------------------------------
 
-_LOWERING = ["aig_levels", "aig_nodes_post", "aig_nodes_pre",
-             "cuts_enumerated", "rewrites_applied"]
 _BDD = ["cache_hits", "ite_calls", "peak_nodes"]
 _SOLVER = ["conflicts", "decisions", "learned_deleted", "learned_kept",
            "propagations", "restarts", "solver_calls", "vars_encoded"]
@@ -115,27 +113,27 @@ def _multiplier_pair():
 #: each key set depends on where the budget bites and is pinned per forcing
 _DASH_CELLS = [
     ("smv", _sequential_pair, model_checking.check_equivalence,
-     {"time_budget": 0.0}, _LOWERING + _BDD),
+     {"time_budget": 0.0}, _BDD),
     ("smv", _sequential_pair, model_checking.check_equivalence,
-     {"node_budget": 300}, _LOWERING + _BDD),
+     {"node_budget": 300}, _BDD),
     ("smv", _sequential_pair, model_checking.check_equivalence,
-     {"node_budget": 10_000}, _LOWERING + _BDD + ["iterations"]),
+     {"node_budget": 10_000}, _BDD + ["iterations"]),
     ("sis", _sequential_pair, fsm_compare.check_equivalence,
-     {"time_budget": 0.0}, _LOWERING + _BDD),
+     {"time_budget": 0.0}, _BDD),
     ("sis", _sequential_pair, fsm_compare.check_equivalence,
-     {"node_budget": 10_000}, _LOWERING + _BDD + ["iterations"]),
+     {"node_budget": 10_000}, _BDD + ["iterations"]),
     ("eijk", _sequential_pair, van_eijk.check_equivalence,
-     {"time_budget": 0.0}, _LOWERING + _BDD),
+     {"time_budget": 0.0}, _BDD),
     ("eijk", _sequential_pair, van_eijk.check_equivalence,
-     {"node_budget": 10_000}, _LOWERING + _BDD + ["iterations"]),
+     {"node_budget": 10_000}, _BDD + ["iterations"]),
     ("eijk+", _sequential_pair,
      lambda a, b, **kw: van_eijk.check_equivalence(
          a, b, exploit_dependencies=True, **kw),
-     {"node_budget": 10_000}, _LOWERING + _BDD + ["iterations"]),
+     {"node_budget": 10_000}, _BDD + ["iterations"]),
     ("taut", _cut_point_pair, tautology.combinational_equivalent,
      {"time_budget": 0.0}, _BDD),
     ("taut", _multiplier_pair, tautology.combinational_equivalent,
-     {"node_budget": 500}, _LOWERING + _BDD),
+     {"node_budget": 500}, _BDD),
     ("taut-rw", _cut_point_pair,
      tautology.combinational_equivalent_by_rewriting,
      {"time_budget": 0.0}, ["kernel_steps", "vectors"]),
@@ -165,18 +163,6 @@ def test_overrun_is_a_timeout_with_its_cost_record(method, pair, entry,
     routed = run_checker(method, original, retimed, **forcing)
     assert routed.status == "timeout"
     assert sorted(routed.stats) == expected
-
-
-@pytest.mark.parametrize("method", ["taut-rw", "sat", "fraig"])
-def test_cut_point_backends_report_the_lowering_like_taut(method):
-    # a word-level pair is lowered through the run, so its counters join
-    # the cost record of every cut-point backend alike
-    fig = figure2(2)
-    taut = run_checker("taut", fig, fig, time_budget=60.0)
-    other = run_checker(method, fig, fig, time_budget=60.0)
-    assert other.status == taut.status == "equivalent"
-    assert {k: other.stats.get(k) for k in _LOWERING} == \
-        {k: taut.stats[k] for k in _LOWERING}
 
 
 def test_results_are_labelled_with_their_registry_name(fig2_small):
