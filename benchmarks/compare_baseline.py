@@ -12,8 +12,7 @@ the deterministic cost counters each benchmark stores in ``extra_info`` —
 ``restarts`` (SAT search effort and incremental-solver reuse),
 ``cache_hits`` / ``cache_misses`` (result-cache effectiveness) and
 ``faults_injected`` / ``faults_detected`` / ``cex_certified`` / ``retries``
-(fuzz-oracle coverage and runner resilience) and ``shards`` (intra-cell
-sharding accounting).  All are
+(fuzz-oracle coverage and runner resilience).  All are
 machine-independent, unlike wall-clock times,
 so the comparison is stable across CI runners.  The script exits non-zero
 when
@@ -46,7 +45,7 @@ TRACKED_COUNTERS = ("kernel_steps", "peak_nodes", "ite_calls",
                     "restarts",
                     "cache_hits", "cache_misses",
                     "faults_injected", "faults_detected", "cex_certified",
-                    "retries", "shards")
+                    "retries")
 
 
 def load_counters(path: str) -> Dict[str, Dict[str, int]]:

@@ -374,10 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated backends (see list-backends); "
                             "defaults to the table's/scenario's own methods")
     run_p.add_argument("--shards", type=int, default=1,
-                       help="split each shardable cell (fraig, taut, "
-                            "taut-rw) into up to N sibling jobs; the "
-                            "merged measurement is shard-count independent "
-                            "(default 1)")
+                       help="split each shardable cell (taut-rw) into "
+                            "up to N sibling jobs; the merged measurement "
+                            "is shard-count independent (default 1)")
     run_p.add_argument("--budget", type=float, default=runner.DEFAULT_TIME_BUDGET,
                        help="per-cell wall-clock budget in seconds; enforced "
                             "as a hard kill unless --no-isolate")

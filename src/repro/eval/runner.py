@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..verification.common import VERDICTS
-from ..verification.registry import get_checker, get_shardable, run_checker
+from ..verification.registry import get_checker, run_checker
 from .workloads import Workload
 
 
@@ -102,10 +102,10 @@ class CellSpec:
     method: str
     time_budget: float = DEFAULT_TIME_BUDGET
     node_budget: int = DEFAULT_NODE_BUDGET
-    #: requested intra-cell shard count (>1 splits shardable backends into
-    #: range shards run as sibling jobs; NOT part of the cache key — the
-    #: logical cell is keyed, and only a merged ``equivalent``, which no
-    #: shard count can change, is cached)
+    #: requested intra-cell shard count (>1 splits a shardable backend's
+    #: cell into range shards run as sibling jobs; NOT part of the cache
+    #: key — the logical cell is keyed, and only a merged ``equivalent``,
+    #: which no shard count can change, is cached)
     shards: int = 1
     #: the ``(k, n)`` range assignment of one expanded shard (internal:
     #: set by :func:`expand_cell`, passed to the backend as ``shard=``)
@@ -181,22 +181,20 @@ def _killed_measurement(spec: CellSpec) -> Measurement:
 # Intra-cell shards
 # ---------------------------------------------------------------------------
 
+#: the most jobs one cell splits into
+MAX_SHARDS = 64
+
+
 def expand_cell(spec: CellSpec) -> List[CellSpec]:
     """The jobs that compute one logical cell: its range shards, or itself.
 
-    A shardable method with ``shards > 1`` splits into the effective count
-    its :class:`~repro.verification.registry.ShardableCheck` ``plan``
-    settles on; every other cell is a single job.
+    A cell with ``shards > 1`` on a shardable method (one whose
+    ``Checker.sum_stats`` is set) splits into ``min(shards, MAX_SHARDS)``
+    jobs; every other cell is a single job.
     """
-    if spec.shards > 1:
-        shardable = get_shardable(spec.method)
-        if shardable is not None:
-            effective = shardable.plan(
-                spec.workload.original, spec.workload.retimed, spec.shards
-            )
-            if effective > 1:
-                return [replace(spec, shards=1, shard=(k, effective))
-                        for k in range(effective)]
+    count = min(spec.shards, MAX_SHARDS)
+    if count > 1 and get_checker(spec.method).sum_stats is not None:
+        return [replace(spec, shards=1, shard=(k, count)) for k in range(count)]
     return [spec]
 
 
@@ -212,12 +210,11 @@ def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
     equivalent.  Stats: additive counters (the backend's declared
     ``sum_stats``) are summed, everything else — peaks, graph sizes — takes
     the max; ``seconds`` is the slowest shard (the group's critical path)
-    and ``stats["shards"]`` records the effective count.
+    and ``stats["shards"]`` records the job count.
     """
     if not parts:
         raise ValueError("merge_shards: no parts")
-    shardable = get_shardable(spec.method)
-    sum_keys = shardable.sum_stats if shardable is not None else frozenset()
+    sum_keys = get_checker(spec.method).sum_stats or frozenset()
     stats: Dict[str, float] = {}
     for part in parts:
         for key, value in part.stats.items():
@@ -425,9 +422,7 @@ def render_table(
     with_inferences = inference_method is not None and any(
         inference_cell(row) for row in rows
     )
-    with_refutations = any(
-        row.cells[m].verdict == "not_equivalent" for row in rows for m in methods
-    )
+    verdicts = {row.cells[m].verdict for row in rows for m in methods}
     headers = ["circuit"] + list(extra_columns) + [m.upper() for m in methods]
     if with_inferences:
         headers.append("inferences")
@@ -448,8 +443,10 @@ def render_table(
     lines.append("")
     lines.append("times in seconds; '-' = budget exceeded "
                  "(the paper's 'not processable in reasonable time')")
-    if with_refutations:
+    if "not_equivalent" in verdicts:
         lines.append("'!=' = not equivalent (the backend refuted the pair)")
+    if "error" in verdicts:
+        lines.append("'?' = undecided (error; the detail says why)")
     if with_inferences:
         lines.append(f"inferences = kernel steps of the {inference_method.upper()} "
                      "proof (from VerificationResult.stats)")

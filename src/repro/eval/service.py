@@ -80,7 +80,7 @@ def _pool_worker(conn) -> None:
         try:
             measurement = run_cell(
                 spec.workload, spec.method, spec.time_budget, spec.node_budget,
-                shard=getattr(spec, "shard", None),
+                shard=spec.shard,
             )
         except BaseException as exc:  # the parent must always receive *something*
             measurement = Measurement(

@@ -9,10 +9,11 @@ mirroring how the original tools work on flat bit-level descriptions
 compared to HASH's RT-level rewriting).
 
 :func:`product_fsm` builds the synchronous product of two circuits on a
-shared manager, with the variables ordered bit by bit: every input and
-state variable of word bit k (``net[k]``) sits together, least significant
-bit first, so the bits that one adder, comparator or multiplexer slice
-combines are neighbours in the order.
+shared manager, with the variables ordered bit by bit
+(:func:`declare_bit_by_bit`, which the BDD tautology check shares): every
+input and state variable of word bit k (``net[k]``) sits together, least
+significant bit first, so the bits that one adder, comparator or
+multiplexer slice combines are neighbours in the order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..circuits.bitblast import bitblast
 from ..circuits.netlist import Cell, Netlist
@@ -335,8 +336,7 @@ def product_fsm(
     equivalence checking).  The variable order starts from the inputs, then
     A's and B's registers paired by declaration index, each primed
     (next-state) variable right after its partner; that sequence is then
-    stable-sorted by word bit, least significant first, with 1-bit nets
-    ahead of bit 0.  A circuit without words keeps the sequence as it is.
+    declared bit by bit (:func:`declare_bit_by_bit`).
     """
     gate_a = ensure_gate_level(a)
     gate_b = ensure_gate_level(b)
@@ -355,8 +355,7 @@ def product_fsm(
                             [f"B.{reg.output}" for reg in gate_b.registers.values()]):
         for var in filter(None, pair):
             order += [var, var + "'"]
-    for name in sorted(order, key=_word_bit):
-        manager.declare(name)
+    declare_bit_by_bit(manager, order)
 
     left = compile_fsm(gate_a, manager, prefix="A.")
     right = compile_fsm(gate_b, manager, prefix="B.")
@@ -372,6 +371,20 @@ def _word_bit(name: str) -> int:
     ``net[k]``; -1 for a 1-bit net."""
     match = _WORD_BIT.search(name)
     return int(match.group(1)) if match else -1
+
+
+def declare_bit_by_bit(manager: BddManager, names: Iterable[str]) -> None:
+    """Declare ``names`` in their order, stable-sorted by word bit.
+
+    Least significant bit first, with 1-bit nets ahead of bit 0, so the
+    bits that one word-level operator combines are neighbours.  Names
+    without a word bit keep their order; a name already declared keeps its
+    level.  Variable order is what sizes a BDD: declared by index, strash
+    figure2 at 12 bits peaks at 467,107 nodes under ``taut``, bit by bit at
+    1,820.
+    """
+    for name in sorted(names, key=_word_bit):
+        manager.declare(name)
 
 
 def declare_next_state_vars(product: ProductFSM) -> Dict[str, str]:

@@ -157,7 +157,6 @@ def check_equivalence_fraig(
     time_budget: Optional[float] = None,
     seed: int = 0,
     patterns: int = 64,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> VerificationResult:
     """FRAIG combinational equivalence with registers as cut points.
 
@@ -166,23 +165,7 @@ def check_equivalence_fraig(
     the candidate classes in place.  One persistent assumption-based
     solver serves the entire sweep.  Verdicts match the BDD ``taut``
     backend on every cell.
-
-    ``shard=(k, n)`` restricts the sweep to the ``k``-th of ``n`` index
-    ranges of the *initial* candidate classes (the simulation phase is
-    deterministic in ``seed``, so every shard computes the same initial
-    partition and takes a disjoint slice).  A compared pair with equal
-    initial signatures lives in exactly one initial class and is decided
-    by the shard owning that class; initially sig-refuted pairs are
-    decided identically by every shard.  The merged verdict over all
-    ``n`` shards therefore equals the unsharded one: equivalent iff every
-    shard proves its owned pairs, refuted as soon as any shard refutes.
     """
-    if shard is not None:
-        shard_index, shard_count = shard
-        if not 0 <= shard_index < shard_count:
-            raise ValueError(f"invalid shard {shard!r}")
-        if shard_count == 1:
-            shard = None
 
     def body(run: EngineRun) -> VerificationResult:
         budget = run.budget
@@ -267,39 +250,6 @@ def check_equivalence_fraig(
             cone_nodes, sig, len(vectors)
         )
 
-        # Intra-cell sharding: snapshot the initial (pre-split) partition —
-        # identical in every shard since the simulation is seed-determined —
-        # then keep only this shard's slice of the class list.  The
-        # snapshot decides *pair ownership* in the verdict phase below.
-        initial_mask = (1 << len(vectors)) - 1
-        initial_sig = dict(sig)
-        initial_class_of: Dict[int, int] = {}
-        for class_index, class_members in enumerate(partition.classes):
-            for member_node, _phase in class_members:
-                initial_class_of[member_node] = class_index
-        if shard is not None:
-            total = len(partition.classes)
-            lo = (shard_index * total) // shard_count
-            hi = ((shard_index + 1) * total) // shard_count
-            owned_classes = range(lo, hi)
-            partition.classes = partition.classes[lo:hi]
-
-        def pair_owned(la: int, lb: int) -> bool:
-            """Is this shard responsible for deciding the pair (la, lb)?
-
-            Initially sig-refuted pairs are everyone's (each shard holds
-            the refuting vector); equal-initial-signature pairs belong to
-            the single shard whose slice contains their shared class.
-            """
-            if shard is None:
-                return True
-            na, nb = la >> 1, lb >> 1
-            word_a = initial_sig[na] ^ (initial_mask if la & 1 else 0)
-            word_b = initial_sig[nb] ^ (initial_mask if lb & 1 else 0)
-            if word_a != word_b:
-                return True
-            return initial_class_of.get(na, -1) in owned_classes
-
         idx = 0
         while idx < len(partition.classes):
             members = partition.classes[idx]
@@ -344,8 +294,6 @@ def check_equivalence_fraig(
             }
 
         for label, la, lb in unresolved:
-            if not pair_owned(la, lb):
-                continue  # decided by the sibling shard that owns its class
             parity = proved.same(la >> 1, lb >> 1)
             if parity is not None and parity == ((la ^ lb) & 1):
                 continue
@@ -380,11 +328,6 @@ def check_equivalence_fraig(
             f"{partition.classes_split} class splits over "
             f"{len(vectors)} patterns, {aig.num_ands} AIG nodes"
         )
-        if shard is not None:
-            detail += (
-                f" [shard {shard_index + 1}/{shard_count}: "
-                f"classes {lo}..{hi - 1 if hi > lo else lo} of {total}]"
-            )
         if failing:
             return run.result(
                 "not_equivalent", "; ".join(failing) + "; " + detail,

@@ -64,33 +64,15 @@ class Checker:
     #: structural matching) may legitimately return ``error`` when
     #: inconclusive, so a differential oracle must not flag that as a bug.
     complete: bool = True
-
-
-@dataclass(frozen=True)
-class ShardableCheck:
-    """Intra-cell sharding descriptor for one backend.
-
-    A shardable backend can split one huge cell into ``n`` disjoint range
-    shards, each an independent ``(original, retimed)`` check receiving
-    ``shard=(k, n)`` through its keyword arguments (``"shard"`` must be in
-    the backend's ``accepts``).  The merged verdict is *equivalent* iff
-    every shard reports equivalent; any shard's refutation refutes the
-    cell.  ``plan`` maps the requested shard count to the count actually
-    used (e.g. rounded down to a power of two for input-prefix
-    cofactoring); ``sum_stats`` names the additive counters — everything
-    else merges by ``max`` (peaks, graph sizes) in the runner's
-    deterministic, submission-indexed reducer.
-    """
-
-    method: str
-    #: ``plan(original, retimed, requested) -> effective shard count``
-    plan: Callable[[Netlist, Netlist, int], int]
-    #: stats keys summed across shards; all other numeric stats take ``max``
-    sum_stats: FrozenSet[str]
+    #: ``None`` unless the backend splits one cell into ``n`` disjoint
+    #: range shards, each receiving ``shard=(k, n)``; then the stats keys
+    #: that add up across shards (every other stat merges by ``max``).
+    #: The cell is equivalent iff every shard is; any shard's refutation
+    #: refutes it.
+    sum_stats: Optional[FrozenSet[str]] = None
 
 
 _CHECKERS: Dict[str, Checker] = {}
-_SHARDABLE: Dict[str, ShardableCheck] = {}
 
 
 def register_checker(
@@ -103,17 +85,22 @@ def register_checker(
     kind: str = "verifier",
     cut_points: bool = False,
     complete: bool = True,
+    sum_stats: Optional[Sequence[str]] = None,
     replace: bool = False,
 ):
     """Register a backend; usable directly or as a decorator.
 
     ``replace=True`` allows overwriting an existing entry (used by tests to
-    install stubs); otherwise a duplicate name is an error.
+    install stubs); otherwise a duplicate name is an error.  A backend
+    declares ``sum_stats`` exactly when it accepts ``shard``.
     """
 
     def _register(func: Callable[..., VerificationResult]):
         if not replace and name in _CHECKERS:
             raise ValueError(f"checker {name!r} is already registered")
+        if (sum_stats is not None) != ("shard" in accepts):
+            raise ValueError(f"checker {name!r}: a backend declares sum_stats "
+                             "if and only if it accepts 'shard'")
         _CHECKERS[name] = Checker(
             name=name,
             fn=func,
@@ -123,6 +110,7 @@ def register_checker(
             kind=kind,
             cut_points=cut_points,
             complete=complete,
+            sum_stats=None if sum_stats is None else frozenset(sum_stats),
         )
         return func
 
@@ -133,32 +121,6 @@ def register_checker(
 
 def unregister_checker(name: str) -> None:
     _CHECKERS.pop(name, None)
-    _SHARDABLE.pop(name, None)
-
-
-def register_shardable(
-    method: str,
-    plan: Callable[[Netlist, Netlist, int], int],
-    sum_stats: Sequence[str] = (),
-    replace: bool = False,
-) -> ShardableCheck:
-    """Declare that a registered backend supports intra-cell range shards."""
-    if method not in _CHECKERS:
-        raise KeyError(f"cannot shard unregistered backend {method!r}")
-    if "shard" not in _CHECKERS[method].accepts:
-        raise ValueError(f"backend {method!r} does not accept a 'shard' kwarg")
-    if not replace and method in _SHARDABLE:
-        raise ValueError(f"backend {method!r} is already shardable")
-    entry = ShardableCheck(
-        method=method, plan=plan, sum_stats=frozenset(sum_stats)
-    )
-    _SHARDABLE[method] = entry
-    return entry
-
-
-def get_shardable(method: str) -> Optional[ShardableCheck]:
-    """The backend's sharding descriptor, or None if it cannot shard."""
-    return _SHARDABLE.get(method)
 
 
 def get_checker(name: str) -> Checker:
@@ -287,7 +249,7 @@ register_checker(
     "taut", tautology.combinational_equivalent,
     description="BDD combinational equivalence with registers as cut points "
                 "(same-state-representation restriction)",
-    accepts=("time_budget", "node_budget", "shard"),
+    accepts=("time_budget", "node_budget"),
     cut_points=True,
 )
 register_checker(
@@ -306,7 +268,7 @@ register_checker(
                 "in place on the shared AIG, refined by cone-priced "
                 "miters over one persistent incremental SAT solver; "
                 "registers as cut points",
-    accepts=("time_budget", "seed", "patterns", "shard"),
+    accepts=("time_budget", "seed", "patterns"),
     cut_points=True,
 )
 register_checker(
@@ -315,6 +277,7 @@ register_checker(
                 "rewrite engine (every case a theorem)",
     accepts=("time_budget", "max_vectors", "shard"),
     cut_points=True,
+    sum_stats=("vectors", "kernel_steps", "retries"),
 )
 register_checker(
     "hash", _hash_formal,
@@ -323,49 +286,4 @@ register_checker(
     accepts=("time_budget", "cut"),
     needs_cut=True,
     kind="synthesis",
-)
-
-
-# ---------------------------------------------------------------------------
-# Intra-cell sharding descriptors
-# ---------------------------------------------------------------------------
-
-def _prefix_shard_plan(
-    original: Netlist, retimed: Netlist, requested: int
-) -> int:
-    """Power-of-two shard count for input/cut-prefix cofactoring.
-
-    Rounds the request down to ``2^p`` where ``p`` is bounded by the
-    number of input + register *bits* the enumeration ranges over (a
-    shard fixes one prefix assignment, so there can be at most one shard
-    per prefix value) and a sanity cap of 256 shards.
-    """
-    if requested <= 1:
-        return 1
-    bits = sum(original.width(name) for name in original.inputs)
-    bits += sum(reg.width for reg in original.registers.values())
-    p = min(requested.bit_length() - 1, bits, 8)
-    return 1 << p
-
-
-def _range_shard_plan(original: Netlist, retimed: Netlist, requested: int) -> int:
-    """Index-range sharding has no structural constraint; cap for sanity."""
-    return max(1, min(requested, 64))
-
-
-register_shardable(
-    "fraig", _range_shard_plan,
-    sum_stats=(
-        "decisions", "propagations", "conflicts", "solver_calls",
-        "sat_calls", "restarts", "learned_kept", "learned_deleted",
-        "vars_encoded", "merges", "classes_split", "retries",
-    ),
-)
-register_shardable(
-    "taut", _prefix_shard_plan,
-    sum_stats=("ite_calls", "cache_hits", "retries"),
-)
-register_shardable(
-    "taut-rw", _prefix_shard_plan,
-    sum_stats=("vectors", "kernel_steps", "retries"),
 )

@@ -36,7 +36,6 @@ from ..logic.kernel import KernelError, Theorem, inference_steps
 from ..logic.rules import RuleError, equal_by_normalisation
 from ..logic.stdlib import ensure_stdlib
 from ..logic.terms import Term, Var, mk_tuple, var_subst
-from .bdd import FALSE, TRUE
 from .common import (
     EngineRun,
     TimeoutBudgetExceeded,
@@ -44,34 +43,11 @@ from .common import (
     _cell_bdd,
     cut_point_vars,
     cut_points_differ,
+    declare_bit_by_bit,
     ensure_gate_level,
     pair_cut_points,
     run_engine,
 )
-
-
-def _shard_prefix(var_names: List[str], shard) -> Optional[Dict[str, bool]]:
-    """The fixed prefix assignment of one input-prefix range shard.
-
-    ``shard=(k, n)`` with ``n = 2^p`` fixes the first ``p`` names of the
-    sorted variable list to the bits of ``k`` — shard ``k`` checks the
-    cofactor of every compared function under that prefix, so the union of
-    all ``n`` shards covers the assignment space exactly once.  When the
-    variable list is shorter than ``p`` bits the surplus shards are empty
-    (``None`` is returned and the shard is trivially equivalent).
-    """
-    if shard is None:
-        return {}
-    index, count = shard
-    if not 0 <= index < count:
-        raise ValueError(f"invalid shard {shard!r}")
-    if count & (count - 1):
-        raise ValueError(f"shard count must be a power of two, got {count}")
-    p = min((count - 1).bit_length(), len(var_names))
-    if index >= (1 << p):
-        return None  # more shards than prefix values: this one is empty
-    return {name: bool((index >> i) & 1)
-            for i, name in enumerate(var_names[:p])}
 
 
 def combinational_equivalent(
@@ -79,7 +55,6 @@ def combinational_equivalent(
     b: Netlist,
     time_budget: Optional[float] = None,
     node_budget: Optional[int] = None,
-    shard=None,
 ) -> VerificationResult:
     """Combinational equivalence with registers treated as cut points.
 
@@ -88,14 +63,9 @@ def combinational_equivalent(
     complete for circuits with the same state representation — exactly the
     restriction the paper states for tautology checking; any other pair is
     answered ``error``).  Primary outputs and next-state functions of
-    same-named registers are compared.
-
-    ``shard=(k, n)`` (``n`` a power of two) checks only the cofactor under
-    the ``k``-th assignment of a ``log2(n)``-bit prefix of the sorted
-    input/cut variables — see :func:`_shard_prefix`; two functions are
-    equivalent iff they are equivalent in every cofactor, so the conjunction
-    of all ``n`` shard verdicts equals the unsharded verdict, with each
-    shard's BDDs correspondingly smaller.
+    same-named registers are compared.  The inputs and cut points are
+    declared bit by bit, as in the product machine
+    (:func:`~repro.verification.common.declare_bit_by_bit`).
     """
 
     def body(run: EngineRun) -> VerificationResult:
@@ -108,25 +78,10 @@ def combinational_equivalent(
 
         # shared input variables, then the cut points of both circuits
         sources_a, sources_b = cut_point_vars(gate_a), cut_point_vars(gate_b)
-        for name in [*sources_a.values(), *sources_b.values()]:
-            manager.declare(name)
-
-        cofactor_vars = sorted({*sources_a.values(), *sources_b.values()})
-        fixed = _shard_prefix(cofactor_vars, shard)
-        if fixed is None:
-            return run.result(
-                "equivalent",
-                f"empty shard {shard[0] + 1}/{shard[1]} "
-                f"(only {len(cofactor_vars)} prefix bits)",
-            )
-
-        def bdd_of(name: str) -> int:
-            if name in fixed:
-                return TRUE if fixed[name] else FALSE
-            return manager.var(name)
+        declare_bit_by_bit(manager, [*sources_a.values(), *sources_b.values()])
 
         def net_functions(gate: Netlist, sources: Dict[str, str]) -> Dict[str, int]:
-            values = {net: bdd_of(name) for net, name in sources.items()}
+            values = {net: manager.var(name) for net, name in sources.items()}
             for cell in gate.topological_cells():
                 run.budget.check()
                 values[cell.output] = _cell_bdd(manager, cell, values)
@@ -142,19 +97,13 @@ def combinational_equivalent(
                 if witness is None:
                     witness = manager.apply_xor(vals_a[net_a], vals_b[net_b])
 
-        shard_note = ("" if not fixed else
-                      f" [shard {shard[0] + 1}/{shard[1]}: "
-                      f"{len(fixed)}-bit prefix cofactor]")
         if mismatches:
-            # the witness separates the *cofactors*: pin the fixed prefix
-            # bits so the replayed assignment stays separating
-            counterexample = {**manager.any_sat(witness), **fixed}
-            return run.result("not_equivalent", "; ".join(mismatches) + shard_note,
-                              counterexample)
+            return run.result("not_equivalent", "; ".join(mismatches),
+                              manager.any_sat(witness))
         return run.result(
             "equivalent",
             "all outputs and next-state functions agree "
-            f"({manager.num_nodes} BDD nodes)" + shard_note,
+            f"({manager.num_nodes} BDD nodes)",
         )
 
     return run_engine("taut", time_budget, body)
@@ -186,29 +135,6 @@ def _net_terms(gate: Netlist) -> Tuple[Dict[str, Term], List[str]]:
     return values, var_names
 
 
-def _shard_assignments(names: List[str], shard):
-    """Assignments whose low prefix bits spell this shard's index.
-
-    With ``shard=(k, n)`` only the assignments extending the shard's fixed
-    prefix (:func:`_shard_prefix`) are yielded, in enumeration order — a
-    contiguous index-range slice of the full enumeration, so the ``n``
-    shards partition the vector space exactly; ``shard=None`` yields every
-    assignment.  Returns ``(generator, vectors_in_shard)``; empty surplus
-    shards (more shards than prefix values) yield nothing.
-    """
-    fixed = _shard_prefix(names, shard)
-    if fixed is None:
-        return iter(()), 0
-    free = names[len(fixed):]
-
-    def generate():
-        for bits in range(1 << len(free)):
-            yield {**fixed,
-                   **{name: bool((bits >> i) & 1) for i, name in enumerate(free)}}
-
-    return generate(), 1 << len(free)
-
-
 def _eval_under(term: Term, assignment: Dict[str, bool]) -> Theorem:
     """``|- term[assignment] = value`` via the worklist evaluation engine."""
     from ..logic.ground import mk_bool
@@ -222,7 +148,7 @@ def combinational_equivalent_by_rewriting(
     b: Netlist,
     time_budget: Optional[float] = None,
     max_vectors: int = 4096,
-    shard=None,
+    shard: Optional[Tuple[int, int]] = None,
 ) -> VerificationResult:
     """Kernel-checked combinational equivalence on the rewrite engine.
 
@@ -235,11 +161,17 @@ def combinational_equivalent_by_rewriting(
     ``max_vectors``; overruns are reported as ``timeout`` (the paper's
     dashes), not as errors.
 
-    ``shard=(k, n)`` (``n`` a power of two) enumerates only the ``k``-th
-    index-range slice of the vector space (:func:`_shard_assignments`);
-    the ``max_vectors`` bound then applies per shard, which is exactly how
+    Vector ``i`` of the ``N = 2^bits`` in the enumeration sets the ``j``-th
+    sorted variable to bit ``j`` of ``i``.  ``shard=(k, n)`` enumerates only
+    ``range(k*N//n, (k+1)*N//n)``: the ``n`` shards partition the vectors in
+    enumeration order, so the first refuting shard stops at the unsharded
+    counterexample, and a shard whose range is empty is ``equivalent`` with
+    0 vectors.  The ``max_vectors`` bound applies per shard, which is how
     sharding opens circuits the unsharded enumeration refuses.
     """
+    index, count = shard or (0, 1)
+    if not 0 <= index < count:
+        raise ValueError(f"invalid shard {shard!r}")
     ensure_stdlib()  # one-time theory setup is not this cell's kernel work
     steps_before = inference_steps()
 
@@ -252,10 +184,11 @@ def combinational_equivalent_by_rewriting(
         vals_a, names_a = _net_terms(gate_a)
         vals_b, names_b = _net_terms(gate_b)
         var_names = sorted(set(names_a) | set(names_b))
-        assignments, shard_vectors = _shard_assignments(var_names, shard)
-        if shard_vectors > max_vectors:
+        total = 1 << len(var_names)
+        lo, hi = index * total // count, (index + 1) * total // count
+        if hi - lo > max_vectors:
             over = (f"2^{len(var_names)}" if shard is None else
-                    f"this shard's {shard_vectors}")
+                    f"this shard's {hi - lo}")
             raise TimeoutBudgetExceeded(
                 f"{over} vectors exceed the budget of {max_vectors}")
 
@@ -267,8 +200,10 @@ def combinational_equivalent_by_rewriting(
             "vectors": float(theorems),
             "kernel_steps": float(inference_steps() - steps_before),
         }
-        for assignment in assignments:
+        for vector in range(lo, hi):
             run.budget.check()
+            assignment = {name: bool((vector >> i) & 1)
+                          for i, name in enumerate(var_names)}
             th_a = _eval_under(term_a, assignment)
             th_b = _eval_under(term_b, assignment)
             try:
@@ -282,8 +217,7 @@ def combinational_equivalent_by_rewriting(
                 )
             theorems += 1
 
-        shard_note = ("" if shard is None else
-                      f" [shard {shard[0] + 1}/{shard[1]}]")
+        shard_note = "" if shard is None else f" [shard {index + 1}/{count}]"
         return run.result(
             "equivalent",
             f"{theorems} kernel-checked case theorems "

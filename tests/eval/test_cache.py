@@ -331,13 +331,23 @@ class TestResultCache:
 
 
 class TestShardsAndDashes:
-    def test_dash_of_one_shard_count_does_not_outlive_it(self, tmp_path):
-        """strash width 8 under taut at 20,000 nodes: the unsplit figure2
-        BDD exceeds the node budget, while each of four shards stays under
-        its own."""
-        figure2_cell = build_scenario("strash", widths=[8])[0]
-        spec = CellSpec(figure2_cell, "taut", time_budget=60.0,
-                        node_budget=20_000)
+    @pytest.fixture
+    def split_stub(self):
+        """A shardable backend that runs out of budget unless split."""
+
+        def stub(original, retimed, time_budget=None, shard=None):
+            status = "timeout" if shard is None else "equivalent"
+            return VerificationResult(method="stub-split", status=status,
+                                      seconds=0.1, detail=f"shard {shard}")
+
+        register_checker("stub-split", stub, accepts=("time_budget", "shard"),
+                         sum_stats=(), replace=True)
+        yield
+        unregister_checker("stub-split")
+
+    def test_dash_of_one_shard_count_does_not_outlive_it(self, tmp_path,
+                                                         split_stub):
+        spec = CellSpec(_golden_workload(), "stub-split", time_budget=60.0)
         cache = ResultCache(str(tmp_path))
         (dash,) = run_cells([spec], cache=cache)
         assert dash.verdict == "timeout"
@@ -345,9 +355,10 @@ class TestShardsAndDashes:
         assert decided.verdict == "equivalent"
         assert (cache.hits, cache.misses, cache.stores) == (0, 2, 1)
         # the decided cell then serves every shard count
-        (served,) = run_cells([spec], cache=cache)
-        assert served == decided
-        assert cache.hits == 1
+        for shards in (1, 2):
+            (served,) = run_cells([replace(spec, shards=shards)], cache=cache)
+            assert served == decided
+        assert cache.hits == 2
 
 
 class TestRunCellsWithCache:

@@ -121,6 +121,23 @@ class TestMeasurementRender:
         text = render_table([row], ["ok", "crashed"], title="t")
         assert "'!='" not in text
 
+    def test_legend_names_undecided_cells_only_when_present(self,
+                                                            tiny_workload):
+        def render(verdict):
+            row = Row(workload=tiny_workload, cells={
+                "ok": Measurement("w", "ok", "equivalent", 0.1),
+                "other": Measurement("w", "other", verdict, 0.1),
+            })
+            return render_table([row], ["ok", "other"], title="t")
+
+        text = render("error")
+        assert text.splitlines()[-1] == (
+            "'?' = undecided (error; the detail says why)")
+        # CI greps a table of '?' cells for '!=': the legend must not add one
+        assert "!=" not in text
+        for verdict in ("equivalent", "not_equivalent", "timeout"):
+            assert "'?'" not in render(verdict), verdict
+
     def test_unknown_verdict_is_rejected(self):
         for verdict in ("ok", "failed", "inconclusive", ""):
             with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ Pins the PR-4 rebuild of :mod:`repro.verification.bdd`:
 * a >2000-level deep-BDD regression at the *default* recursion limit,
   mirroring ``tests/automata/test_deep_eval.py`` for the logic kernel;
 * the clustered early-quantification image against the monolithic one;
-* the product machine's variable order: bit by bit, least significant
-  bit first, and unchanged for circuits without words.
+* the variable order of the product machine and of ``taut``: bit by bit,
+  least significant bit first, and unchanged for circuits without words.
 """
 
 import itertools
@@ -22,6 +22,8 @@ import sys
 import pytest
 
 from repro.circuits.generators import counter, random_sequential_circuit
+from repro.eval.fuzz import build_cell, make_specs
+from repro.eval.scenarios import build_scenario
 from repro.eval.workloads import table1_workload
 from repro.retiming.apply import apply_forward_retiming
 from repro.retiming.cuts import maximal_forward_cut
@@ -33,7 +35,15 @@ from repro.verification.bdd import (
     BddManager,
     build_from_table,
 )
-from repro.verification.common import declare_next_state_vars, product_fsm
+from repro.verification.common import (
+    EngineRun,
+    cut_point_vars,
+    declare_bit_by_bit,
+    declare_next_state_vars,
+    ensure_gate_level,
+    product_fsm,
+)
+from repro.verification.registry import run_checker
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -378,3 +388,41 @@ class TestProductOrder:
         assert result.status == "equivalent"
         assert result.iterations == 256
         assert result.stats["peak_nodes"] <= 50_000  # 464,268 by index order
+
+
+class TestTautologyOrder:
+    """taut declares its inputs and cut points through the same order."""
+
+    def test_names_are_sorted_by_word_bit_stably(self):
+        m = BddManager()
+        m.declare("z[1]'")
+        declare_bit_by_bit(m, ["x[1]", "y", "x[0]", "z[1]'", "w[0]", "y"])
+        # a declared name keeps its level; ties keep the given order
+        assert m.var_names() == ["z[1]'", "y", "x[0]", "w[0]", "x[1]"]
+
+    def test_strash_figure2_12bit_fits_in_five_thousand_nodes(self):
+        w = build_scenario("strash", widths=[12])[0]
+        result = run_checker("taut", w.original, w.retimed, time_budget=60.0,
+                             node_budget=2_000_000)
+        assert result.status == "equivalent"
+        assert result.stats["peak_nodes"] < 5_000  # 467,107 by index order
+
+    def test_a_fuzz_named_pair_keeps_its_declaration_order(self,
+                                                          monkeypatch):
+        managers = []
+        make_manager = EngineRun.bdd_manager
+
+        def spy(run, node_budget):
+            managers.append(make_manager(run, node_budget))
+            return managers[-1]
+
+        monkeypatch.setattr(EngineRun, "bdd_manager", spy)
+        spec = make_specs(12, seed=0, n_inputs=3, n_flipflops=4,
+                          n_gates=16)[4]
+        w = build_cell(spec).workload
+        result = run_checker("taut", w.original, w.retimed, time_budget=60.0)
+        assert result.status == "not_equivalent"
+        names = [*cut_point_vars(ensure_gate_level(w.original)).values(),
+                 *cut_point_vars(ensure_gate_level(w.retimed)).values()]
+        assert not any("[" in name for name in names)
+        assert managers[0].var_names() == list(dict.fromkeys(names))

@@ -1,11 +1,11 @@
 """Tests for intra-cell sharding at the backend layer.
 
-The :class:`~repro.verification.registry.ShardableCheck` protocol and the
-three initial implementations: FRAIG candidate-class ranges, tautology
-(BDD) input-prefix cofactoring, and taut-rw vector-range enumeration.
-The governing invariant everywhere: the shard-merged verdict and the
-declared additive counters equal the unsharded run's, for every shard
-count, and in every execution mode (in-process, pooled, daemon).
+A backend is shardable when its ``Checker`` declares ``sum_stats``; the
+one that does is taut-rw, whose shard ``(k, n)`` enumerates the ``k``-th
+of ``n`` contiguous index ranges of its vectors.  The governing invariant
+everywhere: the shard-merged verdict, counterexample and declared additive
+counters equal the unsharded run's, for every shard count, and in every
+execution mode (in-process, pooled, daemon).
 """
 
 import threading
@@ -16,6 +16,7 @@ import pytest
 
 from repro.eval.cache import ResultCache
 from repro.eval.runner import (
+    MAX_SHARDS,
     CellSpec,
     Measurement,
     expand_cell,
@@ -26,15 +27,16 @@ from repro.eval.runner import (
 from repro.eval.scenarios import build_scenario
 from repro.eval.service import DaemonClient, WorkerPool, serve
 from repro.eval.workloads import table1_workload
+from repro.verification.common import VerificationResult
 from repro.verification.registry import (
-    get_shardable,
-    register_shardable,
+    available_checkers,
+    get_checker,
+    register_checker,
     run_checker,
-    unregister_checker,
 )
 
-SHARDED = ("fraig", "taut", "taut-rw")
-UNSHARDED = ("eijk", "hash", "match", "sat", "sis", "smv")
+SHARDED = ("taut-rw",)
+UNSHARDED = ("eijk", "fraig", "hash", "match", "sat", "sis", "smv", "taut")
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,16 @@ def counter():
 @pytest.fixture(scope="module")
 def tiny_workload():
     return table1_workload(1)
+
+
+@pytest.fixture(scope="module")
+def fault_pair():
+    """A fault-injected fuzz pair: ground truth ``not_equivalent``, and
+    taut-rw's first refuting vector is not the first of every shard."""
+    from repro.eval.fuzz import build_cell, make_specs
+
+    specs = make_specs(12, seed=0, n_inputs=3, n_flipflops=4, n_gates=16)
+    return build_cell(specs[4]).workload
 
 
 def _measurement(method, verdict, seconds=1.0, stats=None, **kw):
@@ -88,46 +100,37 @@ def _daemon(socket_path, cache=None):
 # The registry protocol
 # ---------------------------------------------------------------------------
 
+def _equivalent(original, retimed, **kwargs):
+    return VerificationResult(method="stub", status="equivalent", seconds=0.0)
+
+
 class TestShardableRegistry:
     def test_initial_backends_are_registered(self):
-        assert all(get_shardable(method) is not None for method in SHARDED)
+        assert get_checker("taut-rw").sum_stats == frozenset(
+            {"vectors", "kernel_steps", "retries"})
 
     def test_unshardable_method_returns_none(self):
-        assert get_shardable("smv") is None
+        for method in UNSHARDED + ("eijk+",):
+            checker = get_checker(method)
+            assert checker.sum_stats is None, method
+            assert "shard" not in checker.accepts, method
 
-    def test_plan_bounds_the_effective_count(self, strash):
-        for method in SHARDED:
-            shardable = get_shardable(method)
-            effective = shardable.plan(strash.original, strash.retimed, 4)
-            assert 1 <= effective <= 64
-            assert shardable.plan(strash.original, strash.retimed, 1) == 1
+    def test_expansion_caps_the_job_count(self, strash):
+        for requested, jobs in ((1, 1), (4, 4), (MAX_SHARDS + 1, MAX_SHARDS)):
+            spec = CellSpec(strash, "taut-rw", shards=requested)
+            assert len(expand_cell(spec)) == jobs
 
-    def test_prefix_plans_settle_on_powers_of_two(self, strash):
-        for method in ("taut", "taut-rw"):
-            plan = get_shardable(method).plan
-            for requested in (2, 3, 4, 5, 8):
-                effective = plan(strash.original, strash.retimed, requested)
-                assert effective & (effective - 1) == 0  # a power of two
+    def test_sum_stats_require_shard_in_accepts(self):
+        with pytest.raises(ValueError):
+            register_checker("shardless", _equivalent, accepts=(),
+                             sum_stats=(), replace=True)
+        assert "shardless" not in available_checkers()
 
-    def test_register_shardable_requires_a_registered_checker(self):
-        with pytest.raises(KeyError):
-            register_shardable("nosuch", lambda o, r, n: n,
-                              sum_stats=frozenset())
-
-    def test_register_shardable_requires_shard_in_accepts(self):
-        from repro.verification.common import VerificationResult
-        from repro.verification.registry import register_checker
-
-        register_checker(
-            "shardless", lambda o, r: VerificationResult(
-                method="shardless", status="equivalent", seconds=0.0),
-            accepts=(), replace=True)
-        try:
-            with pytest.raises(ValueError):
-                register_shardable("shardless", lambda o, r, n: n,
-                                  sum_stats=frozenset())
-        finally:
-            unregister_checker("shardless")
+    def test_shard_in_accepts_requires_sum_stats(self):
+        with pytest.raises(ValueError):
+            register_checker("sumless", _equivalent, accepts=("shard",),
+                             replace=True)
+        assert "sumless" not in available_checkers()
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +159,35 @@ class TestBackendShards:
         )
         assert sharded == base.stats["vectors"]
 
+    @pytest.mark.parametrize("count", (3, 5, 7))
+    def test_uneven_ranges_partition_the_vectors(self, counter, count):
+        base = run_checker("taut-rw", counter.original, counter.retimed,
+                           time_budget=60.0)
+        total = int(base.stats["vectors"])
+        parts = [run_checker("taut-rw", counter.original, counter.retimed,
+                             time_budget=60.0, shard=(k, count))
+                 for k in range(count)]
+        assert all(part.status == "equivalent" for part in parts)
+        assert [part.stats["vectors"] for part in parts] == [
+            (k + 1) * total // count - k * total // count
+            for k in range(count)]
+
+    def test_an_empty_range_is_an_equivalent_shard(self, fault_pair):
+        # the pair's 2^7 vectors split 2^20 ways: shard 0 is range(0, 0),
+        # so even on a refutable pair it is equivalent after 0 vectors
+        part = run_checker("taut-rw", fault_pair.original, fault_pair.retimed,
+                           time_budget=60.0, shard=(0, 1 << 20))
+        assert part.status == "equivalent"
+        assert part.stats["vectors"] == 0.0
+        whole = run_checker("taut-rw", fault_pair.original, fault_pair.retimed,
+                            time_budget=60.0, shard=(0, 1))
+        assert whole.status == "not_equivalent"
+
     def test_invalid_shard_ranges_are_rejected(self, strash):
         for bad in ((4, 4), (-1, 4), (0, 0)):
             with pytest.raises(ValueError):
-                run_checker("fraig", strash.original, strash.retimed,
+                run_checker("taut-rw", strash.original, strash.retimed,
                             time_budget=60.0, shard=bad)
-        with pytest.raises(ValueError):
-            # taut requires a power-of-two shard count
-            run_checker("taut", strash.original, strash.retimed,
-                        time_budget=60.0, shard=(0, 3))
 
     def test_degenerate_single_shard_is_the_unsharded_run(self, counter):
         base = run_checker("taut-rw", counter.original, counter.retimed,
@@ -288,12 +311,9 @@ class TestExpandCell:
     def test_shardable_cell_expands_into_ordered_range_jobs(
             self, strash, method, requested):
         spec = CellSpec(strash, method, time_budget=7.0, shards=requested)
-        effective = get_shardable(method).plan(strash.original,
-                                               strash.retimed, requested)
-        assert effective > 1
         jobs = expand_cell(spec)
-        assert [job.shard for job in jobs] == [(k, effective)
-                                              for k in range(effective)]
+        assert [job.shard for job in jobs] == [(k, requested)
+                                              for k in range(requested)]
         # every job is the cell itself, narrowed to one unsplit range
         assert all(replace(job, shards=requested, shard=None) == spec
                    for job in jobs)
@@ -303,7 +323,7 @@ class TestExpandCell:
         spec = CellSpec(strash, method, shards=4)
         assert expand_cell(spec) == [spec]
 
-    @pytest.mark.parametrize("method", SHARDED)
+    @pytest.mark.parametrize("method", SHARDED + UNSHARDED)
     def test_unsplit_request_is_a_single_job(self, strash, method):
         spec = CellSpec(strash, method)
         assert expand_cell(spec) == [spec]
@@ -335,17 +355,32 @@ class TestShardedCells:
         spec = next(s for s in make_specs(6, seed=3)
                     if s.flavour == "fault")
         cell = build_cell(spec)
-        merged = run_spec(CellSpec(cell.workload, "fraig",
+        merged = run_spec(CellSpec(cell.workload, "taut-rw",
                                    time_budget=60.0, shards=4))
         assert merged.verdict == "not_equivalent"
         assert merged.counterexample is not None
         assert merged.stats.get("cex_certified") == 1.0
 
+    @pytest.mark.parametrize("shards", (2, 3, 4, 64))
+    def test_sharded_refutation_carries_the_unsharded_counterexample(
+            self, fault_pair, shards):
+        # the ranges keep enumeration order, so the first refuting shard
+        # stops at the vector the unsplit enumeration stops at
+        base = run_spec(CellSpec(fault_pair, "taut-rw", time_budget=60.0))
+        merged = run_spec(CellSpec(fault_pair, "taut-rw", time_budget=60.0,
+                                   shards=shards))
+        assert merged.verdict == base.verdict == "not_equivalent"
+        assert merged.counterexample == base.counterexample
+        assert merged.stats["cex_certified"] == 1.0
+
     def test_unshardable_method_ignores_the_shard_request(self, strash):
-        base = run_spec(CellSpec(strash, "smv", time_budget=60.0))
-        same = run_spec(CellSpec(strash, "smv", time_budget=60.0, shards=4))
-        assert same.verdict == base.verdict
-        assert "shards" not in same.stats
+        for method in ("smv", "fraig", "taut"):
+            base = run_spec(CellSpec(strash, method, time_budget=60.0))
+            same = run_spec(CellSpec(strash, method, time_budget=60.0,
+                                     shards=4))
+            assert same.verdict == base.verdict == "equivalent", method
+            assert same.detail == base.detail, method
+            assert "shards" not in same.stats, method
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +407,13 @@ class TestShardModeParity:
         reference = [_outcome(m) for m in modes["in-process"]]
         assert [verdict for verdict, _, _ in reference] == (
             ["equivalent"] * 2 + ["not_equivalent"] * 2)
-        assert all(stats["shards"] == 4.0 for _, _, stats in reference)
+        # fraig runs unsplit beside the sharded taut-rw cells
+        assert [stats.get("shards") for _, _, stats in reference] == [
+            None, 4.0, None, 4.0]
         assert all(cex is not None for _, cex, _ in reference[2:])
         for mode, measurements in modes.items():
-            assert [_outcome(m) for m in measurements] == reference, mode
+            assert [_outcome(m) for m in measurements] == reference, (
+                mode, [m.detail for m in measurements])
 
     @pytest.mark.parametrize("method", SHARDED)
     def test_pooled_merge_equals_in_process(self, counter, method):
@@ -408,7 +446,7 @@ class TestShardedRunCells:
     @pytest.mark.parametrize("isolate", (False, True), ids=("serial", "pool"))
     def test_merged_cell_is_cached_under_the_logical_key(self, counter,
                                                          isolate, tmp_path):
-        spec = CellSpec(counter, "fraig", time_budget=60.0, shards=4)
+        spec = CellSpec(counter, "taut-rw", time_budget=60.0, shards=4)
         cache = ResultCache(str(tmp_path / "cache"))
         cold = run_cells([spec], jobs=2 if isolate else 1, isolate=isolate,
                          cache=cache)
@@ -451,16 +489,17 @@ class TestDaemonShards:
         with _daemon(str(tmp_path / "d.sock"),
                      ResultCache(directory=directory)) as client:
             cold = run_cells(specs, client=client)
-            # the daemon counts logical cells; its pool ran one job per shard
+            # the daemon counts logical cells; its pool ran one job per
+            # taut-rw shard and one for the unsplit fraig cell
             assert client.stats == {"cache_hits": 0, "cache_misses": 2}
-            assert client.ping()["cells_run"] == 8
+            assert client.ping()["cells_run"] == 5
         warm_cache = ResultCache(directory=directory)
         warm = run_cells(specs, cache=warm_cache)
         assert (warm_cache.hits, warm_cache.misses) == (2, 0)
         assert warm == cold
 
     def test_warm_daemon_run_never_reaches_the_pool(self, counter, tmp_path):
-        specs = [CellSpec(counter, "taut", time_budget=60.0, shards=4)]
+        specs = [CellSpec(counter, "taut-rw", time_budget=60.0, shards=4)]
         with _daemon(str(tmp_path / "d.sock"),
                      ResultCache(str(tmp_path / "cache"))) as client:
             cold = run_cells(specs, client=client)
