@@ -9,17 +9,13 @@ One front end for the whole evaluation layer, built on the two registries:
 * ``python -m repro list-backends`` / ``list-scenarios`` — discover what is
   registered;
 * ``python -m repro ablations`` — the Section-V ablation studies;
-* ``python -m repro serve`` — the resident evaluation daemon (persistent
-  worker pool + shared result cache); ``repro run ... --via-daemon``
-  submits cells to it instead of running them locally;
 * ``python -m repro cache stats|clear`` — inspect or clear the on-disk
-  result cache, which the daemon shares.
+  result cache.
 
 ``--jobs N`` runs up to ``N`` cells concurrently on a pool of worker
 subprocesses with the time budget enforced as a wall-clock kill; results
 are collected in table order, so the output is byte-identical for every
-``--jobs`` value — and, with cached cells, identical again through
-``--via-daemon``.  ``--no-isolate`` reverts to in-process execution with
+``--jobs`` value.  ``--no-isolate`` reverts to in-process execution with
 cooperative budget checks (no kills, no parallelism).  Every run uses the
 on-disk result cache under ``.benchmarks/cache/`` unless ``--no-cache``;
 a ``cache: hits=H misses=M`` summary goes to stderr so the table on
@@ -33,7 +29,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from .eval import cache as result_cache
-from .eval import runner, scenarios, service, table1, table2
+from .eval import runner, scenarios, table1, table2
 from .eval.fuzz import DEFAULT_METHODS as DEFAULT_FUZZ_METHODS
 from .verification import registry
 
@@ -98,28 +94,10 @@ def _make_stream_printer():
     return on_result
 
 
-def _execution(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
-    """The ``run_cells`` options of the shared execution flags.
-
-    Opens the daemon client (checking that a daemon answers) or the result
-    cache.  Prints the error and returns ``None`` when the flags cannot be
-    honoured.
-    """
-    if args.via_daemon and args.no_isolate:
-        print("error: --via-daemon and --no-isolate are mutually exclusive",
-              flush=True)
-        return None
-    client = None
+def _execution(args: argparse.Namespace) -> Dict[str, Any]:
+    """The ``run_cells`` options of the shared execution flags."""
     cache = None
-    if args.via_daemon:
-        client = service.DaemonClient(args.socket)
-        try:
-            client.ping()
-        except (OSError, EOFError):
-            print(f"error: no daemon listening on {client.socket_path} "
-                  "(start one with: python -m repro serve)", flush=True)
-            return None
-    elif not args.no_cache:
+    if not args.no_cache:
         cache = result_cache.ResultCache(
             args.cache_dir or result_cache.default_cache_dir()
         )
@@ -128,7 +106,6 @@ def _execution(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
         isolate=not args.no_isolate,
         on_result=_make_stream_printer() if args.stream else None,
         cache=cache,
-        client=client,
     )
 
 
@@ -136,15 +113,11 @@ def _print_cache_summary(execution: Dict[str, Any]) -> None:
     """The ``cache: hits=H misses=M`` line, on stderr.
 
     stdout carries only the table, so cold and warm runs stay
-    byte-comparable (the CI daemon-smoke lane diffs stdout and greps
+    byte-comparable (the CI cache-smoke lane diffs stdout and greps
     stderr for the hit counters).
     """
-    client, cache = execution["client"], execution["cache"]
-    if client is not None:
-        print(f"cache: hits={client.stats['cache_hits']} "
-              f"misses={client.stats['cache_misses']} (daemon)",
-              file=sys.stderr, flush=True)
-    elif cache is not None:
+    cache = execution["cache"]
+    if cache is not None:
         print(f"cache: hits={cache.hits} misses={cache.misses}",
               file=sys.stderr, flush=True)
 
@@ -159,8 +132,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     skip_hopeless = args.table == 1 and not params.pop("no_skip", False)
     name = TABLE_SCENARIOS.get(args.table, args.scenario)
     execution = _execution(args)
-    if execution is None:
-        return 2
     try:
         methods = (_parse_methods(args.methods)
                    or list(scenarios.get_scenario(name).default_methods))
@@ -189,8 +160,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         try:
             spec, method, kind = fuzz.load_repro(args.replay)
             cell = fuzz.build_cell(spec)
-            measurement = runner.run_cell(
-                cell.workload, method, args.budget, args.node_budget,
+            # the replayed cell runs like any other: killed at its budget
+            [measurement] = runner.run_cells(
+                [runner.CellSpec(cell.workload, method, args.budget,
+                                 args.node_budget)],
+                isolate=not args.no_isolate,
             )
         except (OSError, ValueError, KeyError, fuzz.FuzzError) as exc:
             print(f"error: {exc}", flush=True)
@@ -208,8 +182,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 0
 
     execution = _execution(args)
-    if execution is None:
-        return 2
     try:
         methods = _parse_methods(args.methods) or list(fuzz.DEFAULT_METHODS)
         specs = fuzz.make_specs(
@@ -228,7 +200,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 2
     print(report.render())
     # diagnostics go to stderr so the table on stdout stays byte-comparable
-    # across serial / --jobs / --via-daemon runs
+    # across serial and --jobs runs
     for violation in report.violations:
         print(f"VIOLATION {violation.cell} / {violation.method}: "
               f"{violation.kind} ({violation.detail})",
@@ -239,42 +211,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"repro written: {path}", file=sys.stderr, flush=True)
     _print_cache_summary(execution)
     return 1 if (report.violations or report.disagreements) else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    socket_path = args.socket or service.default_socket_path()
-    if args.stop:
-        try:
-            service.DaemonClient(socket_path).shutdown()
-        except (OSError, EOFError):
-            print(f"no daemon listening on {socket_path}", flush=True)
-            return 1
-        print(f"daemon on {socket_path} stopped", flush=True)
-        return 0
-    if args.ping:
-        try:
-            info = service.DaemonClient(socket_path).ping()
-        except (OSError, EOFError):
-            print(f"no daemon listening on {socket_path}", flush=True)
-            return 1
-        print(f"daemon alive on {socket_path}: pid={info['pid']} "
-              f"jobs={info['jobs']} cells_run={info['cells_run']} "
-              f"recycled={info['recycled']}", flush=True)
-        return 0
-    cache = None
-    if not args.no_cache:
-        cache = result_cache.ResultCache(
-            args.cache_dir or result_cache.default_cache_dir()
-        )
-    try:
-        service.serve(socket_path, jobs=args.jobs, cache=cache,
-                      log=lambda line: print(line, flush=True))
-    except RuntimeError as exc:  # another daemon already owns the socket
-        print(f"error: {exc}", flush=True)
-        return 2
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -341,17 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print each cell as its future completes (completion order); "
              "the final table render is unchanged")
     execution_flags.add_argument(
-        "--via-daemon", action="store_true",
-        help="submit cells to a resident `repro serve` daemon (its pool size "
-             "applies; --jobs is ignored)")
-    execution_flags.add_argument(
-        "--socket", default=None,
-        help="daemon socket path (default: $REPRO_SOCKET or "
-             f"{service.DEFAULT_SOCKET})")
-    execution_flags.add_argument(
         "--no-cache", action="store_true",
-        help="disable the content-addressed result cache (local modes; the "
-             "daemon owns its own cache)")
+        help="disable the content-addressed result cache")
     execution_flags.add_argument(
         "--cache-dir", default=None,
         help="result cache directory (default: $REPRO_CACHE_DIR or "
@@ -434,29 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay a minimised repro file instead of "
                              "sweeping; exits 1 if the violation reproduces")
     fuzz_p.set_defaults(func=_cmd_fuzz)
-
-    serve_p = sub.add_parser(
-        "serve", help="run the resident evaluation daemon",
-        description="Serve cell jobs from a persistent worker pool with a "
-                    "shared content-addressed result cache.  Clients submit "
-                    "batches with `repro run ... --via-daemon`; repeated "
-                    "cells are served from cache without re-proving.",
-    )
-    serve_p.add_argument("--jobs", type=int, default=2,
-                         help="persistent worker subprocesses (default 2)")
-    serve_p.add_argument("--socket", default=None,
-                         help="socket path (default: $REPRO_SOCKET or "
-                              f"{service.DEFAULT_SOCKET})")
-    serve_p.add_argument("--cache-dir", default=None,
-                         help="result cache directory (default: "
-                              f"$REPRO_CACHE_DIR or {result_cache.DEFAULT_CACHE_DIR})")
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="serve without any result cache")
-    serve_p.add_argument("--stop", action="store_true",
-                         help="shut a running daemon down cleanly and exit")
-    serve_p.add_argument("--ping", action="store_true",
-                         help="check whether a daemon is listening and exit")
-    serve_p.set_defaults(func=_cmd_serve)
 
     cache_p = sub.add_parser(
         "cache", help="inspect or clear the content-addressed result cache",

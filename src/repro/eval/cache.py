@@ -138,9 +138,9 @@ def measurement_from_dict(payload: Dict[str, Any]) -> Measurement:
 class ResultCache:
     """On-disk JSON store of ``equivalent`` cell measurements.
 
-    Each entry is ``<directory>/<digest>.json``, written atomically, so the
-    serial CLI, the ``--jobs`` pool, the daemon and CI jobs share one store
-    and ``repro cache stats|clear`` sees all of it.  ``hits``/``misses``/
+    Each entry is ``<directory>/<digest>.json``, written atomically, so
+    serial and ``--jobs`` runs and CI jobs share one store and ``repro
+    cache stats|clear`` sees all of it.  ``hits``/``misses``/
     ``stores`` count this instance's traffic.
 
     Only ``equivalent`` is stored.  A ``timeout`` is a fact about one run's
@@ -217,14 +217,3 @@ class ResultCache:
             except OSError:
                 pass
         return count, total
-
-    def counters(self) -> Dict[str, Any]:
-        disk_count, disk_bytes = self.disk_entries()
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "disk_entries": disk_count,
-            "disk_bytes": disk_bytes,
-            "directory": self.directory,
-        }

@@ -12,8 +12,8 @@ cells come in three flavours with known ground truth:
 * ``retime-fault`` — (circuit, retimed-then-mutated): **not equivalent**
 
 :func:`run_fuzz` pushes every cell through all requested backends via the
-ordinary cell runner (so ``--jobs``, the result cache and the daemon all
-apply), then plays oracle:
+ordinary cell runner (so ``--jobs``, ``--no-isolate`` and the result
+cache all apply), then plays oracle:
 
 * each verdict is checked against the cell's injected-fault ground truth
   (an inequivalence claimed on an equivalent pair is a ``false_alarm``, an
@@ -364,9 +364,9 @@ def run_fuzz(
     """Run one fuzz sweep end to end: build, measure, judge, shrink.
 
     The measurement phase goes through :func:`~repro.eval.runner.run_cells`
-    with ``options`` (``jobs``, ``isolate``, ``on_result``, ``cache``,
-    ``client``) unchanged, so serial, ``--jobs N``, cached and
-    ``--via-daemon`` execution all apply and return identical measurements.
+    with ``options`` (``jobs``, ``isolate``, ``on_result``, ``cache``)
+    unchanged, so serial, ``--jobs N`` and cached execution all apply and
+    return identical measurements.
     Shrinking (serial, in-process) only runs when the oracle found
     violations.
     """
@@ -571,8 +571,8 @@ def render_fuzz_table(report: FuzzReport) -> str:
     """Fixed-width fuzz table, deterministic across execution modes.
 
     Unlike the timing tables, no seconds are rendered: every column is a
-    pure function of the seeds, so serial / ``--jobs N`` / ``--via-daemon``
-    sweeps stay byte-identical without relying on the result cache.
+    pure function of the seeds, so serial and ``--jobs N`` sweeps stay
+    byte-identical without relying on the result cache.
     """
     headers = (["cell", "expect"]
                + [m.upper() for m in report.methods] + ["counterexample"])

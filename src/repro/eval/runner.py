@@ -2,30 +2,29 @@
 
 Each cell of the paper's tables is one (workload, method) pair, dispatched
 through the backend registry (:mod:`repro.verification.registry`).  Cells
-can run
+run in one of two modes:
 
-* **in-process** (``isolate=False``) — the historical mode, used by the
-  pytest-benchmark harness where the measurement loop must stay in one
-  process, with *cooperative* budget checks inside the checkers; or
-* **process-isolated** (``isolate=True``) — cells run on a persistent
-  pool of worker subprocesses (:class:`repro.eval.service.WorkerPool`),
-  up to ``jobs`` concurrently, and the time budget is an *enforced*
-  wall-clock kill: a backend that never polls its budget (or is stuck
-  inside a single huge BDD operation) is killed at the limit, reported as
-  the paper's dash, and its worker is recycled so the pool stays live.
+* **in-process** (``isolate=False``) — used by the pytest-benchmark
+  harness, where the measurement loop must stay in one process, with
+  *cooperative* budget checks inside the checkers; or
+* **process-isolated** (``isolate=True``) — cells run on a pool of
+  persistent worker subprocesses (:class:`repro.eval.service.WorkerPool`)
+  started for the run, up to ``jobs`` concurrently, and the time budget
+  is an *enforced* wall-clock kill: a backend that never polls its budget
+  (or is stuck inside a single huge BDD operation) is killed at the
+  limit, reported as the paper's dash, and its worker is recycled so the
+  pool stays live.
 
-Two orthogonal extensions feed both modes: a content-addressed result
-cache (:mod:`repro.eval.cache`) that short-circuits cells already proved
-``equivalent`` before any dispatch, and a resident daemon
-(:mod:`repro.eval.service`, ``python -m repro serve``) that owns a pool +
-cache across invocations and accepts batches through
-:class:`~repro.eval.service.DaemonClient`.
+Both modes read and write one content-addressed result cache
+(:mod:`repro.eval.cache`), which short-circuits cells already proved
+``equivalent`` before any dispatch; a run whose every cell hits starts no
+pool at all.
 
 Results are collected by submission index, never by completion order, so a
-table produced with ``jobs=4`` — or served by the daemon — has exactly the
-same rows, columns and verdicts as the serial one; with cached or
-deterministic cell results the output is byte-identical, which
-``tests/eval/test_runner.py`` and ``tests/eval/test_service.py`` pin down.
+table produced with ``jobs=4`` has exactly the same rows, columns and
+verdicts as the serial one; with cached or deterministic cell results the
+output is byte-identical, which ``tests/eval/test_runner.py`` and
+``tests/eval/test_service.py`` pin down.
 """
 
 from __future__ import annotations
@@ -202,8 +201,8 @@ def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
     """Deterministic, submission-indexed merge of one shard group.
 
     ``parts`` must be in shard order (``(0, n) .. (n-1, n)``); the reducer
-    never looks at completion order, so serial, ``--jobs N`` and
-    ``--via-daemon`` runs of the same sharded cell merge byte-identically.
+    never looks at completion order, so serial and ``--jobs N`` runs of
+    the same sharded cell merge byte-identically.
     Verdict: refuted as soon as any shard refutes (the first refuting
     shard by index supplies the counterexample and detail), else error if
     any shard erred, else the dash if any shard ran out of budget, else
@@ -251,34 +250,27 @@ def run_cells(
     isolate: bool = False,
     on_result: Optional[Callable[[int, Measurement], None]] = None,
     cache=None,
-    client=None,
-    pool=None,
 ) -> List[Measurement]:
-    """Run many cells, optionally isolated, in parallel, cached or remote.
+    """Run many cells, optionally isolated, in parallel and cached.
 
     With ``isolate=False`` (and necessarily ``jobs=1``) cells run serially
-    in this process.  With ``isolate=True`` cells run on a persistent
+    in this process.  With ``isolate=True`` cells run on a
     :class:`~repro.eval.service.WorkerPool` of at most ``jobs`` worker
-    subprocesses; a worker still alive :data:`KILL_GRACE` seconds past its
-    cell's time budget is killed (and the pool recycles it), recording the
-    cell as a timeout.  ``pool`` is an already running pool to dispatch on
-    instead of starting one — the daemon passes its resident pool.  The
-    returned list always matches ``specs`` order.
+    subprocesses, started for this call; a worker still alive
+    :data:`KILL_GRACE` seconds past its cell's time budget is killed (and
+    the pool recycles it), recording the cell as a timeout.  The returned
+    list always matches ``specs`` order.
 
     A cell with ``shards > 1`` on a shardable method runs as one job per
-    shard (:func:`expand_cell`) in every mode, and completes when its last
+    shard (:func:`expand_cell`) in both modes, and completes when its last
     shard does, merged by :func:`merge_shards`.
 
     ``cache`` is an optional :class:`~repro.eval.cache.ResultCache`: cells
     whose content-addressed digest is already cached short-circuit before
     any worker dispatch, and freshly computed ``equivalent`` cells are
-    stored back (every other verdict is recomputed next time).  ``client``
-    is an optional :class:`~repro.eval.service.DaemonClient`: the whole
-    batch is submitted to a resident ``python -m repro serve`` daemon
-    instead of running locally (the daemon owns its own pool and cache).
-    All four execution modes — serial, pooled, cached, via-daemon — return
-    the same measurements for deterministic cells, so the rendered tables
-    are byte-identical.
+    stored back (every other verdict is recomputed next time).  Serial,
+    pooled and cached runs return the same measurements for deterministic
+    cells, so the rendered tables are byte-identical.
 
     ``on_result`` is the streaming hook: it is invoked as ``(index,
     measurement)`` the moment each cell finishes — cache hits first (in
@@ -289,12 +281,10 @@ def run_cells(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if not isolate and jobs != 1 and client is None:
+    if not isolate and jobs != 1:
         raise ValueError("parallel execution requires isolate=True")
     for spec in specs:
         get_checker(spec.method)  # fail fast on unknown methods
-    if client is not None:
-        return client.run_cells(specs, on_result=on_result)
 
     results: List[Optional[Measurement]] = [None] * len(specs)
     keys: List[Optional[str]] = [None] * len(specs)
@@ -339,17 +329,15 @@ def run_cells(
 
     if not work:
         return results  # type: ignore[return-value]
-    if pool is not None:
-        pool.run(list(enumerate(work)), on_result=_finish)
-    elif not isolate:
+    if not isolate:
         for job, part in enumerate(work):
             _finish(job, run_cell(part.workload, part.method, part.time_budget,
                                   part.node_budget, shard=part.shard))
     else:
         from .service import WorkerPool  # deferred: service builds on this module
 
-        with WorkerPool(min(jobs, len(work))) as own:
-            own.run(list(enumerate(work)), on_result=_finish)
+        with WorkerPool(min(jobs, len(work))) as pool:
+            pool.run(list(enumerate(work)), on_result=_finish)
 
     assert all(m is not None for m in results)
     return results  # type: ignore[return-value]
@@ -377,8 +365,8 @@ def run_rows(
     """Measure a whole table, parallelising across *all* cells of all rows.
 
     One :class:`CellSpec` per workload and method, in row-major order;
-    ``options`` (``jobs``, ``isolate``, ``on_result``, ``cache``,
-    ``client``) go to :func:`run_cells` unchanged.
+    ``options`` (``jobs``, ``isolate``, ``on_result``, ``cache``) go to
+    :func:`run_cells` unchanged.
     """
     specs = [
         CellSpec(workload, method, time_budget, node_budget, shards=shards)

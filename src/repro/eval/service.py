@@ -1,43 +1,21 @@
-"""Evaluation as a service: persistent worker pool, daemon and client.
+"""The persistent worker pool behind isolated cell execution.
 
-Three layers, bottom to top:
+:class:`WorkerPool` is a fixed-size pool of **persistent** worker
+subprocesses.  Workers accept cell jobs over a duplex pipe and run one
+:func:`~repro.eval.runner.run_cell` per job instead of dying after a
+single cell.  :func:`~repro.eval.runner.run_cells` starts one per isolated
+run and closes it when the run ends.
 
-* :class:`WorkerPool` — a fixed-size pool of **persistent** worker
-  subprocesses.  Workers accept cell jobs over a duplex pipe and run one
-  :func:`~repro.eval.runner.run_cell` per job instead of dying after a
-  single cell (the pre-service runner forked a fresh process per cell).
-  The enforced wall-clock kill semantics are preserved by *recycling*: a
-  worker still alive past its cell's budget (plus grace) is killed and a
-  fresh worker is spawned in its place, so a runaway cell degrades to the
-  paper's dash without wedging the pool; a crashed worker (EOF on its
-  pipe) is recycled the same way and reported as a ``failed`` cell.
-
-* :func:`serve` — a long-running daemon (``python -m repro serve``) that
-  owns one pool plus a :class:`~repro.eval.cache.ResultCache` on the
-  shared cache directory and accepts job batches over a Unix-domain
-  socket.  Each batch goes through :func:`~repro.eval.runner.run_cells` on
-  the resident pool, so cache hits short-circuit before worker dispatch
-  and sharded cells expand and merge exactly as in a local run; each
-  batch's reply stream ends with a ``cache_hits``/``cache_misses``
-  summary.  The daemon keeps no results of its own: what it caches is on
-  disk, where ``repro cache stats|clear`` sees it.
-
-* :class:`DaemonClient` — the submit/stream client API.  ``run_cells``
-  submits a batch and invokes the caller's ``on_result`` hook per cell as
-  results stream back (cache hits first, then pool completions), returning
-  the measurements in submission order — exactly the contract of the local
-  runner, which is why ``repro run --via-daemon`` renders byte-identically
-  to a serial run.
-
-The transport is :mod:`multiprocessing.connection` over ``AF_UNIX`` with a
-fixed authkey: the socket file's permissions are the security boundary,
-as usual for local daemons.
+The enforced wall-clock kill semantics are preserved by *recycling*: a
+worker still alive past its cell's budget (plus grace) is killed and a
+fresh worker is spawned in its place, so a runaway cell degrades to the
+paper's dash without wedging the pool.  A crashed worker (EOF on its
+pipe) is recycled the same way; its cell is retried once, then reported
+as an ``error`` cell.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -51,22 +29,8 @@ from .runner import (
     _killed_measurement,
     _mp_context,
     run_cell,
-    run_cells,
 )
 
-#: default daemon socket (relative to the working directory)
-DEFAULT_SOCKET = os.path.join(".benchmarks", "repro.sock")
-
-_AUTHKEY = b"repro-eval-service"
-
-
-def default_socket_path() -> str:
-    return os.environ.get("REPRO_SOCKET", DEFAULT_SOCKET)
-
-
-# ---------------------------------------------------------------------------
-# The persistent worker pool
-# ---------------------------------------------------------------------------
 
 def _pool_worker(conn) -> None:
     """Worker subprocess entry point: serve cell jobs until told to stop."""
@@ -187,7 +151,7 @@ class WorkerPool:
         worker blows the wall-clock budget is recorded as the timeout dash
         and the worker is recycled; a job whose worker dies is retried
         exactly once on a fresh worker after ``retry_backoff`` seconds — a
-        second crash is recorded as ``failed`` (with ``stats["retries"]=1``),
+        second crash is recorded as ``error`` (with ``stats["retries"]=1``),
         so a deterministic crasher still fails fast and never wedges the
         pool.  Budget kills are *not* retried: the dash is the cell's
         verdict under this run's budget.  Between events the pool sleeps
@@ -275,186 +239,3 @@ class WorkerPool:
                     del busy[index]
                     finish(index, _killed_measurement(spec))
         return results
-
-
-# ---------------------------------------------------------------------------
-# The daemon
-# ---------------------------------------------------------------------------
-
-def _handle_connection(conn, pool: WorkerPool, cache, log) -> bool:
-    """Serve one client connection; returns False on a shutdown request."""
-    message = conn.recv()
-    op = message[0]
-    if op == "ping":
-        conn.send(("pong", {
-            "pid": os.getpid(),
-            "jobs": pool.size,
-            "recycled": pool.recycled,
-            "cells_run": pool.cells_run,
-            "retries": pool.retries,
-            "cache": cache.counters() if cache is not None else None,
-        }))
-    elif op == "run":
-        specs: List[CellSpec] = list(message[1])
-        hits_before = cache.hits if cache is not None else 0
-        try:
-            run_cells(specs, isolate=True, cache=cache, pool=pool,
-                      on_result=lambda i, m: conn.send(("result", i, m)))
-        except (KeyError, ValueError) as exc:  # raised before any cell runs
-            conn.send(("error", str(exc)))
-            return True
-        hits = cache.hits - hits_before if cache is not None else 0
-        conn.send(("done", {"cache_hits": hits,
-                            "cache_misses": len(specs) - hits}))
-        if log is not None:
-            log(f"served {len(specs)} cell(s): {hits} cached, "
-                f"{len(specs) - hits} computed")
-    elif op == "shutdown":
-        conn.send(("ok", None))
-        return False
-    else:
-        conn.send(("error", f"unknown request {op!r}"))
-    return True
-
-
-def serve(
-    socket_path: Optional[str] = None,
-    jobs: int = 2,
-    cache=None,
-    log: Optional[Callable[[str], None]] = None,
-    ready: Optional[threading.Event] = None,
-) -> None:
-    """Run the evaluation daemon until a shutdown request (or SIGTERM).
-
-    Refuses to start when another daemon already answers on the socket;
-    a stale socket file left by a dead daemon is removed.  ``ready`` is
-    set once the listener accepts connections (used by in-process tests).
-    """
-    path = socket_path or default_socket_path()
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    if os.path.exists(path):
-        try:
-            DaemonClient(path).ping()
-        except (OSError, EOFError):
-            os.unlink(path)  # stale socket from a dead daemon
-        else:
-            raise RuntimeError(f"a repro daemon is already serving on {path}")
-
-    if threading.current_thread() is threading.main_thread():
-        import signal
-
-        def _terminate(_signum, _frame):
-            raise SystemExit(0)
-
-        signal.signal(signal.SIGTERM, _terminate)
-
-    listener = mp_connection.Listener(path, family="AF_UNIX", authkey=_AUTHKEY)
-    pool = WorkerPool(jobs)
-    if log is not None:
-        store = "off" if cache is None else cache.directory
-        log(f"repro daemon: {jobs} worker(s), socket {path}, cache {store}")
-    if ready is not None:
-        ready.set()
-    try:
-        running = True
-        while running:
-            try:
-                conn = listener.accept()
-            except (OSError, EOFError, mp_connection.AuthenticationError):
-                continue
-            try:
-                running = _handle_connection(conn, pool, cache, log)
-            except (EOFError, OSError, BrokenPipeError):
-                pass  # client went away mid-request; keep serving
-            finally:
-                conn.close()
-    finally:
-        pool.close()
-        listener.close()
-        if log is not None:
-            log("repro daemon: stopped")
-
-
-# ---------------------------------------------------------------------------
-# The client
-# ---------------------------------------------------------------------------
-
-class DaemonClient:
-    """Submit/stream client for a running ``python -m repro serve`` daemon.
-
-    ``stats`` accumulates the per-batch ``cache_hits``/``cache_misses``
-    summaries across every ``run_cells`` call made through this client,
-    so a CLI invocation that submits several batches (e.g. the per-row
-    Table-I loop) reports one total.
-    """
-
-    #: transient connection errors are retried this many times with
-    #: exponential backoff; an absent socket file is *not* retried, so a
-    #: stopped daemon still fails fast
-    CONNECT_RETRIES = 4
-    CONNECT_BACKOFF = 0.05
-
-    def __init__(self, socket_path: Optional[str] = None):
-        self.socket_path = socket_path or default_socket_path()
-        self.stats: Dict[str, int] = {"cache_hits": 0, "cache_misses": 0}
-
-    def _connect(self):
-        delay = self.CONNECT_BACKOFF
-        for attempt in range(self.CONNECT_RETRIES + 1):
-            try:
-                return mp_connection.Client(
-                    self.socket_path, family="AF_UNIX", authkey=_AUTHKEY
-                )
-            except (ConnectionRefusedError, ConnectionResetError):
-                # daemon busy in accept()/restarting: back off and retry
-                # instead of aborting the whole batch
-                if attempt == self.CONNECT_RETRIES:
-                    raise
-                time.sleep(delay)
-                delay *= 2
-
-    def run_cells(
-        self,
-        specs: Sequence[CellSpec],
-        on_result: Optional[Callable[[int, Measurement], None]] = None,
-    ) -> List[Measurement]:
-        """Submit a batch; stream results into ``on_result``; return in order."""
-        specs = list(specs)
-        results: List[Optional[Measurement]] = [None] * len(specs)
-        conn = self._connect()
-        try:
-            conn.send(("run", specs))
-            while True:
-                message = conn.recv()
-                if message[0] == "result":
-                    _, index, measurement = message
-                    results[index] = measurement
-                    if on_result is not None:
-                        on_result(index, measurement)
-                elif message[0] == "done":
-                    for key, value in message[1].items():
-                        self.stats[key] = self.stats.get(key, 0) + value
-                    break
-                else:
-                    raise RuntimeError(f"daemon error: {message[1]}")
-        finally:
-            conn.close()
-        if any(m is None for m in results):  # pragma: no cover - daemon bug
-            raise RuntimeError("daemon closed the stream before all cells finished")
-        return results  # type: ignore[return-value]
-
-    def _simple(self, *message):
-        conn = self._connect()
-        try:
-            conn.send(message)
-            return conn.recv()
-        finally:
-            conn.close()
-
-    def ping(self) -> Dict:
-        return self._simple("ping")[1]
-
-    def shutdown(self) -> None:
-        self._simple("shutdown")

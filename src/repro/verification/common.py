@@ -68,9 +68,9 @@ class VerificationResult:
             self.stats.setdefault("peak_nodes", float(self.peak_nodes))
         if self.counterexample is not None:
             # Canonical serialisation: sorted names, explicit bools.  Tables
-            # rendered from different execution modes (serial / pool / daemon)
-            # must agree byte-for-byte, so the assignment order can never
-            # depend on BDD traversal or solver model order.
+            # rendered from both execution modes (in-process and pool) must
+            # agree byte-for-byte, so the assignment order can never depend
+            # on BDD traversal or solver model order.
             self.counterexample = {
                 str(k): bool(v) for k, v in sorted(self.counterexample.items())
             }

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import _parse_param, main
@@ -166,11 +168,59 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", directory]) == 0
         assert "entries   : 0 (0 bytes)" in capsys.readouterr().out
 
-    def test_cache_command_takes_no_socket(self, capsys):
-        # a daemon keeps no results outside the directory
-        with pytest.raises(SystemExit):
-            main(["cache", "--help"])
-        assert "--socket" not in capsys.readouterr().out
+    def test_warm_pooled_run_replays_the_cold_serial_table(self, capsys,
+                                                           tmp_path):
+        argv = ["run", "--scenario", "multiplier", "--param", "widths=3",
+                "--methods", "match,hash", "--budget", "30",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv + ["--jobs", "2"]) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "cache: hits=0 misses=2" in cold.err
+        assert "cache: hits=2 misses=0" in warm.err
+
+    def test_warm_pooled_fuzz_sweep_replays_the_cold_serial_one(self, capsys,
+                                                                tmp_path):
+        argv = ["fuzz", "--cells", "3", "--inputs", "3", "--flipflops", "3",
+                "--gates", "12", "--faults", "1", "--methods", "sis",
+                "--budget", "30", "--cache-dir", str(tmp_path / "cache"),
+                "--out-dir", str(tmp_path / "fuzz")]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv + ["--jobs", "2"]) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "cache: hits=0 misses=3" in cold.err
+        # the retime cell's proof is served; both refutations rerun
+        assert "cache: hits=1 misses=2" in warm.err
+
+    def test_no_cache_prints_no_cache_line(self, capsys):
+        assert main(["run", "--scenario", "multiplier", "--param", "widths=3",
+                     "--methods", "match", "--budget", "30",
+                     "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "fracmul_3bit" in captured.out
+        assert "cache:" not in captured.err
+
+    def test_no_isolate_runs_in_process_whatever_jobs_says(self, capsys):
+        calls = []
+
+        def here(original, retimed, time_budget=None):
+            calls.append(os.getpid())
+            return VerificationResult(method="stub-here", status="equivalent",
+                                      seconds=0.0)
+
+        register_checker("stub-here", here, replace=True)
+        try:
+            code = main(["run", "--scenario", "figure2", "--param",
+                         "widths=1,2", "--methods", "stub-here", "--jobs", "4",
+                         "--no-isolate", "--no-cache"])
+        finally:
+            unregister_checker("stub-here")
+        assert code == 0
+        assert calls == [os.getpid()] * 2
 
 
 class TestErrors:
@@ -222,18 +272,16 @@ class TestErrors:
         assert code == 2
         assert "does not accept ['no_skip']" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["run", "fuzz"])
-    def test_via_daemon_excludes_no_isolate(self, capsys, command):
-        assert main([command, "--via-daemon", "--no-isolate"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("command", ["run", "fuzz"])
-    def test_via_daemon_without_a_daemon_exits_2(self, capsys, tmp_path,
-                                                 command):
-        code = main([command, "--via-daemon",
-                     "--socket", str(tmp_path / "absent.sock")])
-        assert code == 2
-        assert "no daemon listening" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv, message", [
+        (["serve"], "invalid choice: 'serve'"),
+        (["run", "--via-daemon"], "unrecognized arguments: --via-daemon"),
+        (["run", "--socket", "x"], "unrecognized arguments: --socket x"),
+    ], ids=("serve", "via-daemon", "socket"))
+    def test_there_is_no_daemon(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_malformed_param_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):

@@ -9,6 +9,7 @@ execution modes, and the ``repro fuzz`` CLI driver.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -408,6 +409,15 @@ class TestScenario:
             spec.name for spec in make_specs(3, seed=0, **SMALL)]
 
 
+def _repro_file(directory, method):
+    """A repro file for ``method`` on a small fault cell, written unmeasured."""
+    spec = build_cell(FuzzSpec(seed=2, flavour="fault", **SMALL)).pinned_spec
+    path = directory / "repro.json"
+    path.write_text(json.dumps({"schema": REPRO_SCHEMA, "spec": spec.to_dict(),
+                                "method": method, "violation": "missed_fault"}))
+    return str(path)
+
+
 class TestCli:
     def test_fuzz_sweep_exits_zero_and_prints_table(self, capsys, tmp_path):
         code = main(["fuzz", "--cells", "3", "--inputs", "3",
@@ -419,6 +429,7 @@ class TestCli:
         assert "Fuzz sweep: 3 cells" in captured.out
         assert "violations: 0" in captured.out
 
+    @needs_fork
     def test_fuzz_replay_of_a_live_repro_exits_one(self, capsys, tmp_path):
         register_checker("blind", _blind, accepts=("time_budget",),
                          replace=True)
@@ -444,3 +455,53 @@ class TestCli:
     def test_fuzz_replay_missing_file_exits_two(self, capsys, tmp_path):
         code = main(["fuzz", "--replay", str(tmp_path / "absent.json")])
         assert code == 2
+
+    def test_fuzz_replay_of_an_unknown_method_exits_two(self, capsys,
+                                                        tmp_path):
+        code = main(["fuzz", "--replay", _repro_file(tmp_path, "no-such")])
+        assert code == 2
+        assert "unknown verification backend" in capsys.readouterr().out
+
+    @needs_fork
+    def test_fuzz_replay_is_killed_at_its_budget(self, capsys, tmp_path):
+        def sleepy(original, retimed, time_budget=None):
+            time.sleep(5.0)  # never polls its budget
+            return VerificationResult(method="sleepy", status="equivalent",
+                                      seconds=5.0)
+
+        path = _repro_file(tmp_path, "sleepy")
+        register_checker("sleepy", sleepy, accepts=("time_budget",),
+                         replace=True)
+        try:
+            start = time.monotonic()
+            code = main(["fuzz", "--replay", path, "--budget", "0.3"])
+            elapsed = time.monotonic() - start
+        finally:
+            unregister_checker("sleepy")
+        assert "verdict timeout" in capsys.readouterr().out
+        assert code == 0  # a dash is never a violation
+        assert elapsed < 2.0
+
+    @needs_fork
+    @pytest.mark.parametrize("flags, in_process", [([], False),
+                                                   (["--no-isolate"], True)],
+                             ids=("isolated", "no-isolate"))
+    def test_fuzz_replay_runs_where_its_flags_say(self, capsys, tmp_path,
+                                                  flags, in_process):
+        pids = tmp_path / "pids"
+
+        def where(original, retimed, time_budget=None):
+            pids.write_text(str(os.getpid()))
+            return VerificationResult(method="where", status="equivalent",
+                                      seconds=0.0)
+
+        path = _repro_file(tmp_path, "where")
+        register_checker("where", where, accepts=("time_budget",),
+                         replace=True)
+        try:
+            code = main(["fuzz", "--replay", path, *flags])
+        finally:
+            unregister_checker("where")
+        assert code == 1  # the missed fault reproduces in either mode
+        assert "violation reproduces: missed_fault" in capsys.readouterr().out
+        assert (int(pids.read_text()) == os.getpid()) == in_process

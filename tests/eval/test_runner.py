@@ -21,6 +21,7 @@ from repro.eval.runner import (
     run_rows,
 )
 from repro.eval.scenarios import build_scenario
+from repro.eval.service import WorkerPool
 from repro.eval.workloads import Workload, table1_workload
 from repro.verification.common import VerificationError, VerificationResult
 from repro.verification.registry import (
@@ -220,6 +221,21 @@ class TestMethodLookup:
             method_checker("stub-late")
 
 
+@pytest.fixture()
+def pools(monkeypatch):
+    """Every worker pool that ``run_cells`` starts, with its first workers."""
+    started = []
+
+    class RecordedPool(WorkerPool):
+        def __init__(self, size, *args, **kwargs):
+            super().__init__(size, *args, **kwargs)
+            self.processes = [worker.process for worker in self._workers]
+            started.append(self)
+
+    monkeypatch.setattr("repro.eval.service.WorkerPool", RecordedPool)
+    return started
+
+
 @needs_fork
 class TestIsolatedExecution:
     def test_non_cooperative_checker_killed_at_wall_clock_limit(self, tiny_workload):
@@ -252,6 +268,42 @@ class TestIsolatedExecution:
     def test_parallel_requires_isolation(self, tiny_workload):
         with pytest.raises(ValueError, match="isolate"):
             run_cells([CellSpec(tiny_workload, "stub-ok")], jobs=2, isolate=False)
+
+    def test_fewer_than_one_worker_is_rejected(self, tiny_workload, pools):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_cells([CellSpec(tiny_workload, "stub-ok")], jobs=0, isolate=True)
+        with pytest.raises(ValueError, match="pool size must be >= 1"):
+            WorkerPool(0)
+        assert pools == []
+
+    def test_unknown_method_raises_before_any_pool_starts(self, tiny_workload,
+                                                          pools):
+        specs = [CellSpec(tiny_workload, "stub-ok"),
+                 CellSpec(tiny_workload, "no-such")]
+        with pytest.raises(KeyError, match="unknown verification backend"):
+            run_cells(specs, jobs=2, isolate=True)
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs, size", [(1, 1), (4, 2)])
+    def test_each_run_starts_and_closes_its_own_pool(self, tiny_workload,
+                                                     pools, jobs, size):
+        specs = [CellSpec(tiny_workload, "stub-ok", time_budget=10.0)] * 2
+        for _ in range(2):
+            run_cells(specs, jobs=jobs, isolate=True)
+        # one pool per run, no wider than the run has cells, closed at its end
+        assert [pool.size for pool in pools] == [size, size]
+        assert not any(process.is_alive()
+                       for pool in pools for process in pool.processes)
+
+    def test_the_pool_closes_when_a_callback_raises(self, tiny_workload, pools):
+        def explode(index, measurement):
+            raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            run_cells([CellSpec(tiny_workload, "stub-ok", time_budget=10.0)],
+                      isolate=True, on_result=explode)
+        assert len(pools) == 1
+        assert not any(process.is_alive() for process in pools[0].processes)
 
 
 @needs_fork

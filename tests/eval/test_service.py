@@ -1,25 +1,19 @@
-"""Tests for the evaluation service (:mod:`repro.eval.service`).
+"""Tests for the worker pool (:mod:`repro.eval.service`).
 
 Covers the persistent :class:`WorkerPool` (budget kills recycle the worker
-without wedging the pool; crashed workers are respawned), the in-process
-daemon (served over an AF_UNIX socket) and the three-mode byte-identity
-guarantee: serial, ``--jobs N`` and ``--via-daemon`` runs render the exact
-same table.
+without wedging the pool; crashed workers are respawned) and the
+byte-identity guarantee: serial and ``--jobs N`` runs, cold or served
+from the result cache, render the exact same table.
 """
 
 import os
-import threading
 import time
 
 import pytest
 
 from repro.eval.cache import ResultCache
-from repro.eval.runner import CellSpec, render_table, run_cells, run_rows
-from repro.eval.service import (
-    DaemonClient,
-    WorkerPool,
-    serve,
-)
+from repro.eval.runner import CellSpec, render_table, run_rows
+from repro.eval.service import WorkerPool
 from repro.eval.workloads import table1_workload
 from repro.verification.common import VerificationResult
 from repro.verification.registry import register_checker, unregister_checker
@@ -134,7 +128,7 @@ class TestWorkerPool:
 
     def test_deterministic_crasher_fails_after_one_retry(self, tiny_workload):
         """A cell that always kills its worker is retried exactly once on a
-        fresh worker, then recorded as ``failed`` — the pool never wedges."""
+        fresh worker, then recorded as ``error`` — the pool never wedges."""
         with WorkerPool(1, retry_backoff=0.01) as pool:
             results = pool.run(
                 [(0, CellSpec(tiny_workload, "svc-die", time_budget=60.0))])
@@ -182,154 +176,29 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# Daemon + client
+# The byte-identity guarantee across execution modes and the cache
 # ---------------------------------------------------------------------------
 
-@pytest.fixture()
-def daemon(tmp_path):
-    """A live daemon on a per-test socket, with its own result cache."""
-    socket_path = str(tmp_path / "repro.sock")
-    cache = ResultCache(directory=str(tmp_path / "cache"))
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=serve,
-        kwargs=dict(socket_path=socket_path, jobs=2, cache=cache,
-                    log=lambda msg: None, ready=ready),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(10.0), "daemon failed to start"
-    client = DaemonClient(socket_path)
-    yield client
-    try:
-        client.shutdown()
-    except (OSError, EOFError):
-        pass
-    thread.join(10.0)
-    assert not thread.is_alive(), "daemon failed to shut down"
-
-
-class TestDaemon:
-    def test_ping_reports_pool_shape(self, daemon):
-        info = daemon.ping()
-        assert info["pid"] == os.getpid()
-        assert info["jobs"] == 2
-        assert info["cells_run"] == 0
-        assert info["retries"] == 0
-
-    def test_cold_then_warm_run(self, daemon, tiny_workload):
-        specs = _specs(tiny_workload, ["svc-ok", "svc-to"], budget=5.0)
-        cold = daemon.run_cells(specs)
-        assert daemon.stats == {"cache_hits": 0, "cache_misses": 2}
-        warm = daemon.run_cells(specs)
-        # the decided cell is served; the dash is never cached, so it reruns
-        assert daemon.stats == {"cache_hits": 1, "cache_misses": 3}
-        assert warm == cold
-        assert daemon.ping()["cells_run"] == 3
-
-    def test_results_stream_in_submission_order(self, daemon, tiny_workload):
-        events = []
-        daemon.run_cells(_specs(tiny_workload, ["svc-ok", "svc-to", "svc-ok"],
-                                budget=5.0),
-                         on_result=lambda i, m: events.append(i))
-        assert sorted(events) == [0, 1, 2]
-
-    def test_unknown_method_raises_without_wedging(self, daemon, tiny_workload):
-        with pytest.raises(RuntimeError, match="unknown verification backend"):
-            daemon.run_cells([CellSpec(tiny_workload, "no-such", time_budget=5.0)])
-        # daemon still serves afterwards
-        out = daemon.run_cells(_specs(tiny_workload, ["svc-ok"]))
-        assert out[0].verdict == "equivalent"
-
-    def test_budget_kill_inside_daemon_recycles(self, daemon, tiny_workload):
-        out = daemon.run_cells(
-            [CellSpec(tiny_workload, "svc-sleep", time_budget=0.3)])
-        assert out[0].verdict == "timeout"
-        assert daemon.ping()["recycled"] == 1
-        out = daemon.run_cells(_specs(tiny_workload, ["svc-ok"]))
-        assert out[0].verdict == "equivalent"
-
-    def test_stale_socket_refused_while_daemon_alive(self, daemon, tmp_path):
-        with pytest.raises(RuntimeError, match="already"):
-            serve(socket_path=daemon.socket_path, jobs=1,
-                  cache=ResultCache(directory=str(tmp_path / "c2")),
-                  log=lambda msg: None)
-
-
-# ---------------------------------------------------------------------------
-# The three-mode byte-identity guarantee
-# ---------------------------------------------------------------------------
-
-class TestThreeModeParity:
-    def test_serial_jobs_and_daemon_render_identically(self, daemon):
+class TestModeParity:
+    def test_serial_jobs_and_cached_runs_render_identically(self, tmp_path):
         workloads = [table1_workload(1), table1_workload(2)]
         methods = ["svc-ok", "svc-to"]
+        directory = str(tmp_path / "cache")
 
-        def _render(**kwargs):
-            rows = run_rows(workloads, methods, time_budget=5.0, **kwargs)
+        def _render(cache=None, **kwargs):
+            rows = run_rows(workloads, methods, time_budget=5.0, cache=cache,
+                            **kwargs)
             return render_table(rows, methods, title="parity")
 
         serial = _render()
-        parallel = _render(jobs=2, isolate=True)
-        via_daemon_cold = _render(client=daemon)
-        via_daemon_warm = _render(client=daemon)
-        assert serial == parallel == via_daemon_cold == via_daemon_warm
-        # the warm pass served both decided cells; both dashes reran
-        assert daemon.stats == {"cache_hits": 2, "cache_misses": 6}
-
-    def test_run_cells_client_path_matches_serial(self, daemon, tiny_workload):
-        specs = _specs(tiny_workload, ["svc-ok", "svc-to"], budget=5.0)
-        assert run_cells(specs, client=daemon) == run_cells(specs)
-
-
-# ---------------------------------------------------------------------------
-# DaemonClient connection resilience
-# ---------------------------------------------------------------------------
-
-class TestClientConnectRetry:
-    """Transient refused/reset connections back off and retry; an absent
-    socket file fails fast (a stopped daemon should not cost 4 backoffs)."""
-
-    def _patch(self, monkeypatch, failures, exc_type):
-        import repro.eval.service as service
-
-        attempts = []
-        sleeps = []
-
-        def fake_client(path, family=None, authkey=None):
-            attempts.append(path)
-            if len(attempts) <= failures:
-                raise exc_type("transient")
-            return "connected"
-
-        monkeypatch.setattr(service.mp_connection, "Client", fake_client)
-        monkeypatch.setattr(service.time, "sleep",
-                            lambda s: sleeps.append(s))
-        return attempts, sleeps
-
-    def test_refused_connection_is_retried_with_backoff(self, monkeypatch):
-        attempts, sleeps = self._patch(monkeypatch, failures=2,
-                                       exc_type=ConnectionRefusedError)
-        client = DaemonClient("/tmp/nope.sock")
-        assert client._connect() == "connected"
-        assert len(attempts) == 3
-        assert sleeps == [DaemonClient.CONNECT_BACKOFF,
-                          DaemonClient.CONNECT_BACKOFF * 2]
-
-    def test_persistent_refusal_raises_after_budget(self, monkeypatch):
-        attempts, sleeps = self._patch(monkeypatch, failures=99,
-                                       exc_type=ConnectionResetError)
-        client = DaemonClient("/tmp/nope.sock")
-        with pytest.raises(ConnectionResetError):
-            client._connect()
-        assert len(attempts) == DaemonClient.CONNECT_RETRIES + 1
-        assert len(sleeps) == DaemonClient.CONNECT_RETRIES
-
-    def test_absent_socket_fails_fast(self, monkeypatch):
-        attempts, sleeps = self._patch(monkeypatch, failures=99,
-                                       exc_type=FileNotFoundError)
-        client = DaemonClient("/tmp/nope.sock")
-        with pytest.raises(FileNotFoundError):
-            client._connect()
-        assert len(attempts) == 1
-        assert sleeps == []
+        cold = ResultCache(directory)
+        parallel = _render(cold, jobs=2, isolate=True)
+        assert (cold.hits, cold.misses, cold.stores) == (0, 4, 2)
+        warm_serial = ResultCache(directory)
+        served_serial = _render(warm_serial)
+        warm_pooled = ResultCache(directory)
+        served_pooled = _render(warm_pooled, jobs=2, isolate=True)
+        assert serial == parallel == served_serial == served_pooled
+        # both decided cells are served; both dashes rerun
+        for warm in (warm_serial, warm_pooled):
+            assert (warm.hits, warm.misses, warm.stores) == (2, 2, 0)

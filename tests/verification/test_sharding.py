@@ -4,12 +4,12 @@ A backend is shardable when its ``Checker`` declares ``sum_stats``; the
 one that does is taut-rw, whose shard ``(k, n)`` enumerates the ``k``-th
 of ``n`` contiguous index ranges of its vectors.  The governing invariant
 everywhere: the shard-merged verdict, counterexample and declared additive
-counters equal the unsharded run's, for every shard count, and in every
-execution mode (in-process, pooled, daemon).
+counters equal the unsharded run's, for every shard count, and in both
+execution modes (in-process and pooled).
 """
 
-import threading
-from contextlib import contextmanager
+import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -25,7 +25,7 @@ from repro.eval.runner import (
     run_spec,
 )
 from repro.eval.scenarios import build_scenario
-from repro.eval.service import DaemonClient, WorkerPool, serve
+from repro.eval.service import WorkerPool
 from repro.eval.workloads import table1_workload
 from repro.verification.common import VerificationResult
 from repro.verification.registry import (
@@ -33,6 +33,7 @@ from repro.verification.registry import (
     get_checker,
     register_checker,
     run_checker,
+    unregister_checker,
 )
 
 SHARDED = ("taut-rw",)
@@ -73,27 +74,6 @@ def _outcome(m):
     """What every execution mode must agree on: all but the wall clock."""
     stats = {k: v for k, v in m.stats.items() if k != "wall_seconds"}
     return m.verdict, m.counterexample, stats
-
-
-@contextmanager
-def _daemon(socket_path, cache=None):
-    """An in-thread daemon with a 2-worker pool; yields its client."""
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=serve,
-        kwargs=dict(socket_path=socket_path, jobs=2, cache=cache,
-                    ready=ready),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(10.0), "daemon failed to start"
-    client = DaemonClient(socket_path)
-    try:
-        yield client
-    finally:
-        client.shutdown()
-        thread.join(10.0)
-    assert not thread.is_alive(), "daemon failed to shut down"
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +364,11 @@ class TestShardedCells:
 
 
 # ---------------------------------------------------------------------------
-# Every execution mode expands and merges shards the same way
+# Both execution modes expand and merge shards the same way
 # ---------------------------------------------------------------------------
 
 class TestShardModeParity:
-    def test_in_process_pool_and_daemon_merge_identically(self, counter,
-                                                          tmp_path):
+    def test_in_process_and_pool_merge_identically(self, counter):
         from repro.eval.fuzz import build_cell, make_specs
 
         fault = build_cell(next(s for s in make_specs(6, seed=3)
@@ -397,12 +376,10 @@ class TestShardModeParity:
         specs = [CellSpec(workload, method, time_budget=60.0, shards=4)
                  for workload in (counter, fault)
                  for method in ("fraig", "taut-rw")]
-        with _daemon(str(tmp_path / "shard.sock")) as client:
-            modes = {
-                "in-process": run_cells(specs),
-                "pool": run_cells(specs, jobs=2, isolate=True),
-                "daemon": run_cells(specs, client=client),
-            }
+        modes = {
+            "in-process": run_cells(specs),
+            "pool": run_cells(specs, jobs=2, isolate=True),
+        }
 
         reference = [_outcome(m) for m in modes["in-process"]]
         assert [verdict for verdict, _, _ in reference] == (
@@ -457,16 +434,48 @@ class TestShardedRunCells:
         assert warm == cold
         assert warm[0].stats["shards"] == 4.0
 
-    def test_resident_pool_runs_every_shard_and_stays_open(self, counter):
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="stub backends only reach isolated workers "
+                               "via fork")
+    def test_a_killed_shard_dashes_its_cell_uncached(self, counter, tmp_path):
+        def stall(original, retimed, time_budget=None, shard=None):
+            if shard == (1, 2):
+                time.sleep(300)  # never polls its budget
+            return VerificationResult(method="stub-stall", status="equivalent",
+                                      seconds=0.0, stats={"vectors": 1.0})
+
+        register_checker("stub-stall", stall,
+                         accepts=("time_budget", "shard"),
+                         sum_stats=("vectors",), replace=True)
+        cache = ResultCache(str(tmp_path / "cache"))
+        try:
+            (merged,) = run_cells(
+                [CellSpec(counter, "stub-stall", time_budget=0.3, shards=2)],
+                jobs=2, isolate=True, cache=cache)
+        finally:
+            unregister_checker("stub-stall")
+        assert merged.verdict == "timeout"
+        assert "wall-clock" in merged.detail
+        # the surviving shard's counters are kept; the dash is not stored
+        assert (merged.stats["vectors"], merged.stats["shards"]) == (1.0, 2.0)
+        assert (cache.misses, cache.stores) == (1, 0)
+
+    def test_warm_pooled_run_starts_no_pool(self, counter, tmp_path,
+                                            monkeypatch):
         spec = CellSpec(counter, "taut-rw", time_budget=60.0, shards=4)
-        with WorkerPool(2) as pool:
-            first = run_cells([spec], isolate=True, pool=pool)
-            assert pool.cells_run == 4  # one job per shard
-            second = run_cells([spec], isolate=True, pool=pool)
-            assert pool.cells_run == 8  # the caller's pool is reused, not closed
-            assert pool.recycled == 0
-        assert _outcome(first[0]) == _outcome(second[0])
-        assert first[0].stats["shards"] == 4.0
+        directory = str(tmp_path / "cache")
+        cold = run_cells([spec], jobs=2, isolate=True,
+                         cache=ResultCache(directory))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully cached run started a pool")
+
+        monkeypatch.setattr("repro.eval.service.WorkerPool", no_pool)
+        cache = ResultCache(directory)
+        warm = run_cells([spec], jobs=2, isolate=True, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert warm == cold
+        assert cold[0].stats["shards"] == 4.0
 
     def test_worker_pool_runs_a_sharded_spec_as_given(self, counter):
         # the pool runs plain jobs: expansion and merging are run_cells' work
@@ -478,34 +487,3 @@ class TestShardedRunCells:
         assert "shards" not in results[0].stats
         unsplit = run_spec(replace(spec, shards=1))
         assert results[0].stats["vectors"] == unsplit.stats["vectors"]
-
-
-class TestDaemonShards:
-    def test_cold_daemon_run_then_warm_serial_replay(self, counter,
-                                                     tmp_path):
-        specs = [CellSpec(counter, method, time_budget=60.0, shards=4)
-                 for method in ("fraig", "taut-rw")]
-        directory = str(tmp_path / "cache")
-        with _daemon(str(tmp_path / "d.sock"),
-                     ResultCache(directory=directory)) as client:
-            cold = run_cells(specs, client=client)
-            # the daemon counts logical cells; its pool ran one job per
-            # taut-rw shard and one for the unsplit fraig cell
-            assert client.stats == {"cache_hits": 0, "cache_misses": 2}
-            assert client.ping()["cells_run"] == 5
-        warm_cache = ResultCache(directory=directory)
-        warm = run_cells(specs, cache=warm_cache)
-        assert (warm_cache.hits, warm_cache.misses) == (2, 0)
-        assert warm == cold
-
-    def test_warm_daemon_run_never_reaches_the_pool(self, counter, tmp_path):
-        specs = [CellSpec(counter, "taut-rw", time_budget=60.0, shards=4)]
-        with _daemon(str(tmp_path / "d.sock"),
-                     ResultCache(str(tmp_path / "cache"))) as client:
-            cold = run_cells(specs, client=client)
-            jobs = client.ping()["cells_run"]
-            warm = run_cells(specs, client=client)
-            assert client.stats == {"cache_hits": 1, "cache_misses": 1}
-            assert client.ping()["cells_run"] == jobs == 4
-        assert warm == cold
-        assert cold[0].verdict == "equivalent"
