@@ -16,7 +16,7 @@ from repro.formal.formal_retiming import (
     build_f_term,
     build_g_term,
     reduce_split_conv,
-    unfold_named_lets_conv,
+    unfold_cut_lets,
 )
 from repro.logic.rules import equal_by_normalisation
 from repro.logic.terms import Abs, Comb, Var, mk_fst, mk_pair, mk_snd
@@ -43,7 +43,7 @@ def test_fig3_split_and_match(benchmark, prepared):
             p, Comb(g_term, mk_pair(mk_fst(p), Comb(f_term, mk_snd(p))))
         )
         cut_nets = [netlist.cells[c].output for c in analysis.cut_cells]
-        lhs_norm = unfold_named_lets_conv(cut_nets)(embedded.step)
+        lhs_norm = unfold_cut_lets(embedded.step, cut_nets)
         rhs_norm = reduce_split_conv(split_term)
         return equal_by_normalisation(lhs_norm, rhs_norm)
 

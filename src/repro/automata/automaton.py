@@ -28,7 +28,7 @@ rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.hol_types import HolType, TyVar, mk_fun_ty, mk_prod_ty, num_ty
@@ -113,15 +113,13 @@ class TupleLayout:
 
     names: List[str]
     types: List[HolType]
-    _index: Dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.names:
             raise ValueError("TupleLayout: need at least one component")
         if len(self.names) != len(self.types):
             raise ValueError("TupleLayout: names and types must have equal length")
-        self._index = {name: i for i, name in enumerate(self.names)}
-        if len(self._index) != len(self.names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("TupleLayout: duplicate component names")
 
     def __len__(self) -> int:
@@ -132,9 +130,6 @@ class TupleLayout:
         for ty in reversed(self.types[:-1]):
             out = mk_prod_ty(ty, out)
         return out
-
-    def index(self, name: str) -> int:
-        return self._index[name]
 
     def mk_value(self, terms: Sequence[Term]) -> Term:
         """The tuple term for the given component terms (in layout order)."""
@@ -155,13 +150,16 @@ class TupleLayout:
             out = mk_pair(tm, out)
         return out
 
-    def project(self, base: Term, name: str) -> Term:
-        """The projection of component ``name`` out of a term of this layout's type."""
-        i = self.index(name)
-        n = len(self.names)
+    def projections(self, base: Term) -> Dict[str, Term]:
+        """Every component's projection out of ``base``, by name.
+
+        The components share one ``SND`` chain, so this builds as many terms
+        as the layout has components, not a number quadratic in it.
+        """
+        out: Dict[str, Term] = {}
         current = base
-        for _ in range(i):
+        for name in self.names[:-1]:
+            out[name] = mk_fst(current)
             current = mk_snd(current)
-        if i < n - 1:
-            current = mk_fst(current)
-        return current
+        out[self.names[-1]] = current
+        return out

@@ -172,16 +172,11 @@ def embed_netlist(
 
     pair_ty = mk_prod_ty(input_layout.type(), state_layout.type())
     p = Var(step_var_name, pair_ty)
-    input_base = mk_fst(p)
-    state_base = mk_snd(p)
 
     # terms available for every net
-    available: Dict[str, Term] = {}
-    for name in netlist.inputs:
-        available[name] = input_layout.project(input_base, name)
-    for reg_name in regs:
-        reg = netlist.registers[reg_name]
-        available[reg.output] = state_layout.project(state_base, reg_name)
+    available: Dict[str, Term] = input_layout.projections(mk_fst(p))
+    for reg_name, term in state_layout.projections(mk_snd(p)).items():
+        available[netlist.registers[reg_name].output] = term
 
     # let-bindings for the combinational cells, in topological order
     bindings: List[Tuple[Var, Term]] = []

@@ -11,12 +11,18 @@ Section IV.A, every one of them as a kernel-checked derivation:
    normalising both sides with beta/``let``/projection conversions and
    linking the identical normal forms — if the cut is bad the normal forms
    differ (or ``f``/``g`` cannot even be built) and the derivation *fails*;
-   no theorem is produced (Section IV.C, Figure 4).
+   no theorem is produced (Section IV.C, Figure 4).  The step's side
+   unfolds the cut's ``let`` bindings without copying the chain once per
+   cut value (:func:`unfold_cut_lets`): each is unfolded as ``let c = c``,
+   at no substitution cost, and one ``INST`` then puts every cut value in
+   at once, so the split's cost is linear in the circuit.
 2. **Apply the universal retiming theorem**: the stored theorem is
    instantiated with ``f``, ``g`` and the initial state ``q`` through the
    kernel and chained on with transitivity.
 3. **Join** ``f`` and ``g`` again: the right-hand side is tidied by
    beta/projection conversions into a single combinational ``let`` chain.
+   ``g``'s parameter is the retimed step's own variable ``p``, so the
+   join's ``g p`` reduces to ``g``'s body without a substitution.
 4. **Evaluate the new initial state** ``f(q)`` with the evaluation
    conversion, yielding a ground initial-value tuple.
 
@@ -38,7 +44,9 @@ from ..logic import conv, rewriter
 from ..logic.conv import ConvError
 from ..logic.ground import value_of_term
 from ..logic.kernel import (
+    ABS,
     AP_TERM,
+    INST,
     KernelError,
     MK_COMB,
     REFL,
@@ -136,23 +144,15 @@ def analyse_cut(netlist: Netlist, cut: Sequence[str],
     cut_set = set(cut)
     # registers that g still needs: read by a non-cut cell, by a register, or
     # exported as a primary output
-    pass_registers: List[str] = []
-    for reg_name in embedded.register_order:
-        reg = netlist.registers[reg_name]
-        needed = reg.output in netlist.outputs
-        for cell in netlist.cells.values():
-            if cell.name in cut_set:
-                continue
-            if reg.output in cell.inputs:
-                needed = True
-                break
-        if not needed:
-            for other in netlist.registers.values():
-                if other.input == reg.output:
-                    needed = True
-                    break
-        if needed:
-            pass_registers.append(reg_name)
+    needed = set(netlist.outputs)
+    needed.update(r.input for r in netlist.registers.values())
+    for cell in netlist.cells.values():
+        if cell.name not in cut_set:
+            needed.update(cell.inputs)
+    pass_registers = [
+        reg_name for reg_name in embedded.register_order
+        if netlist.registers[reg_name].output in needed
+    ]
 
     names: List[str] = []
     types = []
@@ -184,44 +184,38 @@ def build_f_term(netlist: Netlist, embedded: EmbeddedCircuit,
                  analysis: CutAnalysis, var_name: str = "s") -> Term:
     """``f : σ -> τ`` — the block the registers are moved over."""
     s = Var(var_name, embedded.state_layout.type())
+    regs = embedded.state_layout.projections(s)
     reg_by_output = {r.output: name for name, r in netlist.registers.items()}
     components: List[Term] = []
-    for comp_name in analysis.tau_layout.names:
-        if comp_name.startswith("cut::"):
-            net = comp_name[len("cut::"):]
-            cell = next(c for c in netlist.cells.values() if c.output == net)
-            in_terms = [
-                embedded.state_layout.project(s, reg_by_output[i]) for i in cell.inputs
-            ]
-            components.append(cell_term(netlist, cell, in_terms))
-        else:
-            reg_name = comp_name[len("reg::"):]
-            components.append(embedded.state_layout.project(s, reg_name))
+    for cell_name in analysis.cut_cells:
+        cell = netlist.cells[cell_name]
+        in_terms = [regs[reg_by_output[i]] for i in cell.inputs]
+        components.append(cell_term(netlist, cell, in_terms))
+    for reg_name in analysis.pass_registers:
+        components.append(regs[reg_name])
     return Abs(s, analysis.tau_layout.mk_value(components))
 
 
 def build_g_term(netlist: Netlist, embedded: EmbeddedCircuit,
-                 analysis: CutAnalysis, var_name: str = "q_in") -> Term:
-    """``g : (ι # τ) -> (ω # σ)`` — the remaining combinational part."""
+                 analysis: CutAnalysis, var_name: str = "p") -> Term:
+    """``g : (ι # τ) -> (ω # σ)`` — the remaining combinational part.
+
+    Its parameter is named ``p``, so at type ``ι # τ`` it is the retimed
+    step's own variable in the instantiated retiming theorem: the join's
+    ``g p`` is then a beta redex applied to its bound variable, which
+    reduces to ``g``'s body without copying it.
+    """
     from ..logic.hol_types import mk_prod_ty
     from ..logic.stdlib import mk_let
 
-    q2 = Var(var_name, mk_prod_ty(embedded.input_layout.type(),
-                                  analysis.tau_layout.type()))
-    input_base = mk_fst(q2)
-    tau_base = mk_snd(q2)
-
-    available: Dict[str, Term] = {}
-    for name in netlist.inputs:
-        available[name] = embedded.input_layout.project(input_base, name)
-    for reg_name in embedded.register_order:
-        reg = netlist.registers[reg_name]
-        if reg_name in analysis.reg_component:
-            available[reg.output] = analysis.tau_layout.project(
-                tau_base, analysis.reg_component[reg_name]
-            )
+    p = Var(var_name, mk_prod_ty(embedded.input_layout.type(),
+                                 analysis.tau_layout.type()))
+    tau = analysis.tau_layout.projections(mk_snd(p))
+    available: Dict[str, Term] = embedded.input_layout.projections(mk_fst(p))
+    for reg_name, comp in analysis.reg_component.items():
+        available[netlist.registers[reg_name].output] = tau[comp]
     for net, comp in analysis.cut_component.items():
-        available[net] = analysis.tau_layout.project(tau_base, comp)
+        available[net] = tau[comp]
 
     cut_set = set(analysis.cut_cells)
     bindings: List[Tuple[Var, Term]] = []
@@ -259,7 +253,7 @@ def build_g_term(netlist: Netlist, embedded: EmbeddedCircuit,
     body: Term = mk_pair(out_tuple, next_tuple)
     for var, term in reversed(bindings):
         body = mk_let(var, term, body)
-    return Abs(q2, body)
+    return Abs(p, body)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +277,44 @@ def unfold_named_lets_conv(names: Sequence[str]):
         raise ConvError("not a targeted let binding")
 
     return rewriter.net_conv(rewriter.RewriteNet().add_conv(single, "LET", 2))
+
+
+def unfold_cut_lets(step: Term, names: Sequence[str]) -> Theorem:
+    """``|- step = step'``: the step's ``let`` bindings of ``names`` unfolded.
+
+    Proves what ``unfold_named_lets_conv(names)(step)`` proves, without
+    copying the chain once per unfolded ``let``.  Each targeted binding
+    ``let c = v in ...`` is first rebuilt as ``let c = c in ...``, whose
+    unfolding is a beta redex applied to its own bound variable and costs
+    no substitution.  One ``INST`` then puts every value ``v`` in at once,
+    turning the rebuilt chain back into the step's own body, and ``ABS``
+    closes over the step's variable.  This needs values that read no
+    ``let``-bound net, or the chain's binders would capture them; cut cells
+    read only register outputs, so their one free variable is the step's
+    own, and a value that does read one raises :class:`ConvError`.
+    """
+    name_set = set(names)
+    chain: List[Term] = []
+    tm = step.body
+    while is_let(tm):
+        chain.append(tm)
+        tm = tm.rator.rand.body
+    values: Dict[Var, Term] = {}
+    for node in reversed(chain):
+        var, value, rest = dest_let(node)
+        if var.name in name_set:
+            values[var] = value
+            value = var
+        elif tm is rest:
+            tm = node
+            continue
+        tm = Comb(Comb(node.rator.rator, Abs(var, tm)), value)
+    if not values:  # only inlined cells (BUF) are cut: nothing to unfold
+        return REFL(step)
+    th = INST(values, unfold_named_lets_conv(names)(tm))
+    if th.lhs is not step.body:
+        raise ConvError("unfold_cut_lets: a value reads a let-bound net")
+    return ABS(step.bvar, th)
 
 
 #: beta + pair-projection normalisation that leaves ``LET`` bindings intact
@@ -342,7 +374,7 @@ def formal_forward_retiming(
     )
     cut_nets = [netlist.cells[c].output for c in analysis.cut_cells]
     try:
-        lhs_norm = unfold_named_lets_conv(cut_nets)(embedded.step)
+        lhs_norm = unfold_cut_lets(embedded.step, cut_nets)
         rhs_norm = reduce_split_conv(split_term)
         step_eq = equal_by_normalisation(lhs_norm, rhs_norm)
     except (RuleError, ConvError, KernelError, TermError) as exc:

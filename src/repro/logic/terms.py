@@ -436,14 +436,24 @@ def var_subst(env: Dict[Var, Term], t: Term) -> Term:
 _VISIT, _BUILD_COMB, _BUILD_ABS, _ALIAS = 0, 1, 2, 3
 
 
+def _env_frees(env: Dict[Var, Term]) -> frozenset:
+    """The free variables of all the replacements in ``env``."""
+    return frozenset().union(*(free_vars_set(rep) for rep in env.values()))
+
+
 def _subst(t: Term, env: Dict[Var, Term]) -> Term:
     """Iterative capture-avoiding substitution.
 
     Substitution environments change only under binders, so each distinct
     environment gets an integer id and results are memoised per
     ``(env_id, node)``; the memo makes shared (interned) subterms pay once.
+    A binder that is neither in the environment nor free in a replacement
+    can neither shadow nor capture, so its body keeps the environment id:
+    a whole ``let`` chain is then one environment, and each interned
+    subterm is built once however many binders enclose its occurrences.
     """
     envs: List[Dict[Var, Term]] = [env]
+    frees: List[frozenset] = [_env_frees(env)]
     child_env: Dict[Tuple[int, Var], int] = {}
     memo: Dict[Tuple[int, Term], Term] = {}
     stack: List[tuple] = [(_VISIT, t, 0)]
@@ -469,6 +479,10 @@ def _subst(t: Term, env: Dict[Var, Term]) -> Term:
                 continue
             assert isinstance(tm, Abs)
             bv = tm._bvar
+            if bv not in cur and bv not in frees[e]:
+                stack.append((_BUILD_ABS, tm, e, bv, e))
+                stack.append((_VISIT, tm._body, e))
+                continue
             env2 = {v: rep for v, rep in cur.items() if v is not bv}
             if not env2:
                 memo[key] = tm
@@ -489,6 +503,7 @@ def _subst(t: Term, env: Dict[Var, Term]) -> Term:
                 env3[bv] = new_bv
                 e3 = len(envs)
                 envs.append(env3)
+                frees.append(_env_frees(env3))
                 stack.append((_BUILD_ABS, tm, e, new_bv, e3))
                 stack.append((_VISIT, tm._body, e3))
             else:
@@ -497,6 +512,7 @@ def _subst(t: Term, env: Dict[Var, Term]) -> Term:
                 if e2 is None:
                     e2 = len(envs)
                     envs.append(env2)
+                    frees.append(_env_frees(env2))
                     child_env[ckey] = e2
                 stack.append((_BUILD_ABS, tm, e, bv, e2))
                 stack.append((_VISIT, tm._body, e2))
@@ -674,10 +690,17 @@ def aconv(t1: Term, t2: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 def beta_reduce_step(t: Term) -> Term:
-    """Contract the top-level beta redex ``(\\x. b) a`` to ``b[a/x]``."""
+    """Contract the top-level beta redex ``(\\x. b) a`` to ``b[a/x]``.
+
+    A redex applied to its own bound variable, ``(\\x. b) x``, contracts to
+    ``b`` itself without a substitution.
+    """
     if not (isinstance(t, Comb) and isinstance(t.rator, Abs)):
         raise TermError(f"beta_reduce_step: not a beta redex: {t}")
-    return var_subst({t.rator.bvar: t.rand}, t.rator.body)
+    abs_ = t._rator
+    if t._rand is abs_._bvar:
+        return abs_._body
+    return var_subst({abs_._bvar: t._rand}, abs_._body)
 
 
 # ---------------------------------------------------------------------------

@@ -54,17 +54,18 @@ class TestTupleLayout:
         layout = TupleLayout(["x"], [num_ty])
         base = Var("b", num_ty)
         assert layout.type() == num_ty
-        assert layout.project(base, "x") == base
+        assert layout.projections(base) == {"x": base}
         assert layout.mk_value([mk_numeral(4)]) == mk_numeral(4)
 
     def test_three_components(self):
         layout = TupleLayout(["x", "y", "z"], [num_ty, bool_ty, num_ty])
         assert layout.type() == mk_prod_ty(num_ty, mk_prod_ty(bool_ty, num_ty))
         base = Var("b", layout.type())
-        x_proj = layout.project(base, "x")
-        z_proj = layout.project(base, "z")
-        assert x_proj == mk_fst(base)
-        assert z_proj == mk_snd(mk_snd(base))
+        assert layout.projections(base) == {
+            "x": mk_fst(base),
+            "y": mk_fst(mk_snd(base)),
+            "z": mk_snd(mk_snd(base)),
+        }
 
     def test_mk_value_type_checks(self):
         layout = TupleLayout(["x", "y"], [num_ty, bool_ty])

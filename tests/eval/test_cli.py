@@ -43,9 +43,10 @@ class TestListing:
 
 
 class TestRun:
-    def test_run_scenario_with_params_and_jobs(self, capsys):
+    def test_run_scenario_with_params_and_jobs(self, capsys, tmp_path):
         code = main(["run", "--scenario", "multiplier", "--param", "widths=3",
-                     "--methods", "match,hash", "--jobs", "2", "--budget", "30"])
+                     "--methods", "match,hash", "--jobs", "2", "--budget", "30",
+                     "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "Scenario 'multiplier'" in out
@@ -53,18 +54,19 @@ class TestRun:
         assert "MATCH" in out and "HASH" in out
         assert "inferences" in out  # kernel steps column from hash stats
 
-    def test_run_table1_in_process(self, capsys):
+    def test_run_table1_in_process(self, capsys, tmp_path):
         code = main(["run", "--table", "1", "--param", "widths=1,2",
-                     "--budget", "20", "--no-isolate"])
+                     "--budget", "20", "--no-isolate", "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "Table I" in out
         assert "figure2 n=2" in out
 
-    def test_run_table1_scalar_width(self, capsys):
+    def test_run_table1_scalar_width(self, capsys, tmp_path):
         # a single-valued widths param parses as a bare int and must still work
         code = main(["run", "--table", "1", "--param", "widths=1",
-                     "--methods", "hash", "--budget", "10", "--no-isolate"])
+                     "--methods", "hash", "--budget", "10", "--no-isolate",
+                     "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "figure2 n=1" in out
@@ -94,10 +96,10 @@ class TestRun:
         assert code == 0
         assert "s344" not in out
 
-    def test_run_table2_restricted(self, capsys):
+    def test_run_table2_restricted(self, capsys, tmp_path):
         code = main(["run", "--table", "2", "--param", "scale=0.05",
                      "--param", "names=s344", "--methods", "match,hash",
-                     "--jobs", "2", "--budget", "20"])
+                     "--jobs", "2", "--budget", "20", "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "Table II" in out

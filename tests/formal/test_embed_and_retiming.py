@@ -15,6 +15,7 @@ from repro.circuits.generators import (
     random_sequential_circuit,
     shift_register,
 )
+from repro.circuits.generators.iwls import iwls_circuit
 from repro.circuits.netlist import Netlist
 from repro.circuits.simulate import outputs_equal, random_input_sequence, simulate
 from repro.formal import (
@@ -23,6 +24,7 @@ from repro.formal import (
     embed_netlist,
     formal_forward_retiming,
 )
+from repro.formal.formal_retiming import unfold_cut_lets, unfold_named_lets_conv
 from repro.retiming.cuts import maximal_forward_cut
 
 
@@ -154,6 +156,51 @@ class TestFormalRetiming:
     def test_property_new_init_is_one_for_any_width(self, width):
         result = formal_forward_retiming(figure2(width), figure2_cut())
         assert result.new_init_value == (1, 0)
+
+
+class TestLinearSplit:
+    """The split unfolds the cut ``let``s with one ``INST`` for all of them."""
+
+    @pytest.mark.parametrize("netlist", [figure2(4), iwls_circuit("s641", 0.25)],
+                             ids=["figure2-4", "s641"])
+    def test_same_conclusion_as_unfolding_each_let(self, netlist):
+        embedded = embed_netlist(netlist)
+        cut_nets = [netlist.cells[c].output for c in maximal_forward_cut(netlist)]
+        expected = unfold_named_lets_conv(cut_nets)(embedded.step)
+        assert unfold_cut_lets(embedded.step, cut_nets).concl is expected.concl
+
+    def test_a_value_reading_a_let_bound_net_is_refused(self):
+        from repro.logic.conv import ConvError
+
+        # figure2's multiplexer reads the comparator's and the incrementer's
+        # let-bound outputs, which the chain's binders would capture
+        with pytest.raises(ConvError):
+            unfold_cut_lets(embed_netlist(figure2(4)).step, ["m"])
+
+    def test_a_cut_of_inlined_cells_is_one_refl(self):
+        from repro.logic.kernel import inference_steps
+
+        # figure2's output buffer is inlined, not let-bound: nothing to unfold
+        embedded = embed_netlist(figure2(4))
+        before = inference_steps()
+        theorem = unfold_cut_lets(embedded.step, ["y"])
+        assert inference_steps() - before == 1
+        assert theorem.lhs is embedded.step and theorem.rhs is embedded.step
+
+    @pytest.mark.parametrize("name", ["s1196", "s641"])
+    def test_term_constructions_per_kernel_step_do_not_grow(self, name):
+        # Counts, not seconds: a split that copies the let chain once per cut
+        # value builds about twice as many terms per kernel step at scale 2
+        # as at scale 0.25
+        per_step = []
+        for scale in (0.25, 2.0):
+            netlist = iwls_circuit(name, scale)
+            stats = formal_forward_retiming(
+                netlist, maximal_forward_cut(netlist), cross_check=False
+            ).stats
+            calls = stats["term_intern_hits"] + stats["term_intern_misses"]
+            per_step.append(calls / stats["inference_steps"])
+        assert per_step[1] <= 1.15 * per_step[0]
 
 
 class TestFaultyHeuristics:

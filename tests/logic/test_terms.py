@@ -24,6 +24,7 @@ from repro.logic.terms import (
     mk_tuple,
     strip_abs,
     strip_comb,
+    term_intern_stats,
     var_subst,
     variant,
 )
@@ -232,6 +233,34 @@ class TestAlphaAndBeta:
         with pytest.raises(TermError):
             beta_reduce_step(Comb(f, x))
 
+    def test_beta_step_on_its_own_bound_variable_returns_the_body(self, monkeypatch):
+        import repro.logic.terms as terms
+
+        def no_substitution(env, t):
+            raise AssertionError("(\\x. b) x needs no substitution")
+
+        monkeypatch.setattr(terms, "var_subst", no_substitution)
+        body = Comb(Comb(_add, x), Comb(f, y))
+        assert beta_reduce_step(Comb(Abs(x, body), x)) is body
+
+    def test_substitution_builds_each_subterm_once_under_many_binders(self):
+        # ``shared`` occurs under every one of 50 nested binders that neither
+        # shadow nor capture, like a cell's input under a let chain
+        shared = y
+        for _ in range(20):
+            shared = Comb(f, shared)
+        t = x
+        for i in range(50):
+            v = Var(f"v{i}", num_ty)
+            t = Comb(_binders[num_ty], Abs(v, Comb(Comb(_add, shared), t)))
+        env = {y: Var("z", num_ty)}
+        before = term_intern_stats()
+        result = var_subst(env, t)
+        after = term_intern_stats()
+        built = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+        distinct = {sub for sub in iter_subterms(result) if not isinstance(sub, Var)}
+        assert built <= len(distinct)
+
 # -- property-based -----------------------------------------------------------
 
 _names = st.sampled_from(["x", "y", "z", "w"])
@@ -347,3 +376,62 @@ def test_property_aconv_agrees_with_de_bruijn(pair):
     expected = _de_bruijn(t1) == _de_bruijn(t2)
     assert aconv(t1, t2) is expected
     assert aconv(t2, t1) is expected
+
+
+# -- substitution against a naive reference ------------------------------------
+
+_h = Var("h", mk_fun_ty(num_ty, bool_ty))
+
+
+def _naive_subst(env, t):
+    """Textbook capture-avoiding substitution: rename a binder whenever it is
+    free in any replacement, to a name free nowhere nearby."""
+    if isinstance(t, Var):
+        return env.get(t, t)
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, Comb):
+        return Comb(_naive_subst(env, t.rator), _naive_subst(env, t.rand))
+    bv = t.bvar
+    inner = {v: rep for v, rep in env.items() if v is not bv}
+    replacement_frees = set().union(*(rep.free_vars() for rep in inner.values()))
+    if bv in replacement_frees:
+        used = {v.name for v in replacement_frees | t.body.free_vars() | set(inner)}
+        name = bv.name
+        while name in used:
+            name += "_"
+        fresh = Var(name, bv.ty)
+        inner[bv] = fresh
+        bv = fresh
+    return Abs(bv, _naive_subst(inner, t.body))
+
+
+@st.composite
+def _subst_cases(draw):
+    """A term, and a 1-3 entry environment over the names its binders use.
+
+    Replacements are drawn from the same few names, so they are free in
+    terms whose binders bind them (a capture to avoid), and the term's
+    binders shadow environment variables of the same name and type.
+    """
+    t = draw(_aconv_terms())
+    keys = draw(st.lists(
+        st.sampled_from([Var(n, ty) for n in _ACONV_NAMES for ty in (num_ty, bool_ty)]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    env = {}
+    for key in keys:
+        if key.ty is num_ty:
+            env[key] = draw(_aconv_terms(2))
+        elif draw(st.booleans()):
+            env[key] = Var(draw(st.sampled_from(_ACONV_NAMES)), bool_ty)
+        else:
+            env[key] = Comb(_h, draw(_aconv_terms(2)))
+    return env, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_subst_cases())
+def test_property_var_subst_agrees_with_naive_reference(case):
+    env, t = case
+    assert _de_bruijn(var_subst(env, t)) == _de_bruijn(_naive_subst(env, t))
