@@ -76,7 +76,8 @@ def _parse_methods(raw: Optional[str]) -> Optional[List[str]]:
 
 
 def _make_stream_printer():
-    """The ``--stream`` callback: one line per cell as its future completes.
+    """The ``--stream`` callback: one line per cell as it finishes (a cache
+    hit, an in-process run, or a worker's reply over its pipe).
 
     Purely additive progress output — the final serial-order table render
     stays byte-identical with and without streaming.
@@ -138,8 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workloads = scenarios.build_scenario(name, **params)
         run = table1.run_table1 if skip_hopeless else runner.run_rows
         rows = run(workloads, methods, time_budget=args.budget,
-                   node_budget=args.node_budget, shards=args.shards,
-                   **execution)
+                   node_budget=args.node_budget, **execution)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", flush=True)
         return 2
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run cells in-process with cooperative budgets (implies --jobs 1)")
     execution_flags.add_argument(
         "--stream", action="store_true",
-        help="print each cell as its future completes (completion order); "
+        help="print each cell as it finishes (completion order); "
              "the final table render is unchanged")
     execution_flags.add_argument(
         "--no-cache", action="store_true",
@@ -300,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--methods", default=None,
                        help="comma-separated backends (see list-backends); "
                             "defaults to the table's/scenario's own methods")
-    run_p.add_argument("--shards", type=int, default=1,
-                       help="split each shardable cell (taut-rw) into "
-                            "up to N sibling jobs; the merged measurement "
-                            "is shard-count independent (default 1)")
     run_p.add_argument("--budget", type=float, default=runner.DEFAULT_TIME_BUDGET,
                        help="per-cell wall-clock budget in seconds; enforced "
                             "as a hard kill unless --no-isolate")

@@ -16,9 +16,6 @@ exactly that content (:func:`cell_key`):
 How a cell was reached is not part of the key: a ``--table 1`` row and the
 same circuit built by ``--scenario figure2`` share one entry, and a fault
 cell's injected faults reach the key through the mutant's fingerprint.
-The shard count is not part of it either: each taut-rw shard gets its
-own time and vector budget, so only an ``equivalent`` cell, which no shard
-count can change, is stored (see :class:`ResultCache`).
 
 The digest is plain SHA-256 over canonical JSON — independent of
 ``PYTHONHASHSEED``, process, machine and dict insertion order, which
@@ -144,11 +141,8 @@ class ResultCache:
     ``stores`` count this instance's traffic.
 
     Only ``equivalent`` is stored.  A ``timeout`` is a fact about one run's
-    budget on one host: it depends on the host's load and, for a sharded
-    cell, on ``--shards`` (each taut-rw shard gets its own time and vector
-    budget).  An ``error`` may be transient, and refutations are re-run.
-    Equivalence does not depend on how a check was split, so a stored cell
-    serves every shard count.
+    budget on one host: it depends on the host's load.  An ``error`` may be
+    transient, and refutations are re-run.
     """
 
     def __init__(self, directory: str):

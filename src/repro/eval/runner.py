@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..verification.common import VERDICTS
 from ..verification.registry import get_checker, run_checker
@@ -101,14 +101,6 @@ class CellSpec:
     method: str
     time_budget: float = DEFAULT_TIME_BUDGET
     node_budget: int = DEFAULT_NODE_BUDGET
-    #: requested intra-cell shard count (>1 splits a shardable backend's
-    #: cell into range shards run as sibling jobs; NOT part of the cache
-    #: key — the logical cell is keyed, and only a merged ``equivalent``,
-    #: which no shard count can change, is cached)
-    shards: int = 1
-    #: the ``(k, n)`` range assignment of one expanded shard (internal:
-    #: set by :func:`expand_cell`, passed to the backend as ``shard=``)
-    shard: Optional[Tuple[int, int]] = None
 
 
 def run_cell(
@@ -116,7 +108,6 @@ def run_cell(
     method: str,
     time_budget: float = DEFAULT_TIME_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> Measurement:
     """Measure one registered method on one workload, in-process.
 
@@ -134,7 +125,6 @@ def run_cell(
             cut=workload.cut,
             time_budget=time_budget,
             node_budget=node_budget,
-            shard=shard,
         )
     except Exception as exc:
         return Measurement(
@@ -176,71 +166,8 @@ def _killed_measurement(spec: CellSpec) -> Measurement:
     )
 
 
-# ---------------------------------------------------------------------------
-# Intra-cell shards
-# ---------------------------------------------------------------------------
-
-#: the most jobs one cell splits into
-MAX_SHARDS = 64
-
-
-def expand_cell(spec: CellSpec) -> List[CellSpec]:
-    """The jobs that compute one logical cell: its range shards, or itself.
-
-    A cell with ``shards > 1`` on a shardable method (one whose
-    ``Checker.sum_stats`` is set) splits into ``min(shards, MAX_SHARDS)``
-    jobs; every other cell is a single job.
-    """
-    count = min(spec.shards, MAX_SHARDS)
-    if count > 1 and get_checker(spec.method).sum_stats is not None:
-        return [replace(spec, shards=1, shard=(k, count)) for k in range(count)]
-    return [spec]
-
-
-def merge_shards(spec: CellSpec, parts: Sequence[Measurement]) -> Measurement:
-    """Deterministic, submission-indexed merge of one shard group.
-
-    ``parts`` must be in shard order (``(0, n) .. (n-1, n)``); the reducer
-    never looks at completion order, so serial and ``--jobs N`` runs of
-    the same sharded cell merge byte-identically.
-    Verdict: refuted as soon as any shard refutes (the first refuting
-    shard by index supplies the counterexample and detail), else error if
-    any shard erred, else the dash if any shard ran out of budget, else
-    equivalent.  Stats: additive counters (the backend's declared
-    ``sum_stats``) are summed, everything else — peaks, graph sizes — takes
-    the max; ``seconds`` is the slowest shard (the group's critical path)
-    and ``stats["shards"]`` records the job count.
-    """
-    if not parts:
-        raise ValueError("merge_shards: no parts")
-    sum_keys = get_checker(spec.method).sum_stats or frozenset()
-    stats: Dict[str, float] = {}
-    for part in parts:
-        for key, value in part.stats.items():
-            if key in sum_keys:
-                stats[key] = stats.get(key, 0.0) + float(value)
-            else:
-                stats[key] = max(stats.get(key, float("-inf")), float(value))
-    stats["shards"] = float(len(parts))
-    seconds = max(part.seconds for part in parts)
-
-    for verdict in ("not_equivalent", "error", "timeout"):
-        base = next((p for p in parts if p.verdict == verdict), None)
-        if base is not None:
-            return Measurement(
-                workload=spec.workload.name, method=spec.method,
-                verdict=verdict, seconds=seconds, detail=base.detail,
-                stats=stats, counterexample=base.counterexample,
-            )
-    return Measurement(
-        workload=spec.workload.name, method=spec.method,
-        verdict="equivalent", seconds=seconds,
-        detail=f"merged {len(parts)} shards; " + parts[0].detail, stats=stats,
-    )
-
-
 def run_spec(spec: CellSpec) -> Measurement:
-    """Run one logical cell in-process, its shards back to back and merged."""
+    """Run one cell in-process."""
     return run_cells([spec])[0]
 
 
@@ -259,11 +186,8 @@ def run_cells(
     subprocesses, started for this call; a worker still alive
     :data:`KILL_GRACE` seconds past its cell's time budget is killed (and
     the pool recycles it), recording the cell as a timeout.  The returned
-    list always matches ``specs`` order.
-
-    A cell with ``shards > 1`` on a shardable method runs as one job per
-    shard (:func:`expand_cell`) in both modes, and completes when its last
-    shard does, merged by :func:`merge_shards`.
+    list always matches ``specs`` order.  Each pending cell is one job:
+    parallelism comes only from running cells side by side.
 
     ``cache`` is an optional :class:`~repro.eval.cache.ResultCache`: cells
     whose content-addressed digest is already cached short-circuit before
@@ -303,41 +227,26 @@ def run_cells(
             if measurement is not None:
                 on_result(index, measurement)
 
-    # one job per pending cell, or per shard of a sharded one
-    work: List[CellSpec] = []
-    owners: List[Tuple[int, int]] = []  # job -> (cell index, shard ordinal)
-    parts: Dict[int, List[Optional[Measurement]]] = {}
-    for index in pending:
-        expanded = expand_cell(specs[index])
-        parts[index] = [None] * len(expanded)
-        owners += [(index, k) for k in range(len(expanded))]
-        work += expanded
-
-    def _finish(job: int, measurement: Measurement) -> None:
-        index, k = owners[job]
-        cell = parts[index]
-        cell[k] = measurement
-        if any(m is None for m in cell):
-            return  # sibling shards still running
-        if len(cell) > 1:
-            measurement = merge_shards(specs[index], cell)
+    def _finish(index: int, measurement: Measurement) -> None:
         results[index] = measurement
         if cache is not None:
             cache.store(keys[index], measurement)
         if on_result is not None:
             on_result(index, measurement)
 
-    if not work:
+    if not pending:
         return results  # type: ignore[return-value]
     if not isolate:
-        for job, part in enumerate(work):
-            _finish(job, run_cell(part.workload, part.method, part.time_budget,
-                                  part.node_budget, shard=part.shard))
+        for index in pending:
+            spec = specs[index]
+            _finish(index, run_cell(spec.workload, spec.method,
+                                    spec.time_budget, spec.node_budget))
     else:
         from .service import WorkerPool  # deferred: service builds on this module
 
-        with WorkerPool(min(jobs, len(work))) as pool:
-            pool.run(list(enumerate(work)), on_result=_finish)
+        with WorkerPool(min(jobs, len(pending))) as pool:
+            pool.run([(index, specs[index]) for index in pending],
+                     on_result=_finish)
 
     assert all(m is not None for m in results)
     return results  # type: ignore[return-value]
@@ -359,7 +268,6 @@ def run_rows(
     methods: Sequence[str],
     time_budget: float = DEFAULT_TIME_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    shards: int = 1,
     **options,
 ) -> List[Row]:
     """Measure a whole table, parallelising across *all* cells of all rows.
@@ -369,7 +277,7 @@ def run_rows(
     :func:`run_cells` unchanged.
     """
     specs = [
-        CellSpec(workload, method, time_budget, node_budget, shards=shards)
+        CellSpec(workload, method, time_budget, node_budget)
         for workload in workloads
         for method in methods
     ]

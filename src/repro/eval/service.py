@@ -44,7 +44,6 @@ def _pool_worker(conn) -> None:
         try:
             measurement = run_cell(
                 spec.workload, spec.method, spec.time_budget, spec.node_budget,
-                shard=spec.shard,
             )
         except BaseException as exc:  # the parent must always receive *something*
             measurement = Measurement(
@@ -80,8 +79,7 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         #: kill + respawn events (budget overruns and worker deaths)
         self.recycled = 0
-        #: jobs completed over the pool's lifetime (one per shard of a
-        #: sharded cell)
+        #: cells completed over the pool's lifetime
         self.cells_run = 0
         #: crashed cells re-dispatched onto a fresh worker (one retry each)
         self.retries = 0

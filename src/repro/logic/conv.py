@@ -344,31 +344,33 @@ def SND_CONV(t: Term) -> Theorem:
     return REWR_CONV(stdlib.snd_pair_theorem())(t)
 
 
-#: lazily built worklist nets for the standard normalisations (the rewriter
-#: module imports from this one, so the nets cannot be built at import time)
+#: lazily built ``(net, conversion)`` pairs for the standard normalisations
+#: (the rewriter module imports from this one, so the nets cannot be built
+#: at import time)
 _std_nets: dict = {}
 
 
-def _std_net_conv(name: str) -> Conv:
-    conv = _std_nets.get(name)
-    if conv is None:
+def _std_net(name: str) -> tuple:
+    """The beta/LET/pair net, plus ``COMPUTE`` for ``"eval"``, and its
+    conversion (a fresh memo per call)."""
+    entry = _std_nets.get(name)
+    if entry is None:
         from .rewriter import RewriteNet, net_conv
 
         net = RewriteNet()
-        if name != "pair":
-            net.add_beta(BETA_CONV)
-            net.add_conv(LET_CONV, "LET", 2)
+        net.add_beta(BETA_CONV)
+        net.add_conv(LET_CONV, "LET", 2)
         net.add_conv(FST_CONV, "FST", 1)
         net.add_conv(SND_CONV, "SND", 1)
         if name == "eval":
             net.add_const_fallback(COMPUTE_CONV)
-        conv = _std_nets[name] = net_conv(net)
-    return conv
+        entry = _std_nets[name] = (net, net_conv(net))
+    return entry
 
 
 def BETA_NORM_CONV(t: Term) -> Theorem:
     """Full beta/LET/pair normalisation of ``t`` (worklist engine)."""
-    return _std_net_conv("beta_norm")(t)
+    return _std_net("beta_norm")[1](t)
 
 
 def COMPUTE_CONV(t: Term) -> Theorem:
@@ -388,7 +390,20 @@ def EVAL_CONV(t: Term) -> Theorem:
     is the conversion used for step 4 of the retiming procedure (computing
     the retimed initial state ``f(q)``).
     """
-    return _std_net_conv("eval")(t)
+    return _std_net("eval")[1](t)
+
+
+def shared_eval_conv() -> Conv:
+    """``EVAL_CONV`` with one memo shared by every call of the result.
+
+    A subterm evaluated by one call costs no inference in a later one, so
+    evaluating many terms that share structure (one circuit under every
+    input vector) pays for each distinct subterm once.  The memo, and so
+    every theorem it holds, lives as long as the returned conversion.
+    """
+    from .rewriter import net_conv
+
+    return net_conv(_std_net("eval")[0], memo={})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from . import terms as tm
 #: Infix constants and their (symbol, precedence).  Higher binds tighter.
 _INFIX = {
     "=": ("=", 20),
-    "==>": ("==>", 10),
     "/\\": ("/\\", 16),
     "\\/": ("\\/", 14),
     ",": (",", 8),

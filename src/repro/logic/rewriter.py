@@ -13,11 +13,13 @@ do much better; this module provides the engine:
   instead of the full ``ORELSEC`` chain.  Structural conversions
   (``BETA_CONV``, ``FST_CONV`` ...) are registered under the same keys.
 * :func:`net_conv` — the worklist normaliser.  It visits the term bottom-up
-  with an explicit stack and a per-run memo cache keyed on the interned term
-  (sound under hash-consing: a term's normal form does not depend on its
-  context), so shared subterms normalise once.  After a local rewrite only
-  the rewritten subterm is re-examined, and the equality theorem is rebuilt
-  via ``MK_COMB``/``ABS`` congruence **only along changed spines**:
+  with an explicit stack and a memo cache keyed on the interned term (sound
+  under hash-consing: a term's normal form does not depend on its context),
+  so shared subterms normalise once.  The memo is per call, or shared by
+  every call of one conversion when the caller supplies it.  After a local
+  rewrite only the rewritten subterm is re-examined, and the equality
+  theorem is rebuilt via ``MK_COMB``/``ABS`` congruence **only along
+  changed spines**:
 
   - a subterm in normal form contributes **zero** kernel inferences (it is
     recorded as "unchanged", not as a ``REFL`` theorem);
@@ -173,7 +175,8 @@ def _step(net: RewriteNet, t: Term) -> Optional[Theorem]:
     return None
 
 
-def _normalise(net: RewriteNet, root: Term, limit: int) -> Optional[Theorem]:
+def _normalise(net: RewriteNet, root: Term, limit: int,
+               memo: Dict[Term, Optional[Theorem]]) -> Optional[Theorem]:
     """Normalise ``root``; ``None`` means it is already in normal form.
 
     The memo maps each interned term to its normalisation outcome: ``None``
@@ -182,7 +185,6 @@ def _normalise(net: RewriteNet, root: Term, limit: int) -> Optional[Theorem]:
     node per gate in a bit-blasted circuit) is not bounded by the Python
     recursion limit.
     """
-    memo: Dict[Term, Optional[Theorem]] = {}
     fuel = limit
     stack: List[tuple] = [(_VISIT, root)]
     while stack:
@@ -252,16 +254,24 @@ def _normalise(net: RewriteNet, root: Term, limit: int) -> Optional[Theorem]:
     return memo[root]
 
 
-def net_conv(net: RewriteNet, limit: int = 1_000_000) -> Conv:
+def net_conv(net: RewriteNet, limit: int = 1_000_000,
+             memo: Optional[Dict[Term, Optional[Theorem]]] = None) -> Conv:
     """The worklist normaliser for ``net`` as a standard conversion.
 
     Returns ``|- t = t_nf``; like ``REWRITE_CONV`` it returns ``|- t = t``
     (one ``REFL``) when nothing applies.  ``limit`` bounds the number of
     rule applications per call.
+
+    Each call normalises under a fresh memo, unless ``memo`` is given: then
+    every call shares it, and a subterm normalised by one call costs no
+    inference in the next.  That is sound for the same reason the per-call
+    memo is (keys are interned terms, and a term's normal form does not
+    depend on its context), but the memo keeps its terms and theorems alive
+    for as long as the conversion is referenced.
     """
 
     def conv(t: Term) -> Theorem:
-        th = _normalise(net, t, limit)
+        th = _normalise(net, t, limit, {} if memo is None else memo)
         return REFL(t) if th is None else th
 
     return conv

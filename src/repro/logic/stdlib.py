@@ -5,7 +5,7 @@ This module extends the current theory with
 * the boolean literals ``T`` / ``F`` and the usual connectives,
 * the ``LET`` combinator and its defining theorem ``LET_DEF``,
 * the pair projection laws ``FST (a, b) = a`` and ``SND (a, b) = b``,
-* natural-number arithmetic (``ADD``, ``SUB``, ``MUL`` ...), and
+* natural-number arithmetic (``ADD``, ``SUB``, ``MUL``), and
 * the word-level hardware operators used by the circuit embedding
   (``ADDW``, ``INCW``, ``EQW``, ``MUXW`` ... all parameterised by a width and
   computing modulo ``2**width``).
@@ -88,7 +88,6 @@ def ensure_stdlib(theory: Optional[Theory] = None) -> StdlibTheorems:
     comp("~", _fun(bool_ty, bool_ty), 1, lambda a: not a)
     comp("/\\", b3, 2, lambda a, b: bool(a and b))
     comp("\\/", b3, 2, lambda a, b: bool(a or b))
-    comp("==>", b3, 2, lambda a, b: bool((not a) or b))
     comp("XOR", b3, 2, lambda a, b: bool(a) != bool(b))
     comp("NAND", b3, 2, lambda a, b: not (a and b))
     comp("NOR", b3, 2, lambda a, b: not (a or b))
@@ -96,26 +95,11 @@ def ensure_stdlib(theory: Optional[Theory] = None) -> StdlibTheorems:
     comp("MUXB", _fun(bool_ty, bool_ty, bool_ty, bool_ty), 3,
          lambda s, a, b: bool(a) if s else bool(b))
 
-    # polymorphic if-then-else
-    comp("COND", _fun(bool_ty, _A, _A, _A), 3, lambda s, a, b: a if s else b)
-
     # -- natural-number arithmetic --------------------------------------------
-    n1 = _fun(num_ty, num_ty)
     n2 = _fun(num_ty, num_ty, num_ty)
-    nb = _fun(num_ty, num_ty, bool_ty)
-    comp("SUC", n1, 1, lambda a: a + 1)
-    comp("PRE", n1, 1, lambda a: max(a - 1, 0))
     comp("ADD", n2, 2, lambda a, b: a + b)
     comp("SUB", n2, 2, lambda a, b: max(a - b, 0))
     comp("MUL", n2, 2, lambda a, b: a * b)
-    comp("DIV", n2, 2, lambda a, b: a // b if b else 0)
-    comp("MOD", n2, 2, lambda a, b: a % b if b else a)
-    comp("EXP", n2, 2, lambda a, b: a ** b)
-    comp("MIN", n2, 2, min)
-    comp("MAX", n2, 2, max)
-    comp("NUM_EQ", nb, 2, lambda a, b: a == b)
-    comp("NUM_LT", nb, 2, lambda a, b: a < b)
-    comp("NUM_LE", nb, 2, lambda a, b: a <= b)
 
     # -- word-level hardware operators (width-parameterised, modulo 2**w) -----
     w2 = _fun(num_ty, num_ty, num_ty)            # width, operand -> result
@@ -138,8 +122,6 @@ def ensure_stdlib(theory: Optional[Theory] = None) -> StdlibTheorems:
     comp("GEW", wb, 2, lambda a, b: a >= b)
     comp("MUXW", _fun(bool_ty, num_ty, num_ty, num_ty), 3,
          lambda s, a, b: a if s else b)
-    comp("BITW", _fun(num_ty, num_ty, bool_ty), 2,
-         lambda a, i: bool((a >> i) & 1))
 
     # -- LET ------------------------------------------------------------------
     f_var = Var("f", mk_fun_ty(_A, _B))
@@ -223,34 +205,9 @@ def is_let(t: Term) -> bool:
 
 
 def word_op(name: str, *args: Term) -> Term:
-    """Apply a standard-library operator constant to arguments."""
+    """Apply a (monomorphic) standard-library operator constant to arguments."""
     ensure_stdlib()
-    thy = current_theory()
-    info = thy.constant_info(name)
-    # Compute the instance type from argument types left to right.
-    ty = info.generic_type
-    const = Const(name, ty)
-    out: Term = const
-    # For polymorphic operators (COND), instantiate using the first value arg.
-    tyvars = ty.type_vars()
-    if tyvars:
-        from .hol_types import type_match, TypeMatchError
-        from .hol_types import type_subst as _ts
-
-        # match argument types against the generic domains
-        doms = []
-        t = ty
-        while t.is_fun():
-            doms.append(t.domain)
-            t = t.codomain
-        env = {}
-        for d, a in zip(doms, args):
-            try:
-                env.update(type_match(d, a.ty, env))
-            except TypeMatchError:
-                pass
-        const = Const(name, _ts(env, ty))
-        out = const
+    out: Term = Const(name, current_theory().constant_info(name).generic_type)
     for a in args:
         out = Comb(out, a)
     return out

@@ -23,8 +23,8 @@ quantifying every input/current-state variable as soon as the last cluster
 mentioning it has been conjoined (the classic IWLS'95 early-quantification
 schedule).  This shrinks the peak intermediate BDD by orders of magnitude
 on counter-like state spaces; pass ``cluster_size=None`` to
-:func:`build_transition_relation` to fall back to one monolithic cluster
-(the PR-3-era behaviour, kept for the benchmark ablation).
+:func:`build_transition_relation` to fall back to one monolithic cluster,
+the reference the clustered image is tested against.
 
 Budgets (wall-clock seconds and/or BDD nodes) make the exponential blow-up
 observable without hanging the benchmark harness: a run that exceeds its

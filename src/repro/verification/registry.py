@@ -64,12 +64,6 @@ class Checker:
     #: structural matching) may legitimately return ``error`` when
     #: inconclusive, so a differential oracle must not flag that as a bug.
     complete: bool = True
-    #: ``None`` unless the backend splits one cell into ``n`` disjoint
-    #: range shards, each receiving ``shard=(k, n)``; then the stats keys
-    #: that add up across shards (every other stat merges by ``max``).
-    #: The cell is equivalent iff every shard is; any shard's refutation
-    #: refutes it.
-    sum_stats: Optional[FrozenSet[str]] = None
 
 
 _CHECKERS: Dict[str, Checker] = {}
@@ -85,22 +79,17 @@ def register_checker(
     kind: str = "verifier",
     cut_points: bool = False,
     complete: bool = True,
-    sum_stats: Optional[Sequence[str]] = None,
     replace: bool = False,
 ):
     """Register a backend; usable directly or as a decorator.
 
     ``replace=True`` allows overwriting an existing entry (used by tests to
-    install stubs); otherwise a duplicate name is an error.  A backend
-    declares ``sum_stats`` exactly when it accepts ``shard``.
+    install stubs); otherwise a duplicate name is an error.
     """
 
     def _register(func: Callable[..., VerificationResult]):
         if not replace and name in _CHECKERS:
             raise ValueError(f"checker {name!r} is already registered")
-        if (sum_stats is not None) != ("shard" in accepts):
-            raise ValueError(f"checker {name!r}: a backend declares sum_stats "
-                             "if and only if it accepts 'shard'")
         _CHECKERS[name] = Checker(
             name=name,
             fn=func,
@@ -110,7 +99,6 @@ def register_checker(
             kind=kind,
             cut_points=cut_points,
             complete=complete,
-            sum_stats=None if sum_stats is None else frozenset(sum_stats),
         )
         return func
 
@@ -275,9 +263,8 @@ register_checker(
     "taut-rw", tautology.combinational_equivalent_by_rewriting,
     description="kernel-checked combinational equivalence on the worklist "
                 "rewrite engine (every case a theorem)",
-    accepts=("time_budget", "max_vectors", "shard"),
+    accepts=("time_budget", "max_vectors"),
     cut_points=True,
-    sum_stats=("vectors", "kernel_steps", "retries"),
 )
 register_checker(
     "hash", _hash_formal,

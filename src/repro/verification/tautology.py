@@ -16,7 +16,8 @@ assignment is evaluated with the worklist rewrite engine
 theorem instead of a trusted BDD result.  The enumeration is exponential in
 the number of input/cut-point bits — exactly the limitation Section II
 ascribes to tautology checking — but hash-consing plus the engine's memo
-cache make each individual case linear in the circuit size.
+cache, shared by every case of a cell, make each case cost only the
+subterms its assignment changes.
 
 The third path is the AIG one: the ``sat``/``fraig`` backends in
 :mod:`repro.verification.sat` / :mod:`repro.verification.fraig` decide the
@@ -31,8 +32,9 @@ from typing import Dict, List, Optional, Tuple
 from ..circuits.netlist import Netlist
 from ..logic import conv
 from ..logic.conv import ConvError
+from ..logic.ground import mk_bool
 from ..logic.hol_types import bool_ty
-from ..logic.kernel import KernelError, Theorem, inference_steps
+from ..logic.kernel import KernelError, inference_steps
 from ..logic.rules import RuleError, equal_by_normalisation
 from ..logic.stdlib import ensure_stdlib
 from ..logic.terms import Term, Var, mk_tuple, var_subst
@@ -135,20 +137,11 @@ def _net_terms(gate: Netlist) -> Tuple[Dict[str, Term], List[str]]:
     return values, var_names
 
 
-def _eval_under(term: Term, assignment: Dict[str, bool]) -> Theorem:
-    """``|- term[assignment] = value`` via the worklist evaluation engine."""
-    from ..logic.ground import mk_bool
-
-    env = {Var(name, bool_ty): mk_bool(v) for name, v in assignment.items()}
-    return conv.EVAL_CONV(var_subst(env, term))
-
-
 def combinational_equivalent_by_rewriting(
     a: Netlist,
     b: Netlist,
     time_budget: Optional[float] = None,
     max_vectors: int = 4096,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> VerificationResult:
     """Kernel-checked combinational equivalence on the rewrite engine.
 
@@ -156,22 +149,18 @@ def combinational_equivalent_by_rewriting(
     (registers become free variables keyed by register name), but every
     comparison is performed inside the logic: for each assignment the output
     and next-state terms of both circuits are evaluated with
-    ``EVAL_CONV`` and linked into theorems ``|- out_a[v] = out_b[v]``.
+    ``EVAL_CONV``'s net and linked into theorems ``|- out_a[v] = out_b[v]``.
     Exponential in the number of input/cut bits, so bounded by
     ``max_vectors``; overruns are reported as ``timeout`` (the paper's
     dashes), not as errors.
 
-    Vector ``i`` of the ``N = 2^bits`` in the enumeration sets the ``j``-th
-    sorted variable to bit ``j`` of ``i``.  ``shard=(k, n)`` enumerates only
-    ``range(k*N//n, (k+1)*N//n)``: the ``n`` shards partition the vectors in
-    enumeration order, so the first refuting shard stops at the unsharded
-    counterexample, and a shard whose range is empty is ``equivalent`` with
-    0 vectors.  The ``max_vectors`` bound applies per shard, which is how
-    sharding opens circuits the unsharded enumeration refuses.
+    Vector ``i`` of the ``2^bits`` in the enumeration sets the ``j``-th
+    sorted variable to bit ``j`` of ``i``.  Every vector of the cell goes
+    through one :func:`~repro.logic.conv.shared_eval_conv`, so a subterm
+    whose inputs two vectors assign alike is evaluated once per cell, not
+    once per vector; the price is that the cell's theorems stay alive until
+    it ends.
     """
-    index, count = shard or (0, 1)
-    if not 0 <= index < count:
-        raise ValueError(f"invalid shard {shard!r}")
     ensure_stdlib()  # one-time theory setup is not this cell's kernel work
     steps_before = inference_steps()
 
@@ -185,27 +174,27 @@ def combinational_equivalent_by_rewriting(
         vals_b, names_b = _net_terms(gate_b)
         var_names = sorted(set(names_a) | set(names_b))
         total = 1 << len(var_names)
-        lo, hi = index * total // count, (index + 1) * total // count
-        if hi - lo > max_vectors:
-            over = (f"2^{len(var_names)}" if shard is None else
-                    f"this shard's {hi - lo}")
+        if total > max_vectors:
             raise TimeoutBudgetExceeded(
-                f"{over} vectors exceed the budget of {max_vectors}")
+                f"2^{len(var_names)} vectors exceed the budget of {max_vectors}")
 
         term_a = mk_tuple([vals_a[net_a] for _, net_a, _ in compared])
         term_b = mk_tuple([vals_b[net_b] for _, _, net_b in compared])
 
+        evaluate = conv.shared_eval_conv()
         theorems = 0
         run.counters = lambda: {
             "vectors": float(theorems),
             "kernel_steps": float(inference_steps() - steps_before),
         }
-        for vector in range(lo, hi):
+        for vector in range(total):
             run.budget.check()
             assignment = {name: bool((vector >> i) & 1)
                           for i, name in enumerate(var_names)}
-            th_a = _eval_under(term_a, assignment)
-            th_b = _eval_under(term_b, assignment)
+            env = {Var(name, bool_ty): mk_bool(v)
+                   for name, v in assignment.items()}
+            th_a = evaluate(var_subst(env, term_a))
+            th_b = evaluate(var_subst(env, term_b))
             try:
                 equal_by_normalisation(th_a, th_b)
             except RuleError:
@@ -217,11 +206,10 @@ def combinational_equivalent_by_rewriting(
                 )
             theorems += 1
 
-        shard_note = "" if shard is None else f" [shard {index + 1}/{count}]"
         return run.result(
             "equivalent",
             f"{theorems} kernel-checked case theorems "
-            f"over {len(var_names)} input/cut bits" + shard_note,
+            f"over {len(var_names)} input/cut bits",
         )
 
     def guarded(run: EngineRun) -> VerificationResult:

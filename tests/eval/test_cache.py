@@ -193,10 +193,6 @@ class TestCellKeyDeterminism:
         again = ResultCache(directory).lookup("other-key")
         assert again == new  # new counters survive the disk round-trip
 
-    def test_shard_count_is_absent_from_the_key(self):
-        spec = _golden_spec("fraig")
-        assert cell_key(replace(spec, shards=4)) == cell_key(spec)
-
     def test_netlist_fingerprint_ignores_construction_order(self):
         a = Netlist("x")
         a.add_input("p", 1)
@@ -326,37 +322,6 @@ class TestResultCache:
         count, nbytes = cache.disk_entries()
         assert count == 1 and nbytes > 0
         assert (cache.hits, cache.misses, cache.stores) == (0, 0, 1)
-
-
-class TestShardsAndDashes:
-    @pytest.fixture
-    def split_stub(self):
-        """A shardable backend that runs out of budget unless split."""
-
-        def stub(original, retimed, time_budget=None, shard=None):
-            status = "timeout" if shard is None else "equivalent"
-            return VerificationResult(method="stub-split", status=status,
-                                      seconds=0.1, detail=f"shard {shard}")
-
-        register_checker("stub-split", stub, accepts=("time_budget", "shard"),
-                         sum_stats=(), replace=True)
-        yield
-        unregister_checker("stub-split")
-
-    def test_dash_of_one_shard_count_does_not_outlive_it(self, tmp_path,
-                                                         split_stub):
-        spec = CellSpec(_golden_workload(), "stub-split", time_budget=60.0)
-        cache = ResultCache(str(tmp_path))
-        (dash,) = run_cells([spec], cache=cache)
-        assert dash.verdict == "timeout"
-        (decided,) = run_cells([replace(spec, shards=4)], cache=cache)
-        assert decided.verdict == "equivalent"
-        assert (cache.hits, cache.misses, cache.stores) == (0, 2, 1)
-        # the decided cell then serves every shard count
-        for shards in (1, 2):
-            (served,) = run_cells([replace(spec, shards=shards)], cache=cache)
-            assert served == decided
-        assert cache.hits == 2
 
 
 class TestRunCellsWithCache:

@@ -285,6 +285,12 @@ class TestErrors:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_there_are_no_shards(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--shards", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
+
     def test_malformed_param_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--param", "widths"])

@@ -1,7 +1,8 @@
 """Tests for the process-isolated measurement runner.
 
 Covers the timeout / failed / budget paths, ``Measurement.render``, the
-enforced wall-clock kill and the serial-vs-parallel determinism guarantee.
+enforced wall-clock kill, the serial-vs-parallel determinism guarantee and
+the agreement of in-process and pooled runs on real cells.
 """
 
 import os
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from repro.circuits.generators import counter
+from repro.eval.cache import ResultCache
 from repro.eval.runner import (
     CellSpec,
     Measurement,
@@ -250,6 +252,16 @@ class TestIsolatedExecution:
         # the 300s the stub would cooperatively take
         assert elapsed < 5.0
 
+    def test_a_killed_cell_is_a_dash_that_is_not_cached(self, tiny_workload,
+                                                        tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        (m,) = run_cells([CellSpec(tiny_workload, "stub-sleep", time_budget=0.3)],
+                         jobs=2, isolate=True, cache=cache)
+        assert m.verdict == "timeout"
+        assert m.render() == "-"
+        assert "wall-clock" in m.detail
+        assert (cache.misses, cache.stores) == (1, 0)
+
     def test_dead_worker_reported_as_failed(self, tiny_workload):
         (m,) = run_cells([CellSpec(tiny_workload, "stub-die", time_budget=10.0)],
                          jobs=1, isolate=True)
@@ -358,3 +370,100 @@ class TestRealBackendsThroughRunner:
                {m: c.verdict for m, c in isolated.cells.items()}
         assert in_proc.cells["hash"].stats["kernel_steps"] == \
                isolated.cells["hash"].stats["kernel_steps"]
+
+
+def _outcome(m):
+    """What every execution mode must agree on: all but the clocks and the
+    process-wide intern table's warmth."""
+    stats = {k: v for k, v in m.stats.items()
+             if not k.endswith("_seconds") and not k.startswith("term_intern_")}
+    return m.verdict, m.counterexample, m.detail, stats
+
+
+@pytest.fixture(scope="module")
+def strash_counter():
+    return build_scenario("strash", widths=[3])[1]
+
+
+@pytest.fixture(scope="module")
+def refuting_fault():
+    """A fault-injected fuzz pair: ground truth ``not_equivalent``."""
+    from repro.eval.fuzz import build_cell, make_specs
+
+    spec = next(s for s in make_specs(6, seed=3) if s.flavour == "fault")
+    return build_cell(spec).workload
+
+
+_EQ, _NE, _ERR = "equivalent", "not_equivalent", "error"
+#: every real backend's verdict on three pairs.  On the retimed pair the
+#: cut points of the combinational backends do not correspond; the
+#: structural matcher cannot pair the strash pair's rebuilt cells; and
+#: the fault leaves van Eijk's induction inconclusive and hash without a
+#: retiming cut.
+VERDICTS = {
+    "retimed": {"eijk": _EQ, "eijk+": _EQ, "fraig": _ERR, "hash": _EQ,
+                "match": _EQ, "sat": _ERR, "sis": _EQ, "smv": _EQ,
+                "taut": _ERR, "taut-rw": _ERR},
+    "strash": {"eijk": _EQ, "eijk+": _EQ, "fraig": _EQ, "hash": _EQ,
+               "match": _ERR, "sat": _EQ, "sis": _EQ, "smv": _EQ,
+               "taut": _EQ, "taut-rw": _EQ},
+    "fault": {"eijk": _ERR, "eijk+": _ERR, "fraig": _NE, "hash": _ERR,
+              "match": _ERR, "sat": _NE, "sis": _NE, "smv": _NE,
+              "taut": _NE, "taut-rw": _NE},
+}
+REAL_CELLS = [(pair, method) for pair, verdicts in VERDICTS.items()
+              for method in verdicts]
+
+
+@pytest.fixture(scope="module")
+def both_modes(tiny_workload, strash_counter, refuting_fault):
+    """Every real cell run in process and on a 2-worker pool, with the
+    indices of the jobs the pool was given."""
+    workloads = {"retimed": tiny_workload, "strash": strash_counter,
+                 "fault": refuting_fault}
+    specs = [CellSpec(workloads[pair], method, time_budget=60.0)
+             for pair, method in REAL_CELLS]
+    jobs = []
+
+    class RecordedPool(WorkerPool):
+        def run(self, items, *args, **kwargs):
+            jobs.extend(index for index, _ in items)
+            return super().run(items, *args, **kwargs)
+
+    in_process = run_cells(specs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.eval.service.WorkerPool", RecordedPool)
+        pooled = run_cells(specs, jobs=2, isolate=True)
+    return dict(zip(REAL_CELLS, zip(in_process, pooled))), jobs
+
+
+@needs_fork
+class TestRealCellsAcrossModes:
+    """Each cell is one job, so both modes compute it the same way."""
+
+    @pytest.mark.parametrize("pair,method", REAL_CELLS)
+    def test_in_process_and_pool_agree(self, both_modes, pair, method):
+        in_process, pooled = both_modes[0][pair, method]
+        assert in_process.verdict == VERDICTS[pair][method], in_process.detail
+        if in_process.verdict == _NE:
+            assert in_process.counterexample is not None
+        assert _outcome(pooled) == _outcome(in_process)
+
+    def test_each_cell_is_one_pool_job(self, both_modes):
+        assert sorted(both_modes[1]) == list(range(len(REAL_CELLS)))
+
+    def test_fully_cached_pooled_run_starts_no_pool(self, strash_counter,
+                                                    tmp_path, monkeypatch):
+        spec = CellSpec(strash_counter, "taut-rw", time_budget=60.0)
+        directory = str(tmp_path / "cache")
+        cold = run_cells([spec], jobs=2, isolate=True,
+                         cache=ResultCache(directory))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully cached run started a pool")
+
+        monkeypatch.setattr("repro.eval.service.WorkerPool", no_pool)
+        cache = ResultCache(directory)
+        warm = run_cells([spec], jobs=2, isolate=True, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert warm == cold

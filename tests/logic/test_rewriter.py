@@ -274,3 +274,31 @@ class TestRewriteNetIndexing:
         engine = conv.NET_REWRITE_CONV([th_ab, th_ba], limit=50)
         with pytest.raises(conv.ConvError):
             engine(a)
+
+
+class TestSharedMemo:
+    def test_calls_sharing_one_memo_reuse_each_other(self):
+        rules = _arith_rules()
+        net = RewriteNet().add_theorems(rules)
+        zero, one = mk_numeral(0), mk_numeral(1)
+        shared = word_op("ADD", Var("a", num_ty), zero)
+        for _ in range(5):
+            shared = word_op("MUL", word_op("ADD", shared, zero),
+                             word_op("MUL", shared, one))
+        # two overlapping terms: both contain ``shared``
+        terms = (word_op("ADD", shared, zero), word_op("MUL", shared, one))
+
+        def proofs(engine):
+            out = []
+            for t in terms:
+                before = inference_steps()
+                th = engine(t)
+                out.append((th.concl, inference_steps() - before))
+            return out
+
+        fresh = proofs(net_conv(net))
+        reused = proofs(net_conv(net, memo={}))
+        assert [concl for concl, _ in reused] == [concl for concl, _ in fresh]
+        assert reused[0][1] == fresh[0][1]
+        # the second call finds ``shared`` normalised by the first
+        assert reused[1][1] < fresh[1][1]

@@ -39,6 +39,26 @@ def fig_pair():
     return figure2(3), figure2_retimed(3)
 
 
+#: register-preserving pairs taut-rw decides quickly under either memo
+#: discipline: the small strash pairs and the refuting fault cells of
+#: ``make_specs(24, seed=0)``
+MEMO_CELLS = ["strash figure2_2bit", "strash counter_2bit",
+              "strash counter_3bit", "s1 fault", "s4 fault", "s7 fault",
+              "s10 fault", "s13 fault", "s16 fault", "s19 fault", "s22 fault"]
+
+
+@pytest.fixture(scope="module")
+def memo_cells():
+    from repro.eval.fuzz import build_cell, make_specs
+    from repro.eval.scenarios import build_scenario
+
+    workloads = build_scenario("strash", widths=[2])
+    workloads.append(build_scenario("strash", widths=[3])[1])
+    workloads += [build_cell(spec).workload for spec in make_specs(24, seed=0)
+                  if spec.flavour == "fault"]
+    return {workload.name: workload for workload in workloads}
+
+
 class TestCommonInfrastructure:
     def test_compile_fsm_declares_inputs_then_state(self, fig2_small):
         gate = ensure_gate_level(fig2_small)
@@ -214,6 +234,58 @@ class TestTautologyByRewriting:
             fig2_small, figure2(3), max_vectors=2
         )
         assert result.status == "timeout"
+
+    def test_one_memo_per_cell_proves_what_eval_conv_proves(self,
+                                                             monkeypatch):
+        from repro.eval.scenarios import build_scenario
+        from repro.logic import conv
+
+        workload = build_scenario("strash", widths=[2])[0]
+        assert workload.name == "strash figure2_2bit"
+        shared_eval_conv = conv.shared_eval_conv
+        proved = []
+
+        def recording():
+            evaluate = shared_eval_conv()
+
+            def record(t):
+                proved.append(evaluate(t))
+                return proved[-1]
+
+            return record
+
+        monkeypatch.setattr(conv, "shared_eval_conv", recording)
+        result = tautology.combinational_equivalent_by_rewriting(
+            workload.original, workload.retimed)
+        assert result.status == "equivalent"
+        assert len(proved) == 2 * result.stats["vectors"] == 2 * 256
+        for th in proved:
+            assert th.concl is conv.EVAL_CONV(th.lhs).concl
+        # a fresh memo per vector took 53,646 steps; one per cell 12,716
+        assert result.stats["kernel_steps"] < 53_646
+
+    @pytest.mark.parametrize("name", MEMO_CELLS)
+    def test_one_memo_per_cell_changes_no_outcome(self, memo_cells, name,
+                                                  monkeypatch):
+        from repro.logic import conv
+
+        workload = memo_cells[name]
+        shared = tautology.combinational_equivalent_by_rewriting(
+            workload.original, workload.retimed)
+        # a fresh memo for every evaluation, as EVAL_CONV has
+        monkeypatch.setattr(conv, "shared_eval_conv", lambda: conv.EVAL_CONV)
+        fresh = tautology.combinational_equivalent_by_rewriting(
+            workload.original, workload.retimed)
+        assert (shared.status, shared.counterexample, shared.detail) == (
+            fresh.status, fresh.counterexample, fresh.detail)
+        assert shared.stats["vectors"] == fresh.stats["vectors"]
+        # even a cell refuted by its first vector evaluates both circuits
+        # under it, and the second evaluation reuses the first's subterms
+        assert shared.stats["kernel_steps"] < fresh.stats["kernel_steps"]
+        # the BDD tautology checker shares no code with the rewrite engine
+        bdd = tautology.combinational_equivalent(workload.original,
+                                                 workload.retimed)
+        assert shared.status == bdd.status
 
     def _two_output(self, flipped: bool) -> Netlist:
         nl = Netlist("two_out")
