@@ -27,6 +27,7 @@ from repro.circuits.generators.multiplier import multiplier_retiming_cut
 from repro.circuits.simulate import outputs_equal
 from repro.formal import certificate_for, compose, retiming_step, tidy_step
 from repro.formal.hash_core import bridge_retiming_result
+from repro.retiming.apply import apply_forward_retiming
 
 
 def main() -> int:
@@ -45,7 +46,8 @@ def main() -> int:
     print(f"  {bridge.name}: {bridge.seconds:.3f} s ({bridge.detail})")
 
     print("Step 3: formal retiming across the multiplier")
-    step2 = retiming_step(result1.retimed_netlist, ["mult"])
+    retimed1 = apply_forward_retiming(circuit, result1.cut)
+    step2 = retiming_step(retimed1, ["mult"])
     result2 = step2.artifacts["result"]
     print(f"  {step2.name}: {step2.seconds:.3f} s, {step2.detail}")
 
@@ -57,7 +59,7 @@ def main() -> int:
     compound = compose([step1, bridge, step2, step3], name="retime+retime+tidy")
     print(f"  compound theorem spans: {compound.detail}")
 
-    final_netlist = result2.retimed_netlist
+    final_netlist = apply_forward_retiming(retimed1, result2.cut)
     print("\nCross-check: original vs final netlist on random stimuli:",
           outputs_equal(circuit, final_netlist, cycles=200))
 

@@ -63,7 +63,8 @@ def main() -> int:
     for method in ("sis", "smv", "eijk", "eijk+", "match"):
         checker = get_checker(method)
         verdict = run_checker(method, circuit, retimed, time_budget=args.budget)
-        print(f"  {checker.name:8s} [{checker.kind}]: {verdict.status:14s} "
+        kind = "synthesis" if checker.needs_cut else "verifier"
+        print(f"  {checker.name:8s} [{kind}]: {verdict.status:14s} "
               f"{verdict.seconds:8.3f} s  "
               f"{ {k: round(v, 3) for k, v in sorted(verdict.stats.items()) if k != 'wall_seconds'} }")
     return 0

@@ -20,7 +20,7 @@ The library covers both the RT-level components of the paper's Figure 2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 
 class CellError(Exception):
@@ -42,10 +42,6 @@ class CellType:
     width_rule: str
     #: evaluator: (width, [input values], params) -> output value
     evaluate: Callable[[int, Sequence[int], Dict], int]
-    #: name of the word-level logic constant used by the HOL embedding, plus
-    #: whether the width is passed as the first argument
-    logic_op: Optional[str] = None
-    logic_takes_width: bool = False
     #: description for documentation
     doc: str = ""
 
@@ -90,86 +86,84 @@ def _register(ct: CellType) -> CellType:
 _register(CellType(
     "BUF", 1, "same",
     lambda w, ins, p: ins[0] & _mask(w),
-    logic_op="ORW", logic_takes_width=True,
     doc="identity buffer"))
 _register(CellType(
     "NOT", 1, "same",
     lambda w, ins, p: (~ins[0]) & _mask(w),
-    logic_op="NOTW", logic_takes_width=True,
     doc="bitwise complement"))
 
 # -- two-input bitwise gates ---------------------------------------------------
 _register(CellType(
     "AND", 2, "same", _bitwise(lambda a, b: a & b),
-    logic_op="ANDW", logic_takes_width=True, doc="bitwise and"))
+    doc="bitwise and"))
 _register(CellType(
     "OR", 2, "same", _bitwise(lambda a, b: a | b),
-    logic_op="ORW", logic_takes_width=True, doc="bitwise or"))
+    doc="bitwise or"))
 _register(CellType(
     "XOR", 2, "same", _bitwise(lambda a, b: a ^ b),
-    logic_op="XORW", logic_takes_width=True, doc="bitwise xor"))
+    doc="bitwise xor"))
 _register(CellType(
     "NAND", 2, "same",
     lambda w, ins, p: (~(ins[0] & ins[1])) & _mask(w),
-    logic_op="NOTW", logic_takes_width=True, doc="bitwise nand"))
+    doc="bitwise nand"))
 _register(CellType(
     "NOR", 2, "same",
     lambda w, ins, p: (~(ins[0] | ins[1])) & _mask(w),
-    logic_op="NOTW", logic_takes_width=True, doc="bitwise nor"))
+    doc="bitwise nor"))
 _register(CellType(
     "XNOR", 2, "same",
     lambda w, ins, p: (~(ins[0] ^ ins[1])) & _mask(w),
-    logic_op="NOTW", logic_takes_width=True, doc="bitwise xnor"))
+    doc="bitwise xnor"))
 
 # -- arithmetic ---------------------------------------------------------------
 _register(CellType(
     "INC", 1, "same",
     lambda w, ins, p: (ins[0] + 1) & _mask(w),
-    logic_op="INCW", logic_takes_width=True, doc="incrementer (+1 mod 2^w)"))
+    doc="incrementer (+1 mod 2^w)"))
 _register(CellType(
     "DEC", 1, "same",
     lambda w, ins, p: (ins[0] - 1) & _mask(w),
-    logic_op="DECW", logic_takes_width=True, doc="decrementer (-1 mod 2^w)"))
+    doc="decrementer (-1 mod 2^w)"))
 _register(CellType(
     "ADD", 2, "same",
     lambda w, ins, p: (ins[0] + ins[1]) & _mask(w),
-    logic_op="ADDW", logic_takes_width=True, doc="adder mod 2^w"))
+    doc="adder mod 2^w"))
 _register(CellType(
     "SUB", 2, "same",
     lambda w, ins, p: (ins[0] - ins[1]) & _mask(w),
-    logic_op="SUBW", logic_takes_width=True, doc="subtractor mod 2^w"))
+    doc="subtractor mod 2^w"))
 _register(CellType(
     "MUL", 2, "same",
     lambda w, ins, p: (ins[0] * ins[1]) & _mask(w),
-    logic_op="MULW", logic_takes_width=True, doc="multiplier mod 2^w"))
+    doc="multiplier mod 2^w"))
 _register(CellType(
     "SHL1", 1, "same",
     lambda w, ins, p: (ins[0] << 1) & _mask(w),
-    logic_op="SHLW", logic_takes_width=True, doc="shift left by one"))
+    doc="shift left by one"))
 _register(CellType(
     "SHR1", 1, "same",
     lambda w, ins, p: (ins[0] >> 1) & _mask(w),
-    logic_op="SHRW", logic_takes_width=True, doc="shift right by one"))
+    doc="shift right by one"))
 
 # -- comparators ----------------------------------------------------------------
 _register(CellType(
     "EQ", 2, "bit", lambda w, ins, p: int(ins[0] == ins[1]),
-    logic_op="EQW", doc="equality comparator"))
+    doc="equality comparator"))
 _register(CellType(
     "NEQ", 2, "bit", lambda w, ins, p: int(ins[0] != ins[1]),
-    logic_op="NEQW", doc="inequality comparator"))
+    doc="inequality comparator"))
 _register(CellType(
     "LT", 2, "bit", lambda w, ins, p: int(ins[0] < ins[1]),
-    logic_op="LTW", doc="unsigned less-than comparator"))
+    doc="unsigned less-than comparator"))
 _register(CellType(
     "GE", 2, "bit", lambda w, ins, p: int(ins[0] >= ins[1]),
-    logic_op="GEW", doc="unsigned greater-or-equal comparator"))
+    doc="unsigned greater-or-equal comparator"))
 
 # -- multiplexer & constants ------------------------------------------------------
 _register(CellType(
     "MUX", 3, "same",
     lambda w, ins, p: ins[1] if ins[0] else ins[2],
-    logic_op="MUXW", doc="2-way multiplexer: MUX(sel, a, b) = sel ? a : b"))
+    doc="2-way multiplexer: MUX(sel, a, b) = sel ? a : b"))
 _register(CellType(
     "CONST", 0, "const",
     lambda w, ins, p: int(p.get("value", 0)) & _mask(w),

@@ -229,7 +229,8 @@ def _cmd_list_backends(_args: argparse.Namespace) -> int:
     for name in registry.available_checkers():
         checker = registry.get_checker(name)
         budgets = ", ".join(sorted(checker.accepts))
-        print(f"{name:10s} [{checker.kind}]  {checker.description}")
+        kind = "synthesis" if checker.needs_cut else "verifier"
+        print(f"{name:10s} [{kind}]  {checker.description}")
         print(f"{'':10s} accepts: {budgets}")
     return 0
 

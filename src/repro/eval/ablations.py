@@ -28,7 +28,7 @@ class CutSweepPoint:
     cut_size: int
     cut: List[str]
     seconds: float
-    inference_steps: int
+    kernel_steps: int
 
 
 def run_cut_sweep(netlist: Optional[Netlist] = None, seed: int = 0) -> List[CutSweepPoint]:
@@ -38,13 +38,13 @@ def run_cut_sweep(netlist: Optional[Netlist] = None, seed: int = 0) -> List[CutS
     points: List[CutSweepPoint] = []
     for size in range(1, len(maximal) + 1):
         cut = sized_forward_cut(netlist, size, seed=seed)
-        result = formal_forward_retiming(netlist, cut, cross_check=False)
+        result = formal_forward_retiming(netlist, cut)
         points.append(
             CutSweepPoint(
                 cut_size=size,
                 cut=cut,
                 seconds=result.stats["total_seconds"],
-                inference_steps=int(result.stats["inference_steps"]),
+                kernel_steps=int(result.stats["kernel_steps"]),
             )
         )
     return points
@@ -64,7 +64,7 @@ def run_rtl_vs_gate(n: int = 8) -> List[LevelComparison]:
     out: List[LevelComparison] = []
     for level, netlist in (("rtl", word), ("gate", gate)):
         cut = maximal_forward_cut(netlist)
-        result = formal_forward_retiming(netlist, cut, cross_check=False)
+        result = formal_forward_retiming(netlist, cut)
         out.append(
             LevelComparison(level=level, gates=netlist.num_gates(), stats=result.stats)
         )
@@ -76,7 +76,7 @@ def render_cut_sweep(points: Sequence[CutSweepPoint]) -> str:
              "cut size  cells                          seconds  inferences"]
     for p in points:
         lines.append(
-            f"{p.cut_size:8d}  {','.join(p.cut):30s} {p.seconds:8.3f}  {p.inference_steps:10d}"
+            f"{p.cut_size:8d}  {','.join(p.cut):30s} {p.seconds:8.3f}  {p.kernel_steps:10d}"
         )
     return "\n".join(lines)
 
@@ -94,6 +94,6 @@ def render_rtl_vs_gate(results: Sequence[LevelComparison]) -> str:
                 f"{r.stats[k]:14.4f}" for k in (
                     "split_seconds", "apply_theorem_seconds", "join_seconds",
                     "init_eval_seconds", "total_seconds")
-            ) + f" {int(r.stats['inference_steps']):12d}"
+            ) + f" {int(r.stats['kernel_steps']):12d}"
         )
     return "\n".join(lines)

@@ -240,7 +240,7 @@ def method_applies(checker: Checker, flavour: str) -> bool:
     Synthesis-style backends and the structural matcher only make sense on
     pure retimings.
     """
-    if checker.kind == "synthesis" or checker.needs_cut:
+    if checker.needs_cut:
         return flavour == "retime"
     if checker.name == "match":  # structural matching: pure retiming only
         return flavour == "retime"

@@ -24,6 +24,7 @@ This module provides the step abstraction and a few ready-made steps:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -32,10 +33,16 @@ from ..logic import conv, rewriter
 from ..logic.conv import ConvError
 from ..logic.kernel import KernelError, Theorem
 from ..logic.rules import RuleError, equal_by_normalisation, trans_chain
-from ..logic.stdlib import dest_let, is_let
-from ..logic.terms import Term, iter_subterms
+from ..logic.stdlib import is_let
+from ..logic.terms import Term, Var, iter_subterms
+from ..retiming.apply import apply_forward_retiming
 from .embed import embed_netlist
-from .formal_retiming import FormalRetimingResult, FormalSynthesisError, formal_forward_retiming
+from .formal_retiming import (
+    FormalRetimingResult,
+    FormalSynthesisError,
+    analyse_cut,
+    formal_forward_retiming,
+)
 
 
 @dataclass
@@ -44,11 +51,17 @@ class FormalStep:
 
     name: str
     theorem: Theorem
-    before: Term
-    after: Term
     seconds: float
     detail: str = ""
     artifacts: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def before(self) -> Term:
+        return self.theorem.lhs
+
+    @property
+    def after(self) -> Term:
+        return self.theorem.rhs
 
 
 def compose(steps: Sequence[FormalStep], name: str = "compound") -> FormalStep:
@@ -68,8 +81,6 @@ def compose(steps: Sequence[FormalStep], name: str = "compound") -> FormalStep:
     return FormalStep(
         name=name,
         theorem=theorem,
-        before=steps[0].before,
-        after=steps[-1].after,
         seconds=time.perf_counter() - t0 + sum(s.seconds for s in steps),
         detail=" ; ".join(s.name for s in steps),
     )
@@ -79,32 +90,39 @@ def compose(steps: Sequence[FormalStep], name: str = "compound") -> FormalStep:
 # Ready-made steps
 # ---------------------------------------------------------------------------
 
-def retiming_step(netlist: Netlist, cut: Sequence[str],
-                  cross_check: bool = True) -> FormalStep:
+def retiming_step(netlist: Netlist, cut: Sequence[str]) -> FormalStep:
     """Formal forward retiming as a composable step."""
     t0 = time.perf_counter()
-    result = formal_forward_retiming(netlist, cut, cross_check=cross_check)
+    result = formal_forward_retiming(netlist, cut)
     return FormalStep(
         name=f"retiming[{','.join(result.cut)}]",
         theorem=result.theorem,
-        before=result.theorem.lhs,
-        after=result.theorem.rhs,
         seconds=time.perf_counter() - t0,
         detail=f"new initial state {result.new_init_value!r}",
         artifacts={"result": result},
     )
 
 
-def _single_use_let_conv(t: Term):
-    """Unfold a ``let`` whose bound variable occurs at most once in the body."""
-    if not is_let(t):
-        raise ConvError("not a let")
-    var, _value, body = dest_let(t)
-    # Terms are interned, so occurrence counting is a pointer comparison.
-    uses = sum(1 for sub in iter_subterms(body) if sub is var)
-    if uses > 1:
-        raise ConvError("bound variable used more than once")
-    return conv.LET_CONV(t)
+def _tidy_round(t: Term) -> Theorem:
+    """Reduce beta redexes and pair projections, and unfold each ``let``
+    whose variable occurs at most once in ``t``: one count over the whole
+    term, before the round.  The embedding binds each net once, so that is
+    the variable's uses in its body, and no rewrite of the round raises it.
+    """
+    uses = Counter(sub for sub in iter_subterms(t) if isinstance(sub, Var))
+
+    def single_use_let(tm: Term) -> Theorem:
+        if not is_let(tm) or uses[tm.rator.rand.bvar] > 1:
+            raise ConvError("not a let used at most once")
+        return conv.LET_CONV(tm)
+
+    return rewriter.net_conv(
+        rewriter.RewriteNet()
+        .add_beta(conv.BETA_CONV)
+        .add_conv(conv.FST_CONV, "FST", 1)
+        .add_conv(conv.SND_CONV, "SND", 1)
+        .add_conv(single_use_let, "LET", 2)
+    )(t)
 
 
 def tidy_step(description: Term, name: str = "tidy") -> FormalStep:
@@ -114,24 +132,22 @@ def tidy_step(description: Term, name: str = "tidy") -> FormalStep:
     redexes.  This plays the role of the follow-up "logic minimisation" step
     in the paper's compound-step discussion: a second, independent formal
     step whose theorem is chained onto the retiming theorem by transitivity.
+
+    Rounds of :func:`_tidy_round`, each linear in the description, repeat
+    until one changes nothing: a round's reductions can drop a use of a
+    ``let`` it counted twice, which the next round then unfolds.
     """
     t0 = time.perf_counter()
-    cleanup = rewriter.net_conv(
-        rewriter.RewriteNet()
-        .add_beta(conv.BETA_CONV)
-        .add_conv(conv.FST_CONV, "FST", 1)
-        .add_conv(conv.SND_CONV, "SND", 1)
-        .add_conv(_single_use_let_conv, "LET", 2)
-    )
     try:
-        theorem = cleanup(description)
-    except (ConvError, KernelError) as exc:
+        rounds = [_tidy_round(description)]
+        while rounds[-1].rhs is not rounds[-1].lhs:
+            rounds.append(_tidy_round(rounds[-1].rhs))
+        theorem = trans_chain(rounds)
+    except (ConvError, KernelError, RuleError) as exc:
         raise FormalSynthesisError(f"tidy step failed: {exc}") from exc
     return FormalStep(
         name=name,
         theorem=theorem,
-        before=theorem.lhs,
-        after=theorem.rhs,
         seconds=time.perf_counter() - t0,
         detail=f"term size {description.size()} -> {theorem.rhs.size()}",
     )
@@ -171,55 +187,42 @@ def bridge_to_netlist_step(
     return FormalStep(
         name=name,
         theorem=theorem,
-        before=theorem.lhs,
-        after=theorem.rhs,
         seconds=time.perf_counter() - t0,
         detail=f"matched against netlist {netlist.name}",
         artifacts={"embedded": embedded},
     )
 
 
-def retimed_register_order(result: FormalRetimingResult) -> List[str]:
-    """The register order under which the conventionally retimed netlist's
-    embedding matches the formal step's output description.
+def retimed_register_order(result: FormalRetimingResult, retimed: Netlist) -> List[str]:
+    """The register order under which the embedding of ``retimed``, the
+    conventional engine's output on the formal step's cut, matches the
+    formal step's output description.
 
-    The formal step's new compound register is laid out as "cut-cell
-    components first (in cut order), then the passed-through registers (in
-    the original register order)"; this function maps that layout onto the
-    register names of :func:`repro.retiming.apply.apply_forward_retiming`'s
-    output so a bridge step can line the two descriptions up.
+    The formal step's new state is laid out as ``τ`` (:func:`analyse_cut`):
+    a cut cell's component is the register driving the cell's output net in
+    ``retimed``, a passed-through register's component is that register.
     """
-    netlist = result.retimed_netlist
-    original = result.original.netlist
-    order: List[str] = []
-    for cell_name in result.cut:
-        net = original.cells[cell_name].output
-        for reg in netlist.registers.values():
-            if reg.output == net:
-                order.append(reg.name)
-                break
-        else:
-            raise FormalSynthesisError(
-                f"retimed netlist has no register driving {net!r}; it does not "
-                "correspond to the formal step's output"
-            )
-    for reg_name in result.original.register_order:
-        if reg_name in netlist.registers and reg_name not in order:
-            order.append(reg_name)
-    for reg_name in netlist.registers:
-        if reg_name not in order:
-            order.append(reg_name)
+    analysis = analyse_cut(result.original.netlist, result.cut, result.original)
+    driver = {reg.output: name for name, reg in retimed.registers.items()}
+    register_of = {comp: driver.get(net) for net, comp in analysis.cut_component.items()}
+    register_of.update({comp: name for name, comp in analysis.reg_component.items()})
+    order = [register_of[comp] for comp in analysis.tau_layout.names]
+    if None in order or sorted(order) != sorted(retimed.registers):
+        raise FormalSynthesisError(f"the registers of {retimed.name} do not "
+                                   "correspond to the formal step's new state")
     return order
 
 
 def bridge_retiming_result(result: FormalRetimingResult,
                            name: str = "bridge") -> FormalStep:
-    """Bridge a formal retiming result to its conventionally retimed netlist."""
+    """Bridge a formal retiming result to the conventional engine's output
+    on the same cut (:func:`repro.retiming.apply.apply_forward_retiming`)."""
+    retimed = apply_forward_retiming(result.original.netlist, result.cut)
     return bridge_to_netlist_step(
         result.retimed_term,
-        result.retimed_netlist,
+        retimed,
         name=name,
-        register_order=retimed_register_order(result),
+        register_order=retimed_register_order(result, retimed),
     )
 
 
@@ -230,10 +233,10 @@ def compound_retiming_flow(
 ) -> FormalStep:
     """A multi-step formal synthesis flow: retime along each cut in turn.
 
-    After each retiming the conventionally retimed netlist is re-embedded and
-    a bridge step links the formal output description to it, so the next
-    retiming can start from a netlist again; all theorems are finally chained
-    by transitivity into a single correctness theorem for the whole flow.
+    After each retiming a bridge step links the formal output description to
+    the conventionally retimed netlist, so the next retiming can start from
+    a netlist again; all theorems are finally chained by transitivity into a
+    single correctness theorem for the whole flow.
     """
     if not cuts:
         raise FormalSynthesisError("compound_retiming_flow: no cuts given")
@@ -242,9 +245,9 @@ def compound_retiming_flow(
     for index, cut in enumerate(cuts):
         step = retiming_step(current, cut)
         steps.append(step)
-        result: FormalRetimingResult = step.artifacts["result"]  # type: ignore[assignment]
-        current = result.retimed_netlist
-        is_last = index == len(cuts) - 1
-        if not is_last or tidy:
-            steps.append(bridge_retiming_result(result, name=f"bridge[{index}]"))
+        if index < len(cuts) - 1 or tidy:
+            bridge = bridge_retiming_result(step.artifacts["result"], name=f"bridge[{index}]")
+            steps.append(bridge)
+            # the bridge embedded the conventionally retimed netlist
+            current = bridge.artifacts["embedded"].netlist
     return compose(steps, name=f"flow[{len(cuts)} retimings]")

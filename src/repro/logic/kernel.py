@@ -38,7 +38,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tupl
 
 from .ground import GroundError, term_of_value, value_of_term
 from .lazyfmt import lazy
-from .hol_types import HolType, TyVar, bool_ty
+from .hol_types import HolType, TyVar, TypeMatchError, bool_ty, type_match
 from .printer import theorem_to_string
 from .terms import (
     Abs,
@@ -388,8 +388,9 @@ def COMPUTE(t: Term, theory: Optional[Theory] = None) -> Theorem:
     """Evaluate a ground application of a computable constant.
 
     ``t`` must have the shape ``c a1 ... an`` where ``c`` carries a
-    registered computation rule of arity ``n`` and every ``ai`` is a ground
-    value term.  Returns ``|- t = result``.
+    registered computation rule of arity ``n``, at an instance of its
+    declared type, and every ``ai`` is a ground value term.  Returns
+    ``|- t = result``.
     """
     _count_step()
     thy = theory or current_theory()
@@ -402,6 +403,12 @@ def COMPUTE(t: Term, theory: Optional[Theory] = None) -> Theorem:
         raise KernelError(str(exc)) from exc
     if info.compute is None:
         raise KernelError(lazy("COMPUTE: constant {} has no computation rule", head.name))
+    if head.ty is not info.generic_type:
+        try:
+            type_match(info.generic_type, head.ty)
+        except TypeMatchError as exc:
+            raise KernelError(lazy("COMPUTE: {} : {} is not an instance of its declared "
+                                   "type {}", head.name, head.ty, info.generic_type)) from exc
     if len(args) != info.compute_arity:
         raise KernelError(
             lazy("COMPUTE: {} expects {} arguments, got {}",

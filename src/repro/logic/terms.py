@@ -202,10 +202,10 @@ class Var(Term):
 class Const(Term):
     """A constant ``name : ty``.
 
-    The type is a (possibly trivial) instance of the generic type of the
-    constant as declared in the theory.  The kernel checks this at
-    construction via :func:`repro.logic.theory.Theory.mk_const`; the raw
-    constructor here is syntactic only.
+    The constructor is syntactic only: it does not check that the type is
+    an instance of the constant's declared generic type.  The one kernel
+    rule that reads a constant's declaration, :func:`repro.logic.kernel.COMPUTE`,
+    checks it.
     """
 
     __slots__ = ("name", "_ty", "_fvs")

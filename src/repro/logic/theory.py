@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .hol_types import HolType, TyApp, TyVar, bool_ty, mk_fun_ty, type_match, TypeMatchError
-from .terms import Const
+from .hol_types import HolType, TyApp, TyVar, bool_ty, mk_fun_ty
 
 
 class TheoryError(Exception):
@@ -98,24 +97,6 @@ class Theory:
 
     def has_constant(self, name: str) -> bool:
         return name in self.constants
-
-    def mk_const(self, name: str, ty: Optional[HolType] = None) -> Const:
-        """Build a well-typed instance of a declared constant.
-
-        If ``ty`` is ``None`` the generic type is used; otherwise ``ty`` must
-        be an instance of the generic type.
-        """
-        info = self.constant_info(name)
-        if ty is None:
-            return Const(name, info.generic_type)
-        try:
-            type_match(info.generic_type, ty)
-        except TypeMatchError as exc:
-            raise TheoryError(
-                f"{ty} is not an instance of the generic type "
-                f"{info.generic_type} of constant {name}"
-            ) from exc
-        return Const(name, ty)
 
     # -- axioms & definitions --------------------------------------------------
     def record_axiom(self, name: str, kind: str, statement: str) -> None:

@@ -15,7 +15,7 @@ old initial values — exactly the ``f(q)`` of the universal retiming theorem.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence, Set
 
 from ..circuits.netlist import Cell, Netlist
 
@@ -31,18 +31,48 @@ def _evaluate_cell(netlist: Netlist, cell: Cell, input_values: Sequence[int]) ->
     return cell.cell_type.evaluate(width, list(input_values), params)
 
 
+def _rule_violation(netlist: Netlist, name: str, reg_outputs: Set[str]) -> Optional[str]:
+    """Why the forward-cut rule rejects cell ``name``, or ``None``: a cut cell
+    exists, has inputs and reads only register outputs (``reg_outputs``), so
+    the block ``f`` is a function of the state alone."""
+    cell = netlist.cells.get(name)
+    if cell is None:
+        return f"cut refers to unknown cell {name!r}"
+    if not cell.inputs:
+        return f"cell {name!r} has no inputs; constants cannot be retimed over"
+    for net in cell.inputs:
+        if net not in reg_outputs:
+            return (f"false cut: input {net!r} of cell {name!r} is not a register "
+                    "output, so f would not be a function of the state alone")
+    return None
+
+
+def check_forward_cut(netlist: Netlist, cut: Iterable[str]) -> List[str]:
+    """The cut without duplicates, or :class:`RetimingApplyError` naming the
+    first cell the forward-cut rule rejects.
+
+    Both engines take their cut through this one check, so each rejects a
+    bad cut for the same reason; for the formal engine this is the
+    derivation failing on the false cut of Figure 4 (Section IV.C).
+    """
+    cut = list(dict.fromkeys(cut))
+    reg_outputs = {r.output for r in netlist.registers.values()}
+    for name in cut:
+        reason = _rule_violation(netlist, name, reg_outputs)
+        if reason is not None:
+            raise RetimingApplyError(reason)
+    return cut
+
+
 def forward_retimable_cells(netlist: Netlist) -> List[str]:
-    """Cells whose every input net is directly driven by a register.
+    """The cells the forward-cut rule accepts, sorted by name.
 
     These are the cells a single forward-retiming step can absorb; the
     maximal such set is the paper's "maximum number of retimable gates".
     """
     reg_outputs = {r.output for r in netlist.registers.values()}
-    out = []
-    for cell in netlist.cells.values():
-        if cell.inputs and all(i in reg_outputs for i in cell.inputs):
-            out.append(cell.name)
-    return sorted(out)
+    return sorted(name for name in netlist.cells
+                  if _rule_violation(netlist, name, reg_outputs) is None)
 
 
 def apply_forward_retiming(
@@ -52,30 +82,12 @@ def apply_forward_retiming(
 ) -> Netlist:
     """Move the registers feeding every cell in ``cut`` to the cell's output.
 
-    Every input of every cut cell must be driven directly by a register,
-    otherwise the cut is rejected (:class:`RetimingApplyError`) — this is the
-    conventional engine's counterpart of the formal procedure failing on a
-    false cut.
+    A cut the forward-cut rule rejects raises :class:`RetimingApplyError`
+    (:func:`check_forward_cut`) before the netlist is touched.
     """
-    cut = list(dict.fromkeys(cut))
+    cut = check_forward_cut(netlist, cut)
     out = netlist.copy(netlist.name + name_suffix)
     reg_by_output = {r.output: r for r in out.registers.values()}
-
-    # validate the cut first so the netlist is never half-transformed
-    for cell_name in cut:
-        if cell_name not in out.cells:
-            raise RetimingApplyError(f"cut refers to unknown cell {cell_name!r}")
-        cell = out.cells[cell_name]
-        if not cell.inputs:
-            raise RetimingApplyError(
-                f"cell {cell_name} has no inputs and cannot be retimed over"
-            )
-        for net in cell.inputs:
-            if net not in reg_by_output:
-                raise RetimingApplyError(
-                    f"false cut: input {net!r} of cell {cell_name!r} is not a "
-                    "register output (the cut is not a function of the state alone)"
-                )
 
     for cell_name in cut:
         cell = out.cells[cell_name]

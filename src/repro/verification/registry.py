@@ -54,8 +54,6 @@ class Checker:
     #: synthesis-style backends consume the retiming cut instead of only
     #: comparing against the conventionally retimed circuit.
     needs_cut: bool = False
-    #: "verifier" (post-synthesis check) or "synthesis" (formal step).
-    kind: str = "verifier"
     #: treats registers as combinational cut points, so it requires the two
     #: circuits to share identical register sets (inapplicable to pairs
     #: whose state representation differs, e.g. after retiming).
@@ -76,7 +74,6 @@ def register_checker(
     description: str = "",
     accepts: Sequence[str] = ("time_budget",),
     needs_cut: bool = False,
-    kind: str = "verifier",
     cut_points: bool = False,
     complete: bool = True,
     replace: bool = False,
@@ -96,7 +93,6 @@ def register_checker(
             description=description,
             accepts=frozenset(accepts),
             needs_cut=needs_cut,
-            kind=kind,
             cut_points=cut_points,
             complete=complete,
         )
@@ -184,14 +180,12 @@ def _hash_formal(
 
     def body(run: EngineRun) -> VerificationResult:
         try:
-            result = formal_forward_retiming(original, list(cut), cross_check=False)
+            result = formal_forward_retiming(original, list(cut))
         except FormalSynthesisError as exc:
             return run.result("error", str(exc))
-        stats = {k: float(v) for k, v in result.stats.items()}
-        stats["kernel_steps"] = stats.get("inference_steps", 0.0)
-        run.counters = lambda: stats
+        run.counters = lambda: result.stats
         return run.result("equivalent",
-                          f"{int(stats['kernel_steps'])} kernel inferences")
+                          f"{int(result.stats['kernel_steps'])} kernel inferences")
 
     return run_engine("hash", time_budget, body)
 
@@ -272,5 +266,4 @@ register_checker(
                 "(correct-by-construction; proves while synthesising)",
     accepts=("time_budget", "cut"),
     needs_cut=True,
-    kind="synthesis",
 )

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from ..circuits.netlist import Netlist
 from ..circuits.simulate import random_input_sequence, simulate
 from ..retiming.graph import HOST, RetimingGraphError, graph_from_netlist
-from .common import EngineRun, VerificationResult
+from .common import EngineRun, VerificationResult, run_engine
 
 
 def _edge_weights(netlist: Netlist) -> Dict[Tuple[str, str, int], int]:
@@ -99,62 +99,69 @@ def check_equivalence(
     time_budget: Optional[float] = None,
     check_cycles: int = 64,
 ) -> VerificationResult:
-    """Structural verification that ``retimed`` is a retiming of ``original``."""
-    run = EngineRun("match")
+    """Structural verification that ``retimed`` is a retiming of ``original``.
 
-    # 1. interface and combinational structure must match
-    if sorted(original.inputs) != sorted(retimed.inputs) or sorted(
-        original.outputs
-    ) != sorted(retimed.outputs):
-        return run.result("error", "inconclusive: primary interface differs; "
-                                   "not a pure retiming")
+    The budget is polled before each of the three directed simulations.
+    """
 
-    types_a = {c.name: c.type for c in original.cells.values()}
-    types_b = {c.name: c.type for c in retimed.cells.values()}
-    if types_a != types_b:
+    def body(run: EngineRun) -> VerificationResult:
+        # 1. interface and combinational structure must match
+        if sorted(original.inputs) != sorted(retimed.inputs) or sorted(
+            original.outputs
+        ) != sorted(retimed.outputs):
+            return run.result("error", "inconclusive: primary interface differs; "
+                                       "not a pure retiming")
+
+        types_a = {c.name: c.type for c in original.cells.values()}
+        types_b = {c.name: c.type for c in retimed.cells.values()}
+        if types_a != types_b:
+            return run.result(
+                "error",
+                "inconclusive: combinational cells differ; not a pure retiming "
+                "(a general verifier is required)",
+            )
+
+        # 2. a consistent lag assignment must relate the two connection graphs
+        try:
+            edges_a = _edge_weights(original)
+            edges_b = _edge_weights(retimed)
+        except RetimingGraphError as exc:
+            return run.result("error", f"inconclusive: {exc}; no connection graph")
+        lags = recover_lags(edges_a, edges_b)
+        if lags is None:
+            return run.result(
+                "error",
+                "inconclusive: no consistent retiming lag assignment relates the "
+                "two netlists",
+            )
+
+        # 3. initial values: directed simulations
+        for seed, label in ((None, "all-zero"), (1, "random-1"), (2, "random-2")):
+            run.budget.check()
+            if seed is None:
+                seq = [{name: 0 for name in original.inputs}
+                       for _ in range(check_cycles)]
+            else:
+                seq = random_input_sequence(original, check_cycles, seed=seed)
+            trace_a = simulate(original, seq)
+            trace_b = simulate(retimed, seq)
+            for t, (oa, ob) in enumerate(zip(trace_a.outputs, trace_b.outputs)):
+                if oa != ob:
+                    return run.result(
+                        "not_equivalent",
+                        f"outputs differ at cycle {t} on the {label} stimulus "
+                        "(initial values not consistent with the retiming)",
+                    )
+
+        moved = sorted(name for name, lag in lags.items() if lag and name != HOST)
+        run.counters = lambda: {"moved_cells": float(len(moved)),
+                                "edges": float(len(edges_a))}
         return run.result(
-            "error",
-            "inconclusive: combinational cells differ; not a pure retiming "
-            "(a general verifier is required)",
+            "equivalent",
+            "structure matches with lags "
+            + (f"on {len(moved)} cells ({', '.join(moved[:6])}...)" if len(moved) > 6
+               else f"{ {name: lags[name] for name in moved} }")
+            + "; initial values consistent",
         )
 
-    # 2. a consistent lag assignment must relate the two connection graphs
-    try:
-        edges_a = _edge_weights(original)
-        edges_b = _edge_weights(retimed)
-    except RetimingGraphError as exc:
-        return run.result("error", f"inconclusive: {exc}; no connection graph")
-    lags = recover_lags(edges_a, edges_b)
-    if lags is None:
-        return run.result(
-            "error",
-            "inconclusive: no consistent retiming lag assignment relates the "
-            "two netlists",
-        )
-
-    # 3. initial values: directed simulations
-    for seed, label in ((None, "all-zero"), (1, "random-1"), (2, "random-2")):
-        if seed is None:
-            seq = [{name: 0 for name in original.inputs} for _ in range(check_cycles)]
-        else:
-            seq = random_input_sequence(original, check_cycles, seed=seed)
-        trace_a = simulate(original, seq)
-        trace_b = simulate(retimed, seq)
-        for t, (oa, ob) in enumerate(zip(trace_a.outputs, trace_b.outputs)):
-            if oa != ob:
-                return run.result(
-                    "not_equivalent",
-                    f"outputs differ at cycle {t} on the {label} stimulus "
-                    "(initial values not consistent with the retiming)",
-                )
-
-    moved = sorted(name for name, lag in lags.items() if lag and name != HOST)
-    run.counters = lambda: {"moved_cells": float(len(moved)),
-                            "edges": float(len(edges_a))}
-    return run.result(
-        "equivalent",
-        "structure matches with lags "
-        + (f"on {len(moved)} cells ({', '.join(moved[:6])}...)" if len(moved) > 6
-           else f"{ {name: lags[name] for name in moved} }")
-        + "; initial values consistent",
-    )
+    return run_engine("match", time_budget, body)

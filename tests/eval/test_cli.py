@@ -34,6 +34,16 @@ class TestListing:
             assert name in out
         assert "synthesis" in out  # hash's kind is shown
 
+    def test_ablations_print_both_tables(self, capsys):
+        assert main(["ablations"]) == 0
+        out = capsys.readouterr().out
+        assert "Ablation B" in out and "Ablation A" in out
+        steps = {line.split()[0]: int(line.split()[-1]) for line in out.splitlines()
+                 if line.startswith(("rtl ", "gate "))}
+        # the kernel steps test_ablation_rtl_level and test_ablation_gate_level
+        # record in BENCH_baseline.json
+        assert steps == {"rtl": 149, "gate": 1159}
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out

@@ -25,6 +25,7 @@ from repro.formal import (
     formal_forward_retiming,
 )
 from repro.formal.formal_retiming import unfold_cut_lets, unfold_named_lets_conv
+from repro.retiming.apply import apply_forward_retiming
 from repro.retiming.cuts import maximal_forward_cut
 
 
@@ -108,7 +109,8 @@ class TestFormalRetiming:
     def test_retimed_netlist_cross_check(self):
         netlist = figure2(4)
         result = formal_forward_retiming(netlist, figure2_cut())
-        assert outputs_equal(netlist, result.retimed_netlist, cycles=150)
+        retimed = apply_forward_retiming(netlist, result.cut)
+        assert outputs_equal(netlist, retimed, cycles=150)
 
     @pytest.mark.parametrize("maker,kwargs,cut", [
         (counter, {"n": 6}, None),
@@ -123,7 +125,8 @@ class TestFormalRetiming:
             pytest.skip("nothing to retime")
         result = formal_forward_retiming(netlist, chosen)
         assert result.theorem.is_equation()
-        assert outputs_equal(netlist, result.retimed_netlist, cycles=120, seed=1)
+        retimed = apply_forward_retiming(netlist, result.cut)
+        assert outputs_equal(netlist, retimed, cycles=120, seed=1)
         assert _term_outputs_match_simulation(netlist, result.retimed_term, cycles=20)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -134,13 +137,14 @@ class TestFormalRetiming:
             pytest.skip("no retimable cells")
         result = formal_forward_retiming(netlist, cut)
         assert result.theorem.is_equation()
-        assert outputs_equal(netlist, result.retimed_netlist, cycles=100, seed=seed)
+        retimed = apply_forward_retiming(netlist, result.cut)
+        assert outputs_equal(netlist, retimed, cycles=100, seed=seed)
 
     def test_stats_present(self):
         result = formal_forward_retiming(figure2(4), figure2_cut())
         for key in ("embed_seconds", "split_seconds", "apply_theorem_seconds",
                     "join_seconds", "init_eval_seconds", "total_seconds",
-                    "inference_steps", "proof_size"):
+                    "kernel_steps", "proof_size"):
             assert key in result.stats
         assert result.stats["proof_size"] > 100
 
@@ -149,7 +153,7 @@ class TestFormalRetiming:
         cut = maximal_forward_cut(gate)
         result = formal_forward_retiming(gate, cut)
         assert result.theorem.is_equation()
-        assert outputs_equal(gate, result.retimed_netlist, cycles=60)
+        assert outputs_equal(gate, apply_forward_retiming(gate, result.cut), cycles=60)
 
     @given(st.integers(2, 12))
     @settings(max_examples=8, deadline=None)
@@ -195,11 +199,9 @@ class TestLinearSplit:
         per_step = []
         for scale in (0.25, 2.0):
             netlist = iwls_circuit(name, scale)
-            stats = formal_forward_retiming(
-                netlist, maximal_forward_cut(netlist), cross_check=False
-            ).stats
+            stats = formal_forward_retiming(netlist, maximal_forward_cut(netlist)).stats
             calls = stats["term_intern_hits"] + stats["term_intern_misses"]
-            per_step.append(calls / stats["inference_steps"])
+            per_step.append(calls / stats["kernel_steps"])
         assert per_step[1] <= 1.15 * per_step[0]
 
 

@@ -9,6 +9,7 @@ from repro.eval.runner import run_cell, run_rows
 from repro.eval.scenarios import build_scenario
 from repro.eval.workloads import make_workload, table1_workload, table2_workloads
 from repro.formal import certificate_for, formal_forward_retiming
+from repro.retiming.apply import apply_forward_retiming
 from repro.retiming.cuts import maximal_forward_cut
 from repro.verification import fsm_compare, model_checking, retiming_verify, van_eijk
 
@@ -26,30 +27,30 @@ class TestFormalResultAcceptedByAllVerifiers:
     def flow(self):
         original = figure2(3)
         result = formal_forward_retiming(original, figure2_cut())
-        return original, result
+        return original, result, apply_forward_retiming(original, result.cut)
 
     def test_smv_accepts(self, flow):
-        original, result = flow
+        original, _, retimed = flow
         assert model_checking.check_equivalence(
-            original, result.retimed_netlist, time_budget=60).status == "equivalent"
+            original, retimed, time_budget=60).status == "equivalent"
 
     def test_sis_accepts(self, flow):
-        original, result = flow
+        original, _, retimed = flow
         assert fsm_compare.check_equivalence(
-            original, result.retimed_netlist, time_budget=60).status == "equivalent"
+            original, retimed, time_budget=60).status == "equivalent"
 
     def test_van_eijk_accepts(self, flow):
-        original, result = flow
+        original, _, retimed = flow
         assert van_eijk.check_equivalence(
-            original, result.retimed_netlist, time_budget=60).status == "equivalent"
+            original, retimed, time_budget=60).status == "equivalent"
 
     def test_structural_matcher_accepts(self, flow):
-        original, result = flow
+        original, _, retimed = flow
         assert retiming_verify.check_equivalence(
-            original, result.retimed_netlist).status == "equivalent"
+            original, retimed).status == "equivalent"
 
     def test_certificate_audit(self, flow):
-        _, result = flow
+        _, result, _ = flow
         cert = certificate_for(result.theorem)
         assert cert.proof_size == result.stats["proof_size"]
         assert any("RETIMING_THM" in a for a in cert.axioms)
@@ -147,7 +148,7 @@ class TestConventionalVsFormalAgreement:
     def test_same_initial_values(self, width):
         original = figure2(width)
         result = formal_forward_retiming(original, figure2_cut())
-        conventional = result.retimed_netlist
+        conventional = apply_forward_retiming(original, result.cut)
         formal_inits = result.new_init_value
         conventional_inits = tuple(
             conventional.registers[name].init for name in sorted(conventional.registers)
@@ -160,4 +161,5 @@ class TestConventionalVsFormalAgreement:
         original = fractional_multiplier(4)
         cut = maximal_forward_cut(original)
         result = formal_forward_retiming(original, cut)
-        assert outputs_equal(original, result.retimed_netlist, cycles=200, seed=3)
+        assert outputs_equal(original, apply_forward_retiming(original, result.cut),
+                             cycles=200, seed=3)

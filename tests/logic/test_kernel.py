@@ -30,7 +30,7 @@ from repro.logic.kernel import (
     proof_size,
     trusted_base_report,
 )
-from repro.logic.ground import mk_numeral
+from repro.logic.ground import mk_bool, mk_numeral
 from repro.logic.stdlib import ensure_stdlib, word_op
 from repro.logic.terms import Abs, Comb, Const, Var, mk_eq
 from repro.logic.theory import TheoryError
@@ -223,6 +223,19 @@ class TestTheoryExtension:
     def test_compute_requires_computable_constant(self):
         with pytest.raises(KernelError):
             COMPUTE(Comb(Const("FST", mk_fun_ty(mk_fun_ty(num_ty, num_ty), num_ty)), f))
+
+    def test_compute_checks_the_constant_against_its_declared_type(self):
+        # EQW is declared num -> num -> bool; at bool -> bool -> bool its
+        # rule would still evaluate EQW T T to T
+        eqw = Const("EQW", mk_fun_ty(bool_ty, mk_fun_ty(bool_ty, bool_ty)))
+        with pytest.raises(KernelError, match="declared type"):
+            COMPUTE(Comb(Comb(eqw, mk_bool(True)), mk_bool(True)))
+
+    def test_compute_accepts_an_instance_of_a_generic_type(self):
+        a = TyVar("a")
+        new_computable_constant("ID_POLY_TEST", mk_fun_ty(a, a), 1, lambda v: v)
+        th = COMPUTE(Comb(Const("ID_POLY_TEST", mk_fun_ty(num_ty, num_ty)), mk_numeral(7)))
+        assert th.concl.rand == mk_numeral(7)
 
     def test_new_computable_constant_roundtrip(self):
         const = new_computable_constant(

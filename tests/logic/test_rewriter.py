@@ -161,10 +161,8 @@ class TestGateLevelStepCounts:
         gate = bitblast(figure2(3)).netlist
         cut = maximal_forward_cut(gate)
 
-        new_result = formal_retiming.formal_forward_retiming(
-            gate, cut, cross_check=False
-        )
-        new_steps = int(new_result.stats["inference_steps"])
+        new_result = formal_retiming.formal_forward_retiming(gate, cut)
+        new_steps = int(new_result.stats["kernel_steps"])
 
         # reinstate the PR-1 TOP_DEPTH_CONV engines and rerun
         old_reduce = conv.TOP_DEPTH_CONV(
@@ -192,10 +190,8 @@ class TestGateLevelStepCounts:
         monkeypatch.setattr(formal_retiming, "reduce_split_conv", old_reduce)
         monkeypatch.setattr(formal_retiming, "unfold_named_lets_conv", old_unfold)
         monkeypatch.setattr(conv, "EVAL_CONV", old_eval)
-        old_result = formal_retiming.formal_forward_retiming(
-            gate, cut, cross_check=False
-        )
-        old_steps = int(old_result.stats["inference_steps"])
+        old_result = formal_retiming.formal_forward_retiming(gate, cut)
+        old_steps = int(old_result.stats["kernel_steps"])
 
         assert aconv(old_result.theorem.concl, new_result.theorem.concl)
         assert not old_result.theorem.hyps and not new_result.theorem.hyps

@@ -28,6 +28,7 @@ from repro.verification import (
     fraig,
     fsm_compare,
     model_checking,
+    retiming_verify,
     sat,
     tautology,
     van_eijk,
@@ -145,6 +146,8 @@ _DASH_CELLS = [
     ("fraig", _cut_point_pair, fraig.check_equivalence_fraig,
      {"time_budget": 0.0},
      _SOLVER + ["aig_nodes", "classes_split", "merges", "sat_calls"]),
+    ("match", _sequential_pair, retiming_verify.check_equivalence,
+     {"time_budget": 0.0}, []),
 ]
 
 
