@@ -27,11 +27,12 @@ from repro.eval.workloads import table1_workload
 CELL_WIDTHS = [2, 4, 6]
 #: widths used for the full quick table.  The BDD engine (complement edges,
 #: clustered early quantification, bit-interleaved variable order) decides
-#: width 12 in about 7.6 s under SIS and under SMV on a 2-CPU host, too
-#: close to the 8 s budget for the dash to be the same on every host, so
-#: the table extends to width 16 to keep the paper's qualitative shape —
-#: the verifiers' cost is still exponential and exceeds the budget at the
-#: largest width.
+#: width 12 in about 5.8 s under SIS and under SMV on a 2-CPU host with
+#: Python 3.11 (12-16 s on that host while each image step started
+#: ``and_exists`` from an empty memo), too close to the 8 s budget for the
+#: dash to be the same on every host, so the table extends to width 16 to
+#: keep the paper's qualitative shape — the verifiers' cost is still
+#: exponential and exceeds the budget at the largest width.
 TABLE_WIDTHS = [1, 2, 4, 6, 8, 16]
 #: the paper's Table I columns
 METHODS = ["sis", "smv", "hash"]

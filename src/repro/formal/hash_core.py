@@ -229,14 +229,13 @@ def bridge_retiming_result(result: FormalRetimingResult,
 def compound_retiming_flow(
     netlist: Netlist,
     cuts: Sequence[Sequence[str]],
-    tidy: bool = False,
 ) -> FormalStep:
     """A multi-step formal synthesis flow: retime along each cut in turn.
 
-    After each retiming a bridge step links the formal output description to
-    the conventionally retimed netlist, so the next retiming can start from
-    a netlist again; all theorems are finally chained by transitivity into a
-    single correctness theorem for the whole flow.
+    After each retiming but the last, a bridge step links the formal output
+    description to the conventionally retimed netlist, so the next retiming
+    can start from a netlist again; all theorems are finally chained by
+    transitivity into a single correctness theorem for the whole flow.
     """
     if not cuts:
         raise FormalSynthesisError("compound_retiming_flow: no cuts given")
@@ -245,7 +244,7 @@ def compound_retiming_flow(
     for index, cut in enumerate(cuts):
         step = retiming_step(current, cut)
         steps.append(step)
-        if index < len(cuts) - 1 or tidy:
+        if index < len(cuts) - 1:
             bridge = bridge_retiming_result(step.artifacts["result"], name=f"bridge[{index}]")
             steps.append(bridge)
             # the bridge embedded the conventionally retimed netlist

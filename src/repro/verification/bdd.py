@@ -33,6 +33,7 @@ ROBDD implementation with the three classic production optimisations
   ``∃V. f ∧ g`` in one pass without materialising the conjunction — the
   relational-product primitive that the partitioned-transition-relation
   image computation in :mod:`repro.verification.model_checking` is built on.
+  Its memos persist like the other computed tables, one per quantified set.
 
 Exactly as in the paper, the run time and memory of everything built on top
 of this package are dominated by BDD sizes, which can grow exponentially
@@ -53,7 +54,9 @@ verification backends surface through ``VerificationResult.stats``.
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 
 class BddError(Exception):
@@ -74,6 +77,9 @@ _TERMINAL_LEVEL = 1 << 60
 
 # work-stack task tags for the operation machine
 _OP_ITE, _OP_AND, _OP_XOR, _MK, _NEG = 0, 1, 2, 3, 4
+
+#: node-count cap of an unbounded run of the operation machine
+_NO_CAP = 1 << 62
 
 
 class BddNode(NamedTuple):
@@ -102,6 +108,9 @@ class BddManager:
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
         self._xor_cache: Dict[Tuple[int, int], int] = {}
+        # per quantified level set: and_exists's memo, keyed by the packed
+        # operand pair, and its memo of quantified subgraphs
+        self._and_exists_memos: Dict[FrozenSet[int], Tuple[Dict[int, int], Dict[int, int]]] = {}
         self._var_levels: Dict[str, int] = {}
         self._level_names: Dict[int, str] = {}
         self.node_budget = node_budget
@@ -197,9 +206,11 @@ class BddManager:
     # first element is a tag; every operation task eventually pushes exactly
     # one edge on the result stack, and `_MK`/`_NEG` frames combine results.
     # The machine ticks the deadline every 4096 task steps, so computed-table
-    # hits (which create no nodes) are budget-checked too.
+    # hits (which create no nodes) are budget-checked too.  A run returns
+    # None once the store holds more than `cap` nodes.
 
-    def _run(self, tag: int, f: int, g: int, h: int = 0) -> int:
+    def _run(self, tag: int, f: int, g: int, h: int = 0,
+             cap: int = _NO_CAP) -> Optional[int]:
         level = self._level
         low = self._low
         high = self._high
@@ -226,6 +237,8 @@ class BddManager:
                 r = self._mk(lvl, lo, hi)
                 cache[key] = r
                 push(r ^ out_c)
+                if len(level) > cap:
+                    return None
                 continue
 
             if t == _NEG:
@@ -417,6 +430,13 @@ class BddManager:
         return self._run(_OP_AND, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
+        # the quantifiers' inner loops mostly join a constant or equal halves
+        if f == FALSE or f == g:
+            return g
+        if g == FALSE:
+            return f
+        if f == TRUE or g == TRUE or f ^ g == 1:
+            return TRUE
         return self._run(_OP_AND, f ^ 1, g ^ 1) ^ 1
 
     def apply_xor(self, f: int, g: int) -> int:
@@ -427,6 +447,20 @@ class BddManager:
 
     def apply_implies(self, f: int, g: int) -> int:
         return self._run(_OP_AND, f, g ^ 1) ^ 1
+
+    def and_bounded(self, f: int, g: int, bound: int) -> Optional[int]:
+        """``f ∧ g`` if it has at most ``bound`` decision nodes, else ``None``.
+
+        Every node a conjunction creates lies in its result, so the
+        conjunction stops as soon as it has created more than ``bound``
+        nodes; only a result that completes is measured with :meth:`size`.
+        A node budget or deadline hit still raises
+        :class:`BddBudgetExceeded`.
+        """
+        r = self._run(_OP_AND, f, g, cap=len(self._level) + bound)
+        if r is None or self.size(r) > bound:
+            return None
+        return r
 
     def _deepest_first(self, fs: Iterable[int]) -> List[int]:
         """The operands ordered by their top variable's level, deepest first.
@@ -519,19 +553,22 @@ class BddManager:
         level by level, so the peak intermediate BDD stays far below the one
         ``exists(V, apply_and(f, g))`` would build.  This is the primitive
         behind the clustered early-quantification image computation in
-        :mod:`repro.verification.model_checking`.
+        :mod:`repro.verification.model_checking`.  Its memo and its memo of
+        quantified subgraphs live as long as the manager, one pair per
+        quantified set, so the image steps of a traversal share them;
+        :meth:`clear_caches` drops them.
         """
-        levels = {self._var_levels[n] for n in quantified}
+        levels = frozenset(self._var_levels[n] for n in quantified)
         if not levels:
             return self.apply_and(f, g)
+        memos = self._and_exists_memos.get(levels)
+        if memos is None:
+            memos = self._and_exists_memos[levels] = ({}, {})
+        cache, quantify_cache = memos
         max_level = max(levels)
         level = self._level
         low = self._low
         high = self._high
-        cache: Dict[Tuple[int, int], int] = {}
-        # shared across every ∃-only terminal case of this call, so a
-        # subgraph bottoming out repeatedly is quantified once
-        quantify_cache: Dict[int, int] = {}
         tasks: List[Tuple] = [(0, f, g)]
         results: List[int] = []
         tick = 0
@@ -570,7 +607,9 @@ class BddManager:
             if g < f:
                 f, g = g, f
                 lf, lg = lg, lf
-            key = (f, g)
+            # one int per operand pair, smaller than a tuple: an edge needs
+            # at most 32 bits until the store holds 2**31 nodes
+            key = (f << 32) | g
             r = cache.get(key)
             if r is not None:
                 self.cache_hits += 1
@@ -608,13 +647,25 @@ class BddManager:
         return self._compose_levels(f, pairs)
 
     def _compose_levels(self, f: int, pairs: Dict[int, int]) -> int:
-        """Iterative composition; memoised per node (complements distribute)."""
+        """Iterative composition; memoised per node (complements distribute).
+
+        A node whose variable stays a variable (kept, or replaced by a
+        plain variable) and whose new level lies above both composed
+        children is built directly with :meth:`_mk`; any other node goes
+        through :meth:`ite`.  A rename that keeps the order, such as the
+        primed-to-unprimed swap of the product machine, never needs ``ite``.
+        """
         if not pairs:
             return f
         max_level = max(pairs)
         level = self._level
         low = self._low
         high = self._high
+        # the new level of each replaced level whose replacement is a variable
+        var_level = {
+            lvl: level[g >> 1] for lvl, g in pairs.items()
+            if not g & 1 and low[g >> 1] == FALSE and high[g >> 1] == TRUE
+        }
         cache: Dict[int, int] = {}
         tasks: List[Tuple[int, int, int]] = [(0, f >> 1, f & 1)]
         results: List[int] = []
@@ -629,11 +680,15 @@ class BddManager:
                 lo = results.pop()
                 lvl = level[idx]
                 rep = pairs.get(lvl)
-                if rep is None:
+                top = lvl if rep is None else var_level.get(lvl)
+                if top is not None and top < level[lo >> 1] and top < level[hi >> 1]:
+                    r = self._mk(top, lo, hi)
+                else:
                     # children may have been lifted above this level, so a
                     # plain _mk is not sound — go through ite on the variable
-                    rep = self._mk(lvl, FALSE, TRUE)
-                r = self.ite(rep, hi, lo)
+                    if rep is None:
+                        rep = self._mk(lvl, FALSE, TRUE)
+                    r = self.ite(rep, hi, lo)
                 cache[idx] = r
                 results.append(r ^ c)
                 continue
@@ -763,6 +818,7 @@ class BddManager:
         self._ite_cache.clear()
         self._and_cache.clear()
         self._xor_cache.clear()
+        self._and_exists_memos.clear()
 
 
 def build_from_table(manager: BddManager, names: Sequence[str],

@@ -14,6 +14,10 @@ that have been reached so far are represented by BDDs. […] Both the number
 of traversal steps and the size of the BDD grow exponentially with the
 number of state variables."
 
+The reset states are checked first: a pair whose outputs differ in some
+reset state is refuted after 0 steps, before any transition relation is
+built.
+
 The transition relation is *partitioned*, not monolithic: each latch
 contributes one conjunct ``s' ≡ f(i, s)``, the conjuncts are clustered
 greedily by the quantifiable variables in their support, and the image of
@@ -21,10 +25,14 @@ the frontier is computed with the combined
 :meth:`~repro.verification.bdd.BddManager.and_exists` relational product,
 quantifying every input/current-state variable as soon as the last cluster
 mentioning it has been conjoined (the classic IWLS'95 early-quantification
-schedule).  This shrinks the peak intermediate BDD by orders of magnitude
-on counter-like state spaces; pass ``cluster_size=None`` to
-:func:`build_transition_relation` to fall back to one monolithic cluster,
-the reference the clustered image is tested against.
+schedule).  A trial merge of two clusters stops as soon as it has created
+more nodes than a cluster may hold.  ``and_exists`` keeps its memo for
+the manager's life, one per quantified set, so each image step reuses the
+subproducts of the steps before it.  This shrinks the peak intermediate
+BDD by orders of magnitude on counter-like state spaces; pass
+``cluster_size=None`` to :func:`build_transition_relation` to fall back to
+one monolithic cluster, the reference the clustered image is tested
+against.
 
 Budgets (wall-clock seconds and/or BDD nodes) make the exponential blow-up
 observable without hanging the benchmark harness: a run that exceeds its
@@ -84,9 +92,11 @@ def partition_relation(
     support, descending, so that clusters near the front of the conjunction
     order "retire" variables early; they are then merged greedily while the
     conjunction stays within ``cluster_size`` BDD nodes (``None`` = one
-    monolithic cluster).  Compact relations (counters, shifters) therefore
-    collapse into a single combined ``and_exists`` pass, while wide ones
-    (the Figure-2 incrementers) stay partitioned.
+    monolithic cluster).  A trial merge stops as soon as it has created
+    more than ``cluster_size`` nodes (:meth:`BddManager.and_bounded`), so
+    a rejected merge is never built whole.  Compact relations (counters,
+    shifters) therefore collapse into a single combined ``and_exists``
+    pass, while wide ones (the Figure-2 incrementers) stay partitioned.
     """
     quantify_set = set(quantify)
     level_of = manager.level_of
@@ -113,8 +123,11 @@ def partition_relation(
         if cur is None:
             cur, cur_support = f, set(support)
             continue
-        merged = manager.apply_and(cur, f)
-        if cluster_size is None or manager.size(merged) <= cluster_size:
+        if cluster_size is None:
+            merged = manager.apply_and(cur, f)
+        else:
+            merged = manager.and_bounded(cur, f, cluster_size)
+        if merged is not None:
             cur = merged
             cur_support |= support
         else:
@@ -232,19 +245,25 @@ def traverse(run: EngineRun, product: ProductFSM) -> VerificationResult:
 
     The one traversal behind the ``smv`` and ``sis`` columns: each entry
     point compiles its product machine into ``run``'s BDD manager and hands
-    it here.
+    it here.  The reset states are checked before the transition relation
+    is built, so a pair refuted at step 0 never pays for clustering.
     """
     m = product.manager
-    primed = declare_next_state_vars(product)
-    relation = build_transition_relation(product, primed)
-    run.budget.check()
     good = product.outputs_equal_bdd()
     # The invariant must hold for every input in every reached state, so a
     # "bad" state is one for which *some* input violates output equality.
     bad = m.exists(product.left.inputs, m.apply_not(good))
-    reached, iterations, hit_bad = forward_reachability(
-        product, relation, primed, run, bad_states=bad
-    )
+    reached = product.initial_state_bdd()
+    if m.apply_and(reached, bad) != FALSE:
+        # refuted at reset: the transition relation is never needed
+        iterations, hit_bad = 0, True
+    else:
+        primed = declare_next_state_vars(product)
+        relation = build_transition_relation(product, primed)
+        run.budget.check()
+        reached, iterations, hit_bad = forward_reachability(
+            product, relation, primed, run, bad_states=bad
+        )
     if hit_bad:
         # `bad` has the inputs quantified away, so its models say nothing
         # about which input vector breaks equality.  reached ∧ bad ≠ ⊥
