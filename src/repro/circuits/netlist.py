@@ -174,6 +174,14 @@ class Netlist:
     def width(self, name: str) -> int:
         return self.net(name).width
 
+    def evaluate_cell(self, cell: Cell, input_values: Sequence[int]) -> int:
+        """``cell``'s output value on ``input_values``.  Its type also sees
+        the input widths, as the ``_in_widths`` parameter (``REDAND`` reads
+        it)."""
+        params = dict(cell.params)
+        params["_in_widths"] = tuple(self.width(i) for i in cell.inputs)
+        return cell.cell_type.evaluate(self.width(cell.output), input_values, params)
+
     def drivers(self) -> Dict[str, object]:
         """Map from net name to its driver (cells and registers)."""
         out: Dict[str, object] = {}

@@ -80,12 +80,9 @@ class Simulator:
             values[name] = value
         for reg_name, reg in self.netlist.registers.items():
             values[reg.output] = self.state[reg_name]
+        evaluate = self.netlist.evaluate_cell
         for cell in self._order:
-            ins = [values[i] for i in cell.inputs]
-            width = self.netlist.width(cell.output)
-            params = dict(cell.params)
-            params["_in_widths"] = tuple(self.netlist.width(i) for i in cell.inputs)
-            values[cell.output] = cell.cell_type.evaluate(width, ins, params)
+            values[cell.output] = evaluate(cell, [values[i] for i in cell.inputs])
         return values
 
     def step(self, inputs: Dict[str, int]) -> Dict[str, int]:

@@ -248,7 +248,7 @@ def unfold_named_lets_conv(names: Sequence[str]):
     """A conversion unfolding exactly the ``let`` bindings of the given variables.
 
     Runs on the worklist engine with the targeted conversion indexed under
-    the ``LET`` head symbol, so non-``let`` nodes never attempt a match and
+    the ``LET`` head symbol, so non-``let`` nodes never try it and
     unchanged subtrees cost no inferences.
     """
     name_set = set(names)
@@ -303,12 +303,7 @@ def unfold_cut_lets(step: Term, names: Sequence[str]) -> Theorem:
 
 #: beta + pair-projection normalisation that leaves ``LET`` bindings intact
 #: (head-indexed worklist engine: only changed spines emit congruence steps)
-reduce_split_conv = rewriter.net_conv(
-    rewriter.RewriteNet()
-    .add_beta(conv.BETA_CONV)
-    .add_conv(conv.FST_CONV, "FST", 1)
-    .add_conv(conv.SND_CONV, "SND", 1)
-)
+reduce_split_conv = rewriter.net_conv(rewriter.beta_pair_net())
 
 
 # ---------------------------------------------------------------------------

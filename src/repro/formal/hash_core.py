@@ -117,11 +117,7 @@ def _tidy_round(t: Term) -> Theorem:
         return conv.LET_CONV(tm)
 
     return rewriter.net_conv(
-        rewriter.RewriteNet()
-        .add_beta(conv.BETA_CONV)
-        .add_conv(conv.FST_CONV, "FST", 1)
-        .add_conv(conv.SND_CONV, "SND", 1)
-        .add_conv(single_use_let, "LET", 2)
+        rewriter.beta_pair_net().add_conv(single_use_let, "LET", 2)
     )(t)
 
 

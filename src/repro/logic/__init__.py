@@ -10,11 +10,11 @@ by the paper's HASH system.  It provides
   (:mod:`repro.logic.kernel`),
 * theories recording constants, axioms and definitions
   (:mod:`repro.logic.theory`),
-* first-order matching, conversions/rewriting and derived rules
-  (:mod:`repro.logic.match`, :mod:`repro.logic.conv`,
+* conversions and derived rules (:mod:`repro.logic.conv`,
   :mod:`repro.logic.rules`),
-* a worklist-based rewrite engine with head-symbol rule indexing that only
-  revisits changed subterms (:mod:`repro.logic.rewriter`), and
+* a worklist-based rewrite engine, the one front end every rewrite goes
+  through, with head-symbol indexing of conversions; it only revisits
+  changed subterms (:mod:`repro.logic.rewriter`), and
 * a standard library of booleans, pairs, arithmetic and word-level hardware
   operators with ground evaluation (:mod:`repro.logic.stdlib`).
 """
@@ -85,7 +85,6 @@ from .kernel import (
     trusted_base_report,
 )
 from .theory import Theory, TheoryError, bootstrap_theory
-from .match import MatchError, term_match
 from . import conv, rewriter, rules, stdlib
 from .rewriter import RewriteNet, net_conv
 from .stdlib import ensure_stdlib, mk_let, dest_let, is_let, word_op

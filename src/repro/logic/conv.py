@@ -7,27 +7,27 @@ paper's retiming procedure) are all performed by composing the conversions
 in this module, so every intermediate circuit description is related to the
 previous one by a kernel-checked equation.
 
-The combinators follow HOL: ``ORELSEC``, ``RAND_CONV``/``RATOR_CONV``, the
-``TOP_DEPTH_CONV`` traversal (kept as the reference the worklist engine of
-:mod:`repro.logic.rewriter` is tested against) and its worklist counterparts
-``NET_REWRITE_CONV``/``TOP_SWEEP_CONV``, plus:
+The combinators follow HOL: ``ORELSEC``, ``RAND_CONV``/``RATOR_CONV`` and the
+``TOP_DEPTH_CONV`` traversal, kept as the reference the worklist engine of
+:mod:`repro.logic.rewriter` is tested against.  Every production rewrite
+registers the conversions below on a :class:`~repro.logic.rewriter.RewriteNet`
+and normalises with :func:`~repro.logic.rewriter.net_conv`:
 
-* :func:`REWR_CONV` — rewrite with an equational theorem, via first-order
-  matching and kernel instantiation;
 * :func:`EVAL_CONV` — bottom-up evaluation of ground applications of
   computable constants (plus beta/LET/FST/SND reduction);
 * :func:`LET_CONV`, :func:`FST_CONV`, :func:`SND_CONV` — the let/pair
-  unfoldings used when flattening combinational bodies.
+  unfoldings used when flattening combinational bodies.  The pair laws
+  instantiate the ``FST_PAIR``/``SND_PAIR`` axioms directly; no step of the
+  library matches a pattern.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import stdlib
 from .kernel import (
     ABS,
-    ALPHA,
     AP_THM,
     BETA_CONV,
     COMPUTE,
@@ -40,8 +40,7 @@ from .kernel import (
     Theorem,
 )
 from .lazyfmt import lazy
-from .match import MatchError, term_match
-from .terms import Abs, Comb, Term, Var, aconv, dest_eq, strip_comb
+from .terms import Abs, Comb, Term, aconv, dest_eq, dest_pair, is_pair, strip_comb
 
 #: The type of conversions.
 Conv = Callable[[Term], Theorem]
@@ -55,11 +54,6 @@ class ConvError(Exception):
 # Basic conversions and combinators
 # ---------------------------------------------------------------------------
 
-def NO_CONV(t: Term) -> Theorem:
-    """The conversion that always fails."""
-    raise ConvError(lazy("NO_CONV applied to {}", t))
-
-
 def ORELSEC(*convs: Conv) -> Conv:
     """Try conversions in order, returning the first that applies."""
 
@@ -68,7 +62,7 @@ def ORELSEC(*convs: Conv) -> Conv:
         for c in convs:
             try:
                 return c(t)
-            except (ConvError, KernelError, MatchError) as exc:
+            except (ConvError, KernelError) as exc:
                 last = exc
         raise ConvError(lazy("ORELSEC: no conversion applied to {}: {}", t, last))
 
@@ -113,7 +107,7 @@ def _repeatc_apply(c: Conv, limit: int, t: Term) -> Theorem:
     for _ in range(limit):
         try:
             step = c(current)
-        except (ConvError, KernelError, MatchError):
+        except (ConvError, KernelError):
             return th
         if aconv(*dest_eq(step.concl)):
             return th
@@ -180,89 +174,6 @@ def TOP_DEPTH_CONV(c: Conv, limit: int = 100_000) -> Conv:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting with theorems
-# ---------------------------------------------------------------------------
-
-def REWR_CONV(th: Theorem, fixed_vars: Iterable[Var] = ()) -> Conv:
-    """Rewrite with the equational theorem ``th`` (left to right).
-
-    The conversion matches the left-hand side of ``th`` against the input
-    term, instantiates ``th`` through the kernel and returns the resulting
-    equation.  Hypotheses of ``th`` are carried over unchanged.
-    """
-    if not th.is_equation():
-        raise ConvError(lazy("REWR_CONV: theorem is not an equation: {}", th))
-    pattern = th.lhs
-    fixed = tuple(fixed_vars)
-
-    def conv(t: Term) -> Theorem:
-        try:
-            term_env, type_env = term_match(pattern, t, avoid=fixed)
-        except MatchError as exc:
-            raise ConvError(lazy("REWR_CONV: {}", exc)) from exc
-        out = th
-        if type_env:
-            out = INST_TYPE(type_env, out)
-            # Re-key the term environment with instantiated variable types.
-            from .terms import inst_type as _it
-
-            term_env = { _it(type_env, v): tm for v, tm in term_env.items() }  # type: ignore[misc]
-        if term_env:
-            out = INST(term_env, out)
-        # The instantiated lhs may differ from t only up to alpha.
-        if not aconv(out.lhs, t):
-            raise ConvError(
-                lazy("REWR_CONV: instantiated lhs {} is not the target {}", out.lhs, t)
-            )
-        if out.lhs != t:
-            out = TRANS(ALPHA(t, out.lhs), out)
-        return out
-
-    return conv
-
-
-def GEN_REWRITE_CONV(traversal: Callable[[Conv], Conv], thms: Sequence[Theorem]) -> Conv:
-    """Rewrite with any of ``thms`` using the given traversal strategy."""
-    base = ORELSEC(*[REWR_CONV(th) for th in thms]) if thms else NO_CONV
-    return traversal(base)
-
-
-def REWRITE_CONV(thms: Sequence[Theorem]) -> Conv:
-    """Normalise with the given equations using a top-down repeated sweep."""
-    return GEN_REWRITE_CONV(TOP_DEPTH_CONV, thms)
-
-
-def NET_REWRITE_CONV(rules, limit: int = 1_000_000) -> Conv:
-    """``REWRITE_CONV``-compatible normalisation on the worklist engine.
-
-    ``rules`` is a sequence of equational theorems (or a prebuilt
-    :class:`repro.logic.rewriter.RewriteNet`).  The result proves a theorem
-    alpha-equivalent to ``REWRITE_CONV(rules)``'s, but rule candidates are
-    found through a head-symbol index and unchanged subterms contribute no
-    kernel inferences (see :mod:`repro.logic.rewriter`).
-    """
-    from .rewriter import RewriteNet, net_conv
-
-    if isinstance(rules, RewriteNet):
-        return net_conv(rules, limit=limit)
-    return net_conv(RewriteNet().add_theorems(list(rules)), limit=limit)
-
-
-def TOP_SWEEP_CONV(c: Conv, limit: int = 1_000_000) -> Conv:
-    """``TOP_DEPTH_CONV``-compatible normalisation on the worklist engine.
-
-    Applies ``c`` at every node until no further change occurs, like
-    ``TOP_DEPTH_CONV(c)``, but revisits only changed spines instead of
-    re-sweeping the whole term per pass.  ``c`` is tried unindexed at every
-    node; when the rewrite set has known head symbols, build a
-    :class:`repro.logic.rewriter.RewriteNet` instead for candidate filtering.
-    """
-    from .rewriter import RewriteNet, net_conv
-
-    return net_conv(RewriteNet().add_sweep(c), limit=limit)
-
-
-# ---------------------------------------------------------------------------
 # Beta / let / pair reductions and ground evaluation
 # ---------------------------------------------------------------------------
 
@@ -320,28 +231,33 @@ def _beta_head_once(t: Term) -> Theorem:
     return th
 
 
+def _pair_law(name: str, law: Theorem, t: Term) -> Theorem:
+    """Prove ``t = ...`` by ``law`` (``|- FST (a, b) = a`` or
+    ``|- SND (a, b) = b``) when ``t`` applies the projection ``name`` to a
+    pair literal: one ``INST_TYPE`` for the component types, then one ``INST``
+    for the components, so the result's lhs is ``t``."""
+    if not (isinstance(t, Comb) and t.rator.is_const(name)):
+        raise ConvError(lazy("{}_CONV: not a {} application: {}", name, name, t))
+    if not is_pair(t.rand):
+        raise ConvError(lazy("{}_CONV: argument is not a pair literal: {}", name, t.rand))
+    a, b = dest_pair(t.rand)
+    a_var, b_var = dest_pair(law.lhs.rand)
+    typed = INST_TYPE({a_var.ty: a.ty, b_var.ty: b.ty}, law)
+    a_var, b_var = dest_pair(typed.lhs.rand)
+    th = INST({a_var: a, b_var: b}, typed)
+    if th.lhs is not t:  # the projection constant is not at the law's type
+        raise ConvError(lazy("{} is not an instance of {}", t, law))
+    return th
+
+
 def FST_CONV(t: Term) -> Theorem:
     """``|- FST (a, b) = a``."""
-    if not (isinstance(t, Comb) and t.rator.is_const("FST")):
-        raise ConvError(lazy("FST_CONV: not a FST application: {}", t))
-    pair = t.rand
-    from .terms import dest_pair, is_pair
-
-    if not is_pair(pair):
-        raise ConvError(lazy("FST_CONV: argument is not a pair literal: {}", pair))
-    a, b = dest_pair(pair)
-    return REWR_CONV(stdlib.fst_pair_theorem())(t)
+    return _pair_law("FST", stdlib.fst_pair_theorem(), t)
 
 
 def SND_CONV(t: Term) -> Theorem:
     """``|- SND (a, b) = b``."""
-    if not (isinstance(t, Comb) and t.rator.is_const("SND")):
-        raise ConvError(lazy("SND_CONV: not a SND application: {}", t))
-    from .terms import is_pair
-
-    if not is_pair(t.rand):
-        raise ConvError(lazy("SND_CONV: argument is not a pair literal: {}", t.rand))
-    return REWR_CONV(stdlib.snd_pair_theorem())(t)
+    return _pair_law("SND", stdlib.snd_pair_theorem(), t)
 
 
 #: lazily built ``(net, conversion)`` pairs for the standard normalisations
@@ -355,13 +271,9 @@ def _std_net(name: str) -> tuple:
     conversion (a fresh memo per call)."""
     entry = _std_nets.get(name)
     if entry is None:
-        from .rewriter import RewriteNet, net_conv
+        from .rewriter import beta_pair_net, net_conv
 
-        net = RewriteNet()
-        net.add_beta(BETA_CONV)
-        net.add_conv(LET_CONV, "LET", 2)
-        net.add_conv(FST_CONV, "FST", 1)
-        net.add_conv(SND_CONV, "SND", 1)
+        net = beta_pair_net().add_conv(LET_CONV, "LET", 2)
         if name == "eval":
             net.add_const_fallback(COMPUTE_CONV)
         entry = _std_nets[name] = (net, net_conv(net))

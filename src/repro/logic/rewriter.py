@@ -7,11 +7,10 @@ per gate) pay millions of kernel inferences for work that touches almost
 nothing.  With the hash-consed kernel (identity ``==`` and hashing) we can
 do much better; this module provides the engine:
 
-* :class:`RewriteNet` — a head-symbol index (a first-order discrimination
-  net) over rewrite-rule left-hand sides.  Each node of the traversal tries
-  only the rules whose LHS head symbol and argument count match the node,
-  instead of the full ``ORELSEC`` chain.  Structural conversions
-  (``BETA_CONV``, ``FST_CONV`` ...) are registered under the same keys.
+* :class:`RewriteNet` — a head-symbol index over conversions.  Each node of
+  the traversal tries only the conversions filed under its head constant
+  and argument count, instead of a full ``ORELSEC`` chain; beta redexes and
+  data-dependent rules (``COMPUTE_CONV``) have buckets of their own.
 * :func:`net_conv` — the worklist normaliser.  It visits the term bottom-up
   with an explicit stack and a memo cache keyed on the interned term (sound
   under hash-consing: a term's normal form does not depend on its context),
@@ -31,79 +30,45 @@ do much better; this module provides the engine:
   *changed* nodes plus the rewrites themselves — not to (term size) x
   (number of passes) as for ``TOP_DEPTH_CONV``.
 
-The engine is exposed through :func:`repro.logic.conv.NET_REWRITE_CONV`
-(theorem lists, ``REWRITE_CONV``-compatible) and
-:func:`repro.logic.conv.TOP_SWEEP_CONV` (arbitrary conversions,
-``TOP_DEPTH_CONV``-compatible).
+This is the logic layer's one rewrite front end: HASH's split, join and
+initial-state steps, ``tidy_step``, the bridge, ``EVAL_CONV`` and ``taut-rw``
+all register conversions with :meth:`RewriteNet.add_conv`,
+:meth:`RewriteNet.add_beta` and :meth:`RewriteNet.add_const_fallback`, most
+of them on top of :func:`beta_pair_net`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .conv import Conv, ConvError, REWR_CONV
+from .conv import BETA_CONV, FST_CONV, SND_CONV, Conv, ConvError
 from .kernel import ABS, KernelError, MK_COMB, REFL, TRANS, Theorem
 from .lazyfmt import lazy
-from .match import MatchError
-from .terms import Abs, Comb, Const, Term, Var, aconv, dest_eq
+from .terms import Abs, Comb, Const, Term, aconv, dest_eq
 
 
 class RewriteNet:
-    """A head-symbol index over rewrite rules and structural conversions.
+    """A head-symbol index over conversions.
 
-    Rules are filed under ``(head constant name, spine arity)`` of their
-    left-hand side; looking up a term walks its application spine once and
-    returns only the candidates that can possibly match.  Four auxiliary
-    buckets cover the non-constant-headed shapes:
+    Conversions are filed under ``(head constant name, spine arity)``;
+    looking up a term walks its application spine once and returns only the
+    candidates that can possibly apply.  Two auxiliary buckets cover the
+    other shapes:
 
     * *beta* conversions fire on ``Comb`` nodes whose operator is an ``Abs``
       (top-level beta redexes);
-    * *abs* rules have an abstraction LHS and fire on ``Abs`` nodes;
     * *const fallbacks* fire on any constant-headed node (used for
-      ``COMPUTE_CONV``, whose applicability is data-dependent);
-    * *wildcard* rules (variable-headed patterns of arity ``k``) fire on any
-      node with spine arity >= ``k``.
+      ``COMPUTE_CONV``, whose applicability is data-dependent).
     """
 
-    __slots__ = ("_const", "_beta", "_abs", "_const_fallback", "_wild")
+    __slots__ = ("_const", "_beta", "_const_fallback")
 
     def __init__(self) -> None:
         self._const: Dict[Tuple[str, int], List[Conv]] = {}
         self._beta: List[Conv] = []
-        self._abs: List[Conv] = []
         self._const_fallback: List[Conv] = []
-        self._wild: List[Tuple[int, Conv]] = []
 
     # -- registration --------------------------------------------------------
-    def add_theorem(self, th: Theorem, fixed_vars: Iterable[Var] = ()) -> "RewriteNet":
-        """Index an equational theorem (rewritten left to right)."""
-        rule = REWR_CONV(th, fixed_vars)
-        head = th.lhs
-        arity = 0
-        while isinstance(head, Comb):
-            head = head.rator
-            arity += 1
-        if isinstance(head, Const):
-            self._const.setdefault((head.name, arity), []).append(rule)
-        elif isinstance(head, Var):
-            self._wild.append((arity, rule))
-        elif arity == 0:
-            self._abs.append(rule)
-        elif arity == 1:
-            # an explicit beta-redex pattern ``(\x. b) a``
-            self._beta.append(rule)
-        else:
-            # ``(\x. b) a c ...``: the matching node's rator is a Comb, not an
-            # Abs, so the beta bucket would never be consulted — file as a
-            # wildcard of the pattern's arity instead
-            self._wild.append((arity, rule))
-        return self
-
-    def add_theorems(self, thms: Sequence[Theorem]) -> "RewriteNet":
-        for th in thms:
-            self.add_theorem(th)
-        return self
-
     def add_conv(self, conv: Conv, head: str, arity: int) -> "RewriteNet":
         """Index a conversion that only applies under a known head constant."""
         self._const.setdefault((head, arity), []).append(conv)
@@ -117,11 +82,6 @@ class RewriteNet:
     def add_const_fallback(self, conv: Conv) -> "RewriteNet":
         """Register a conversion tried on every constant-headed node."""
         self._const_fallback.append(conv)
-        return self
-
-    def add_sweep(self, conv: Conv) -> "RewriteNet":
-        """Register an unindexed conversion tried at every node."""
-        self._wild.append((0, conv))
         return self
 
     # -- lookup --------------------------------------------------------------
@@ -141,19 +101,24 @@ class RewriteNet:
                 out.extend(self._const_fallback)
         if arity and self._beta and isinstance(t._rator, Abs):
             out.extend(self._beta)
-        if not arity and self._abs and isinstance(t, Abs):
-            out.extend(self._abs)
-        for min_arity, rule in self._wild:
-            if arity >= min_arity:
-                out.append(rule)
         return out
+
+
+def beta_pair_net() -> RewriteNet:
+    """A fresh net of beta reduction and the ``FST``/``SND`` pair laws: the
+    split and join steps' normaliser, which ``BETA_NORM_CONV``,
+    ``EVAL_CONV`` and ``tidy_step`` extend with their ``LET`` rules."""
+    return (RewriteNet()
+            .add_beta(BETA_CONV)
+            .add_conv(FST_CONV, "FST", 1)
+            .add_conv(SND_CONV, "SND", 1))
 
 
 # frame opcodes for the worklist below
 _VISIT, _COMB_FRAME, _ABS_FRAME, _RETRY_FRAME = 0, 1, 2, 3
 
 #: conversion failures treated as "rule not applicable"
-_NOT_APPLICABLE = (ConvError, KernelError, MatchError)
+_NOT_APPLICABLE = (ConvError, KernelError)
 
 
 def _step(net: RewriteNet, t: Term) -> Optional[Theorem]:
@@ -258,9 +223,8 @@ def net_conv(net: RewriteNet, limit: int = 1_000_000,
              memo: Optional[Dict[Term, Optional[Theorem]]] = None) -> Conv:
     """The worklist normaliser for ``net`` as a standard conversion.
 
-    Returns ``|- t = t_nf``; like ``REWRITE_CONV`` it returns ``|- t = t``
-    (one ``REFL``) when nothing applies.  ``limit`` bounds the number of
-    rule applications per call.
+    Returns ``|- t = t_nf``, or ``|- t = t`` (one ``REFL``) when nothing
+    applies.  ``limit`` bounds the number of rule applications per call.
 
     Each call normalises under a fresh memo, unless ``memo`` is given: then
     every call shares it, and a subterm normalised by one call costs no

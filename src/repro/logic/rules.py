@@ -50,11 +50,6 @@ def prove_hyp(lemma: Theorem, th: Theorem) -> Theorem:
     return EQ_MP(eq, lemma)
 
 
-def sym(th: Theorem) -> Theorem:
-    """``|- a = b``  ⟹  ``|- b = a``."""
-    return SYM(th)
-
-
 def equal_by_normalisation(norm_lhs: Theorem, norm_rhs: Theorem) -> Theorem:
     """Derive ``|- a = b`` from ``|- a = n`` and ``|- b = n'`` with ``n`` α-eq ``n'``.
 

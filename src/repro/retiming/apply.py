@@ -15,20 +15,13 @@ old initial values — exactly the ``f(q)`` of the universal retiming theorem.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
 from ..circuits.netlist import Cell, Netlist
 
 
 class RetimingApplyError(Exception):
     """Raised when a cut cannot be retimed on the given netlist."""
-
-
-def _evaluate_cell(netlist: Netlist, cell: Cell, input_values: Sequence[int]) -> int:
-    width = netlist.width(cell.output)
-    params = dict(cell.params)
-    params["_in_widths"] = tuple(netlist.width(i) for i in cell.inputs)
-    return cell.cell_type.evaluate(width, list(input_values), params)
 
 
 def _rule_violation(netlist: Netlist, name: str, reg_outputs: Set[str]) -> Optional[str]:
@@ -94,7 +87,7 @@ def apply_forward_retiming(
         source_regs = [reg_by_output[net] for net in cell.inputs]
 
         # the new initial value is the cell evaluated on the old initial values
-        new_init = _evaluate_cell(out, cell, [r.init for r in source_regs])
+        new_init = out.evaluate_cell(cell, [r.init for r in source_regs])
 
         # recompute the cell from the registers' inputs (one combinational
         # step earlier) onto a fresh net, and let a new register drive the

@@ -48,8 +48,10 @@ class Checker:
     name: str
     fn: Callable[..., VerificationResult]
     description: str
-    #: keyword arguments the callable honours (budgets and tuning knobs);
-    #: everything else passed to :func:`run_checker` is silently dropped.
+    #: keyword arguments :func:`run_checker` passes on (the budgets, HASH's
+    #: cut and taut-rw's ``max_vectors``); everything else is silently
+    #: dropped.  A backend's other knobs keep their defaults here and are
+    #: set only by calling its function directly.
     accepts: FrozenSet[str]
     #: synthesis-style backends consume the retiming cut instead of only
     #: comparing against the conventionally retimed circuit.
@@ -211,20 +213,20 @@ register_checker(
     "eijk", van_eijk.check_equivalence,
     description="van Eijk signal-correspondence induction (word-parallel "
                 "simulation signatures)",
-    accepts=("time_budget", "node_budget", "simulation_cycles", "seed"),
+    accepts=("time_budget", "node_budget"),
     complete=False,
 )
 register_checker(
     "eijk+", _eijk_plus,
     description="van Eijk with functional-dependency exploitation",
-    accepts=("time_budget", "node_budget", "simulation_cycles", "seed"),
+    accepts=("time_budget", "node_budget"),
     complete=False,
 )
 register_checker(
     "match", retiming_verify.check_equivalence,
     description="structural retiming matching (Leiserson-Saxe lag recovery; "
                 "limited to pure retiming)",
-    accepts=("time_budget", "check_cycles"),
+    accepts=("time_budget",),
     complete=False,
 )
 register_checker(
@@ -250,7 +252,7 @@ register_checker(
                 "in place on the shared AIG, refined by cone-priced "
                 "miters over one persistent incremental SAT solver; "
                 "registers as cut points",
-    accepts=("time_budget", "seed", "patterns"),
+    accepts=("time_budget",),
     cut_points=True,
 )
 register_checker(

@@ -66,6 +66,18 @@ class TestNetlistModel:
         nl.add_output("y", 4)
         return nl
 
+    def test_evaluate_cell_sees_input_widths(self):
+        from repro.circuits.simulate import Simulator
+
+        nl = Netlist("redand")
+        nl.add_input("a", 4)
+        cell = nl.add_cell("all", "REDAND", ["a"], "y")
+        nl.add_output("y", 1)
+        for value in range(16):
+            expected = int(value == 0b1111)
+            assert nl.evaluate_cell(cell, [value]) == expected
+            assert Simulator(nl).evaluate_combinational({"a": value})["y"] == expected
+
     def test_construction_and_stats(self):
         nl = self._simple()
         nl.validate()

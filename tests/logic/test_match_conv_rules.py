@@ -1,4 +1,4 @@
-"""Tests for matching, conversions, derived rules and the standard library."""
+"""Tests for conversions, the pair laws, derived rules and the standard library."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +13,8 @@ from repro.logic.ground import (
     term_of_value,
     value_of_term,
 )
-from repro.logic.hol_types import TyVar, bool_ty, mk_fun_ty, num_ty
-from repro.logic.kernel import ASSUME, REFL
-from repro.logic.match import MatchError, term_match
+from repro.logic.hol_types import TyVar, bool_ty, mk_fun_ty, mk_prod_ty, num_ty
+from repro.logic.kernel import ASSUME, REFL, inference_steps
 from repro.logic.rules import (
     RuleError,
     equal_by_normalisation,
@@ -23,64 +22,12 @@ from repro.logic.rules import (
     trans_chain,
 )
 from repro.logic.stdlib import dest_let, ensure_stdlib, is_let, mk_let, word_op
-from repro.logic.terms import Abs, Var, dest_eq, mk_eq, mk_fst, mk_pair, mk_snd
+from repro.logic.terms import Comb, Const, Var, dest_eq, mk_eq, mk_fst, mk_pair, mk_snd
 
 ensure_stdlib()
 
 x = Var("x", num_ty)
 y = Var("y", num_ty)
-n = Var("n", num_ty)
-f = Var("f", mk_fun_ty(num_ty, num_ty))
-
-
-# ---------------------------------------------------------------------------
-# matching
-# ---------------------------------------------------------------------------
-
-class TestMatching:
-    def test_match_variable_pattern(self):
-        env, tyenv = term_match(x, word_op("ADD", y, mk_numeral(1)))
-        assert env[x] == word_op("ADD", y, mk_numeral(1))
-        assert not tyenv
-
-    def test_match_structure(self):
-        pattern = word_op("ADD", x, y)
-        target = word_op("ADD", mk_numeral(1), mk_numeral(2))
-        env, _ = term_match(pattern, target)
-        assert env == {x: mk_numeral(1), y: mk_numeral(2)}
-
-    def test_match_nonlinear_pattern(self):
-        pattern = word_op("ADD", x, x)
-        env, _ = term_match(pattern, word_op("ADD", y, y))
-        assert env == {x: y}
-        with pytest.raises(MatchError):
-            term_match(pattern, word_op("ADD", y, mk_numeral(1)))
-
-    def test_match_with_types(self):
-        a = TyVar("a")
-        v = Var("v", a)
-        env, tyenv = term_match(v, mk_numeral(3))
-        assert tyenv[a] == num_ty
-
-    def test_match_respects_fixed_vars(self):
-        with pytest.raises(MatchError):
-            term_match(x, y, avoid=[x])
-
-    def test_match_under_binders(self):
-        pattern = Abs(n, word_op("ADD", n, x))
-        target = Abs(y, word_op("ADD", y, mk_numeral(7)))
-        env, _ = term_match(pattern, target)
-        assert env[x] == mk_numeral(7)
-
-    def test_match_refuses_capture(self):
-        pattern = Abs(n, x)
-        target = Abs(y, y)
-        with pytest.raises(MatchError):
-            term_match(pattern, target)
-
-    def test_constant_mismatch(self):
-        with pytest.raises(MatchError):
-            term_match(word_op("ADD", x, y), word_op("SUB", x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +35,9 @@ class TestMatching:
 # ---------------------------------------------------------------------------
 
 class TestConversions:
-    def test_no_conv(self):
-        with pytest.raises(ConvError):
-            conv.NO_CONV(x)
-
     def test_orelsec_falls_through(self):
-        c = conv.ORELSEC(conv.NO_CONV, REFL)
+        # FST_CONV raises on a variable, so ORELSEC falls through to REFL
+        c = conv.ORELSEC(conv.FST_CONV, REFL)
         assert c(x).concl == mk_eq(x, x)
 
     def test_rand_rator_conv(self):
@@ -109,13 +53,6 @@ class TestConversions:
         assert dest_eq(conv.FST_CONV(mk_fst(p)).concl)[1] == mk_numeral(1)
         assert dest_eq(conv.SND_CONV(mk_snd(p)).concl)[1] == mk_numeral(2)
 
-    def test_fst_conv_requires_pair_literal(self):
-        from repro.logic.hol_types import mk_prod_ty
-
-        v = Var("pair", mk_prod_ty(num_ty, num_ty))
-        with pytest.raises(ConvError):
-            conv.FST_CONV(mk_fst(v))
-
     def test_eval_conv_nested(self):
         t = word_op(
             "MUXW",
@@ -125,20 +62,6 @@ class TestConversions:
         )
         th = conv.EVAL_CONV(t)
         assert dest_eq(th.concl)[1] == mk_numeral(8)
-
-    def test_rewr_conv(self):
-        # rewrite with |- x + 0 = x  (established by evaluation on a schematic
-        # instance is not possible; use an assumption instead)
-        eq = ASSUME(mk_eq(word_op("ADD", x, mk_numeral(0)), x))
-        c = conv.REWR_CONV(eq)
-        target = word_op("ADD", mk_numeral(9), mk_numeral(0))
-        th = c(target)
-        assert dest_eq(th.concl)[1] == mk_numeral(9)
-
-    def test_rewr_conv_fails_on_mismatch(self):
-        eq = ASSUME(mk_eq(word_op("ADD", x, mk_numeral(0)), x))
-        with pytest.raises(ConvError):
-            conv.REWR_CONV(eq)(word_op("SUB", mk_numeral(9), mk_numeral(0)))
 
     def test_top_depth_conv_fixpoint(self):
         t = word_op("ADD", word_op("MUL", mk_numeral(2), mk_numeral(3)),
@@ -150,6 +73,66 @@ class TestConversions:
         eq = conv.EVAL_CONV(word_op("ADD", mk_numeral(2), mk_numeral(2)))
         out = conv.RHS_CONV_RULE(REFL, eq)
         assert out.concl == eq.concl
+
+
+# ---------------------------------------------------------------------------
+# pair laws
+# ---------------------------------------------------------------------------
+
+_a, _b = TyVar("a"), TyVar("b")
+
+#: pair components: bool, num, a nested pair, the axioms' own type variables,
+#: and those swapped, which a non-simultaneous INST_TYPE gets wrong
+PAIRS = [
+    pytest.param(mk_bool(True), mk_bool(False), id="bool"),
+    pytest.param(mk_numeral(3), mk_bool(True), id="num-bool"),
+    pytest.param(mk_pair(mk_numeral(1), mk_bool(False)), mk_numeral(2), id="nested-fst"),
+    pytest.param(mk_numeral(4), mk_pair(mk_pair(x, y), mk_bool(True)), id="nested-snd"),
+    pytest.param(Var("x", _a), Var("y", _b), id="tyvars"),
+    pytest.param(Var("x", _b), Var("y", _a), id="swapped-tyvars"),
+    pytest.param(Var("a", _b), Var("b", _a), id="swapped-tyvars-law-names"),
+    pytest.param(Var("b", num_ty), Var("a", num_ty), id="swapped-law-names"),
+]
+
+
+class TestPairLaws:
+    @pytest.mark.parametrize("a, b", PAIRS)
+    @pytest.mark.parametrize("law, mk, pick", [
+        (conv.FST_CONV, mk_fst, 0),
+        (conv.SND_CONV, mk_snd, 1),
+    ], ids=["FST", "SND"])
+    def test_two_kernel_steps_prove_the_projection(self, law, mk, pick, a, b):
+        t = mk(mk_pair(a, b))
+        before = inference_steps()
+        th = law(t)
+        assert inference_steps() - before == 2  # INST_TYPE, then INST
+        assert th.lhs is t
+        assert th.rhs is (a, b)[pick]
+        assert not th.hyps
+
+    @pytest.mark.parametrize("law, mk", [(conv.FST_CONV, mk_fst),
+                                         (conv.SND_CONV, mk_snd)],
+                             ids=["FST", "SND"])
+    def test_non_pair_argument_raises(self, law, mk):
+        p = Var("p", mk_prod_ty(num_ty, bool_ty))
+        with pytest.raises(ConvError):
+            law(mk(p))
+        with pytest.raises(ConvError):
+            law(x)
+
+    def test_wrong_projection_raises(self):
+        p = mk_pair(mk_numeral(1), mk_numeral(2))
+        with pytest.raises(ConvError):
+            conv.FST_CONV(mk_snd(p))
+        with pytest.raises(ConvError):
+            conv.SND_CONV(mk_fst(p))
+
+    def test_projection_constant_at_a_foreign_type_raises(self):
+        # Const is syntactic only: FST at num # num -> bool is a well-typed
+        # term, but no instance of |- FST (a, b) = a
+        bogus = Const("FST", mk_fun_ty(mk_prod_ty(num_ty, num_ty), bool_ty))
+        with pytest.raises(ConvError):
+            conv.FST_CONV(Comb(bogus, mk_pair(mk_numeral(1), mk_numeral(2))))
 
 
 # ---------------------------------------------------------------------------

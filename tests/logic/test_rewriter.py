@@ -1,9 +1,10 @@
 """Tests for the worklist rewrite engine (``repro.logic.rewriter``).
 
-The contract: ``NET_REWRITE_CONV`` / the net-based normalisers prove
-theorems *alpha-equivalent* to the classic ``TOP_DEPTH_CONV``-based
-engines', while performing strictly fewer kernel inferences on gate-level
-terms (only changed spines emit congruence steps).
+The contract: the net-based normalisers prove theorems *alpha-equivalent*
+to the classic ``TOP_DEPTH_CONV`` engine's, while performing strictly fewer
+kernel inferences on gate-level terms (only changed spines emit congruence
+steps).  Rules reach the engine only as conversions, through ``add_conv``,
+``add_beta`` and ``add_const_fallback``.
 """
 
 import random
@@ -17,10 +18,10 @@ from repro.formal.embed import embed_netlist
 from repro.logic import conv
 from repro.logic.ground import mk_numeral
 from repro.logic.hol_types import num_ty
-from repro.logic.kernel import inference_steps, new_axiom, reset_kernel
+from repro.logic.kernel import INST, inference_steps, new_axiom, reset_kernel
 from repro.logic.rewriter import RewriteNet, net_conv
 from repro.logic.stdlib import ensure_stdlib, word_op
-from repro.logic.terms import Var, aconv, mk_eq
+from repro.logic.terms import Var, aconv, mk_eq, strip_comb
 
 
 @pytest.fixture(autouse=True)
@@ -29,33 +30,72 @@ def fresh_theory():
     ensure_stdlib()
 
 
-def _arith_rules():
-    """A confluent, terminating demo rule set: unit/zero laws of ADD/MUL."""
+def _law(name, op, args, rhs):
+    """``|- op args = rhs`` as a conversion, with ``args`` one variable ``x``
+    and one fixed numeral: it checks the head and the numeral, then puts the
+    other argument in for ``x`` with one ``INST``, as ``FST_CONV`` does."""
+    x = Var("x", num_ty)
+    th = new_axiom(mk_eq(word_op(op, *args), rhs), name=name)
+    fixed = 1 if args[0] is x else 0
+
+    def law_conv(t):
+        head, targs = strip_comb(t)
+        if not (head.is_const(op) and len(targs) == 2
+                and targs[fixed] is args[fixed]):
+            raise conv.ConvError(f"not an instance of {name}")
+        return INST({x: targs[1 - fixed]}, th)
+
+    return op, law_conv
+
+
+def _arith_laws():
+    """A confluent, terminating demo rule set: unit/zero laws of ADD/MUL,
+    as ``(head, conversion)`` pairs."""
     x = Var("x", num_ty)
     zero, one = mk_numeral(0), mk_numeral(1)
     return [
-        new_axiom(mk_eq(word_op("ADD", x, zero), x), name="ADD_0"),
-        new_axiom(mk_eq(word_op("ADD", zero, x), x), name="0_ADD"),
-        new_axiom(mk_eq(word_op("MUL", x, one), x), name="MUL_1"),
-        new_axiom(mk_eq(word_op("MUL", x, zero), zero), name="MUL_0"),
+        _law("ADD_0", "ADD", (x, zero), x),
+        _law("0_ADD", "ADD", (zero, x), x),
+        _law("MUL_1", "MUL", (x, one), x),
+        _law("MUL_0", "MUL", (x, zero), zero),
     ]
 
 
-def _random_term(rng, depth):
+def _net(laws):
+    net = RewriteNet()
+    for head, law_conv in laws:
+        net.add_conv(law_conv, head, 2)
+    return net
+
+
+def _top_depth(laws):
+    return conv.TOP_DEPTH_CONV(conv.ORELSEC(*[c for _, c in laws]))
+
+
+def _axiom_conv(th):
+    """A conversion that rewrites exactly ``th``'s left-hand side."""
+    def axiom_conv(t):
+        if t is not th.lhs:
+            raise conv.ConvError("not the axiom's left-hand side")
+        return th
+
+    return axiom_conv
+
+
+def _random_term(rng, depth, leaves="abc"):
     if depth == 0 or rng.random() < 0.25:
-        choice = rng.random()
-        if choice < 0.4:
+        if not leaves or rng.random() < 0.4:
             return mk_numeral(rng.choice([0, 1, rng.randrange(2, 9)]))
-        return Var(rng.choice("abc"), num_ty)
+        return Var(rng.choice(leaves), num_ty)
     op = rng.choice(["ADD", "MUL"])
-    return word_op(op, _random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    return word_op(op, _random_term(rng, depth - 1, leaves),
+                   _random_term(rng, depth - 1, leaves))
 
 
 class TestNetRewriteEquivalence:
-    def test_randomized_terms_match_rewrite_conv(self):
-        rules = _arith_rules()
-        old_conv = conv.REWRITE_CONV(rules)
-        new_conv = conv.NET_REWRITE_CONV(rules)
+    def test_randomized_terms_match_top_depth_conv(self):
+        laws = _arith_laws()
+        old_conv, new_conv = _top_depth(laws), net_conv(_net(laws))
         rng = random.Random(7)
         for _ in range(40):
             t = _random_term(rng, 4)
@@ -65,13 +105,23 @@ class TestNetRewriteEquivalence:
                 f"engines disagree on {t}: {th_old} vs {th_new}"
             )
 
+    def test_randomized_ground_arithmetic_matches_top_depth_conv(self):
+        old_conv = conv.TOP_DEPTH_CONV(conv.COMPUTE_CONV)
+        rng = random.Random(11)
+        for _ in range(40):
+            t = _random_term(rng, 4, leaves="")
+            th_old = old_conv(t)
+            th_new = conv.EVAL_CONV(t)
+            assert th_new.concl is th_old.concl, (
+                f"engines disagree on {t}: {th_old} vs {th_new}"
+            )
+
     def test_leaf_redexes_strictly_fewer_steps(self):
         """A wide tree with redexes at the leaves: the classic engine pays a
         full REFL re-sweep per pass, the worklist engine only the changed
         spines."""
-        rules = _arith_rules()
-        old_conv = conv.REWRITE_CONV(rules)
-        new_conv = conv.NET_REWRITE_CONV(rules)
+        laws = _arith_laws()
+        old_conv, new_conv = _top_depth(laws), net_conv(_net(laws))
         leaves = [
             word_op("ADD", Var(f"v{k}", num_ty), mk_numeral(0)) for k in range(32)
         ]
@@ -91,12 +141,12 @@ class TestNetRewriteEquivalence:
         assert aconv(th_old.concl, th_new.concl)
         assert new_steps < old_steps
 
-    def test_top_sweep_conv_matches_top_depth_conv(self):
+    def test_eval_conv_matches_top_depth_conv_on_a_circuit_step(self):
         one = conv.ORELSEC(conv.BETA_CONV, conv.LET_CONV, conv.FST_CONV,
                            conv.SND_CONV, conv.COMPUTE_CONV)
         embedded = embed_netlist(figure2(3))
         th_old = conv.TOP_DEPTH_CONV(one)(embedded.step)
-        th_new = conv.TOP_SWEEP_CONV(one)(embedded.step)
+        th_new = conv.EVAL_CONV(embedded.step)
         assert aconv(th_old.concl, th_new.concl)
 
 
@@ -200,19 +250,21 @@ class TestGateLevelStepCounts:
 
 class TestRewriteNetIndexing:
     def test_candidates_filter_by_head_and_arity(self):
-        rules = _arith_rules()
-        net = RewriteNet().add_theorems(rules)
+        net = _net(_arith_laws())
         x = Var("a", num_ty)
         add_term = word_op("ADD", x, mk_numeral(0))
         mul_term = word_op("MUL", x, mk_numeral(1))
-        assert len(net.candidates(add_term)) == 2  # the two ADD rules
-        assert len(net.candidates(mul_term)) == 2  # the two MUL rules
+        assert len(net.candidates(add_term)) == 2  # the two ADD laws
+        assert len(net.candidates(mul_term)) == 2  # the two MUL laws
+        assert net.candidates(add_term.rator) == []  # ADD at arity 1
         assert net.candidates(x) == []
         assert net.candidates(mk_numeral(5)) == []
+        net.add_const_fallback(conv.COMPUTE_CONV)
+        assert net.candidates(mk_numeral(5)) == [conv.COMPUTE_CONV]
+        assert net.candidates(x) == []
 
     def test_unchanged_term_costs_one_refl(self):
-        rules = _arith_rules()
-        engine = conv.NET_REWRITE_CONV(rules)
+        engine = net_conv(_net(_arith_laws()))
         x = Var("a", num_ty)
         t = word_op("ADD", x, mk_numeral(2))  # no rule applies anywhere
         for _ in range(3):
@@ -223,14 +275,13 @@ class TestRewriteNetIndexing:
         assert th.rhs is t
 
     def test_shared_subterms_normalise_once(self):
-        rules = _arith_rules()
         x = Var("a", num_ty)
         redex = word_op("ADD", x, mk_numeral(0))
         # a balanced tree of 2^6 pointer-identical redex leaves
         t = redex
         for _ in range(6):
             t = word_op("MUL", t, t)
-        net = RewriteNet().add_theorems(rules)
+        net = _net(_arith_laws())
         before = inference_steps()
         th = net_conv(net)(t)
         steps = inference_steps() - before
@@ -242,40 +293,22 @@ class TestRewriteNetIndexing:
         # far below the 2^6 leaves a tree-walk would pay
         assert steps < 60
 
-    def test_multi_argument_beta_redex_pattern_still_fires(self):
-        """A rule whose LHS is a beta redex under 2+ arguments must behave
-        like REWRITE_CONV (it is filed as a wildcard, not in the beta
-        bucket, whose guard only sees arity-1 redexes)."""
-        from repro.logic.terms import Abs, Comb
-
-        x = Var("x", num_ty)
-        y = Var("y", num_ty)
-        p = Var("p", num_ty)
-        q = Var("q", num_ty)
-        lam = Abs(x, Abs(y, word_op("ADD", x, y)))
-        lhs = Comb(Comb(lam, p), q)
-        th = new_axiom(mk_eq(lhs, word_op("MUL", p, q)), name="REDEX2")
-        t = Comb(Comb(lam, mk_numeral(2)), mk_numeral(3))
-        th_old = conv.REWRITE_CONV([th])(t)
-        th_new = conv.NET_REWRITE_CONV([th])(t)
-        assert aconv(th_old.concl, th_new.concl)
-        assert th_new.rhs is word_op("MUL", mk_numeral(2), mk_numeral(3))
-
     def test_limit_raises(self):
-        # a looping rule set: a = b, b = a
-        a = Var("a", num_ty)
-        b = Var("b", num_ty)
-        th_ab = new_axiom(mk_eq(a, b), name="AB")
-        th_ba = new_axiom(mk_eq(b, a), name="BA")
-        engine = conv.NET_REWRITE_CONV([th_ab, th_ba], limit=50)
+        # a looping rule set under one key: ADD 1 2 = ADD 2 1, ADD 2 1 = ADD 1 2
+        one_two = word_op("ADD", mk_numeral(1), mk_numeral(2))
+        two_one = word_op("ADD", mk_numeral(2), mk_numeral(1))
+        net = (RewriteNet()
+               .add_conv(_axiom_conv(new_axiom(mk_eq(one_two, two_one), name="AB")),
+                         "ADD", 2)
+               .add_conv(_axiom_conv(new_axiom(mk_eq(two_one, one_two), name="BA")),
+                         "ADD", 2))
         with pytest.raises(conv.ConvError):
-            engine(a)
+            net_conv(net, limit=50)(one_two)
 
 
 class TestSharedMemo:
     def test_calls_sharing_one_memo_reuse_each_other(self):
-        rules = _arith_rules()
-        net = RewriteNet().add_theorems(rules)
+        net = _net(_arith_laws())
         zero, one = mk_numeral(0), mk_numeral(1)
         shared = word_op("ADD", Var("a", num_ty), zero)
         for _ in range(5):

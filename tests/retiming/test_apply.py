@@ -10,6 +10,7 @@ from repro.circuits.generators import (
     fractional_multiplier,
     random_sequential_circuit,
 )
+from repro.circuits.netlist import Netlist
 from repro.circuits.simulate import outputs_equal
 from repro.eval.cache import netlist_fingerprint
 from repro.retiming.apply import (
@@ -30,6 +31,18 @@ class TestForwardRetiming:
         # the moved register got the evaluated initial value f(q) = 1
         new_regs = {r.init for r in retimed.registers.values()}
         assert 1 in new_regs
+
+    @pytest.mark.parametrize("init, moved", [(0b111, 1), (0b101, 0)])
+    def test_new_initial_value_sees_input_widths(self, init, moved):
+        # REDAND reads its input's width: f(q) is 1 only for an all-ones q
+        nl = Netlist("redand")
+        nl.add_input("a", 3)
+        nl.add_register("R", "a", "q", init=init, width=3)
+        nl.add_cell("all", "REDAND", ["q"], "y")
+        nl.add_output("y", 1)
+        retimed = apply_forward_retiming(nl, ["all"])
+        assert [r.init for r in retimed.registers.values()] == [moved]
+        assert outputs_equal(nl, retimed, cycles=50)
 
     def test_register_removed_when_unused(self):
         original = figure2(4)

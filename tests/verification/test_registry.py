@@ -44,6 +44,13 @@ class TestRegistryContents:
         assert "node_budget" not in get_checker("match").accepts
         assert "time_budget" in get_checker("match").accepts
 
+    def test_builtin_backends_accept_only_what_callers_pass(self):
+        # run_cell passes the cut and the two budgets; a tier-1 dash case
+        # sets taut-rw's max_vectors.  Other knobs are direct-call only.
+        passed = {"time_budget", "node_budget", "cut", "max_vectors"}
+        for name in BUILTIN_BACKENDS + ["sat", "fraig"]:
+            assert get_checker(name).accepts <= passed, name
+
 
 class TestDispatch:
     def test_run_checker_filters_unsupported_kwargs(self, fig_pair):
