@@ -1,4 +1,5 @@
-"""BDD engine micro/meso benchmarks — counter reachability and Eijk induction.
+"""BDD engine micro/meso benchmarks — counter reachability, a random
+retiming's relation and Eijk induction.
 
 Each benchmark records the engine's deterministic cost counters as
 ``extra_info`` (``peak_nodes``, ``ite_calls``) next to the wall-clock
@@ -9,10 +10,15 @@ BDD work fails the build exactly like a kernel-step regression.
 The counter-reachability benchmark also pins the PR-4 acceptance criterion:
 the clustered early-quantification image must keep the peak node count at
 least 2x below the PR-3-era conjoin-then-quantify image on the same engine.
+The random-retiming benchmark is a relation whose greedy clusters blow up
+when a merge is bounded by size alone, so its counters see the growth
+bound of ``model_checking.partition_relation``.
 """
 
 from repro.circuits.generators import counter, random_sequential_circuit
 from repro.eval.workloads import table1_workload
+from repro.retiming.apply import apply_forward_retiming
+from repro.retiming.cuts import maximal_forward_cut
 from repro.verification import model_checking, van_eijk
 from repro.verification.bdd import FALSE
 from repro.verification.common import declare_next_state_vars, product_fsm
@@ -95,6 +101,23 @@ def test_bdd_figure2_image(benchmark):
     benchmark.extra_info["peak_nodes"] = m.num_nodes
     benchmark.extra_info["ite_calls"] = m.ite_calls
     assert iterations == (1 << FIG2_WIDTH)
+
+
+def test_bdd_random_retiming_relation(benchmark):
+    """SMV on a random circuit against its maximal forward retiming: the
+    size of a ``resweep`` cell, whose per-latch conjuncts blow up when
+    merged."""
+    original = random_sequential_circuit(seed=2, n_inputs=6, n_flipflops=8,
+                                         n_gates=48)
+    retimed = apply_forward_retiming(original, maximal_forward_cut(original))
+
+    def run():
+        return model_checking.check_equivalence(original, retimed)
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert result.status == "equivalent"
+    benchmark.extra_info["peak_nodes"] = int(result.stats["peak_nodes"])
+    benchmark.extra_info["ite_calls"] = int(result.stats["ite_calls"])
 
 
 def test_bdd_eijk_induction(benchmark):

@@ -15,8 +15,6 @@ from typing import Sequence
 from .lazyfmt import lazy
 from .kernel import (
     ALPHA,
-    DEDUCT_ANTISYM,
-    EQ_MP,
     SYM,
     TRANS,
     Theorem,
@@ -42,12 +40,6 @@ def trans_chain(thms: Sequence[Theorem]) -> Theorem:
     for th in thms[1:]:
         out = TRANS(out, th)
     return out
-
-
-def prove_hyp(lemma: Theorem, th: Theorem) -> Theorem:
-    """From ``|- a`` and ``{a, ...} |- b`` infer ``{...} |- b``."""
-    eq = DEDUCT_ANTISYM(lemma, th)
-    return EQ_MP(eq, lemma)
 
 
 def equal_by_normalisation(norm_lhs: Theorem, norm_rhs: Theorem) -> Theorem:

@@ -21,7 +21,7 @@ ROBDD implementation with the three classic production optimisations
   into dedicated ``AND`` and ``XOR`` computed tables with commutative,
   complement-canonical keys (``or``/``nand``/``implies`` share the ``AND``
   cache through De Morgan, ``xnor`` shares the ``XOR`` cache through the
-  complement bit).
+  complement bit).  Each key packs its edges into one int.
 
 * **Iterative core.**  Every manager operation (``ite``, ``exists``/``forall``,
   ``compose``, ``count_sat``, ``and_exists``, ``build_from_table``) runs on
@@ -104,10 +104,15 @@ class BddManager:
         self._level: List[int] = [_TERMINAL_LEVEL]
         self._low: List[int] = [TRUE]
         self._high: List[int] = [TRUE]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._and_cache: Dict[Tuple[int, int], int] = {}
-        self._xor_cache: Dict[Tuple[int, int], int] = {}
+        # One unique table per level, keyed by the packed child pair and
+        # holding the node's plain edge.  Every table and computed-table
+        # key packs its edges into one int, 32 bits each (an edge needs
+        # at most 32 bits until the store holds 2**31 nodes): a pair packs
+        # into 32 bytes and a triple into 48, where a tuple takes 64.
+        self._unique: Dict[int, Dict[int, int]] = {}
+        self._ite_cache: Dict[int, int] = {}
+        self._and_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[int, int] = {}
         # per quantified level set: and_exists's memo, keyed by the packed
         # operand pair, and its memo of quantified subgraphs
         self._and_exists_memos: Dict[FrozenSet[int], Tuple[Dict[int, int], Dict[int, int]]] = {}
@@ -179,9 +184,12 @@ class BddManager:
         if out:
             low ^= 1
             high ^= 1
-        key = (level, low, high)
-        idx = self._unique.get(key)
-        if idx is None:
+        table = self._unique.get(level)
+        if table is None:
+            table = self._unique[level] = {}
+        key = (low << 32) | high
+        e = table.get(key)
+        if e is None:
             idx = len(self._level)
             if self.node_budget is not None and idx >= self.node_budget:
                 raise BddBudgetExceeded(
@@ -192,8 +200,9 @@ class BddManager:
             self._level.append(level)
             self._low.append(low)
             self._high.append(high)
-            self._unique[key] = idx
-        return (idx << 1) | out
+            e = table[key] = idx << 1
+        # a plain edge is the stored int itself, so results share it
+        return e | 1 if out else e
 
     def node(self, f: int) -> BddNode:
         """Decompose an edge: ``f = ite(var(level), high, low)``."""
@@ -262,7 +271,7 @@ class BddManager:
                     continue
                 if g < f:
                     f, g = g, f
-                key2 = (f, g)
+                key2 = (f << 32) | g
                 r = and_cache.get(key2)
                 if r is not None:
                     self.cache_hits += 1
@@ -303,7 +312,7 @@ class BddManager:
                     continue
                 if g < f:
                     f, g = g, f
-                key2 = (f, g)
+                key2 = (f << 32) | g
                 r = xor_cache.get(key2)
                 if r is not None:
                     self.cache_hits += 1
@@ -384,7 +393,7 @@ class BddManager:
             if out_c:
                 g ^= 1
                 h ^= 1
-            key3 = (f, g, h)
+            key3 = (((f << 32) | g) << 32) | h
             r = ite_cache.get(key3)
             if r is not None:
                 self.cache_hits += 1
@@ -607,8 +616,6 @@ class BddManager:
             if g < f:
                 f, g = g, f
                 lf, lg = lg, lf
-            # one int per operand pair, smaller than a tuple: an edge needs
-            # at most 32 bits until the store holds 2**31 nodes
             key = (f << 32) | g
             r = cache.get(key)
             if r is not None:

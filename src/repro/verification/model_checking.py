@@ -25,14 +25,16 @@ the frontier is computed with the combined
 :meth:`~repro.verification.bdd.BddManager.and_exists` relational product,
 quantifying every input/current-state variable as soon as the last cluster
 mentioning it has been conjoined (the classic IWLS'95 early-quantification
-schedule).  A trial merge of two clusters stops as soon as it has created
-more nodes than a cluster may hold.  ``and_exists`` keeps its memo for
-the manager's life, one per quantified set, so each image step reuses the
-subproducts of the steps before it.  This shrinks the peak intermediate
-BDD by orders of magnitude on counter-like state spaces; pass
-``cluster_size=None`` to :func:`build_transition_relation` to fall back to
-one monolithic cluster, the reference the clustered image is tested
-against.
+schedule).  A cluster holds at most ``cluster_size`` nodes and at most
+``CLUSTER_GROWTH`` times the summed node counts of the conjuncts it joins,
+so a merge that blows up on random logic is split even when it would fit;
+a trial merge stops as soon as it has created more nodes than that bound
+allows.  ``and_exists`` keeps its memo for the manager's life, one per
+quantified set, so each image step reuses the subproducts of the steps
+before it.  This shrinks the peak intermediate BDD by orders of magnitude
+on counter-like state spaces; pass ``cluster_size=None`` to
+:func:`build_transition_relation` to fall back to one monolithic cluster,
+the reference the clustered image is tested against.
 
 Budgets (wall-clock seconds and/or BDD nodes) make the exponential blow-up
 observable without hanging the benchmark harness: a run that exceeds its
@@ -59,6 +61,9 @@ from .common import (
 
 #: default bound on the BDD size (nodes) of one transition-relation cluster
 DEFAULT_CLUSTER_SIZE = 1000
+#: a bounded cluster holds at most this many times the summed node counts
+#: of the conjuncts it joins
+CLUSTER_GROWTH = 4
 
 
 @dataclass
@@ -91,12 +96,17 @@ def partition_relation(
     Conjuncts are ordered by the deepest quantifiable variable in their
     support, descending, so that clusters near the front of the conjunction
     order "retire" variables early; they are then merged greedily while the
-    conjunction stays within ``cluster_size`` BDD nodes (``None`` = one
-    monolithic cluster).  A trial merge stops as soon as it has created
-    more than ``cluster_size`` nodes (:meth:`BddManager.and_bounded`), so
-    a rejected merge is never built whole.  Compact relations (counters,
+    conjunction stays within ``cluster_size`` BDD nodes and within
+    ``CLUSTER_GROWTH`` times the summed node counts of the conjuncts it
+    joins (``None`` = one monolithic cluster).  The second bound sums the
+    conjuncts, not the growing cluster, so it does not compound from one
+    merge to the next.  A trial merge stops as soon as it has created more
+    nodes than the smaller bound (:meth:`BddManager.and_bounded`), so a
+    rejected merge is never built whole.  Compact relations (counters,
     shifters) therefore collapse into a single combined ``and_exists``
-    pass, while wide ones (the Figure-2 incrementers) stay partitioned.
+    pass, and wide ones (the Figure-2 incrementers) stay partitioned.  On
+    random logic, clusters bounded by size alone held about ten times the
+    nodes of their conjuncts, and the images gained nothing from them.
     """
     quantify_set = set(quantify)
     level_of = manager.level_of
@@ -119,21 +129,26 @@ def partition_relation(
     cluster_supports: List[set] = []
     cur: Optional[int] = None
     cur_support: set = set()
+    # summed node counts of the conjuncts joined into ``cur``
+    cur_weight = 0
     for f, support in annotated:
+        weight = manager.size(f)
         if cur is None:
-            cur, cur_support = f, set(support)
+            cur, cur_support, cur_weight = f, set(support), weight
             continue
         if cluster_size is None:
             merged = manager.apply_and(cur, f)
         else:
-            merged = manager.and_bounded(cur, f, cluster_size)
+            bound = min(cluster_size, CLUSTER_GROWTH * (cur_weight + weight))
+            merged = manager.and_bounded(cur, f, bound)
         if merged is not None:
             cur = merged
             cur_support |= support
+            cur_weight += weight
         else:
             clusters.append(cur)
             cluster_supports.append(cur_support)
-            cur, cur_support = f, set(support)
+            cur, cur_support, cur_weight = f, set(support), weight
     if cur is not None:
         clusters.append(cur)
         cluster_supports.append(cur_support)

@@ -18,7 +18,6 @@ from repro.logic.kernel import ASSUME, REFL, inference_steps
 from repro.logic.rules import (
     RuleError,
     equal_by_normalisation,
-    prove_hyp,
     trans_chain,
 )
 from repro.logic.stdlib import dest_let, ensure_stdlib, is_let, mk_let, word_op
@@ -150,13 +149,6 @@ class TestDerivedRules:
     def test_trans_chain_empty(self):
         with pytest.raises(RuleError):
             trans_chain([])
-
-    def test_prove_hyp(self):
-        p = Var("p", bool_ty)
-        lemma = ASSUME(p)
-        # {p} |- p with lemma {p} |- p gives {p} |- p (hyp retained from lemma)
-        out = prove_hyp(lemma, ASSUME(p))
-        assert out.concl == p
 
     def test_equal_by_normalisation(self):
         lhs = word_op("ADD", mk_numeral(2), mk_numeral(3))

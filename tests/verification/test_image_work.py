@@ -7,6 +7,11 @@
   the clusters and schedule of the greedy that built every merge whole and
   then measured it, while a node budget or deadline hit inside a merge
   still raises;
+* a cluster that joins two or more conjuncts holds at most
+  ``CLUSTER_GROWTH`` times their summed node counts, so a merge that blows
+  up is split even when it fits ``cluster_size``; Figure 2's relations
+  never grow that much and keep the size-only greedy's clusters, and
+  ``cluster_size=None`` is still one monolithic cluster;
 * a pair whose reset outputs differ is refuted before any transition
   relation is built;
 * ``_compose_levels`` builds a node with ``_mk`` where its new level lies
@@ -228,6 +233,76 @@ def test_a_deadline_hit_during_a_merge_raises():
     m.deadline = time.perf_counter() - 1.0
     with pytest.raises(BddBudgetExceeded, match="wall-clock"):
         model_checking.partition_relation(m, conjuncts, quantify, 100_000)
+
+
+# -- a cluster does not blow up -------------------------------------------------
+
+def _members(m, cluster, conjuncts, quantify):
+    """The conjuncts joined into ``cluster``.
+
+    Each conjunct ``s' ≡ f(i, s)`` is the only one that mentions its
+    primed variable, and a conjunction of such conjuncts depends on every
+    primed variable among them.
+    """
+    quantified = set(quantify)
+    return [c for c in conjuncts
+            if m.support(c) - quantified <= m.support(cluster)]
+
+
+def _size_only(monkeypatch):
+    """Make ``partition_relation`` bound a merge by ``cluster_size`` alone."""
+    monkeypatch.setattr(model_checking, "CLUSTER_GROWTH", 10**9)
+
+
+@pytest.mark.parametrize("cluster_size", [50, 200, 1000])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_a_cluster_holds_at_most_growth_times_its_conjuncts(pair, cluster_size):
+    m, conjuncts, quantify = _relation_inputs(*PAIRS[pair]())
+    relation = model_checking.partition_relation(m, conjuncts, quantify,
+                                                 cluster_size)
+    joined = [_members(m, c, conjuncts, quantify) for c in relation.clusters]
+    assert sorted(c for members in joined for c in members) == sorted(conjuncts)
+    for cluster, members in zip(relation.clusters, joined):
+        if len(members) > 1:
+            weight = sum(m.size(c) for c in members)
+            assert m.size(cluster) <= min(
+                cluster_size, model_checking.CLUSTER_GROWTH * weight)
+
+
+def _blow_up(m, conjuncts, cluster_size):
+    """Two conjuncts whose conjunction blows up, yet fits ``cluster_size``."""
+    for f, g in itertools.combinations(conjuncts, 2):
+        merged = m.size(m.apply_and(f, g))
+        weight = m.size(f) + m.size(g)
+        if model_checking.CLUSTER_GROWTH * weight < merged <= cluster_size:
+            return [f, g]
+    raise AssertionError("no pair of conjuncts blows up")
+
+
+def test_a_merge_that_blows_up_is_split(monkeypatch):
+    m, conjuncts, quantify = _relation_inputs(*PAIRS["random1"]())
+    pair = _blow_up(m, conjuncts, 1000)
+    relation = model_checking.partition_relation(m, pair, quantify, 1000)
+    assert sorted(relation.clusters) == sorted(pair)
+    _size_only(monkeypatch)
+    relation = model_checking.partition_relation(m, pair, quantify, 1000)
+    assert relation.clusters == [m.apply_and(*pair)]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_figure2_clusters_are_the_size_only_greedys(width, monkeypatch):
+    m, conjuncts, quantify = _relation_inputs(*_figure2_pair(width))
+    relation = model_checking.partition_relation(m, conjuncts, quantify)
+    _size_only(monkeypatch)
+    assert relation == model_checking.partition_relation(m, conjuncts,
+                                                         quantify)
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_no_cluster_size_is_one_monolithic_cluster(pair):
+    m, conjuncts, quantify = _relation_inputs(*PAIRS[pair]())
+    relation = model_checking.partition_relation(m, conjuncts, quantify, None)
+    assert relation.clusters == [m.conjoin(conjuncts)]
 
 
 # -- reset first ----------------------------------------------------------------
